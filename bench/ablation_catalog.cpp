@@ -1,10 +1,9 @@
 // Catalog sweep: one policy-stack comparison across the whole scenario
 // catalog (docs/SCENARIOS.md).  Every named scenario runs twice -- once
-// under the modern stack (queue-depth broker + incremental rank +
-// placement leases + health breakers + calendar kernel + partial
-// re-solve) and once under the legacy stack (the paper's favorite-sites
-// status quo on the heap/full-resolve kernel) -- and each run prints
-// one `result-json:` line with its counters and determinism digest.
+// under the modern stack (queue-depth broker + placement leases + health
+// breakers) and once under the legacy stack (the paper's favorite-sites
+// status quo) -- and each run prints one `result-json:` line with its
+// counters and determinism digest.
 //
 // `--manifest PATH` additionally writes the digests as a JSON manifest;
 // the committed bench/CATALOG_MANIFEST.json records the quick-mode

@@ -5,12 +5,10 @@
 //
 // `perf_kernel --snapshot PATH` skips google-benchmark and writes a
 // small JSON snapshot (events/sec executed, queue schedule/cancel ops
-// per second, timer-storm events/sec in calendar vs heap mode,
-// flow-churn reallocs/sec in partial vs full mode; best of N) that
-// scripts/check_bench.py diffs against the committed
-// bench/BENCH_kernel.json baseline as a regression gate and holds to
-// the docs/BENCH.md speedup floors (timer storm >= 2x, flow churn
-// >= 3x).
+// per second, broker match cycles/sec, timer-storm events/sec,
+// flow-churn reallocs/sec; best of N) that scripts/check_bench.py diffs
+// against the committed bench/BENCH_kernel.json baseline as a
+// regression gate.
 #include <benchmark/benchmark.h>
 
 #include <chrono>
@@ -131,16 +129,11 @@ void BM_BrokerMatchCycle(benchmark::State& state) {
 }
 BENCHMARK(BM_BrokerMatchCycle)->Arg(32)->Arg(256);
 
-/// Timer storm: `procs` periodic timers with near-uniform intervals --
-/// the monitoring-sweep shape that dominates scenario event counts.
-/// Arg 0 selects the queue discipline (0 = pure heap, 1 = calendar);
-/// both fire the exact same event sequence.
+/// Timer storm: 2000 periodic timers with near-uniform intervals -- the
+/// monitoring-sweep shape that dominates scenario event counts.
 void BM_TimerStorm(benchmark::State& state) {
-  const bool calendar = state.range(0) != 0;
   for (auto _ : state) {
-    sim::QueueConfig qc;
-    qc.calendar = calendar;
-    sim::Simulation sim{qc};
+    sim::Simulation sim;
     util::Rng rng{11};
     std::vector<std::unique_ptr<sim::PeriodicProcess>> procs;
     procs.reserve(2'000);
@@ -158,16 +151,13 @@ void BM_TimerStorm(benchmark::State& state) {
                             static_cast<std::int64_t>(sim.executed()));
   }
 }
-BENCHMARK(BM_TimerStorm)->Arg(0)->Arg(1);
+BENCHMARK(BM_TimerStorm);
 
 /// Flow churn: chained transfers inside small disjoint node clusters.
-/// Arg 0 selects the solver scope (0 = full-graph re-solve, 1 = partial,
-/// component-scoped); decisions and results are byte-identical.
 void BM_FlowChurn(benchmark::State& state) {
-  const bool partial = state.range(0) != 0;
   for (auto _ : state) {
     sim::Simulation sim;
-    net::Network net{sim, {partial}};
+    net::Network net{sim};
     util::Rng rng{12};
     struct Chain {
       net::Network* net;
@@ -205,7 +195,7 @@ void BM_FlowChurn(benchmark::State& state) {
                             static_cast<std::int64_t>(net.reallocs()));
   }
 }
-BENCHMARK(BM_FlowChurn)->Arg(0)->Arg(1);
+BENCHMARK(BM_FlowChurn);
 
 void BM_MetricBusFanout(benchmark::State& state) {
   const auto subs = static_cast<int>(state.range(0));
@@ -282,8 +272,7 @@ double measure_queue_ops_per_sec() {
 }
 
 /// Match-cycle workload: steady-state choose() passes over a 64-site
-/// view with the incremental rank cache warm -- the broker-side hot
-/// loop the grid30 bench stresses at 270 sites.
+/// view, each scoring every site fresh -- the broker-side hot loop.
 double measure_match_cycles_per_sec() {
   constexpr int kCycles = 20'000;
   MatchRig rig{64};
@@ -291,7 +280,7 @@ double measure_match_cycles_per_sec() {
   spec.vo = "benchvo";
   spec.runtime = Time::hours(1);
   const Time now = rig.sim.now();
-  (void)rig.broker->choose(spec, now);  // warm the view + rank cache
+  (void)rig.broker->choose(spec, now);  // warm the view
   return best_rate(3, kCycles, [&] {
     for (int i = 0; i < kCycles; ++i) {
       benchmark::DoNotOptimize(rig.broker->choose(spec, now));
@@ -299,18 +288,13 @@ double measure_match_cycles_per_sec() {
   });
 }
 
-/// Timer-storm workload: thousands of near-uniform periodic timers (the
-/// monitoring-sweep event mix) driven through the chosen queue
-/// discipline.  The event sequence is identical in both modes; only the
-/// storage discipline changes, so executed/sec is a clean discipline
-/// comparison.
-double measure_timer_events_per_sec(bool calendar) {
-  // 1M concurrent timers: at this scale the heap's random sift paths
-  // walk ~20 levels of a ~56 MB array (cache miss per level), which is
-  // exactly the regime the calendar's O(1) bucket appends and sorted
-  // drains avoid.  Timers self-reschedule directly through the
-  // Simulation API so the measurement is the queue discipline plus the
-  // irreducible per-event machinery, nothing else.
+/// Timer-storm workload: a million near-uniform periodic timers (the
+/// monitoring-sweep event mix) driven through the event queue.
+double measure_timer_events_per_sec() {
+  // 1M concurrent timers: the heap's sift paths walk ~20 levels of a
+  // ~56 MB array, a cache miss per level.  Timers self-reschedule
+  // directly through the Simulation API so the measurement is the queue
+  // plus the irreducible per-event machinery, nothing else.
   constexpr int kProcs = 1'000'000;
   const Time warmup = Time::seconds(20);    // absorb the start transient
   const Time horizon = Time::seconds(60);   // steady-state window
@@ -323,9 +307,7 @@ double measure_timer_events_per_sec(bool calendar) {
   };
   double best = 0.0;
   for (int round = 0; round < 3; ++round) {
-    sim::QueueConfig qc;
-    qc.calendar = calendar;
-    sim::Simulation sim{qc};
+    sim::Simulation sim;
     util::Rng rng{11};
     std::vector<Timer> timers(static_cast<std::size_t>(kProcs));
     for (Timer& t : timers) {
@@ -349,12 +331,10 @@ double measure_timer_events_per_sec(bool calendar) {
   return best;
 }
 
-/// Flow-churn workload: chained bulk transfers inside small disjoint
-/// node clusters, so the affected component on every start/completion
-/// is a handful of links while the fabric-wide active set is ~150.
-/// Both solver scopes make byte-identical decisions; reallocs/sec
-/// measures the re-solve cost alone.
-double measure_flow_reallocs_per_sec(bool partial) {
+/// Flow-churn workload: chained bulk transfers inside 32 small node
+/// clusters, ~100 flows in flight.  Every start and completion re-solves
+/// every active link, so reallocs/sec measures the solver at that size.
+double measure_flow_reallocs_per_sec() {
   constexpr int kClusters = 32;
   constexpr int kNodesPerCluster = 4;
   constexpr int kChainsPerCluster = 3;
@@ -379,7 +359,7 @@ double measure_flow_reallocs_per_sec(bool partial) {
   double best = 0.0;
   for (int round = 0; round < 2; ++round) {
     sim::Simulation sim;
-    net::Network net{sim, {partial}};
+    net::Network net{sim};
     util::Rng rng{12};
     std::vector<Chain> chains;
     chains.reserve(kClusters * kChainsPerCluster);
@@ -411,10 +391,8 @@ int write_snapshot(const char* path) {
   const double events = measure_events_per_sec();
   const double queue_ops = measure_queue_ops_per_sec();
   const double match_cycles = measure_match_cycles_per_sec();
-  const double timer_heap = measure_timer_events_per_sec(false);
-  const double timer_cal = measure_timer_events_per_sec(true);
-  const double realloc_full = measure_flow_reallocs_per_sec(false);
-  const double realloc_partial = measure_flow_reallocs_per_sec(true);
+  const double timer_events = measure_timer_events_per_sec();
+  const double reallocs = measure_flow_reallocs_per_sec();
   std::FILE* out = std::fopen(path, "w");
   if (out == nullptr) {
     std::fprintf(stderr, "perf_kernel: cannot write %s\n", path);
@@ -422,26 +400,20 @@ int write_snapshot(const char* path) {
   }
   std::fprintf(out,
                "{\n"
-               "  \"schema\": \"grid3-bench-kernel-v2\",\n"
+               "  \"schema\": \"grid3-bench-kernel-v3\",\n"
                "  \"events_per_sec\": %.0f,\n"
                "  \"queue_ops_per_sec\": %.0f,\n"
                "  \"match_cycles_per_sec\": %.0f,\n"
                "  \"timer_events_per_sec\": %.0f,\n"
-               "  \"timer_events_per_sec_heap\": %.0f,\n"
-               "  \"flow_reallocs_per_sec\": %.0f,\n"
-               "  \"flow_reallocs_per_sec_full\": %.0f\n"
+               "  \"flow_reallocs_per_sec\": %.0f\n"
                "}\n",
-               events, queue_ops, match_cycles, timer_cal, timer_heap,
-               realloc_partial, realloc_full);
+               events, queue_ops, match_cycles, timer_events, reallocs);
   std::fclose(out);
   std::printf(
       "perf_kernel snapshot: events_per_sec=%.0f queue_ops_per_sec=%.0f "
-      "match_cycles_per_sec=%.0f timer_events_per_sec=%.0f (heap %.0f, "
-      "%.1fx) flow_reallocs_per_sec=%.0f (full %.0f, %.1fx) -> %s\n",
-      events, queue_ops, match_cycles, timer_cal, timer_heap,
-      timer_heap > 0 ? timer_cal / timer_heap : 0.0, realloc_partial,
-      realloc_full,
-      realloc_full > 0 ? realloc_partial / realloc_full : 0.0, path);
+      "match_cycles_per_sec=%.0f timer_events_per_sec=%.0f "
+      "flow_reallocs_per_sec=%.0f -> %s\n",
+      events, queue_ops, match_cycles, timer_events, reallocs, path);
   return 0;
 }
 

@@ -42,7 +42,6 @@ void wire_users(App& app, const core::Assembled& assembled,
 Scenario::Scenario(sim::Simulation& sim, ScenarioOptions opts)
     : sim_{sim}, opts_{opts} {
   grid_ = std::make_unique<core::Grid3>(sim, opts.seed);
-  grid_->network().set_partial_reallocate(opts.network_partial_reallocate);
   core::AssembleOptions ao;
   ao.cpu_scale = opts.cpu_scale;
   ao.roster_replicas = opts.roster_replicas;
@@ -53,7 +52,6 @@ Scenario::Scenario(sim::Simulation& sim, ScenarioOptions opts)
   if (opts.broker_policy != broker::PolicyKind::kNone) {
     broker::BrokerConfig bcfg;
     bcfg.placement_leases = opts.placement_leases;
-    bcfg.incremental_rank = opts.broker_incremental_rank;
     for (const std::string& vo : core::canonical_vos()) {
       grid_->attach_broker(vo, opts.broker_policy, bcfg);
     }
@@ -135,28 +133,27 @@ Scenario::~Scenario() = default;
 void Scenario::start() {
   if (started_) return;
   started_ = true;
-  if (opts_.resource_fluctuation) {
-    fluct_rng_ = util::Rng{opts_.seed ^ 0xf1c7u};
-    for (const auto& site : grid_->sites()) {
-      base_cpus_.push_back(site->cpus());
-    }
-    // Every two weeks, shared sites resize within 80-105% of their base
-    // capacity (withdrawing nodes kills the jobs on them, as the paper's
-    // disk/node replacements did at unlucky sites).
-    fluctuation_ = std::make_unique<sim::PeriodicProcess>(
-        sim_, Time::days(14), [this] {
-          const auto& sites = grid_->sites();
-          for (std::size_t i = 0; i < sites.size(); ++i) {
-            if (sites[i]->config().policy.dedicated) continue;
-            const int target = std::max(
-                2, static_cast<int>(base_cpus_[i] *
-                                    fluct_rng_.uniform(0.80, 1.05)));
-            sites[i]->scheduler().resize(target, fluct_rng_);
-          }
-          return true;
-        });
-    fluctuation_->start(Time::days(10));
+  fluct_rng_ = util::Rng{opts_.seed ^ 0xf1c7u};
+  for (const auto& site : grid_->sites()) {
+    base_cpus_.push_back(site->cpus());
   }
+  // The section 7 CPU-count fluctuation: every two weeks, shared sites
+  // resize within 80-105% of their base capacity (withdrawing nodes kills
+  // the jobs on them, as the paper's disk/node replacements did at
+  // unlucky sites); dedicated sites stay fixed.
+  fluctuation_ = std::make_unique<sim::PeriodicProcess>(
+      sim_, Time::days(14), [this] {
+        const auto& sites = grid_->sites();
+        for (std::size_t i = 0; i < sites.size(); ++i) {
+          if (sites[i]->config().policy.dedicated) continue;
+          const int target = std::max(
+              2, static_cast<int>(base_cpus_[i] *
+                                  fluct_rng_.uniform(0.80, 1.05)));
+          sites[i]->scheduler().resize(target, fluct_rng_);
+        }
+        return true;
+      });
+  fluctuation_->start(Time::days(10));
   // The SC2003 conference demonstration (paper section 7: "On Nov. 20,
   // 2003 there were sustained periods when over 1300 jobs ran
   // simultaneously"): a coordinated push that floods the grid with

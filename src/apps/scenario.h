@@ -29,9 +29,6 @@ struct ScenarioOptions {
   double job_scale = 1.0;
   int months = 7;  ///< Oct 2003 .. Apr 2004
   std::uint64_t seed = 20031025;
-  /// Shared sites introduce and withdraw worker nodes over time (the
-  /// section 7 CPU-count fluctuation); dedicated sites stay fixed.
-  bool resource_fluctuation = true;
   /// kNone = the paper's status quo (planner-side favorite sites, no
   /// broker).  Anything else attaches a per-VO resource broker with that
   /// ranking policy before the application drivers are built.
@@ -39,17 +36,9 @@ struct ScenarioOptions {
   /// With a broker attached: acquire stage-out leases (SRM space at the
   /// destination SE) before binding.  False = the no-lease baseline.
   bool placement_leases = true;
-  /// With a broker attached: serve rank scores from the incremental
-  /// cache (delta-event invalidation).  False forces the full per-match
-  /// rescore -- the grid30 bench's equivalence baseline.
-  bool broker_incremental_rank = true;
   /// Fabric replication factor (see core::AssembleOptions): 1 = the
   /// historical 27-site roster, 10 = the "Grid30" 270-site fabric.
   int roster_replicas = 1;
-  /// Scope fair-share re-solves to the affected link component (see
-  /// net::NetworkConfig).  False forces the full-graph re-solve -- the
-  /// grid30 bench's legacy-kernel equivalence baseline.
-  bool network_partial_reallocate = true;
   /// Build and start the seven historical application demonstrators.
   /// False assembles the bare fabric (sites, VOs, users, failure
   /// injection) so a workload-generator scenario (src/workload) can

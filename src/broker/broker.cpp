@@ -1,7 +1,6 @@
 #include "broker/broker.h"
 
 #include <algorithm>
-#include <bit>
 #include <cassert>
 #include <cstdio>
 #include <functional>
@@ -36,8 +35,6 @@ void ResourceBroker::set_id_registry(std::shared_ptr<core::IdRegistry> ids) {
   // Site numbering changed: drop every id-keyed cache.
   view_valid_ = false;
   view_index_.clear();
-  rank_columns_.clear();
-  rank_dirt_.clear();
   inflight_.clear();
   inflight_staging_.clear();
 }
@@ -58,7 +55,7 @@ void ResourceBroker::refresh_view(Time now) {
   // rebuild below empties the view and jobs fail with kSubmitRejected.
   if (!giis_.available() && cfg_.stale_view_max > Time::zero()) {
     if (view_valid_ && now - view_refreshed_ <= cfg_.stale_view_max) {
-      view_stale_ = true;  // freeze: keep view_, epoch and caches intact
+      view_stale_ = true;  // freeze: keep view_ intact
       return;
     }
     view_stale_ = false;
@@ -66,7 +63,6 @@ void ResourceBroker::refresh_view(Time now) {
       view_outage_ = true;
       view_.clear();
       view_index_.assign(ids_->sites.size(), -1);
-      ++view_epoch_;  // cached rank columns refer to the dropped view
     }
     return;  // re-checked on every view() call until the GIIS recovers
   }
@@ -119,8 +115,6 @@ void ResourceBroker::refresh_view(Time now) {
   for (std::size_t i = 0; i < view_.size(); ++i) {
     view_index_.at_or_grow(view_[i].id) = static_cast<std::int32_t>(i);
   }
-  // New epoch: every cached rank column keyed off the old view is stale.
-  ++view_epoch_;
   view_refreshed_ = now;
   view_valid_ = true;
 }
@@ -144,11 +138,9 @@ bool ResourceBroker::meets_requirements(const JobSpec& spec,
 std::vector<std::string> ResourceBroker::eligible(const JobSpec& spec,
                                                   Time now) {
   view(now);
-  RankColumn* col =
-      cfg_.incremental_rank ? resolve_column(spec_signature(spec)) : nullptr;
   std::vector<std::string> out;
   for (const SiteView& v : view_) {
-    if (eligible_in(spec, v, col)) out.push_back(v.site);
+    if (meets_requirements(spec, v)) out.push_back(v.site);
   }
   return out;  // view_ is name-sorted
 }
@@ -186,81 +178,11 @@ double storage_headroom(const JobSpec& spec, const SiteView& site) {
   return storage_headroom_for((spec.stage_in + spec.scratch).to_gb(), site);
 }
 
-/// Spec-signature hash combiner (boost-style mix; any deterministic
-/// 64-bit mix works, the signature never leaves the process).
-std::uint64_t mix64(std::uint64_t h, std::uint64_t v) {
-  return h ^ (v + 0x9e3779b97f4a7c15ull + (h << 6) + (h >> 2));
-}
-
-std::uint64_t mix_str(std::uint64_t h, const std::string& s) {
-  return mix64(h, std::hash<std::string>{}(s));
-}
-
-std::uint64_t mix_double(std::uint64_t h, double d) {
-  return mix64(h, std::bit_cast<std::uint64_t>(d));
-}
-
-/// Cache columns kept live at once; concurrently active spec classes
-/// beyond this just recompute (correct, merely slower).
-constexpr std::size_t kRankColumns = 8;
-
 }  // namespace
 
-std::uint64_t ResourceBroker::spec_signature(const JobSpec& spec) const {
-  // Covers every spec field the cached terms read: the eligibility
-  // gates (required_app, runtime/slack, min CPUs, outbound) and the
-  // inputs a cacheable policy may consult (preferences, data inputs,
-  // catalog, footprint).  The policy object itself is part of the key
-  // so re-attaching a broker with a new policy cannot serve old scores.
-  std::uint64_t h = 0x5ca1ab1e0ddba11ull;
-  h = mix64(h, reinterpret_cast<std::uintptr_t>(policy_.get()));
-  h = mix_str(h, spec.vo);
-  h = mix_str(h, spec.app);
-  h = mix_str(h, spec.required_app);
-  h = mix64(h, static_cast<std::uint64_t>(spec.runtime.ticks()));
-  h = mix_double(h, spec.walltime_slack);
-  h = mix64(h, static_cast<std::uint64_t>(spec.min_free_cpus));
-  h = mix64(h, spec.need_outbound ? 1 : 0);
-  h = mix64(h, static_cast<std::uint64_t>(spec.stage_in.count()));
-  h = mix64(h, static_cast<std::uint64_t>(spec.scratch.count()));
-  for (const auto& [site, weight] : spec.site_preference) {
-    h = mix_str(h, site);
-    h = mix_double(h, weight);
-  }
-  h = mix64(h, spec.site_preference.size());
-  for (const std::string& lfn : spec.data_inputs) h = mix_str(h, lfn);
-  h = mix64(h, spec.data_inputs.size());
-  h = mix64(h, reinterpret_cast<std::uintptr_t>(spec.rls));
-  return h;
-}
-
-ResourceBroker::RankColumn* ResourceBroker::resolve_column(std::uint64_t sig) {
-  if (rank_columns_.empty()) rank_columns_.resize(kRankColumns);
-  for (RankColumn& c : rank_columns_) {
-    if (c.valid && c.sig == sig && c.epoch == view_epoch_) return &c;
-  }
-  RankColumn& c = rank_columns_[next_column_];
-  next_column_ = (next_column_ + 1) % rank_columns_.size();
-  c.sig = sig;
-  c.epoch = view_epoch_;
-  c.valid = true;
-  c.entries.clear();
-  return &c;
-}
-
-bool ResourceBroker::eligible_in(const JobSpec& spec, const SiteView& v,
-                                 RankColumn* col) {
-  if (col == nullptr) return meets_requirements(spec, v);
-  RankEntry& e = col->entries.at_or_grow(v.id);
-  if (!e.has_elig) {
-    e.eligible = meets_requirements(spec, v);
-    e.has_elig = true;
-  }
-  return e.eligible;
-}
-
 double ResourceBroker::policy_term(const JobSpec& spec, const SiteView& site,
-                                   Time now) const {
+                                   Time now) {
+  ++rank_evals_;
   // The view's free-CPU count is stale within the TTL: submissions this
   // broker already has in flight there have not been seen by the GIIS.
   // Score against the net free slots so a burst of siblings does not
@@ -271,35 +193,6 @@ double ResourceBroker::policy_term(const JobSpec& spec, const SiteView& site,
     return policy_->score(spec, adjusted, now);
   }
   return policy_->score(spec, site, now);
-}
-
-double ResourceBroker::cached_policy_term(const JobSpec& spec,
-                                          const SiteView& site,
-                                          RankColumn* col, bool cache,
-                                          Time now) {
-  RankEntry* e =
-      (cache && col != nullptr) ? &col->entries.at_or_grow(site.id) : nullptr;
-  const std::uint64_t dirt = rank_dirt_.get(site.id, 0);
-  if (e != nullptr && e->has_score && e->clean == dirt) {
-    ++rank_cache_hits_;
-    return e->policy_score;
-  }
-  ++rank_evals_;
-  const double score = policy_term(spec, site, now);
-  if (e != nullptr) {
-    e->policy_score = score;
-    e->clean = dirt;
-    e->has_score = true;
-  }
-  return score;
-}
-
-void ResourceBroker::mark_rank_dirty(core::SiteId site) {
-  if (site.valid()) ++rank_dirt_.at_or_grow(site);
-}
-
-void ResourceBroker::mark_rank_dirty(const std::string& site) {
-  mark_rank_dirty(ids_->sites.find(site));
 }
 
 ResourceBroker::RankPass ResourceBroker::begin_pass(const JobSpec& spec,
@@ -315,18 +208,13 @@ ResourceBroker::RankPass ResourceBroker::begin_pass(const JobSpec& spec,
   if (!spec.source_site.empty()) {
     pass.source = ids_->sites.find(spec.source_site);
   }
-  if (cfg_.incremental_rank) {
-    pass.sig = spec_signature(spec);
-    pass.col = resolve_column(pass.sig);
-    pass.cache = policy_->cacheable();
-  }
   return pass;
 }
 
 double ResourceBroker::effective_score(const JobSpec& spec,
                                        const SiteView& site, Time now,
                                        const RankPass& pass) {
-  double score = cached_policy_term(spec, site, pass.col, pass.cache, now);
+  double score = policy_term(spec, site, now);
   // The archive chain's headroom is site-independent (it scores the
   // stage-out destination, not the execution site), so it scales every
   // candidate equally: argmax order and weighted-draw proportions are
@@ -342,9 +230,8 @@ double ResourceBroker::effective_score(const JobSpec& spec,
   // no folded stage-in bytes, yet its data is just as immobile.
   if (site.id == pass.source) score *= cfg_.source_affinity;
   // Matching from a frozen stale view: a uniform penalty, so argmax
-  // order and stochastic draw proportions are untouched (and the rank
-  // cache stays bit-identical -- the factor is applied outside it), but
-  // logged scores show the decision was made on degraded information.
+  // order and stochastic draw proportions are untouched, but logged
+  // scores show the decision was made on degraded information.
   if (view_stale_) score *= cfg_.stale_rank_penalty;
   return score;
 }
@@ -400,7 +287,7 @@ std::optional<std::string> ResourceBroker::choose(const JobSpec& spec,
   std::vector<const SiteView*> pool;
   if (spec.candidates.empty()) {
     for (const SiteView& v : view_) {
-      if (eligible_in(spec, v, pass.col) && healthy(v)) pool.push_back(&v);
+      if (meets_requirements(spec, v) && healthy(v)) pool.push_back(&v);
     }
   } else {
     // Candidate membership as a bitset test instead of a linear
@@ -469,25 +356,6 @@ GangPlacement ResourceBroker::match_gang(const GangSpec& gang, Time now) {
   }
 
   const JobSpec& representative = gang.members.front();
-  // Uniform levels -- every member in the representative's spec class,
-  // the common case for DAG levels of identical production tasks --
-  // amortize one eligibility/score column across the whole gang (and
-  // share it with the members' own try_match passes).  Mixed levels
-  // keep the per-member eligibility loop.
-  RankColumn* col = nullptr;
-  bool cache = false;
-  bool uniform = false;
-  if (cfg_.incremental_rank) {
-    const std::uint64_t rep_sig = spec_signature(representative);
-    uniform = true;
-    for (std::size_t i = 1; i < gang.members.size() && uniform; ++i) {
-      uniform = spec_signature(gang.members[i]) == rep_sig;
-    }
-    if (uniform) {
-      col = resolve_column(rep_sig);
-      cache = policy_->cacheable();
-    }
-  }
 
   struct Candidate {
     const SiteView* site;
@@ -504,14 +372,10 @@ GangPlacement ResourceBroker::match_gang(const GangSpec& gang, Time now) {
     // queue must not win the whole level.
     if (health_ != nullptr && health_->quarantined(v.site)) continue;
     bool all_eligible = true;
-    if (uniform) {
-      all_eligible = eligible_in(representative, v, col);
-    } else {
-      for (const JobSpec& m : gang.members) {
-        if (!meets_requirements(m, v)) {
-          all_eligible = false;
-          break;
-        }
+    for (const JobSpec& m : gang.members) {
+      if (!meets_requirements(m, v)) {
+        all_eligible = false;
+        break;
       }
     }
     if (!all_eligible) continue;
@@ -521,7 +385,7 @@ GangPlacement ResourceBroker::match_gang(const GangSpec& gang, Time now) {
     // against the view net of in-flight bindings, then the whole
     // level's footprint sets the storage headroom (ledger-gated like
     // per-job ranking, so the ledger-free broker stays byte-identical).
-    double score = cached_policy_term(representative, v, col, cache, now);
+    double score = policy_term(representative, v, now);
     if (ledger_ != nullptr) score *= storage_headroom_for(need_gb, v);
     pool.push_back({&v, score, cap});
   }
@@ -690,7 +554,7 @@ void ResourceBroker::build_candidate_bits(Pending& p) {
 }
 
 std::vector<const SiteView*> ResourceBroker::admissible(
-    Pending& p, Time now, const RankPass& pass, bool* any_deferred) {
+    Pending& p, Time now, bool* any_deferred) {
   view(now);
   // A GIIS outage past the staleness bound empties the pool, but the
   // sites are not gone -- the index is.  Defer so the job waits for the
@@ -723,7 +587,7 @@ std::vector<const SiteView*> ResourceBroker::admissible(
   };
   if (p.spec.candidates.empty()) {
     for (const SiteView& v : view_) {
-      if (eligible_in(p.spec, v, pass.col)) consider(v);
+      if (meets_requirements(p.spec, v)) consider(v);
     }
   } else {
     if (!p.bits_built) build_candidate_bits(p);
@@ -779,7 +643,7 @@ void ResourceBroker::try_match(const std::shared_ptr<Pending>& p) {
   const Time now = sim_.now();
   const RankPass pass = begin_pass(p->spec, now);
   bool any_deferred = false;
-  const auto pool = admissible(*p, now, pass, &any_deferred);
+  const auto pool = admissible(*p, now, &any_deferred);
 
   if (pool.empty()) {
     if (any_deferred) {
@@ -869,9 +733,6 @@ void ResourceBroker::try_match(const std::shared_ptr<Pending>& p) {
   ++inflight_.at_or_grow(picked->id);
   inflight_staging_.at_or_grow(picked->id) +=
       gram::staging_load_factor(p->spec.stage_in, p->spec.stage_out);
-  // The binding changed the site's net free slots: cached policy scores
-  // there are stale for every spec class.
-  mark_rank_dirty(picked->id);
   gram::Gatekeeper* gk =
       picked->gk != nullptr ? picked->gk : gatekeepers_.gatekeeper(picked->site);
   auto self = p;
@@ -887,8 +748,6 @@ void ResourceBroker::on_result(const std::shared_ptr<Pending>& p,
     double& s = inflight_staging_.at_or_grow(p->bound_id);
     s -= gram::staging_load_factor(p->spec.stage_in, p->spec.stage_out);
     if (s <= 1e-9) s = 0.0;  // clamp drift exactly as the erase did
-    // The freed slot invalidates the site's cached policy scores.
-    mark_rank_dirty(p->bound_id);
   }
   // A slot freed: give held jobs a prompt re-match.
   if (!waiting_.empty() && !kick_scheduled_) {
@@ -1043,10 +902,6 @@ void ResourceBroker::retry_held(const std::shared_ptr<Pending>& p) {
 }
 
 void ResourceBroker::on_site_quarantined(const std::string& site) {
-  // Health transitions invalidate the site's cached rank terms (the
-  // breaker outcome may coincide with load/lease changes the cache has
-  // not seen).
-  mark_rank_dirty(site);
   // Held jobs were mostly deferred by saturation elsewhere; with a site
   // freshly removed the distribution changed, so re-match them promptly
   // (and jobs bound for the quarantined site re-rank elsewhere).
@@ -1074,13 +929,6 @@ void ResourceBroker::on_site_quarantined(const std::string& site) {
     }
     ++it;
   }
-}
-
-void ResourceBroker::on_site_readmitted(const std::string& site) {
-  // Re-admission only touches the cache: deferred jobs re-probe on
-  // their own hold timers, so scheduling a kick here would perturb
-  // established event streams for no admission-latency gain.
-  mark_rank_dirty(site);
 }
 
 void ResourceBroker::kick_waiting() {
@@ -1157,8 +1005,6 @@ bool ResourceBroker::ensure_lease(Pending& p, Time now) {
   }
   p.lease = res.lease;
   p.resolved_se = res.site;
-  // The lease consumed SE headroom the cached rank terms may reflect.
-  mark_rank_dirty(res.site);
   p.job.stage_out_srm = ledger_->srm_for(res.lease);
   if (const placement::StageOutLease* l = ledger_->find(res.lease)) {
     p.job.stage_out_reservation = l->reservation;
@@ -1183,8 +1029,6 @@ void ResourceBroker::drop_lease(Pending& p, bool consumed) {
     } else {
       ledger_->release(p.lease, sim_.now());
     }
-    // Returned (or consumed) SE space: invalidate the SE's cached terms.
-    mark_rank_dirty(p.resolved_se);
   }
   p.lease = 0;
   p.job.stage_out_srm = nullptr;

@@ -104,14 +104,6 @@ struct BrokerConfig {
   /// job's staged input physically sits): consumers chase their data.
   /// 1.0 disables the affinity.
   double source_affinity = 4.0;
-  /// Incremental rank maintenance: cache each site's policy score and
-  /// eligibility per spec class and invalidate by delta events (view
-  /// refresh, in-flight binding changes, lease and health transitions)
-  /// instead of re-scoring every candidate on every match.  Cached and
-  /// fresh scores are bit-identical by construction, so match logs do
-  /// not change; false forces the full per-match rescore (the
-  /// equivalence baseline).
-  bool incremental_rank = true;
   /// Graceful degradation under a GIIS outage: when the index answers
   /// nothing (down, or every snapshot aged out), keep matching against
   /// the last-known-good view for up to this long past its refresh
@@ -294,11 +286,6 @@ class ResourceBroker {
   /// core::Grid3::attach_health.
   void on_site_quarantined(const std::string& site);
 
-  /// A quarantined site was re-admitted: invalidate its cached rank
-  /// state so the next match re-scores it fresh.  Wired to the
-  /// monitor's readmit observer by core::Grid3::attach_health.
-  void on_site_readmitted(const std::string& site);
-
   /// Share an id registry (normally core::Grid3's, so every VO broker
   /// agrees on one site numbering).  Must be called before the first
   /// view refresh; by default the broker owns a private registry.
@@ -348,12 +335,12 @@ class ResourceBroker {
   /// Rank passes (one candidate-ordering each: per-job matches, choose
   /// calls, gang matches).
   [[nodiscard]] std::uint64_t match_cycles() const { return match_cycles_; }
-  /// Fresh policy-score evaluations vs. rank-cache hits: the ratio is
-  /// the incremental engine's work saved.
+  /// Policy-score evaluations: every candidate is scored fresh on every
+  /// rank pass.
   [[nodiscard]] std::uint64_t rank_evals() const { return rank_evals_; }
-  [[nodiscard]] std::uint64_t rank_cache_hits() const {
-    return rank_cache_hits_;
-  }
+  /// Always 0: the broker keeps no rank cache.  Kept so the campaign
+  /// benchmark's broker.rank_cache_hit_ratio stays defined.
+  [[nodiscard]] std::uint64_t rank_cache_hits() const { return 0; }
   [[nodiscard]] int inflight(const std::string& site) const;
   [[nodiscard]] int inflight(core::SiteId site) const {
     return inflight_.get(site, 0);
@@ -415,37 +402,11 @@ class ResourceBroker {
     bool bits_built = false;
   };
 
-  /// One site's cached rank terms for one spec class.  `clean` stamps
-  /// the site's dirt counter at compute time; a delta event bumps the
-  /// counter and thereby invalidates only the affected site.
-  struct RankEntry {
-    std::uint64_t clean = 0;
-    double policy_score = 0.0;
-    bool has_score = false;
-    bool eligible = false;
-    bool has_elig = false;
-  };
-
-  /// Dense per-site cache column for one spec-class signature, valid
-  /// for one view epoch.  A handful of columns cover the concurrently
-  /// active spec classes (per-VO campaigns are homogeneous); misses
-  /// recycle the oldest column.
-  struct RankColumn {
-    std::uint64_t sig = 0;
-    std::uint64_t epoch = 0;
-    bool valid = false;
-    core::IdMap<core::SiteId, RankEntry> entries;
-  };
-
   /// Per-pass context computed once per candidate ordering (one
-  /// try_match / choose / match_gang call): the spec-class signature,
-  /// the resolved cache column, whether score caching applies, the
-  /// hoisted chain-headroom factor (site-independent, so identical for
-  /// every candidate), and the interned source-affinity site.
+  /// try_match / choose call): the hoisted chain-headroom factor
+  /// (site-independent, so identical for every candidate) and the
+  /// interned source-affinity site.
   struct RankPass {
-    std::uint64_t sig = 0;
-    RankColumn* col = nullptr;  ///< null = eligibility/score caching off
-    bool cache = false;         ///< policy-score caching applies
     double chain = 1.0;
     core::SiteId source;
   };
@@ -453,37 +414,17 @@ class ResourceBroker {
   void refresh_view(Time now);
   /// Admissible = eligible ∩ not cooled-off ∩ not throttled.
   [[nodiscard]] std::vector<const SiteView*> admissible(
-      Pending& p, Time now, const RankPass& pass, bool* any_deferred);
+      Pending& p, Time now, bool* any_deferred);
   [[nodiscard]] const SiteView* rank_and_pick(
       const JobSpec& spec, const std::vector<const SiteView*>& sites,
       Time now, const RankPass& pass, double* chosen_score);
-  /// Open a candidate ordering: refreshes the view, computes the spec
-  /// signature, resolves the cache column, hoists chain_headroom, and
-  /// counts a match cycle.
+  /// Open a candidate ordering: refreshes the view, hoists
+  /// chain_headroom, and counts a match cycle.
   [[nodiscard]] RankPass begin_pass(const JobSpec& spec, Time now);
-  /// Deterministic hash of every spec field the cached terms read.
-  [[nodiscard]] std::uint64_t spec_signature(const JobSpec& spec) const;
-  /// Cache column for `sig` under the current view epoch, recycling the
-  /// oldest on miss.  Pointers stay valid until the column is recycled.
-  [[nodiscard]] RankColumn* resolve_column(std::uint64_t sig);
-  /// meets_requirements through the eligibility cache (null column =
-  /// uncached).
-  [[nodiscard]] bool eligible_in(const JobSpec& spec, const SiteView& v,
-                                 RankColumn* col);
-  /// Policy score net of the broker's own in-flight bindings (the term
-  /// the rank cache stores).
+  /// Policy score net of the broker's own in-flight bindings; counts a
+  /// rank evaluation.
   [[nodiscard]] double policy_term(const JobSpec& spec, const SiteView& site,
-                                   Time now) const;
-  /// policy_term through the rank cache (bit-identical to a fresh
-  /// evaluation; recomputes when the site's dirt counter moved).
-  [[nodiscard]] double cached_policy_term(const JobSpec& spec,
-                                          const SiteView& site,
-                                          RankColumn* col, bool cache,
-                                          Time now);
-  /// Bump a site's dirt counter: cached scores there recompute on next
-  /// use.  O(1); no fan-out over spec classes or other sites.
-  void mark_rank_dirty(core::SiteId site);
-  void mark_rank_dirty(const std::string& site);
+                                   Time now);
   /// Build a Pending's candidate/deferred bitsets once.
   void build_candidate_bits(Pending& p);
   void try_match(const std::shared_ptr<Pending>& p);
@@ -512,9 +453,7 @@ class ResourceBroker {
                                         const SiteView& site) const;
   /// Policy score adjusted for the broker's own in-flight bindings
   /// (free CPUs the view has not seen consumed yet), the placement
-  /// factors, and the source-site data affinity.  Served from the rank
-  /// cache when the pass allows it; cached and fresh values are
-  /// bit-identical.
+  /// factors, and the source-site data affinity.
   [[nodiscard]] double effective_score(const JobSpec& spec,
                                        const SiteView& site, Time now,
                                        const RankPass& pass);
@@ -549,9 +488,6 @@ class ResourceBroker {
   std::vector<SiteView> view_;
   /// Interned id -> index into the name-sorted view_ (-1 = absent).
   core::IdMap<core::SiteId, std::int32_t> view_index_;
-  /// Bumped per refresh; every cache column keyed off an older epoch is
-  /// stale.
-  std::uint64_t view_epoch_ = 0;
   Time view_refreshed_;
   bool view_valid_ = false;
   /// The current view_ is a frozen last-known-good copy served while
@@ -564,13 +500,6 @@ class ResourceBroker {
   core::IdMap<core::SiteId, int> inflight_;
   /// Per-site sum of in-flight staging factors (predicted-load input).
   core::IdMap<core::SiteId, double> inflight_staging_;
-  /// Per-site dirt counters: bumped by delta events (binding changes,
-  /// lease resolution, health transitions); cached rank terms stamp the
-  /// value they were computed under.
-  core::IdMap<core::SiteId, std::uint64_t> rank_dirt_;
-  /// Spec-class score/eligibility cache columns (small ring).
-  std::vector<RankColumn> rank_columns_;
-  std::size_t next_column_ = 0;
   /// Scratch bitset for choose() candidate lists.
   core::IdBitset scratch_bits_;
   std::deque<std::shared_ptr<Pending>> waiting_;
@@ -592,7 +521,6 @@ class ResourceBroker {
   std::uint64_t stale_matches_ = 0;
   std::uint64_t match_cycles_ = 0;
   std::uint64_t rank_evals_ = 0;
-  std::uint64_t rank_cache_hits_ = 0;
 };
 
 }  // namespace grid3::broker

@@ -70,13 +70,6 @@ class RankPolicy {
   /// Stochastic policies are sampled by score weight (the status-quo
   /// behaviour); deterministic policies take the argmax.
   [[nodiscard]] virtual bool stochastic() const { return false; }
-  /// Cacheable scores are pure functions of (job spec, site view): the
-  /// broker's incremental rank cache may reuse them until the view
-  /// refreshes or a delta event (in-flight binding, lease, health
-  /// transition) dirties the site.  Policies that consult state outside
-  /// the view -- DataLocalityPolicy's time-sensitive RLS lookups --
-  /// must return false and are re-scored every match.
-  [[nodiscard]] virtual bool cacheable() const { return true; }
 };
 
 /// Status quo: static favorite-site weights, weighted-random draw.
@@ -105,9 +98,6 @@ class DataLocalityPolicy final : public RankPolicy {
   [[nodiscard]] const char* name() const override { return "data-locality"; }
   [[nodiscard]] double score(const JobSpec& job, const SiteView& site,
                              Time now) const override;
-  /// Replica sets evolve between view refreshes (registrations land on
-  /// job completion), so a cached score could diverge from a fresh one.
-  [[nodiscard]] bool cacheable() const override { return false; }
 
  private:
   double locality_weight_;

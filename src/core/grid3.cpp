@@ -196,13 +196,6 @@ health::SiteHealthMonitor& Grid3::attach_health(health::HealthConfig cfg) {
       if (svc.broker) svc.broker->on_site_quarantined(site);
     }
   });
-  // Re-admission fans out too: the returned site's cached rank terms
-  // recompute on the next match instead of serving pre-trip scores.
-  health_->on_readmit([this](const std::string& site) {
-    for (auto& [name, svc] : vos_) {
-      if (svc.broker) svc.broker->on_site_readmitted(site);
-    }
-  });
 
   for (auto& [name, svc] : vos_) {
     if (svc.broker) svc.broker->set_health(health_.get());

@@ -191,7 +191,6 @@ void SiteHealthMonitor::readmit(const std::string& site, Breaker& b,
     windows_[b.window].closed = now;
     b.window = kNoWindow;
   }
-  for (const auto& f : readmit_observers_) f(site);
 }
 
 BreakerState SiteHealthMonitor::state(const std::string& site) const {

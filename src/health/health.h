@@ -141,12 +141,9 @@ class SiteHealthMonitor {
   void set_probe_submitter(ProbeSubmitter submit) {
     probe_submitter_ = std::move(submit);
   }
-  /// Observers fire on every trip / re-admission (the broker kicks its
-  /// held jobs and returns quarantined gang leases from here).
+  /// Observers fire on every trip (the broker kicks its held jobs and
+  /// returns quarantined gang leases from here).
   void on_trip(SiteObserver f) { trip_observers_.push_back(std::move(f)); }
-  void on_readmit(SiteObserver f) {
-    readmit_observers_.push_back(std::move(f));
-  }
   /// Share an id registry (normally core::Grid3's, so health and the
   /// brokers agree on one site numbering).  Must be called before the
   /// first report; by default the monitor owns a private registry.
@@ -258,7 +255,6 @@ class SiteHealthMonitor {
   TicketCloseFn ticket_close_;
   ProbeSubmitter probe_submitter_;
   std::vector<SiteObserver> trip_observers_;
-  std::vector<SiteObserver> readmit_observers_;
 
   /// Site interner (shared with core::Grid3 when attached there).
   std::shared_ptr<core::IdRegistry> ids_ =

@@ -4,7 +4,6 @@
 #include <cassert>
 #include <cmath>
 #include <unordered_map>
-#include <unordered_set>
 
 namespace grid3::net {
 
@@ -65,68 +64,38 @@ void Network::detach_links(FlowId id, const Flow& f) {
     auto it = link_flows_.find(key);
     if (it == link_flows_.end()) continue;
     auto& members = it->second;
-    // Order-preserving erase: member order is FlowId order, which the
-    // solver relies on for mode-identical arithmetic.
+    // Order-preserving erase: member order is FlowId order, which fixes
+    // the solver's arithmetic order.
     members.erase(std::remove(members.begin(), members.end(), id),
                   members.end());
     if (members.empty()) link_flows_.erase(it);
   }
 }
 
-std::vector<std::uint64_t> Network::component(
-    std::vector<std::uint64_t> seed) const {
-  std::vector<std::uint64_t> out;
-  std::unordered_set<std::uint64_t> seen;
-  std::vector<std::uint64_t> stack = std::move(seed);
-  while (!stack.empty()) {
-    const std::uint64_t key = stack.back();
-    stack.pop_back();
-    if (!seen.insert(key).second) continue;
-    auto it = link_flows_.find(key);
-    if (it == link_flows_.end()) continue;  // no active flows here
-    out.push_back(key);
-    for (const FlowId id : it->second) {
-      const Flow& f = flows_.at(id);
-      stack.push_back(link_out(f.src));
-      stack.push_back(link_in(f.dst));
-    }
-  }
-  std::sort(out.begin(), out.end());
-  return out;
-}
-
-void Network::reallocate(std::vector<std::uint64_t> seed) {
+void Network::reallocate() {
   ++reallocs_;
-  // Scope: the affected component (partial) or every active link (full).
-  // Either way the keys are ascending, so ties in the freeze order
-  // resolve identically in both modes.
-  std::vector<std::uint64_t> keys;
-  if (cfg_.partial_reallocate) {
-    keys = component(std::move(seed));
-  } else {
-    keys.reserve(link_flows_.size());
-    for (const auto& [key, members] : link_flows_) keys.push_back(key);
-  }
-  links_solved_ += keys.size();
-  if (keys.empty()) return;
+  links_solved_ += link_flows_.size();
+  if (link_flows_.empty()) return;
 
   // Progressive filling: repeatedly freeze the most-constrained
   // unsaturated link at the equal share, deduct the frozen flows from
-  // their other endpoints, and continue.  A flow's two links are always
-  // both in scope (the component is closed under shared flows).
+  // their other endpoints, and continue.  Links are visited in ascending
+  // key order (link_flows_ is a sorted map), which fixes how ties in the
+  // freeze order resolve.
   struct SolveLink {
+    std::uint64_t key;
     double capacity;
     std::size_t unassigned;
     bool saturated;
     const std::vector<FlowId>* members;
   };
   std::vector<SolveLink> links;
-  links.reserve(keys.size());
+  links.reserve(link_flows_.size());
   std::unordered_map<std::uint64_t, std::size_t> index;
-  index.reserve(keys.size() * 2);
-  for (const std::uint64_t key : keys) {
-    const auto& members = link_flows_.find(key)->second;
-    links.push_back({link_capacity(key), members.size(), false, &members});
+  index.reserve(link_flows_.size() * 2);
+  for (const auto& [key, members] : link_flows_) {
+    links.push_back(
+        {key, link_capacity(key), members.size(), false, &members});
     index.emplace(key, links.size() - 1);
   }
   std::unordered_map<FlowId, double> new_rate;  // -1 = unassigned
@@ -154,7 +123,7 @@ void Network::reallocate(std::vector<std::uint64_t> seed) {
     }
     if (best == kNone) break;
     links[best].saturated = true;
-    const std::uint64_t best_key = keys[best];
+    const std::uint64_t best_key = links[best].key;
     for (const FlowId id : *links[best].members) {
       double& rate = new_rate.find(id)->second;
       if (rate >= 0.0) continue;
@@ -173,16 +142,12 @@ void Network::reallocate(std::vector<std::uint64_t> seed) {
   }
 
   // Apply in FlowId order: only flows whose rate actually moved get
-  // settled (anchor advance) and their completion rescheduled, so both
-  // solver modes issue identical schedule/cancel streams and the kernel
-  // assigns identical event ids (equivalence contract, network.h).
+  // settled (anchor advance) and their completion rescheduled (see the
+  // determinism note in network.h).
   const Time now = sim_.now();
-  std::vector<FlowId> scoped;
-  scoped.reserve(new_rate.size());
-  for (const auto& [id, rate] : new_rate) scoped.push_back(id);
-  std::sort(scoped.begin(), scoped.end());
-  for (const FlowId id : scoped) {
-    Flow& f = flows_.find(id)->second;
+  for (auto& entry : flows_) {
+    const FlowId id = entry.first;
+    Flow& f = entry.second;
     double rate = new_rate.find(id)->second;
     if (rate < 0.0) rate = 0.0;
     if (rate == f.rate_bps) continue;  // untouched: event + anchor stand
@@ -218,9 +183,8 @@ void Network::on_completion(FlowId id) {
       static_cast<double>(f.size.count()) - 0.5) {
     return;
   }
-  const std::vector<std::uint64_t> seed{link_out(f.src), link_in(f.dst)};
   finish_flow(id, FlowStatus::kCompleted);
-  reallocate(seed);
+  reallocate();
 }
 
 FlowId Network::start_flow(NodeId src, NodeId dst, Bytes size,
@@ -246,17 +210,14 @@ FlowId Network::start_flow(NodeId src, NodeId dst, Bytes size,
   f.callback = std::move(done);
   attach_links(id, f);
   flows_.emplace(id, std::move(f));
-  reallocate({link_out(src), link_in(dst)});
+  reallocate();
   return id;
 }
 
 void Network::cancel_flow(FlowId id) {
-  auto it = flows_.find(id);
-  if (it == flows_.end()) return;
-  const std::vector<std::uint64_t> seed{link_out(it->second.src),
-                                        link_in(it->second.dst)};
+  if (!flows_.contains(id)) return;
   finish_flow(id, FlowStatus::kCancelled);
-  reallocate(seed);
+  reallocate();
 }
 
 void Network::set_node_up(NodeId n, bool up) {
@@ -264,27 +225,21 @@ void Network::set_node_up(NodeId n, bool up) {
   if (node.up == up) return;
   node.up = up;
   if (!up) {
-    // Fail every flow touching the node.  Collect ids and the affected
-    // links first: finishing a flow mutates the map and runs user
-    // callbacks (which may start new flows reentrantly).
+    // Fail every flow touching the node.  Collect ids first: finishing a
+    // flow mutates the map and runs user callbacks (which may start new
+    // flows reentrantly).
     std::vector<FlowId> victims;
-    std::vector<std::uint64_t> seed;
     for (const auto& [id, f] : flows_) {
-      if (f.src == n || f.dst == n) {
-        victims.push_back(id);
-        seed.push_back(link_out(f.src));
-        seed.push_back(link_in(f.dst));
-      }
+      if (f.src == n || f.dst == n) victims.push_back(id);
     }
     for (const FlowId id : victims) {
       finish_flow(id, FlowStatus::kFailedNetworkInterruption);
     }
-    reallocate(std::move(seed));
-  } else {
-    // No flow can touch a down node, so coming back up frees capacity
-    // nothing was waiting on; the solve is a no-op in both modes.
-    reallocate({link_out(n), link_in(n)});
   }
+  // Going down freed the victims' capacity.  Coming back up frees
+  // capacity no flow was waiting on (none can touch a down node), so that
+  // solve moves no rate.
+  reallocate();
 }
 
 void Network::block_route(NodeId src, NodeId dst) {

@@ -6,37 +6,18 @@
 // paper section 6.4 requirement 4) was the bottleneck.  Concurrent flows
 // share links max-min fairly via progressive filling.
 //
-// Reallocation is *partial* by default: the solver maintains per-link
-// flow sets and, on every flow start/finish/cancel and node outage,
-// re-runs progressive filling only over the connected component of
-// links reachable from the affected links through shared flows.  Flows
-// outside that component cannot change rate under max-min fairness
-// (their links' capacities and flow sets are untouched), so the partial
-// re-solve costs O(component), not O(total flows).  The full-graph
-// solve stays available behind NetworkConfig::partial_reallocate =
-// false for differential testing; docs/KERNEL.md works a re-solve
-// example step by step.
+// Every flow start/finish/cancel and node outage re-solves the fair
+// shares of every link with active flows (docs/KERNEL.md describes the
+// solver).  The pinned campaign digests depend on two properties of the
+// solve's side effects: a flow's progress anchor advances only when its
+// rate changes, and completion events are cancelled and rescheduled
+// only for flows whose rate moved, in FlowId order, so every replay
+// issues the same schedule/cancel calls and gets the same event ids.
 //
-// Equivalence contract: partial and full modes produce *byte-identical*
-// FlowResults, node byte counters, and simulation event streams.  Three
-// properties make that hold exactly, not just approximately:
+// Operation costs (L = links with active flows, F = active flows):
 //
-//   1. Per-flow progress is a pure function of (anchor, rate, now) --
-//      the anchor advances only when the flow's rate changes, so
-//      intermediate settles cannot perturb floating-point accumulation;
-//   2. the component solver freezes links in the same ascending-key,
-//      ascending-share order the full solve uses, and a component's
-//      arithmetic never reads state outside the component, so rates
-//      come out bit-identical;
-//   3. completion events are cancelled and rescheduled only for flows
-//      whose rate actually moved, in FlowId order, so both modes issue
-//      the same schedule/cancel calls in the same order and the kernel
-//      assigns identical event ids.
-//
-// Operation costs (C = affected component's links + flows):
-//
-//   start_flow / cancel_flow / completion   O(C^2) solve, O(C) settle
-//   set_node_up(false)                      O(total flows) victim scan + O(C^2)
+//   start_flow / cancel_flow / completion   O(L^2) solve, O(F) settle
+//   set_node_up(false)                      O(F) victim scan + O(L^2)
 //   flow_rate / rate_in / rate_out          O(flows on the link)
 //   bytes_sent / bytes_received             O(flows on the link)
 #pragma once
@@ -91,26 +72,11 @@ struct NodeConfig {
   bool outbound_allowed = true;
 };
 
-/// Solver tuning.  `partial_reallocate = false` forces the full-graph
-/// re-solve on every change -- the differential-testing baseline the
-/// perf_kernel flow-churn series and the equivalence tests run against.
-struct NetworkConfig {
-  bool partial_reallocate = true;
-};
-
 class Network {
  public:
-  explicit Network(sim::Simulation& sim, NetworkConfig cfg = {})
-      : sim_{sim}, cfg_{cfg} {}
+  explicit Network(sim::Simulation& sim) : sim_{sim} {}
   Network(const Network&) = delete;
   Network& operator=(const Network&) = delete;
-
-  /// Flip the solver scope (normally set once before traffic starts;
-  /// both modes are correct at any point, the flag only changes cost).
-  void set_partial_reallocate(bool on) { cfg_.partial_reallocate = on; }
-  [[nodiscard]] bool partial_reallocate() const {
-    return cfg_.partial_reallocate;
-  }
 
   NodeId add_node(NodeConfig cfg);
   [[nodiscard]] std::size_t node_count() const { return nodes_.size(); }
@@ -150,12 +116,11 @@ class Network {
   [[nodiscard]] Bandwidth rate_in(NodeId n) const;
   [[nodiscard]] Bandwidth rate_out(NodeId n) const;
 
-  // --- solver-cost introspection (bench + scoping tests) ---------------
+  // --- solver-cost introspection (bench + tests) -----------------------
 
   /// Progressive-filling invocations since construction.
   [[nodiscard]] std::uint64_t reallocs() const { return reallocs_; }
-  /// Links visited across all solves: O(affected) in partial mode,
-  /// O(all active links) per solve in full mode.
+  /// Links visited across all solves (every active link, per solve).
   [[nodiscard]] std::uint64_t links_solved() const { return links_solved_; }
   /// Completion events actually cancelled+rescheduled (only flows whose
   /// rate moved pay this).
@@ -176,7 +141,7 @@ class Network {
     Bytes size;
     /// Progress anchor: bytes done at anchor_time.  Advanced ONLY when
     /// the rate changes, so done_at() is a pure function of `now` and
-    /// both solver modes account identically (equivalence contract).
+    /// settles cannot perturb floating-point accumulation.
     double anchor_done = 0.0;
     Time anchor_time;
     std::int64_t credited = 0;  ///< whole bytes pushed into node counters
@@ -203,21 +168,15 @@ class Network {
 
   void attach_links(FlowId id, const Flow& f);
   void detach_links(FlowId id, const Flow& f);
-  /// Connected component of links reachable from `seed` through shared
-  /// flows, sorted ascending (the solve order).
-  [[nodiscard]] std::vector<std::uint64_t> component(
-      std::vector<std::uint64_t> seed) const;
 
-  /// Progressive-filling max-min fair allocation over the affected
-  /// component (partial mode) or every active link (full mode);
-  /// settles and reschedules completions only for flows whose rate
-  /// actually moved.
-  void reallocate(std::vector<std::uint64_t> seed);
+  /// Progressive-filling max-min fair allocation over every active
+  /// link; settles and reschedules completions only for flows whose
+  /// rate actually moved.
+  void reallocate();
   void on_completion(FlowId id);
   void finish_flow(FlowId id, FlowStatus status);
 
   sim::Simulation& sim_;
-  NetworkConfig cfg_;
   std::vector<Node> nodes_;
   std::map<FlowId, Flow> flows_;
   /// Active flows per link, in FlowId order (flows attach in id order

@@ -5,44 +5,11 @@
 
 namespace grid3::sim {
 
-namespace {
-
-/// Global dispatch order: (time, id) ascending.
-bool earlier(Time at, EventId aid, Time bt, EventId bid) {
-  if (at != bt) return at < bt;
-  return aid < bid;
-}
-
-}  // namespace
-
-Simulation::Simulation(QueueConfig cfg) : cfg_{cfg} {
-  assert(cfg_.buckets >= 2);
-  width_ticks_ = std::max<std::int64_t>(1, cfg_.bucket_width.ticks());
-  // buckets_ stays empty until the first calendar insert so that
-  // heap-only sims (and short-lived bench fixtures) pay nothing.
-}
-
 EventId Simulation::schedule_at(Time t, EventFn fn) {
   assert(t >= now_);
   const EventId id = next_id_++;
-  // Route by horizon: the calendar covers ordinals
-  // [ordinal(now), ordinal(now) + buckets); anything beyond is heap
-  // territory.  Entries never migrate -- a far event stays on the heap
-  // even once its time comes inside the window, which only costs the
-  // heap pop it would have paid anyway.
-  const std::uint64_t ord = ordinal(t);
-  if (cfg_.calendar && ord < ordinal(now_) + cfg_.buckets) {
-    if (buckets_.empty()) buckets_.resize(cfg_.buckets);
-    buckets_[ord % cfg_.buckets].push_back({t, id, tag_id_, std::move(fn)});
-    ++cal_count_;
-    ++calendar_scheduled_;
-    if (ord < scan_hint_) scan_hint_ = ord;
-    if (ord == sorted_ord_) sorted_ord_ = kUnsorted;  // order broken
-  } else {
-    heap_.push_back({t, id, tag_id_, std::move(fn)});
-    std::push_heap(heap_.begin(), heap_.end(), Later{});
-    ++heap_scheduled_;
-  }
+  heap_.push_back({t, id, tag_id_, std::move(fn)});
+  std::push_heap(heap_.begin(), heap_.end(), Later{});
   live_.insert(id);
   return id;
 }
@@ -56,9 +23,6 @@ bool Simulation::cancel(EventId id) {
   // id would leak it forever (nothing purges it), growing the set
   // monotonically over a multi-month campaign.
   if (!live_.contains(id)) return false;
-  // The entry may sit in the bucket currently being drained in sorted
-  // order; conservatively fall back to the scan path until it is purged.
-  sorted_ord_ = kUnsorted;
   return cancelled_.insert(id);
 }
 
@@ -71,107 +35,6 @@ bool Simulation::settle_heap_front() {
     heap_.pop_back();
   }
   return false;
-}
-
-Simulation::Front Simulation::find_front() {
-  Front f;
-  if (settle_heap_front()) {
-    f.where = Front::Where::kHeap;
-    f.t = heap_.front().t;
-    f.id = heap_.front().id;
-  }
-  if (cal_count_ > 0) {
-    // Cursor scan: the first non-empty bucket at or after now holds the
-    // calendar minimum (bucket ordinals partition time monotonically,
-    // and live entries never sit behind the clock).  scan_hint_ caches
-    // the scan start across pops; inserts lower it, so the advance over
-    // empty buckets is O(1) amortized.
-    const std::uint64_t base = ordinal(now_);
-    std::uint64_t ord = std::max(scan_hint_, base);
-    for (; ord < base + cfg_.buckets; ++ord) {
-      auto& slot = buckets_[ord % cfg_.buckets];
-      if (ord != sorted_ord_) {
-        // Purge tombstones (cancelled entries from any lap) on the way.
-        // Guarded so the cancel-free hot path pays zero hash lookups:
-        // the per-entry probe only runs while tombstones exist at all.
-        if (!cancelled_.empty()) {
-          for (std::size_t i = 0; i < slot.size();) {
-            if (!cancelled_.erase(slot[i].id)) {
-              ++i;
-              continue;
-            }
-            live_.erase(slot[i].id);
-            if (i + 1 != slot.size()) slot[i] = std::move(slot.back());
-            slot.pop_back();
-            --cal_count_;
-          }
-        }
-        if (slot.empty()) {
-          scan_hint_ = ord + 1;
-          continue;
-        }
-        // Sort once, descending, and drain from the back: every pop off
-        // this bucket is then O(1) instead of an O(b) min-scan.
-        // Inserts into and cancels touching the bucket reset
-        // sorted_ord_, falling back to a fresh purge + sort.  The sort
-        // runs on 16-byte (time, id) keys and applies the permutation
-        // to the fat entries once, instead of shuffling 56-byte entries
-        // through every comparison pass.
-        if (slot.size() > 1) {
-          sort_keys_.clear();
-          sort_keys_.reserve(slot.size());
-          for (std::uint32_t i = 0; i < slot.size(); ++i) {
-            sort_keys_.push_back({slot[i].t.ticks(), slot[i].id, i});
-          }
-          std::sort(sort_keys_.begin(), sort_keys_.end(),
-                    [](const SortKey& a, const SortKey& b) {
-                      if (a.t != b.t) return a.t > b.t;
-                      return a.id > b.id;
-                    });
-          sort_scratch_.clear();
-          sort_scratch_.reserve(slot.size());
-          for (const SortKey& k : sort_keys_) {
-            sort_scratch_.push_back(std::move(slot[k.idx]));
-          }
-          slot.swap(sort_scratch_);
-          sort_scratch_.clear();  // destroy moved-from shells
-        }
-        sorted_ord_ = ord;
-      } else if (slot.empty()) {
-        scan_hint_ = ord + 1;
-        continue;
-      }
-      scan_hint_ = ord;
-      const Entry& cand = slot.back();
-      if (f.where == Front::Where::kNone ||
-          earlier(cand.t, cand.id, f.t, f.id)) {
-        f.where = Front::Where::kBucket;
-        f.t = cand.t;
-        f.id = cand.id;
-        f.slot = ord % cfg_.buckets;
-        f.index = slot.size() - 1;
-      }
-      break;
-    }
-  }
-  return f;
-}
-
-Simulation::Entry Simulation::extract(const Front& f) {
-  Entry e;
-  if (f.where == Front::Where::kHeap) {
-    std::pop_heap(heap_.begin(), heap_.end(), Later{});
-    e = std::move(heap_.back());
-    heap_.pop_back();
-  } else {
-    auto& slot = buckets_[f.slot];
-    e = std::move(slot[f.index]);
-    if (f.index + 1 != slot.size()) slot[f.index] = std::move(slot.back());
-    slot.pop_back();
-    --cal_count_;
-  }
-  live_.erase(e.id);
-  return e;
 }
 
 std::uint32_t Simulation::intern(const std::string& tag) {
@@ -195,10 +58,13 @@ void Simulation::execute(Entry e) {
 }
 
 bool Simulation::step_front(const Time* horizon) {
-  const Front f = find_front();
-  if (f.where == Front::Where::kNone) return false;
-  if (horizon != nullptr && f.t > *horizon) return false;
-  execute(extract(f));
+  if (!settle_heap_front()) return false;
+  if (horizon != nullptr && heap_.front().t > *horizon) return false;
+  std::pop_heap(heap_.begin(), heap_.end(), Later{});
+  Entry e = std::move(heap_.back());
+  heap_.pop_back();
+  live_.erase(e.id);
+  execute(std::move(e));
   return true;
 }
 
@@ -216,20 +82,16 @@ void Simulation::run() {
 }
 
 std::size_t Simulation::pending() const {
-  return heap_.size() + cal_count_ - cancelled_.size();
+  return heap_.size() - cancelled_.size();
 }
 
 std::optional<Time> Simulation::next_time() const {
-  // const scan over both stores: skip cancelled entries without mutating
-  // anything.  O(pending); model-checker territory.
+  // const scan: skip cancelled entries without mutating anything.
+  // O(pending); model-checker territory.
   std::optional<Time> best;
-  const auto consider = [&](const Entry& e) {
-    if (cancelled_.contains(e.id)) return;
+  for (const Entry& e : heap_) {
+    if (cancelled_.contains(e.id)) continue;
     if (!best.has_value() || e.t < *best) best = e.t;
-  };
-  for (const Entry& e : heap_) consider(e);
-  for (const auto& slot : buckets_) {
-    for (const Entry& e : slot) consider(e);
   }
   return best;
 }
@@ -238,14 +100,10 @@ std::vector<ReadyEvent> Simulation::enumerate_ready() const {
   std::vector<ReadyEvent> ready;
   const auto front = next_time();
   if (!front.has_value()) return ready;
-  const auto consider = [&](const Entry& e) {
-    if (e.t != *front) return;
-    if (cancelled_.contains(e.id)) return;
+  for (const Entry& e : heap_) {
+    if (e.t != *front) continue;
+    if (cancelled_.contains(e.id)) continue;
     ready.push_back({e.id, e.t, tag_table_[e.tag]});
-  };
-  for (const Entry& e : heap_) consider(e);
-  for (const auto& slot : buckets_) {
-    for (const Entry& e : slot) consider(e);
   }
   std::sort(ready.begin(), ready.end(),
             [](const ReadyEvent& a, const ReadyEvent& b) {
@@ -262,34 +120,18 @@ bool Simulation::step_event(EventId id) {
 
   auto hit = std::find_if(heap_.begin(), heap_.end(),
                           [id](const Entry& e) { return e.id == id; });
-  if (hit != heap_.end()) {
-    if (hit->t != *front) return false;  // no time travel
-    Entry e = std::move(*hit);
-    // O(n) extraction: swap the hole to the back and re-heapify.  Only
-    // the model checker pays this; step() keeps the heap path.
-    *hit = std::move(heap_.back());
-    heap_.pop_back();
-    std::make_heap(heap_.begin(), heap_.end(), Later{});
-    live_.erase(e.id);
-    execute(std::move(e));
-    return true;
-  }
-  for (auto& slot : buckets_) {
-    for (std::size_t i = 0; i < slot.size(); ++i) {
-      if (slot[i].id != id) continue;
-      if (slot[i].t != *front) return false;  // no time travel
-      Entry e = std::move(slot[i]);
-      if (i + 1 != slot.size()) slot[i] = std::move(slot.back());
-      slot.pop_back();
-      --cal_count_;
-      sorted_ord_ = kUnsorted;  // swap-remove broke the drained order
-      live_.erase(e.id);
-      execute(std::move(e));
-      return true;
-    }
-  }
-  assert(false && "live id missing from both stores");
-  return false;
+  assert(hit != heap_.end() && "live id missing from the heap");
+  if (hit == heap_.end()) return false;
+  if (hit->t != *front) return false;  // no time travel
+  Entry e = std::move(*hit);
+  // O(n) extraction: swap the hole to the back and re-heapify.  Only the
+  // model checker pays this; step() keeps the heap path.
+  *hit = std::move(heap_.back());
+  heap_.pop_back();
+  std::make_heap(heap_.begin(), heap_.end(), Later{});
+  live_.erase(e.id);
+  execute(std::move(e));
+  return true;
 }
 
 PeriodicProcess::PeriodicProcess(Simulation& sim, Time interval, TickFn tick)

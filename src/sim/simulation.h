@@ -5,40 +5,21 @@
 // deterministic.  All Grid3Sim services (gatekeepers, schedulers, GridFTP
 // servers, monitoring agents) are callbacks driven by this kernel.
 //
-// Storage is a hybrid of two disciplines (docs/KERNEL.md has the full
-// internals guide):
-//
-//   * a *calendar* ring of fixed-width time buckets covering the window
-//     [now, now + buckets * bucket_width).  Events scheduled inside the
-//     window -- which is where every periodic timer lands: monitoring
-//     sweeps, PeriodicProcess ticks, completion ETAs -- are appended to
-//     their bucket in O(1) and popped by a cursor scan that is O(1)
-//     amortized on near-uniform timer workloads;
-//   * a binary heap for events beyond the window (nightly rollovers,
-//     month-scale horizons), paying the classic O(log n) push/pop.
-//
-// The two stores never migrate entries; the dispatcher compares the
-// calendar candidate against the heap front and fires the global
-// (time, id) minimum, so the execution order is *identical* to a pure
-// heap -- QueueConfig::calendar only changes cost, never behavior
-// (tests assert the orderings are equal event-for-event, and the
-// grid30 bench diffs whole campaign logs across the two modes).
+// Pending events live in one binary heap ordered by (time, id);
+// docs/KERNEL.md is the internals guide.
 //
 // Model-checking hooks (grid3::mc): every event carries a *tag* naming
 // the actor that scheduled it plus the resources it touches
 // ("actor|res1|res2..."); tags are inherited from the executing event, so
 // a service only labels the roots of its causal chains.  The explorer
 // uses enumerate_ready()/step_event() to permute commutative
-// same-timestamp events instead of firing them in scheduling order; both
-// hooks scan heap and buckets alike, so steering is discipline-blind.
+// same-timestamp events instead of firing them in scheduling order.
 //
-// Operation costs (n = pending events, b = events in the front bucket):
+// Operation costs (n = pending events):
 //
-//   schedule_at       O(1) calendar window / O(log n) heap
-//   step (pop)        O(log b) amortized calendar (each bucket is sorted
-//                     once and drained from the back) / O(log n) heap;
-//                     O(1) amortized cursor advance over empty buckets
-//   cancel            O(1) (lazy tombstone, purged when encountered)
+//   schedule_at       O(log n)
+//   step (pop)        O(log n)
+//   cancel            O(1) (lazy tombstone, purged when it reaches the front)
 //   pending/backlog   O(1)
 //   next_time         O(n) -- model checker only
 //   enumerate_ready   O(n) -- model checker only
@@ -70,33 +51,17 @@ struct ReadyEvent {
   std::string tag;
 };
 
-/// Event-queue tuning.  The defaults route every delay below ~17
-/// simulated minutes (the band where periodic monitoring traffic lives)
-/// into the calendar; `calendar = false` forces the pure-heap baseline
-/// the perf_kernel timer-storm series and the grid30 campaign diff
-/// compare against.
-struct QueueConfig {
-  bool calendar = true;
-  /// Width of one calendar bucket.  Smaller buckets cost more cursor
-  /// advances but keep each bucket's sort-and-drain short.
-  Time bucket_width = Time::millis(500);
-  /// Ring size; the calendar window is buckets * bucket_width.
-  std::size_t buckets = 2048;
-};
-
 class Simulation {
  public:
-  explicit Simulation(QueueConfig cfg = {});
+  Simulation() = default;
   Simulation(const Simulation&) = delete;
   Simulation& operator=(const Simulation&) = delete;
 
   [[nodiscard]] Time now() const { return now_; }
-  [[nodiscard]] const QueueConfig& queue_config() const { return cfg_; }
 
   /// Schedule `fn` at absolute time `t` (>= now).  Returns a handle usable
   /// with cancel().  The event inherits the current tag (the executing
-  /// event's tag, or whatever a ScopedTag installed).  O(1) when `t`
-  /// falls inside the calendar window, O(log pending) otherwise.
+  /// event's tag, or whatever a ScopedTag installed).  O(log pending).
   EventId schedule_at(Time t, EventFn fn);
 
   /// Schedule `fn` after `delay` from now.
@@ -104,7 +69,7 @@ class Simulation {
 
   /// Cancel a pending event.  Safe to call on already-fired or unknown ids
   /// (no-op, returns false).  O(1): the entry is tombstoned and reclaimed
-  /// when the dispatcher or a scan next encounters it.
+  /// when it reaches the heap front.
   bool cancel(EventId id);
 
   /// Execute a single event.  Returns false when the queue is empty.
@@ -127,14 +92,8 @@ class Simulation {
     return cancelled_.size();
   }
 
-  /// Events routed into calendar buckets / onto the heap since
-  /// construction (bench + routing tests).
-  [[nodiscard]] std::uint64_t calendar_scheduled() const {
-    return calendar_scheduled_;
-  }
-  [[nodiscard]] std::uint64_t heap_scheduled() const {
-    return heap_scheduled_;
-  }
+  /// Events scheduled since construction (every one goes on the heap).
+  [[nodiscard]] std::uint64_t heap_scheduled() const { return next_id_ - 1; }
 
   // --- event tags (model-checker independence relation) ---------------
 
@@ -191,8 +150,6 @@ class Simulation {
   /// Execute one specific event.  The event must be live and scheduled at
   /// next_time() -- the checker may permute same-timestamp events but
   /// never time-travel.  Returns false (and does nothing) otherwise.
-  /// Works identically whether the event lives on the heap or in a
-  /// calendar bucket.
   bool step_event(EventId id);
 
  private:
@@ -208,51 +165,19 @@ class Simulation {
       return a.id > b.id;
     }
   };
-  /// Lightweight proxy sorted in place of fat Entries when a bucket is
-  /// put into drain order.
-  struct SortKey {
-    std::int64_t t;
-    EventId id;
-    std::uint32_t idx;  ///< entry's position in the bucket pre-sort
-  };
-  /// Location of the global (time, id)-minimum live entry.
-  struct Front {
-    enum class Where { kNone, kHeap, kBucket };
-    Where where = Where::kNone;
-    Time t;
-    EventId id = 0;
-    std::size_t slot = 0;   ///< ring slot (kBucket)
-    std::size_t index = 0;  ///< index within the slot (kBucket)
-  };
-
-  /// Absolute bucket ordinal of `t` (monotone in time; ordinal % buckets
-  /// is the ring slot).
-  [[nodiscard]] std::uint64_t ordinal(Time t) const {
-    return static_cast<std::uint64_t>(t.ticks()) / width_ticks_;
-  }
-
   /// Intern `tag`, returning its stable table index (0 = "").
   std::uint32_t intern(const std::string& tag);
 
   /// Pop cancelled entries off the heap front; true when a live entry
   /// remains on top.
   bool settle_heap_front();
-  /// Locate the next live entry across both stores, purging cancelled
-  /// entries encountered along the way.
-  Front find_front();
-  /// Remove the located entry from its store (no execution).
-  Entry extract(const Front& f);
   /// Pop-and-execute the front event; refuses events past `horizon`.
   bool step_front(const Time* horizon);
   void execute(Entry e);
 
-  QueueConfig cfg_;
-  std::int64_t width_ticks_ = 1;
   Time now_;
   EventId next_id_ = 1;
   std::uint64_t executed_ = 0;
-  std::uint64_t calendar_scheduled_ = 0;
-  std::uint64_t heap_scheduled_ = 0;
   // Interned tags: tag_table_[0] is the untagged "" every sim starts
   // with; tag_ids_ maps each distinct string to its index.  The table
   // only grows (ids stay valid for the sim's lifetime) and is tiny in
@@ -260,32 +185,17 @@ class Simulation {
   std::uint32_t tag_id_ = 0;
   std::vector<std::string> tag_table_{std::string{}};
   std::unordered_map<std::string, std::uint32_t> tag_ids_;
-  // Far-horizon store: binary heap (std::push_heap/pop_heap with Later),
-  // kept iterable so enumerate_ready()/step_event() can inspect and
-  // extract arbitrary front-timestamp events.
+  // Binary heap (std::push_heap/pop_heap with Later), kept iterable so
+  // enumerate_ready()/step_event() can inspect and extract arbitrary
+  // front-timestamp events.
   std::vector<Entry> heap_;
-  // Near-horizon store: ring of unordered buckets, allocated lazily on
-  // the first calendar insert.  All live entries in slot s share one
-  // bucket ordinal; stale tombstones from earlier laps are purged when
-  // the cursor scan visits the slot.  Once the dispatcher settles on a
-  // bucket it sorts it descending once (sorted_ord_) and drains it from
-  // the back in O(1) per pop; inserts into and cancels touching the
-  // sorted bucket invalidate the mark.
-  std::vector<std::vector<Entry>> buckets_;
-  std::size_t cal_count_ = 0;    ///< entries stored in buckets_ (incl. tombstones)
-  std::uint64_t scan_hint_ = 0;  ///< lowest possibly-occupied bucket ordinal
-  std::uint64_t sorted_ord_ = kUnsorted;  ///< ordinal drained in sorted order
-  static constexpr std::uint64_t kUnsorted = ~0ULL;
-  std::vector<SortKey> sort_keys_;  ///< reused scratch for bucket sorts
-  std::vector<Entry> sort_scratch_;
   IdWindow live_;    ///< scheduled, not yet popped (bitmap over the id window)
   IdSet cancelled_;  ///< subset of live_ (hash set; usually empty)
 };
 
 /// A self-rescheduling periodic callback (monitoring sweeps, exerciser
 /// probes, nightly rollovers).  Stops when stop() is called or when the
-/// callback returns false.  Ticks with interval below the calendar
-/// window are exactly the workload the calendar discipline makes O(1).
+/// callback returns false.
 class PeriodicProcess {
  public:
   using TickFn = std::function<bool()>;

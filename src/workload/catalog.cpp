@@ -320,11 +320,8 @@ StackConfig legacy_stack() {
   StackConfig s;
   s.name = "legacy";
   s.policy = broker::PolicyKind::kNone;
-  s.incremental_rank = false;
   s.placement_leases = false;
   s.health_breakers = false;
-  s.calendar_kernel = false;
-  s.partial_reallocate = false;
   return s;
 }
 
@@ -332,13 +329,9 @@ CatalogRun::CatalogRun(const ScenarioSpec& spec, bool quick,
                        const StackConfig& stack)
     : spec_{spec}, stack_{stack}, opts_{spec.options(quick)} {
   opts_.broker_policy = stack.policy;
-  opts_.broker_incremental_rank = stack.incremental_rank;
   opts_.placement_leases = stack.placement_leases;
-  opts_.network_partial_reallocate = stack.partial_reallocate;
 
-  sim::QueueConfig qc;
-  qc.calendar = stack.calendar_kernel;
-  sim_ = std::make_unique<sim::Simulation>(qc);
+  sim_ = std::make_unique<sim::Simulation>();
   wall_start_ = std::chrono::steady_clock::now();
   scenario_ = std::make_unique<apps::Scenario>(*sim_, opts_);
   core::Grid3& grid = scenario_->grid();

@@ -64,17 +64,14 @@ class ScenarioCatalog {
 };
 
 /// A policy stack: the placement/resilience feature set a scenario runs
-/// under.  The catalog comparison pits `modern_stack()` (incremental
-/// broker + leases + breakers + fast kernel) against `legacy_stack()`
-/// (the paper's favorite-sites status quo on the legacy kernel).
+/// under.  The catalog comparison pits `modern_stack()` (queue-depth
+/// broker + leases + breakers) against `legacy_stack()` (the paper's
+/// favorite-sites status quo: no broker, no leases, no breakers).
 struct StackConfig {
   std::string name = "modern";
   broker::PolicyKind policy = broker::PolicyKind::kQueueDepth;
-  bool incremental_rank = true;
   bool placement_leases = true;
   bool health_breakers = true;
-  bool calendar_kernel = true;
-  bool partial_reallocate = true;
 };
 
 [[nodiscard]] StackConfig modern_stack();

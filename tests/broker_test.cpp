@@ -309,12 +309,11 @@ TEST_F(BrokerFixture, ThrottleHoldsJobsInsteadOfPiling) {
 }
 
 /// Runs one small brokered scenario and returns the serialized match log.
-std::string run_match_log(PolicyKind kind, std::uint64_t seed,
-                          BrokerConfig cfg = {}) {
+std::string run_match_log(PolicyKind kind, std::uint64_t seed) {
   sim::Simulation sim;
   core::Grid3 grid{sim, seed};
   grid.add_vo("usatlas");
-  ResourceBroker& broker = grid.attach_broker("usatlas", kind, cfg);
+  ResourceBroker& broker = grid.attach_broker("usatlas", kind);
   pacman::add_application_package(grid.igoc().pacman_cache(), "app",
                                   Time::minutes(5));
   for (const char* name : {"ALPHA", "BETA"}) {
@@ -377,47 +376,24 @@ TEST(BrokerDeterminism, DifferentSeedsDivergeUnderStochasticPolicy) {
   EXPECT_NE(a, b);
 }
 
-TEST(BrokerDeterminism, IncrementalRankMatchesFullRescoreByteForByte) {
-  // The rank cache's core contract: with incremental_rank on, every
-  // decision -- including the RNG stream a stochastic policy consumes --
-  // is byte-identical to the full per-match rescore.
-  for (PolicyKind kind :
-       {PolicyKind::kFavoriteSites, PolicyKind::kQueueDepth,
-        PolicyKind::kLoadShedding}) {
-    BrokerConfig incremental;
-    incremental.incremental_rank = true;
-    BrokerConfig full;
-    full.incremental_rank = false;
-    const std::string a = run_match_log(kind, 20031025, incremental);
-    const std::string b = run_match_log(kind, 20031025, full);
-    ASSERT_FALSE(a.empty());
-    EXPECT_EQ(a, b) << "policy " << to_string(kind);
-  }
-}
-
-/// Minimal single-VO fabric for the rank-cache tests: sites are passed
-/// in so each test shapes its own tie/lease geometry.
-struct RankCacheRig {
+/// Minimal single-VO fabric built from the sites a test passes in, so
+/// each test shapes its own tie geometry.
+struct RankRig {
   sim::Simulation sim;
   core::Grid3 grid{sim, 77};
   ResourceBroker* broker = nullptr;
-  vo::VomsProxy proxy;
 
-  explicit RankCacheRig(const std::vector<core::SiteConfig>& sites,
-                        BrokerConfig cfg = {}) {
+  explicit RankRig(const std::vector<core::SiteConfig>& sites) {
     grid.add_vo("usatlas");
-    broker = &grid.attach_broker("usatlas", PolicyKind::kQueueDepth, cfg);
+    broker = &grid.attach_broker("usatlas", PolicyKind::kQueueDepth);
     pacman::add_application_package(grid.igoc().pacman_cache(), "app",
                                     Time::minutes(5));
-    const vo::Certificate cert =
-        grid.add_user("usatlas", "tester", vo::Role::kAppAdmin);
-    proxy = *grid.make_proxy(cert, "usatlas", Time::hours(200));
-    for (core::SiteConfig cfg2 : sites) {
-      cfg2.owner_vo = "usatlas";
-      cfg2.policy.max_walltime = Time::hours(48);
-      cfg2.policy.dedicated = true;
-      grid.add_site(cfg2, /*reliability=*/1000.0);
-      core::Site* site = grid.site(cfg2.name);
+    for (core::SiteConfig cfg : sites) {
+      cfg.owner_vo = "usatlas";
+      cfg.policy.max_walltime = Time::hours(48);
+      cfg.policy.dedicated = true;
+      grid.add_site(cfg, /*reliability=*/1000.0);
+      core::Site* site = grid.site(cfg.name);
       site->install_application(grid.igoc().pacman_cache(), "app");
       site->refresh_gridmap({grid.voms("usatlas")});
       site->gatekeeper().set_submission_flake_rate(0.0);
@@ -443,26 +419,15 @@ struct RankCacheRig {
     s.runtime = Time::hours(1);
     return s;
   }
-
-  [[nodiscard]] gram::GramJob job() const {
-    gram::GramJob j;
-    j.proxy = proxy;
-    j.request.vo = proxy.vo;
-    j.request.user_dn = proxy.identity.subject_dn;
-    j.request.requested_walltime = Time::hours(2);
-    j.request.actual_runtime = Time::hours(1);
-    return j;
-  }
 };
 
-TEST(BrokerRankCache, TiesResolveInNameOrderRegardlessOfCandidateOrder) {
+TEST(BrokerRanking, TiesResolveInNameOrderRegardlessOfCandidateOrder) {
   // Two byte-identical sites: the deterministic argmax must break the
   // score tie toward the name-sorted first site no matter how the
   // spec's candidate list is ordered (the interned bitset replaced a
   // per-site std::find over that list; membership order must stay
   // irrelevant to rank order).
-  RankCacheRig rig{{RankCacheRig::compute("ALPHA", 8),
-                    RankCacheRig::compute("OMEGA", 8)}};
+  RankRig rig{{RankRig::compute("ALPHA", 8), RankRig::compute("OMEGA", 8)}};
   JobSpec spec = rig.spec();
   for (const std::vector<std::string>& order :
        {std::vector<std::string>{"OMEGA", "ALPHA"},
@@ -476,70 +441,6 @@ TEST(BrokerRankCache, TiesResolveInNameOrderRegardlessOfCandidateOrder) {
   }
 }
 
-TEST(BrokerRankCache, RepeatPassesHitTheCacheAndDeltaEventsInvalidate) {
-  RankCacheRig rig{{RankCacheRig::compute("ALPHA", 16),
-                    RankCacheRig::compute("BETA", 8)}};
-  ResourceBroker& b = *rig.broker;
-  const JobSpec spec = rig.spec();
-  const Time now = rig.sim.now();
-
-  // Cold pass scores both sites fresh; a warm repeat is pure hits.
-  (void)b.choose(spec, now);
-  const std::uint64_t cold_evals = b.rank_evals();
-  EXPECT_GE(cold_evals, 2u);
-  (void)b.choose(spec, now);
-  EXPECT_EQ(b.rank_evals(), cold_evals);
-  EXPECT_GE(b.rank_cache_hits(), 2u);
-
-  // A health trip dirties exactly the tripped site: the next pass
-  // re-scores it alone and serves the other from the cache.
-  b.on_site_quarantined("BETA");
-  (void)b.choose(spec, now);
-  EXPECT_EQ(b.rank_evals(), cold_evals + 1);
-
-  // Re-admission must also invalidate (the site changed while the
-  // cache could not watch it).
-  b.on_site_readmitted("BETA");
-  (void)b.choose(spec, now);
-  EXPECT_EQ(b.rank_evals(), cold_evals + 2);
-
-  // Binding a job consumes a slot the view has not seen: only the
-  // bound site (ALPHA, the deeper free pool) re-scores.
-  b.submit(spec, rig.job(), {});
-  const std::uint64_t after_submit = b.rank_evals();
-  (void)b.choose(spec, now);
-  EXPECT_EQ(b.rank_evals(), after_submit + 1);
-  EXPECT_EQ(b.inflight("ALPHA"), 1);
-}
-
-TEST(BrokerRankCache, LeaseAcquisitionDirtiesTheResolvedSe) {
-  // Three compute sites, one of which (ARCHIVE) also runs a managed SE.
-  core::SiteConfig se = RankCacheRig::compute("ARCHIVE", 4);
-  se.disk = Bytes::gb(50);
-  se.deploy_srm = true;
-  RankCacheRig rig{{RankCacheRig::compute("ALPHA", 16),
-                    RankCacheRig::compute("BETA", 8), se}};
-  ResourceBroker& b = *rig.broker;
-  ASSERT_NE(b.placement(), nullptr);
-  JobSpec spec = rig.spec();
-  spec.stage_out_site = "ARCHIVE";
-  spec.stage_out = Bytes::gb(1);
-
-  // Warm all three cached scores.
-  (void)b.choose(spec, rig.sim.now());
-  (void)b.choose(spec, rig.sim.now());
-  const std::uint64_t warm_evals = b.rank_evals();
-
-  // The submission acquires the stage-out lease at ARCHIVE *before*
-  // ranking, so its own pass already sees ARCHIVE dirty (one fresh
-  // eval) and then dirties ALPHA by binding there.
-  b.submit(spec, rig.job(), {});
-  EXPECT_EQ(b.rank_evals(), warm_evals + 1);
-  (void)b.choose(spec, rig.sim.now());
-  EXPECT_EQ(b.rank_evals(), warm_evals + 2);
-  EXPECT_EQ(b.inflight("ALPHA"), 1);
-}
-
 TEST_F(BrokerFixture, SiteIdsStableAcrossRefreshAndHealthTransitions) {
   // The interned numbering is registration-order-stable: view refreshes,
   // quarantine round-trips, and late growth must never renumber a site
@@ -551,7 +452,6 @@ TEST_F(BrokerFixture, SiteIdsStableAcrossRefreshAndHealthTransitions) {
   ASSERT_TRUE(beta.valid());
   EXPECT_NE(alpha, beta);
   broker().on_site_quarantined("BETA");
-  broker().on_site_readmitted("BETA");
   sim.run_until(sim.now() + Time::minutes(10));  // beyond the view TTL
   (void)broker().view(sim.now());
   EXPECT_EQ(broker().site_id("ALPHA"), alpha);

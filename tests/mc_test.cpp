@@ -123,33 +123,6 @@ TEST(Explorer, DependentActorsExploreBothOrders) {
   EXPECT_EQ(ex.stats().foata_classes, 2u);
 }
 
-TEST(Explorer, SteeringWorksAcrossCalendarAndHeapStores) {
-  // The same dependent pair as above, but the two conflicting events sit
-  // in a calendar bucket (1 s is inside the default window) while a
-  // third event sits on the heap (an hour is far outside it).  The
-  // explorer steers via enumerate_ready()/step_event(), which must be
-  // blind to where an entry is stored: both orders of the shared-
-  // resource pair are explored, and the far heap event runs in every
-  // interleaving.
-  const auto setup = [](ToyRun& r) {
-    ASSERT_TRUE(r.sim_.queue_config().calendar);
-    for (const char* a : {"a", "b"}) {
-      sim::Simulation::ScopedTag tag{r.sim_, std::string{a} + "|shared"};
-      r.sim_.schedule_at(Time::seconds(1), [&r, a] { r.log.push_back(a); });
-    }
-    {
-      sim::Simulation::ScopedTag tag{r.sim_, "late"};
-      r.sim_.schedule_at(Time::hours(1), [&r] { r.log.push_back("late"); });
-    }
-    ASSERT_EQ(r.sim_.calendar_scheduled(), 2u);
-    ASSERT_EQ(r.sim_.heap_scheduled(), 1u);
-  };
-  Explorer ex{toy(setup)};
-  EXPECT_TRUE(ex.explore().empty());
-  EXPECT_EQ(ex.stats().terminals, 2u);     // ab-late and ba-late
-  EXPECT_EQ(ex.stats().foata_classes, 2u);
-}
-
 TEST(Explorer, FoataCheckCatchesOverDeclaredIndependence) {
   // Two events with disjoint tags -- declared independent -- that do NOT
   // commute (both append to the shared log).  With sleep sets off every

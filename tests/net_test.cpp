@@ -1,7 +1,6 @@
 // Unit tests for the WAN model: fair sharing, outages, routing policy.
 #include <gtest/gtest.h>
 
-#include <functional>
 #include <optional>
 #include <string>
 #include <vector>
@@ -174,99 +173,6 @@ TEST_F(NetTest, ManyFlowsAllComplete) {
   }
   sim.run();
   EXPECT_EQ(completed, 10);
-}
-
-// --- partial vs. full fair-share re-solve -----------------------------
-
-/// Drives one deterministic churn scenario -- chained transfers in two
-/// disjoint clusters plus a cross-cluster flow, mid-run cancels, and a
-/// node outage -- and serialises every FlowResult byte-for-byte.
-/// The partial (component-scoped) re-solve must reproduce the full
-/// solver's log exactly: same rates, same completion ticks, same
-/// failure classifications.
-std::string churn_log(bool partial) {
-  sim::Simulation sim;
-  Network net{sim, {partial}};
-  std::vector<NodeId> nodes;
-  for (int i = 0; i < 8; ++i) {
-    nodes.push_back(net.add_node({"n" + std::to_string(i),
-                                  Bandwidth::mbps(50 + 10 * i),
-                                  Bandwidth::mbps(100), true}));
-  }
-  std::string log;
-  const auto record = [&log](const FlowResult& r) {
-    log += std::to_string(r.id) + ":" + to_string(r.status) + ":" +
-           std::to_string(r.transferred.count()) + ":" +
-           std::to_string(r.started.ticks()) + ":" +
-           std::to_string(r.finished.ticks()) + "\n";
-  };
-  // Cluster A: chained transfers among nodes 0..3 (each completion
-  // launches the next, so every completion triggers a re-solve).
-  struct Chain {
-    Network* net;
-    const std::vector<NodeId>* nodes;
-    const std::function<void(const FlowResult&)>* record;
-    int next = 0;
-    void launch() {
-      if (next >= 6) return;
-      const NodeId a = (*nodes)[static_cast<std::size_t>(next % 4)];
-      const NodeId b = (*nodes)[static_cast<std::size_t>((next + 1) % 4)];
-      ++next;
-      net->start_flow(a, b, Bytes::mb(20), [this](const FlowResult& r) {
-        (*record)(r);
-        launch();
-      });
-    }
-  };
-  const std::function<void(const FlowResult&)> rec = record;
-  Chain chain{&net, &nodes, &rec};
-  chain.launch();
-  // Cluster B: parallel transfers among nodes 4..7.
-  for (int i = 0; i < 4; ++i) {
-    net.start_flow(nodes[static_cast<std::size_t>(4 + i)],
-                   nodes[static_cast<std::size_t>(4 + (i + 1) % 4)],
-                   Bytes::mb(30), record);
-  }
-  // A cross-cluster flow merges the two components for a while.
-  const FlowId cross =
-      net.start_flow(nodes[1], nodes[5], Bytes::gb(1), record);
-  // Mid-run churn: cancel the cross flow, then take a node down.
-  sim.schedule_at(Time::seconds(3), [&] { net.cancel_flow(cross); });
-  sim.schedule_at(Time::seconds(5), [&] { net.set_node_up(nodes[6], false); });
-  sim.run();
-  log += "rescheduled=" + std::to_string(net.completions_rescheduled()) +
-         "\nsent=" + std::to_string(net.bytes_sent(nodes[1]).count()) +
-         "\nreceived=" + std::to_string(net.bytes_received(nodes[5]).count()) +
-         "\n";
-  return log;
-}
-
-TEST(NetEquivalence, PartialResolveMatchesFullByteForByte) {
-  const std::string full = churn_log(false);
-  const std::string partial = churn_log(true);
-  EXPECT_FALSE(full.empty());
-  EXPECT_EQ(full, partial);
-}
-
-TEST_F(NetTest, PartialResolveScopesToComponent) {
-  // Two disjoint pairs: a->b and c->d.  Starting a flow in one pair
-  // must re-solve only that pair's two links under the partial solver.
-  const NodeId a = add("a", 100);
-  const NodeId b = add("b", 100);
-  const NodeId c = add("c", 100);
-  const NodeId d = add("d", 100);
-  net.start_flow(a, b, Bytes::gb(1), [](const FlowResult&) {});
-  const auto before = net.links_solved();
-  net.start_flow(c, d, Bytes::gb(1), [](const FlowResult&) {});
-  // The c->d start touches only c's uplink and d's downlink; a->b's
-  // component is untouched.
-  EXPECT_EQ(net.links_solved() - before, 2u);
-
-  // The full solver re-solves every link with active flows (4 here).
-  net.set_partial_reallocate(false);
-  const auto before_full = net.links_solved();
-  net.start_flow(a, d, Bytes::mb(1), [](const FlowResult&) {});
-  EXPECT_GE(net.links_solved() - before_full, 4u);
 }
 
 }  // namespace

@@ -1,6 +1,7 @@
 // Unit tests for the discrete-event kernel.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <vector>
 
 #include "sim/simulation.h"
@@ -253,107 +254,84 @@ TEST(Simulation, AppendOnEmptyTagReplaces) {
   EXPECT_EQ(sim.current_tag(), "rb");
 }
 
-// --- calendar/bucket queue discipline ---------------------------------
+// --- ordering and bookkeeping under churn -----------------------------
 
-TEST(Calendar, RoutesNearEventsToBucketsFarToHeap) {
-  Simulation sim;  // defaults: 2048 buckets x 500 ms = a 1024 s window
-  ASSERT_TRUE(sim.queue_config().calendar);
-  sim.schedule_at(Time::seconds(100), [] {});   // inside the window
-  sim.schedule_at(Time::seconds(2000), [] {});  // beyond it
-  EXPECT_EQ(sim.calendar_scheduled(), 1u);
-  EXPECT_EQ(sim.heap_scheduled(), 1u);
-
-  QueueConfig heap_only;
-  heap_only.calendar = false;
-  Simulation h{heap_only};
-  h.schedule_at(Time::seconds(100), [] {});
-  EXPECT_EQ(h.calendar_scheduled(), 0u);
-  EXPECT_EQ(h.heap_scheduled(), 1u);
-}
-
-TEST(Calendar, MatchesHeapOrderThroughChurn) {
-  // The discipline changes cost, never behavior: a churn of same-instant
-  // events, far events, nested reschedules, and cancels must fire in
-  // exactly the same (time, id) order under both disciplines.  The LCG
-  // stream is consumed inside callbacks, so any ordering divergence
-  // snowballs into a different firing log.
-  const auto drive = [](QueueConfig cfg) {
-    Simulation sim{cfg};
-    std::vector<int> order;
-    std::uint64_t lcg = 42;
-    const auto next = [&lcg](std::uint64_t mod) {
-      lcg = lcg * 6364136223846793005ULL + 1442695040888963407ULL;
-      return (lcg >> 33) % mod;
-    };
-    std::vector<EventId> cancellable;
-    for (int i = 0; i < 400; ++i) {
-      // Coarse 40 s grid spanning 0..1960 s: plenty of same-instant
-      // collisions, and times on both sides of the 1024 s window.
-      const Time t = Time::seconds(static_cast<double>(next(50)) * 40.0);
-      const EventId id = sim.schedule_at(t, [&sim, &order, &next, i] {
-        order.push_back(i);
-        if (next(3) == 0) {
-          sim.schedule_in(Time::seconds(static_cast<double>(1 + next(2000))),
-                          [&order, i] { order.push_back(1000 + i); });
-        }
-      });
-      if (next(4) == 0) cancellable.push_back(id);
-    }
-    for (const EventId id : cancellable) sim.cancel(id);
-    sim.run();
-    EXPECT_EQ(sim.cancel_backlog(), 0u);
-    return order;
+TEST(Simulation, ChurnFiresInTimeOrderAndSkipsCancelled) {
+  // A churn of same-instant events, events up to an hour apart, nested
+  // reschedules, and cancels: events fire in non-decreasing time, every
+  // uncancelled event fires exactly once, no cancelled one fires, and
+  // draining the queue leaves no cancel backlog.
+  constexpr std::size_t kEvents = 400;
+  Simulation sim;
+  std::vector<Time> fired_at;
+  std::vector<int> fired(kEvents, 0);
+  std::vector<bool> cancelled(kEvents, false);
+  std::uint64_t lcg = 42;
+  const auto next = [&lcg](std::uint64_t mod) {
+    lcg = lcg * 6364136223846793005ULL + 1442695040888963407ULL;
+    return (lcg >> 33) % mod;
   };
-  QueueConfig heap_only;
-  heap_only.calendar = false;
-  const auto calendar_order = drive(QueueConfig{});
-  const auto heap_order = drive(heap_only);
-  EXPECT_GT(calendar_order.size(), 100u);
-  EXPECT_EQ(calendar_order, heap_order);
+  std::vector<EventId> ids;
+  for (std::size_t i = 0; i < kEvents; ++i) {
+    // Coarse 40 s grid spanning 0..1960 s: plenty of same-instant
+    // collisions.
+    const Time t = Time::seconds(static_cast<double>(next(50)) * 40.0);
+    ids.push_back(sim.schedule_at(t, [&sim, &fired_at, &fired, &next, i] {
+      fired_at.push_back(sim.now());
+      ++fired[i];
+      if (next(3) == 0) {
+        sim.schedule_in(Time::seconds(static_cast<double>(1 + next(2000))),
+                        [&sim, &fired_at] { fired_at.push_back(sim.now()); });
+      }
+    }));
+    if (next(4) == 0) cancelled[i] = true;
+  }
+  for (std::size_t i = 0; i < kEvents; ++i) {
+    if (cancelled[i]) EXPECT_TRUE(sim.cancel(ids[i]));
+  }
+  sim.run();
+  EXPECT_GT(fired_at.size(), 100u);
+  EXPECT_TRUE(std::is_sorted(fired_at.begin(), fired_at.end()));
+  for (std::size_t i = 0; i < kEvents; ++i) {
+    EXPECT_EQ(fired[i], cancelled[i] ? 0 : 1) << "event " << i;
+  }
+  EXPECT_EQ(sim.pending(), 0u);
+  EXPECT_EQ(sim.cancel_backlog(), 0u);
 }
 
-TEST(Calendar, SameInstantAcrossStoresFiresInIdOrder) {
+TEST(Simulation, SameInstantFromDifferentInstantsFiresInIdOrder) {
+  // Two events for t=2000 s, one scheduled at t=0 and one from inside an
+  // event at t=1500 s: the earlier-scheduled (lower id) fires first.
   Simulation sim;
   std::vector<int> order;
-  // Seen from t=0, both 1500 s and 2000 s are beyond the window: heap.
-  // The copy scheduled from t=1500 s sees 2000 s inside the window:
-  // bucket.
-  // Same timestamp, different stores; the heap entry has the lower id
-  // and must fire first.
   sim.schedule_at(Time::seconds(2000), [&] { order.push_back(0); });
   sim.schedule_at(Time::seconds(1500), [&] {
     sim.schedule_at(Time::seconds(2000), [&] { order.push_back(1); });
   });
   sim.run();
   EXPECT_EQ(order, (std::vector<int>{0, 1}));
-  EXPECT_EQ(sim.heap_scheduled(), 2u);
-  EXPECT_EQ(sim.calendar_scheduled(), 1u);
+  EXPECT_EQ(sim.heap_scheduled(), 3u);
 }
 
-TEST(Calendar, RunUntilBoundaryHoldsAcrossBothStores) {
+TEST(Simulation, RunUntilBoundaryHoldsBackEventsFarBeyondIt) {
   Simulation sim;
-  bool bucket_fired = false;
-  bool heap_fired = false;
-  sim.schedule_at(Time::seconds(500), [&] { bucket_fired = true; });
-  sim.schedule_at(Time::seconds(5000), [&] { heap_fired = true; });
-  EXPECT_EQ(sim.calendar_scheduled(), 1u);
-  EXPECT_EQ(sim.heap_scheduled(), 1u);
+  bool near_fired = false;
+  bool far_fired = false;
+  sim.schedule_at(Time::seconds(500), [&] { near_fired = true; });
+  sim.schedule_at(Time::seconds(5000), [&] { far_fired = true; });
   sim.run_until(Time::seconds(500));
-  EXPECT_TRUE(bucket_fired);
-  EXPECT_FALSE(heap_fired);
+  EXPECT_TRUE(near_fired);
+  EXPECT_FALSE(far_fired);
   EXPECT_EQ(sim.now(), Time::seconds(500));
   sim.run();
-  EXPECT_TRUE(heap_fired);
+  EXPECT_TRUE(far_fired);
 }
 
-TEST(Calendar, CancelBacklogPurgesAcrossRingLaps) {
-  // A tiny ring that wraps constantly: tombstones parked in a slot must
-  // be purged when the cursor revisits it on a later lap, and draining
-  // the queue must always leave the backlog empty.
-  QueueConfig cfg;
-  cfg.bucket_width = Time::millis(10);
-  cfg.buckets = 16;  // 160 ms window
-  Simulation sim{cfg};
+TEST(Simulation, CancelBacklogDrainsThroughStaggeredCancelChurn) {
+  // 50 rounds of staggered schedule/cancel churn: tombstones are purged
+  // as they reach the heap front, and draining the queue always leaves
+  // the backlog empty.
+  Simulation sim;
   std::uint64_t fired = 0;
   for (int lap = 0; lap < 50; ++lap) {
     std::vector<EventId> ids;
@@ -362,18 +340,19 @@ TEST(Calendar, CancelBacklogPurgesAcrossRingLaps) {
           sim.schedule_in(Time::millis(5 + 10 * i), [&] { ++fired; }));
     }
     for (size_t i = 0; i < ids.size(); i += 2) sim.cancel(ids[i]);
-    EXPECT_LE(sim.cancel_backlog(), sim.pending() + 4u);
+    EXPECT_EQ(sim.pending(), 4u);
+    EXPECT_EQ(sim.cancel_backlog(), 4u);
     sim.run();
     EXPECT_EQ(sim.pending(), 0u);
     EXPECT_EQ(sim.cancel_backlog(), 0u);
   }
   EXPECT_EQ(fired, 50u * 4u);
-  EXPECT_GT(sim.calendar_scheduled(), 0u);
 }
 
-TEST(Calendar, SteeringHooksSpanBothStores) {
-  // enumerate_ready()/step_event() must treat a front instant split
-  // across heap and buckets as one ready set, and permute within it.
+TEST(Simulation, SteeringPermutesEventsScheduledFromDifferentInstants) {
+  // enumerate_ready()/step_event() treat every live event at the front
+  // instant as one ready set, whenever each was scheduled, and permute
+  // within it.
   Simulation sim;
   std::vector<int> order;
   sim.schedule_at(Time::seconds(2000), [&] { order.push_back(0); });
@@ -384,8 +363,8 @@ TEST(Calendar, SteeringHooksSpanBothStores) {
   ASSERT_TRUE(sim.next_time().has_value());
   EXPECT_EQ(*sim.next_time(), Time::seconds(2000));
   const auto ready = sim.enumerate_ready();
-  ASSERT_EQ(ready.size(), 2u);  // heap resident + bucket resident
-  EXPECT_TRUE(sim.step_event(ready[1].id));  // bucket copy, permuted first
+  ASSERT_EQ(ready.size(), 2u);
+  EXPECT_TRUE(sim.step_event(ready[1].id));  // later-scheduled, fired first
   EXPECT_TRUE(sim.step_event(ready[0].id));
   EXPECT_EQ(order, (std::vector<int>{1, 0}));
 }
