@@ -2,14 +2,16 @@
 // advantage of permitting crosschecks on the data collected."
 //
 // The same ground truth (running jobs) flows through two independent
-// paths: Ganglia gmond sampling and ACDC job records.  We break the
-// Ganglia path at a fraction of sites and show the crosscheck divergence
-// detects the loss, while either single path alone would report a
-// self-consistent but wrong grid view.
+// paths: the MonALISA agents' per-VO running-job gauges, collected by
+// the central repository, and ACDC job records.  We stop the whole
+// monitor loop (gmond, GRIS dynamic attributes and MonALISA agents) at a
+// fraction of sites and show the crosscheck divergence detects the loss,
+// while either single path alone would report a self-consistent but
+// wrong grid view.
 #include <iostream>
 
 #include "bench_common.h"
-#include "monitoring/ganglia.h"
+#include "monitoring/monalisa.h"
 #include "workload/catalog.h"
 
 int main() {
@@ -32,14 +34,12 @@ int main() {
                           "MonALISA avg running", "crosscheck divergence"}};
   for (const double kill_fraction : {0.0, 0.25, 0.5, 1.0}) {
     workload::CatalogRun run{spec, bench::quick(), stack};
-    // Let the grid warm up, then break gmond at a fraction of sites.
+    // Let the grid warm up, then stop the monitor loop at a fraction of
+    // sites, exactly like a wedged host daemon.
     run.run_until(Time::days(3));
     auto& sites = run.scenario().grid().sites();
     const auto kill_count =
         static_cast<std::size_t>(kill_fraction * sites.size());
-    // Killing gmond is modelled by stopping the sites' monitor loops'
-    // Ganglia component: take the whole monitor loop down (GRIS dynamic
-    // updates stop too, exactly like a wedged host daemon).
     for (std::size_t i = 0; i < kill_count; ++i) {
       sites[i]->stop_services();
     }
@@ -49,13 +49,10 @@ int main() {
     const Time from = Time::days(4);
     const Time to = run.sim().now();
     const double acdc = viewer.concurrency(from, to).time_average(from, to);
-    double monalisa = 0.0;
-    const auto& bus = run.scenario().grid().igoc().bus();
-    for (const auto& key :
-         bus.keys_with_prefix("monalisa.vo_jobs_running.")) {
-      monalisa +=
-          bus.series(key.site, key.name).time_average(from, to);
-    }
+    const double monalisa =
+        run.scenario().grid().igoc().ml_repository().average_total(
+            monitoring::vo_metric(monitoring::mlmetric::kVoJobsRunning, "*"),
+            from, to);
     table.add_row({util::AsciiTable::percent(kill_fraction, 0),
                    util::AsciiTable::num(acdc, 1),
                    util::AsciiTable::num(monalisa, 1),

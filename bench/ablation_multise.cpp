@@ -169,8 +169,7 @@ Outcome run_mode(bool chains) {
   }
   // Hop visibility: the same count must be recoverable from the iGOC
   // accounting database (and therefore from MDViewer).
-  const monitoring::MdViewer viewer{grid.igoc().job_db(),
-                                    grid.igoc().bus()};
+  const monitoring::MdViewer viewer = grid.igoc().viewer();
   out.acdc_hops = viewer.lease_fallthrough_hops(Time::zero(), sim.now());
   std::cout << "done (" << sim.executed() << " events, " << out.completed
             << "/" << kWorkflows << " workflows";
@@ -212,7 +211,7 @@ int main() {
 
   // Acceptance: archive-side disk-full-class failures drop at least 5x
   // at equal-or-better completions, and the fallthrough hops that made
-  // that happen are visible on the bus and in ACDC.
+  // that happen show in the ledger counter the bus streams and in ACDC.
   const bool five_fold = chain.disk_full * 5 <= single.disk_full &&
                          single.disk_full > 0;
   const bool no_worse_completion = chain.completed >= single.completed;

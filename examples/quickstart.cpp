@@ -102,16 +102,17 @@ int main() {
       });
   sim.run_until(Time::days(3));
 
-  // 7. Read the results back from RLS and the monitoring bus.
+  // 7. Read the results back from RLS and gmetad.
   std::cout << "workflow " << (done_ok ? "succeeded" : "failed") << "\n";
   for (const auto& [site, replica] :
        grid.rls("demo")->locate("demo/run1.esd", sim.now())) {
     std::cout << "output replica at " << site << ": " << replica.pfn << " ("
               << replica.size.to_gb() << " GB)\n";
   }
-  const auto beat = grid.igoc().bus().latest(
+  const auto& beats = grid.igoc().gmetad().history().series(
       "BIG_PBS", monitoring::gmetric::kHeartbeat);
   std::cout << "BIG_PBS last ganglia heartbeat at t+"
-            << (beat ? beat->t.to_hours() : -1.0) << "h\n";
+            << (beats.empty() ? -1.0 : beats.points().back().t.to_hours())
+            << "h\n";
   return done_ok ? 0 : 1;
 }

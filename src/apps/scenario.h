@@ -78,7 +78,7 @@ class Scenario {
   /// their submitter populations from here.
   [[nodiscard]] const core::Assembled& assembled() const { return assembled_; }
   [[nodiscard]] monitoring::MdViewer viewer() const {
-    return {grid_->igoc().job_db(), grid_->igoc().bus()};
+    return grid_->igoc().viewer();
   }
 
   [[nodiscard]] AtlasGce& atlas() { return *atlas_; }

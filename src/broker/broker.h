@@ -299,7 +299,7 @@ class ResourceBroker {
   }
 
   /// Publish match/hold/rebind counters on the bus under `label` (the VO
-  /// name) so MDViewer can plot broker activity next to gatekeeper load.
+  /// name) as streams for any subscriber.
   void set_metric_bus(monitoring::MetricBus* bus, std::string label) {
     bus_ = bus;
     bus_label_ = std::move(label);

@@ -17,6 +17,7 @@
 #include "monitoring/acdc.h"
 #include "monitoring/bus.h"
 #include "monitoring/ganglia.h"
+#include "monitoring/mdviewer.h"
 #include "monitoring/monalisa.h"
 #include "monitoring/site_catalog.h"
 #include "pacman/package.h"
@@ -93,6 +94,10 @@ class Igoc {
   [[nodiscard]] monitoring::JobDatabase& job_db() { return job_db_; }
   [[nodiscard]] const monitoring::JobDatabase& job_db() const {
     return job_db_;
+  }
+  /// MDViewer over the iGOC's collectors.
+  [[nodiscard]] monitoring::MdViewer viewer() const {
+    return {job_db_, gmetad_, ml_repository_};
   }
   [[nodiscard]] TroubleTicketSystem& tickets() { return tickets_; }
   [[nodiscard]] const TroubleTicketSystem& tickets() const {

@@ -11,21 +11,23 @@ namespace grid3::core {
 Milestones compute_milestones(Grid3& grid, Time from, Time to) {
   Milestones m;
   const auto& db = grid.igoc().job_db();
-  monitoring::MdViewer viewer{db, grid.igoc().bus()};
+  const monitoring::MdViewer viewer = grid.igoc().viewer();
 
   m.cpus_now = grid.total_cpus();
   // Peak CPU count over the window from the Ganglia path: sites
   // introduce and withdraw nodes, so sample the grid-wide total daily
   // and take the maximum (the paper's "peak of over 2800 processors").
   {
-    const auto& bus = grid.igoc().bus();
-    const auto sites = bus.sites_for(monitoring::gmetric::kCpusTotal);
+    std::vector<const util::TimeSeries*> cpus;
+    grid.igoc().gmetad().history().for_each(
+        monitoring::gmetric::kCpusTotal,
+        [&](const monitoring::MetricKey&, const util::TimeSeries& series) {
+          cpus.push_back(&series);
+        });
     double peak = static_cast<double>(m.cpus_now);
     for (Time t = from; t <= to; t += Time::days(1)) {
       double total = 0.0;
-      for (const auto& site : sites) {
-        total += bus.series(site, monitoring::gmetric::kCpusTotal).at(t);
-      }
+      for (const util::TimeSeries* series : cpus) total += series->at(t);
       peak = std::max(peak, total);
     }
     m.cpus_peak = peak;

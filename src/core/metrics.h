@@ -2,7 +2,7 @@
 //
 // Computes the quantitative targets Grid2003 tracked, from the same
 // redundant sources the project used: the ACDC job database, the Ganglia
-// path on the metric bus, the VOMS membership rolls, and the trouble
+// path collected by gmetad, the VOMS membership rolls, and the trouble
 // ticket ledger.
 #pragma once
 
@@ -40,7 +40,7 @@ struct Milestones {
 };
 
 /// Evaluate milestones over [from, to).  `grid` supplies fabric state
-/// (CPUs, users); the job database and bus supply the history.
+/// (CPUs, users); the job database and gmetad supply the history.
 [[nodiscard]] Milestones compute_milestones(Grid3& grid, Time from, Time to);
 
 }  // namespace grid3::core

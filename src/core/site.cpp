@@ -18,6 +18,10 @@ const char* to_string(LrmsType t) {
 
 namespace {
 
+/// Period of the monitor sweep: gmond samples, GRIS dynamic attributes
+/// and MonALISA agent reports.
+constexpr Time kMonitorPeriod = Time::minutes(5);
+
 std::unique_ptr<batch::BatchScheduler> make_scheduler(sim::Simulation& sim,
                                                       const SiteConfig& cfg) {
   batch::SchedulerConfig sc;
@@ -173,10 +177,10 @@ void Site::publish_dynamic() {
   drain_sampled_ = true;
 }
 
-void Site::start_services(Time monitor_period) {
+void Site::start_services() {
   if (monitor_loop_) return;
   monitor_loop_ = std::make_unique<sim::PeriodicProcess>(
-      sim_, monitor_period, [this] {
+      sim_, kMonitorPeriod, [this] {
         gmond_.sample(sim_.now());
         publish_dynamic();
         // MonALISA VO-activity agents (section 5.2: "custom agents ...

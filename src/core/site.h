@@ -91,7 +91,7 @@ class Site {
   /// Begin the periodic monitoring/publication loop (gmond samples, GRIS
   /// dynamic attributes, MonALISA VO activity) and local-user background
   /// load at shared sites.
-  void start_services(Time monitor_period = Time::minutes(5));
+  void start_services();
   void stop_services();
 
   /// Functional probes for the Site Status Catalog.

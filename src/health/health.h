@@ -125,8 +125,8 @@ class SiteHealthMonitor {
   [[nodiscard]] const HealthConfig& config() const { return cfg_; }
 
   // --- wiring ---------------------------------------------------------
-  /// Publish per-site trip/probe/readmission counters (site name is the
-  /// bus key, so they plot next to that site's gatekeeper load).
+  /// Publish per-site trip/probe/readmission counters as bus streams
+  /// (the site name is the bus key).
   void set_metric_bus(monitoring::MetricBus* bus) { bus_ = bus; }
   /// Mirror breaker events into the ACDC database.
   void set_accounting(monitoring::JobDatabase* db) { accounting_ = db; }

@@ -1,9 +1,13 @@
 #include "monitoring/bus.h"
 
-#include <algorithm>
-
 namespace grid3::monitoring {
 namespace {
+
+std::uint64_t composite(core::SiteId site, core::ServiceId name) {
+  return (static_cast<std::uint64_t>(site.value()) << 32) | name.value();
+}
+
+}  // namespace
 
 bool name_matches(const std::string& pattern, const std::string& name) {
   if (!pattern.empty() && pattern.back() == '*') {
@@ -12,12 +16,6 @@ bool name_matches(const std::string& pattern, const std::string& name) {
   }
   return pattern == name;
 }
-
-std::uint64_t composite(core::SiteId site, core::ServiceId name) {
-  return (static_cast<std::uint64_t>(site.value()) << 32) | name.value();
-}
-
-}  // namespace
 
 MetricBus::Entry& MetricBus::entry_for(const std::string& site,
                                        const std::string& name) {
@@ -28,25 +26,15 @@ MetricBus::Entry& MetricBus::entry_for(const std::string& site,
   }
   index_.emplace(key, static_cast<std::uint32_t>(entries_.size()));
   Entry& e = entries_.emplace_back();
-  e.site = site;
-  e.name = name;
+  e.key = {site, name};
   return e;
-}
-
-const MetricBus::Entry* MetricBus::find_entry(const std::string& site,
-                                              const std::string& name) const {
-  const core::SiteId s = site_ids_.find(site);
-  const core::ServiceId n = name_ids_.find(name);
-  if (!s.valid() || !n.valid()) return nullptr;
-  auto it = index_.find(composite(s, n));
-  return it == index_.end() ? nullptr : &entries_[it->second];
 }
 
 void MetricBus::rebuild_fanout(Entry& e) const {
   e.fanout.clear();
   for (const Subscriber& s : subscribers_) {
-    if (s.cb && name_matches(s.name, e.name) &&
-        (s.site == "*" || s.site == e.site)) {
+    if (s.cb && name_matches(s.name, e.key.name) &&
+        (s.site == "*" || s.site == e.key.site)) {
       e.fanout.push_back(&s);
     }
   }
@@ -57,11 +45,10 @@ void MetricBus::publish(const std::string& site, const std::string& name,
                         Time t, double value) {
   ++published_;
   Entry& e = entry_for(site, name);
-  e.series.append(t, value);
   if (e.sub_epoch != sub_epoch_) rebuild_fanout(e);
   for (const Subscriber* s : e.fanout) {
     // A tombstoned subscriber may linger until the next rebuild.
-    if (s->cb) s->cb({site, name}, t, value);
+    if (s->cb) s->cb(e.key, t, value);
   }
 }
 
@@ -79,40 +66,6 @@ void MetricBus::unsubscribe(SubscriptionId id) {
     if (s.id == id) s.cb = nullptr;
   }
   ++sub_epoch_;
-}
-
-std::optional<util::TimePoint> MetricBus::latest(
-    const std::string& site, const std::string& name) const {
-  const Entry* e = find_entry(site, name);
-  if (e == nullptr || e->series.empty()) return std::nullopt;
-  return e->series.points().back();
-}
-
-const util::TimeSeries& MetricBus::series(const std::string& site,
-                                          const std::string& name) const {
-  const Entry* e = find_entry(site, name);
-  return e == nullptr ? empty_ : e->series;
-}
-
-std::vector<MetricKey> MetricBus::keys_with_prefix(
-    const std::string& prefix) const {
-  std::vector<MetricKey> out;
-  for (const Entry& e : entries_) {
-    if (e.name.compare(0, prefix.size(), prefix) == 0) {
-      out.push_back({e.site, e.name});
-    }
-  }
-  std::sort(out.begin(), out.end());
-  return out;
-}
-
-std::vector<std::string> MetricBus::sites_for(const std::string& name) const {
-  std::vector<std::string> out;
-  for (const Entry& e : entries_) {
-    if (e.name == name) out.push_back(e.site);
-  }
-  std::sort(out.begin(), out.end());
-  return out;
 }
 
 }  // namespace grid3::monitoring

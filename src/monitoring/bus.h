@@ -4,20 +4,19 @@
 // common intermediary defines a uniform representation and access
 // methods, and information is centrally collected..."  The MetricBus is
 // that common intermediary: producers publish (site, metric, t, value)
-// tuples; consumers either subscribe for streams or poll for the latest
-// value / full series.
+// tuples and the bus fans each one out to its subscribers.  It keeps no
+// samples; the consumers that serve reads (gmetad, the MonALISA
+// repository) each keep the series they collect.
 #pragma once
 
 #include <cstdint>
 #include <deque>
 #include <functional>
-#include <optional>
 #include <string>
 #include <unordered_map>
 #include <vector>
 
 #include "core/ids.h"
-#include "util/timeseries.h"
 #include "util/units.h"
 
 namespace grid3::monitoring {
@@ -28,13 +27,20 @@ struct MetricKey {
   auto operator<=>(const MetricKey&) const = default;
 };
 
+/// True when `name` matches `pattern`: the same name, or, for a pattern
+/// ending in '*', any name starting with the part before the '*'.
+[[nodiscard]] bool name_matches(const std::string& pattern,
+                                const std::string& name);
+
 using MetricCallback =
     std::function<void(const MetricKey&, Time, double)>;
 using SubscriptionId = std::uint64_t;
 
 class MetricBus {
  public:
-  /// Publish a sample.  Fans out to matching subscribers synchronously.
+  /// Publish a sample.  Fans out to matching subscribers synchronously,
+  /// each receiving the bus's own key for the sample (valid for the
+  /// bus's lifetime).
   void publish(const std::string& site, const std::string& name, Time t,
                double value);
 
@@ -44,24 +50,7 @@ class MetricBus {
                            MetricCallback cb);
   void unsubscribe(SubscriptionId id);
 
-  /// Latest sample for a key.
-  [[nodiscard]] std::optional<util::TimePoint> latest(
-      const std::string& site, const std::string& name) const;
-
-  /// Full retained series (empty series when unknown).
-  [[nodiscard]] const util::TimeSeries& series(const std::string& site,
-                                               const std::string& name) const;
-
-  /// All sites that ever published a given metric name, sorted by name
-  /// (the order the old sorted-map storage yielded for free).
-  [[nodiscard]] std::vector<std::string> sites_for(
-      const std::string& name) const;
-
-  /// All (site, name) keys whose name starts with `prefix`, sorted by
-  /// (site, name).
-  [[nodiscard]] std::vector<MetricKey> keys_with_prefix(
-      const std::string& prefix) const;
-
+  /// Distinct (site, name) keys ever published.
   [[nodiscard]] std::size_t key_count() const { return entries_.size(); }
   [[nodiscard]] std::uint64_t published() const { return published_; }
 
@@ -73,21 +62,16 @@ class MetricBus {
     MetricCallback cb;  // null = unsubscribed tombstone
   };
 
-  /// One (site, name) series plus its cached subscriber fan-out.  The
+  /// One (site, name) key plus its cached subscriber fan-out.  The
   /// fan-out list is rebuilt lazily when the subscription epoch moved,
-  /// so steady-state publishes skip the per-publish pattern scan the
-  /// old bus paid for every sample.
+  /// so steady-state publishes skip a per-publish pattern scan.
   struct Entry {
-    std::string site;
-    std::string name;
-    util::TimeSeries series;
+    MetricKey key;
     std::uint64_t sub_epoch = 0;  ///< 0 = fan-out never built
     std::vector<const Subscriber*> fanout;
   };
 
   Entry& entry_for(const std::string& site, const std::string& name);
-  [[nodiscard]] const Entry* find_entry(const std::string& site,
-                                        const std::string& name) const;
   void rebuild_fanout(Entry& e) const;
 
   /// Private interners for bus keys (sites here include non-fabric
@@ -96,8 +80,8 @@ class MetricBus {
   core::Interner<core::ServiceId> name_ids_;
   /// (site id << 32 | name id) -> index into entries_.
   std::unordered_map<std::uint64_t, std::uint32_t> index_;
-  /// Entries in first-publish order; a deque so growth never
-  /// invalidates references held across an append.
+  /// Entries in first-publish order; a deque so growth never moves the
+  /// keys handed to subscribers.
   std::deque<Entry> entries_;
   std::deque<Subscriber> subscribers_;  ///< stable; tombstoned, not erased
   SubscriptionId next_sub_ = 1;
@@ -105,7 +89,6 @@ class MetricBus {
   /// rebuild their fan-out on next publish.
   std::uint64_t sub_epoch_ = 1;
   std::uint64_t published_ = 0;
-  util::TimeSeries empty_;
 };
 
 }  // namespace grid3::monitoring

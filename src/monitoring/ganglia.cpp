@@ -1,6 +1,14 @@
 #include "monitoring/ganglia.h"
 
+#include <optional>
+
 namespace grid3::monitoring {
+namespace {
+
+/// Heartbeat age past which gmetad reports a site missing.
+constexpr Time kStaleAfter = Time::minutes(10);
+
+}  // namespace
 
 void GangliaGmond::sample(Time now) {
   if (!up_) return;
@@ -17,28 +25,38 @@ void GangliaGmond::sample(Time now) {
   bus_.publish(site_, gmetric::kHeartbeat, now, 1.0);
 }
 
+GangliaGmetad::GangliaGmetad(MetricBus& bus)
+    : bus_{bus},
+      sub_{bus_.subscribe("*", "ganglia.*",
+                          [this](const MetricKey& key, Time t, double value) {
+                            history_.append(key, t, value);
+                          })} {}
+
+GangliaGmetad::~GangliaGmetad() { bus_.unsubscribe(sub_); }
+
 GangliaGmetad::GridSummary GangliaGmetad::summarize(Time now) const {
   GridSummary s;
-  for (const std::string& site : bus_.sites_for(gmetric::kHeartbeat)) {
-    const auto beat = bus_.latest(site, gmetric::kHeartbeat);
-    if (!beat.has_value() || now - beat->t > stale_after_) {
-      s.missing_sites.push_back(site);
-      continue;
+  history_.for_each(gmetric::kHeartbeat, [&](const MetricKey& key,
+                                             const util::TimeSeries& beat) {
+    if (now - beat.points().back().t > kStaleAfter) {
+      s.missing_sites.push_back(key.site);
+      return;
     }
     ++s.sites_reporting;
-    if (auto v = bus_.latest(site, gmetric::kCpusTotal)) {
-      s.cpus_total += static_cast<int>(v->value);
+    const auto latest = [&](const char* metric) -> std::optional<double> {
+      const util::TimeSeries& series = history_.series(key.site, metric);
+      if (series.empty()) return std::nullopt;
+      return series.points().back().value;
+    };
+    if (auto v = latest(gmetric::kCpusTotal)) {
+      s.cpus_total += static_cast<int>(*v);
     }
-    if (auto v = bus_.latest(site, gmetric::kCpusBusy)) {
-      s.cpus_busy += static_cast<int>(v->value);
+    if (auto v = latest(gmetric::kCpusBusy)) {
+      s.cpus_busy += static_cast<int>(*v);
     }
-    if (auto v = bus_.latest(site, gmetric::kCpuLoad)) {
-      s.load_sum += v->value;
-    }
-    if (auto v = bus_.latest(site, gmetric::kDiskFreeGb)) {
-      s.disk_free_gb += v->value;
-    }
-  }
+    if (auto v = latest(gmetric::kCpuLoad)) s.load_sum += *v;
+    if (auto v = latest(gmetric::kDiskFreeGb)) s.disk_free_gb += *v;
+  });
   return s;
 }
 

@@ -5,11 +5,11 @@
 #pragma once
 
 #include <functional>
-#include <map>
 #include <string>
 #include <vector>
 
 #include "monitoring/bus.h"
+#include "monitoring/metric_store.h"
 #include "util/units.h"
 
 namespace grid3::monitoring {
@@ -62,13 +62,17 @@ class GangliaGmond {
   std::uint64_t samples_ = 0;
 };
 
-/// iGOC-side aggregator: grid-wide totals from the latest per-site data.
-/// A site whose heartbeat is older than `stale_after` is excluded (and
-/// reported missing), matching gmetad's behaviour when a gmond dies.
+/// iGOC-side aggregator: subscribes to every ganglia.* sample published
+/// from its construction on and keeps each (site, metric) step series.
+/// A site whose heartbeat is more than 10 minutes old is excluded from
+/// summaries (and reported missing), matching gmetad's behaviour when a
+/// gmond dies.
 class GangliaGmetad {
  public:
-  GangliaGmetad(const MetricBus& bus, Time stale_after = Time::minutes(10))
-      : bus_{bus}, stale_after_{stale_after} {}
+  explicit GangliaGmetad(MetricBus& bus);
+  ~GangliaGmetad();
+  GangliaGmetad(const GangliaGmetad&) = delete;
+  GangliaGmetad& operator=(const GangliaGmetad&) = delete;
 
   struct GridSummary {
     int sites_reporting = 0;
@@ -81,9 +85,13 @@ class GangliaGmetad {
 
   [[nodiscard]] GridSummary summarize(Time now) const;
 
+  /// Every ganglia.* series collected so far.
+  [[nodiscard]] const MetricStore& history() const { return history_; }
+
  private:
-  const MetricBus& bus_;
-  Time stale_after_;
+  MetricBus& bus_;
+  MetricStore history_;
+  SubscriptionId sub_;
 };
 
 }  // namespace grid3::monitoring

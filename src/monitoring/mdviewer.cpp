@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <cmath>
 
-#include "monitoring/ganglia.h"
-
 namespace grid3::monitoring {
 namespace {
 
@@ -99,10 +97,13 @@ double MdViewer::peak_concurrent_jobs(Time from, Time to) const {
 double MdViewer::utilization_from_ganglia(Time from, Time to) const {
   double busy = 0.0;
   double total = 0.0;
-  for (const std::string& site : bus_.sites_for(gmetric::kCpusTotal)) {
-    busy += bus_.series(site, gmetric::kCpusBusy).time_average(from, to);
-    total += bus_.series(site, gmetric::kCpusTotal).time_average(from, to);
-  }
+  const MetricStore& history = gmetad_.history();
+  history.for_each(gmetric::kCpusTotal, [&](const MetricKey& key,
+                                            const util::TimeSeries& cpus) {
+    busy += history.series(key.site, gmetric::kCpusBusy)
+                .time_average(from, to);
+    total += cpus.time_average(from, to);
+  });
   return total > 0.0 ? busy / total : 0.0;
 }
 
@@ -144,12 +145,8 @@ std::vector<std::pair<std::string, double>> MdViewer::placement_shares(
 
 double MdViewer::crosscheck_divergence(Time from, Time to) const {
   // MonALISA path: sum every per-site per-VO running-jobs gauge.
-  double monalisa = 0.0;
-  for (const auto& key :
-       bus_.keys_with_prefix("monalisa.vo_jobs_running.")) {
-    monalisa +=
-        bus_.series(key.site, key.name).time_average(from, to);
-  }
+  const double monalisa = repository_.average_total(
+      vo_metric(mlmetric::kVoJobsRunning, "*"), from, to);
   const double acdc_avg = concurrency(from, to).time_average(from, to);
   const double denom = std::max(monalisa, acdc_avg);
   if (denom <= 0.0) return 0.0;

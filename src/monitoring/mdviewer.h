@@ -13,7 +13,8 @@
 #include <vector>
 
 #include "monitoring/acdc.h"
-#include "monitoring/bus.h"
+#include "monitoring/ganglia.h"
+#include "monitoring/monalisa.h"
 #include "util/timeseries.h"
 #include "util/units.h"
 
@@ -21,8 +22,9 @@ namespace grid3::monitoring {
 
 class MdViewer {
  public:
-  MdViewer(const JobDatabase& jobs, const MetricBus& bus)
-      : jobs_{jobs}, bus_{bus} {}
+  MdViewer(const JobDatabase& jobs, const GangliaGmetad& gmetad,
+           const MonalisaRepository& repository)
+      : jobs_{jobs}, gmetad_{gmetad}, repository_{repository} {}
 
   /// Figure 2: integrated CPU usage (CPU-days) by VO over a window.  A
   /// job contributes the overlap of its run interval with the window.
@@ -82,15 +84,6 @@ class MdViewer {
   [[nodiscard]] std::vector<std::pair<std::string, double>>
   placement_shares(Time from, Time to, const std::string& vo = {}) const;
 
-  /// Broker / placement activity series: the counter samples a VO's
-  /// broker (broker.matches/holds/rebinds) or placement ledger
-  /// (placement.leases_*) published on the bus, plottable in the same
-  /// frame as the gatekeeper load gauges.  Empty series when that VO
-  /// never published the counter.
-  [[nodiscard]] const util::TimeSeries& broker_counter(
-      const std::string& vo, const std::string& counter) const {
-    return bus_.series(vo, counter);
-  }
   /// Lease lifecycle histogram from the ACDC mirror: event -> count over
   /// a window (events: acquire, consume, release, reject).
   [[nodiscard]] std::map<std::string, std::size_t> lease_events(
@@ -98,8 +91,8 @@ class MdViewer {
     return jobs_.lease_events(from, to, vo);
   }
   /// Failover-chain hops summed over acquired leases in the window,
-  /// from the ACDC mirror (see also the `placement.fallthroughs` bus
-  /// counter via broker_counter).
+  /// from the ACDC mirror (the ledger also streams them on the bus as
+  /// `placement.fallthroughs`).
   [[nodiscard]] std::size_t lease_fallthrough_hops(
       Time from, Time to, const std::string& vo = {}) const {
     return jobs_.lease_fallthrough_hops(from, to, vo);
@@ -116,23 +109,19 @@ class MdViewer {
       Time from, Time to, const std::string& site = {}) const {
     return jobs_.breaker_events(from, to, site);
   }
-  /// Per-site health counter series published on the bus
-  /// (health.trips/probes/readmissions; the site name is the bus key).
-  [[nodiscard]] const util::TimeSeries& health_counter(
-      const std::string& site, const std::string& counter) const {
-    return bus_.series(site, counter);
-  }
 
   /// Redundant-path crosscheck (section 5.2): relative divergence between
   /// the ACDC-derived average grid-job concurrency and the MonALISA
-  /// VO-activity path (sum of per-site per-VO running-job gauges).
-  /// Values near 0 mean the paths agree; a broken collection path shows
-  /// up as divergence.
+  /// VO-activity path (sum of the per-site per-VO running-job gauges the
+  /// repository collected).  Values near 0 mean the paths agree; a
+  /// broken collection path, the repository's own outages included,
+  /// shows up as divergence.
   [[nodiscard]] double crosscheck_divergence(Time from, Time to) const;
 
  private:
   const JobDatabase& jobs_;
-  const MetricBus& bus_;
+  const GangliaGmetad& gmetad_;
+  const MonalisaRepository& repository_;
 };
 
 }  // namespace grid3::monitoring

@@ -2,18 +2,17 @@
 //
 // Site agents watch local sources (GRAM logs, job queues, Ganglia
 // metrics) and stream VO-tagged activity to the central repository at
-// the iGOC, which stores everything in a round-robin database and serves
-// web queries.  The repository path is deliberately *redundant* with the
+// the iGOC, which keeps every sample it receives and serves queries as
+// 5-minute averages, the finest view of the paper's "round robin-like
+// database".  The repository path is deliberately *redundant* with the
 // Ganglia/ACDC paths -- "permitting crosschecks on the data collected".
 #pragma once
 
-#include <map>
 #include <optional>
 #include <string>
-#include <vector>
 
 #include "monitoring/bus.h"
-#include "util/rrd.h"
+#include "monitoring/metric_store.h"
 #include "util/units.h"
 
 namespace grid3::monitoring {
@@ -53,7 +52,7 @@ class MonalisaAgent {
 };
 
 /// Central repository: subscribes to MonALISA metrics on the bus and
-/// persists them into bounded round-robin archives, one per key.
+/// keeps the exact series of every sample it ingests, one per key.
 class MonalisaRepository {
  public:
   explicit MonalisaRepository(MetricBus& bus);
@@ -61,22 +60,27 @@ class MonalisaRepository {
   MonalisaRepository(const MonalisaRepository&) = delete;
   MonalisaRepository& operator=(const MonalisaRepository&) = delete;
 
-  /// Consolidated value for (site, metric) covering time t, if retained.
+  /// Average of the (site, metric) samples in the 5-minute slot holding
+  /// t; nullopt when that slot holds none.
   [[nodiscard]] std::optional<double> read(const std::string& site,
                                            const std::string& metric,
                                            Time t) const;
 
-  /// Sum across sites of the consolidated values covering time t.
+  /// Sum across sites of read(site, metric, t).
   [[nodiscard]] double grid_total(const std::string& metric, Time t) const;
 
-  [[nodiscard]] std::size_t archived_keys() const { return archives_.size(); }
+  /// Sum over the keys whose name matches `pattern` (see name_matches)
+  /// of each series' time average over [from, to].
+  [[nodiscard]] double average_total(const std::string& pattern, Time from,
+                                     Time to) const;
+
+  [[nodiscard]] std::size_t archived_keys() const { return history_.size(); }
   [[nodiscard]] std::uint64_t updates() const { return updates_; }
 
   /// Collector outage: a down repository answers no reads and drops
-  /// incoming updates (the gap stays in the archive -- history lost
-  /// while down is not back-filled on recovery, just as a real
-  /// collector's round-robin archives would show a hole).  Consumers
-  /// already treat "no value" as a degraded default (the broker ranks
+  /// incoming updates (the gap stays in the series -- history lost
+  /// while down is not back-filled on recovery).  Consumers already
+  /// treat "no value" as a degraded default (the broker ranks
   /// load-blind via value_or(0)).
   void set_available(bool up) { up_ = up; }
   [[nodiscard]] bool available() const { return up_; }
@@ -85,12 +89,11 @@ class MonalisaRepository {
 
  private:
   void ingest(const MetricKey& key, Time t, double value);
-  [[nodiscard]] static util::RoundRobinArchive make_archive();
 
   MetricBus& bus_;
   bool up_ = true;
-  std::vector<SubscriptionId> subs_;
-  std::map<MetricKey, util::RoundRobinArchive> archives_;
+  MetricStore history_;
+  SubscriptionId sub_;
   std::uint64_t updates_ = 0;
   std::uint64_t dropped_ = 0;
 };

@@ -10,7 +10,6 @@
 #include "mds/schema.h"
 #include "pacman/vdt.h"
 #include "util/distributions.h"
-#include "util/rrd.h"
 #include "util/stats.h"
 #include "workflow/planner.h"
 #include "workflow/vdc.h"
@@ -232,26 +231,6 @@ TEST_P(DistributionMeans, SampleMeanMatchesAnalyticMean) {
 
 INSTANTIATE_TEST_SUITE_P(Families, DistributionMeans,
                          ::testing::Values(0, 1, 2, 3));
-
-// ---------------------------------------------------------------------
-// Round-robin archive: kSum and kLast consolidation semantics.
-// ---------------------------------------------------------------------
-TEST(RrdConsolidation, SumAccumulatesWithinSlot) {
-  util::RoundRobinArchive rra{{{Time::minutes(10), 16}},
-                              util::Consolidation::kSum};
-  rra.update(Time::minutes(1), 5.0);
-  rra.update(Time::minutes(4), 7.0);
-  rra.update(Time::minutes(12), 1.0);  // flush previous slot
-  EXPECT_DOUBLE_EQ(*rra.read(Time::minutes(3)), 12.0);
-}
-
-TEST(RrdConsolidation, LastKeepsMostRecentSample) {
-  util::RoundRobinArchive rra{{{Time::minutes(10), 16}},
-                              util::Consolidation::kLast};
-  rra.update(Time::minutes(1), 5.0);
-  rra.update(Time::minutes(4), 7.0);
-  EXPECT_DOUBLE_EQ(*rra.read(Time::minutes(5)), 7.0);
-}
 
 // ---------------------------------------------------------------------
 // Exerciser backfill never displaces production on a saturated pool.

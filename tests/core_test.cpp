@@ -129,11 +129,12 @@ TEST_F(FabricTest, SitePublishesDynamicStateOnMonitorLoop) {
   cfg.policy.dedicated = true;
   Site& site = grid.add_site(cfg, 1000.0);
   sim.run_until(Time::minutes(12));
-  // Ganglia heartbeats flowed to the bus.
-  EXPECT_TRUE(grid.igoc()
-                  .bus()
-                  .latest("S", monitoring::gmetric::kHeartbeat)
-                  .has_value());
+  // Ganglia heartbeats flowed over the bus to gmetad.
+  EXPECT_FALSE(grid.igoc()
+                   .gmetad()
+                   .history()
+                   .series("S", monitoring::gmetric::kHeartbeat)
+                   .empty());
   // Free CPUs published in GRIS.
   const auto snap = grid.igoc().top_giis().lookup("S", sim.now());
   ASSERT_TRUE(snap.has_value());

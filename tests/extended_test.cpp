@@ -225,7 +225,7 @@ TEST_F(ExtendedFixture, MonalisaRepositoryArchivesGatekeeperLoad) {
   sim.run_until(sim.now() + Time::hours(2));
   auto& repo = grid.igoc().ml_repository();
   EXPECT_GT(repo.updates(), 0u);
-  // Every site's gatekeeper load is retained in the RRD.
+  // Every site's gatekeeper load is retained in the repository.
   const auto v = repo.read("BNL_ATLAS",
                            monitoring::mlmetric::kGatekeeperLoad,
                            sim.now() - Time::minutes(10));
@@ -240,7 +240,7 @@ TEST_F(ExtendedFixture, LatencyBreakdownAccountsWaits) {
   sdss.register_survey_segments(1);
   ASSERT_TRUE(sdss.launch_workflow());
   sim.run_until(sim.now() + Time::days(20));
-  monitoring::MdViewer viewer{grid.igoc().job_db(), grid.igoc().bus()};
+  const monitoring::MdViewer viewer = grid.igoc().viewer();
   const auto lb = viewer.latency_breakdown("sdss", Time::zero(), sim.now());
   EXPECT_GT(lb.jobs, 0u);
   EXPECT_GT(lb.avg_run_hours, 0.0);

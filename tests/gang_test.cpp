@@ -10,6 +10,7 @@
 
 #include "broker/broker.h"
 #include "broker/rank_policy.h"
+#include "bus_probe.h"
 #include "core/grid3.h"
 #include "core/site.h"
 #include "pacman/vdt.h"
@@ -189,6 +190,8 @@ TEST(GangMatch, WholeLevelBindsToOneSiteAndReleasesLease) {
   auto plan = f.plan(level_dag(4), {}, 5);
   ASSERT_TRUE(plan.has_value());
   const ConcreteDag original = *plan;
+  testutil::BusProbe gang_matches{f.grid.igoc().bus(), "usatlas",
+                                  broker::metric::kGangMatches};
 
   std::optional<DagRunStats> stats;
   f.grid.dagman("usatlas").run(std::move(*plan), f.proxy,
@@ -223,10 +226,7 @@ TEST(GangMatch, WholeLevelBindsToOneSiteAndReleasesLease) {
   EXPECT_EQ(summary.whole, 1u);
   EXPECT_EQ(summary.split, 0u);
   EXPECT_EQ(summary.members, 4u);
-  EXPECT_FALSE(f.grid.igoc()
-                   .bus()
-                   .series("usatlas", broker::metric::kGangMatches)
-                   .empty());
+  EXPECT_GT(gang_matches.samples(), 0u);
 }
 
 TEST(GangMatch, SplitFallbackPropagatesActualMemberSites) {
@@ -249,6 +249,8 @@ TEST(GangMatch, SplitFallbackPropagatesActualMemberSites) {
   ASSERT_EQ(plan->nodes[child].source_parent, last_sim);
   ASSERT_EQ(plan->nodes[child].source_site, "ALPHA");
   const ConcreteDag original = *plan;
+  testutil::BusProbe gang_splits{f.grid.igoc().bus(), "usatlas",
+                                 broker::metric::kGangSplits};
 
   std::optional<DagRunStats> stats;
   f.grid.dagman("usatlas").run(std::move(*plan), f.proxy,
@@ -270,10 +272,7 @@ TEST(GangMatch, SplitFallbackPropagatesActualMemberSites) {
   const auto summary =
       f.grid.igoc().job_db().gang_events(Time::zero(), f.sim.now());
   EXPECT_EQ(summary.split, 1u);
-  EXPECT_FALSE(f.grid.igoc()
-                   .bus()
-                   .series("usatlas", broker::metric::kGangSplits)
-                   .empty());
+  EXPECT_GT(gang_splits.samples(), 0u);
 }
 
 /// Half-finished-gang scenario: a two-member gang whose only common site

@@ -3,6 +3,9 @@
 // MDViewer figures.
 #include <gtest/gtest.h>
 
+#include <string>
+#include <vector>
+
 #include "monitoring/acdc.h"
 #include "monitoring/bus.h"
 #include "monitoring/ganglia.h"
@@ -14,15 +17,23 @@ namespace grid3::monitoring {
 namespace {
 
 TEST(MetricBus, PublishLatestSeries) {
+  // The bus keeps no samples: a subscriber sees each one in order, with
+  // the bus's own key for it.
   MetricBus bus;
+  std::vector<double> seen;
+  const MetricKey* delivered = nullptr;
+  bus.subscribe("BNL", "m", [&](const MetricKey& key, Time, double value) {
+    EXPECT_EQ(key, (MetricKey{"BNL", "m"}));
+    if (delivered == nullptr) delivered = &key;
+    EXPECT_EQ(&key, delivered);
+    seen.push_back(value);
+  });
   bus.publish("BNL", "m", Time::seconds(1), 10.0);
   bus.publish("BNL", "m", Time::seconds(2), 20.0);
-  const auto latest = bus.latest("BNL", "m");
-  ASSERT_TRUE(latest.has_value());
-  EXPECT_DOUBLE_EQ(latest->value, 20.0);
-  EXPECT_EQ(bus.series("BNL", "m").size(), 2u);
-  EXPECT_TRUE(bus.series("BNL", "other").empty());
-  EXPECT_EQ(bus.published(), 2u);
+  bus.publish("BNL", "other", Time::seconds(2), 30.0);
+  EXPECT_EQ(seen, (std::vector<double>{10.0, 20.0}));
+  EXPECT_EQ(bus.published(), 3u);
+  EXPECT_EQ(bus.key_count(), 2u);
 }
 
 TEST(MetricBus, SubscriptionExactAndWildcards) {
@@ -55,6 +66,7 @@ TEST(MetricBus, UnsubscribeStopsDelivery) {
 
 TEST(Ganglia, GmondPublishesAllMetrics) {
   MetricBus bus;
+  GangliaGmetad gmetad{bus};
   GangliaGmond gmond{"BNL", bus, [] {
                        HostMetrics m;
                        m.cpus_total = 360;
@@ -64,9 +76,12 @@ TEST(Ganglia, GmondPublishesAllMetrics) {
                        return m;
                      }};
   gmond.sample(Time::minutes(5));
-  EXPECT_EQ(bus.latest("BNL", gmetric::kCpusTotal)->value, 360.0);
-  EXPECT_EQ(bus.latest("BNL", gmetric::kCpusBusy)->value, 100.0);
-  EXPECT_TRUE(bus.latest("BNL", gmetric::kHeartbeat).has_value());
+  const MetricStore& history = gmetad.history();
+  EXPECT_EQ(history.series("BNL", gmetric::kCpusTotal).points().back().value,
+            360.0);
+  EXPECT_EQ(history.series("BNL", gmetric::kCpusBusy).points().back().value,
+            100.0);
+  EXPECT_FALSE(history.series("BNL", gmetric::kHeartbeat).empty());
   gmond.set_available(false);
   gmond.sample(Time::minutes(10));
   EXPECT_EQ(gmond.samples(), 1u);  // down daemon samples nothing
@@ -74,6 +89,7 @@ TEST(Ganglia, GmondPublishesAllMetrics) {
 
 TEST(Ganglia, GmetadAggregatesAndFlagsStaleSites) {
   MetricBus bus;
+  GangliaGmetad gmetad{bus};
   GangliaGmond a{"A", bus, [] {
                    HostMetrics m;
                    m.cpus_total = 100;
@@ -88,7 +104,6 @@ TEST(Ganglia, GmetadAggregatesAndFlagsStaleSites) {
                  }};
   a.sample(Time::minutes(0));
   b.sample(Time::minutes(0));
-  GangliaGmetad gmetad{bus, Time::minutes(10)};
   auto s = gmetad.summarize(Time::minutes(5));
   EXPECT_EQ(s.sites_reporting, 2);
   EXPECT_EQ(s.cpus_total, 150);
@@ -99,6 +114,25 @@ TEST(Ganglia, GmetadAggregatesAndFlagsStaleSites) {
   EXPECT_EQ(s.sites_reporting, 1);
   ASSERT_EQ(s.missing_sites.size(), 1u);
   EXPECT_EQ(s.missing_sites[0], "B");
+}
+
+TEST(Ganglia, GmetadHistoryStartsAtConstruction) {
+  MetricBus bus;
+  GangliaGmond gmond{"A", bus, [] {
+                       HostMetrics m;
+                       m.cpus_total = 8;
+                       return m;
+                     }};
+  gmond.sample(Time::minutes(0));  // before gmetad exists: never collected
+  GangliaGmetad gmetad{bus};
+  EXPECT_EQ(gmetad.history().size(), 0u);
+  EXPECT_EQ(gmetad.summarize(Time::minutes(1)).sites_reporting, 0);
+  gmond.sample(Time::minutes(5));
+  const auto& cpus = gmetad.history().series("A", gmetric::kCpusTotal);
+  ASSERT_EQ(cpus.size(), 1u);
+  EXPECT_EQ(cpus.points().front().t, Time::minutes(5));
+  EXPECT_EQ(gmetad.history().size(), 7u);  // every metric of one sweep
+  EXPECT_EQ(gmetad.summarize(Time::minutes(6)).cpus_total, 8);
 }
 
 TEST(Monalisa, RepositoryArchivesPrefixMetrics) {
@@ -128,6 +162,32 @@ TEST(Monalisa, GridTotalSumsSites) {
                    150.0);
 }
 
+TEST(Monalisa, ReadServesTheSlotAverageTheBrokerRanksOn) {
+  MetricBus bus;
+  MonalisaRepository repo{bus};
+  MonalisaAgent agent{"BNL", bus};
+  const std::string load = mlmetric::kGatekeeperLoad;
+  agent.report(load, Time::minutes(1), 100.0);
+  EXPECT_EQ(repo.read("BNL", load, Time::minutes(1)), 100.0);
+  // A new 5-minute slot answers nothing before its first sample...
+  EXPECT_FALSE(repo.read("BNL", load, Time::minutes(6)).has_value());
+  // ...then the running average of the samples it holds.
+  agent.report(load, Time::minutes(7), 40.0);
+  EXPECT_EQ(repo.read("BNL", load, Time::minutes(7)), 40.0);
+  agent.report(load, Time::minutes(8), 60.0);
+  EXPECT_EQ(repo.read("BNL", load, Time::minutes(8)), 50.0);
+  EXPECT_EQ(repo.read("BNL", load, Time::minutes(2)), 100.0);
+  // A down repository answers nothing.
+  repo.set_available(false);
+  EXPECT_FALSE(repo.read("BNL", load, Time::minutes(9)).has_value());
+  // A sample dropped while down is not served after a recovery later in
+  // the same slot.
+  agent.report(load, Time::minutes(11), 70.0);
+  repo.set_available(true);
+  EXPECT_EQ(repo.dropped_updates(), 1u);
+  EXPECT_FALSE(repo.read("BNL", load, Time::minutes(13)).has_value());
+}
+
 TEST(Monalisa, DownAgentReportsNothing) {
   MetricBus bus;
   MonalisaAgent agent{"BNL", bus};
@@ -136,6 +196,17 @@ TEST(Monalisa, DownAgentReportsNothing) {
   EXPECT_EQ(agent.reports(), 0u);
   EXPECT_EQ(bus.published(), 0u);
 }
+
+/// The iGOC collectors an MdViewer reads, fed by one bus.
+struct Collectors {
+  MetricBus bus;
+  GangliaGmetad gmetad{bus};
+  MonalisaRepository repository{bus};
+
+  [[nodiscard]] MdViewer viewer(const JobDatabase& db) const {
+    return {db, gmetad, repository};
+  }
+};
 
 JobRecord make_job(const std::string& vo, const std::string& site,
                    const std::string& user, double start_day,
@@ -261,8 +332,8 @@ TEST(MdViewer, IntegratedCpuDaysByVo) {
   JobDatabase db;
   db.insert(make_job("uscms", "X", "/CN=a", 1, 48.0));   // 2 CPU-days
   db.insert(make_job("usatlas", "Y", "/CN=b", 2, 24.0)); // 1 CPU-day
-  MetricBus bus;
-  MdViewer viewer{db, bus};
+  Collectors c;
+  const MdViewer viewer = c.viewer(db);
   const auto fig2 =
       viewer.integrated_cpu_days_by_vo(Time::zero(), Time::days(30));
   ASSERT_EQ(fig2.size(), 2u);
@@ -275,8 +346,8 @@ TEST(MdViewer, WindowClipsPartialOverlap) {
   JobDatabase db;
   // Runs days 1..3; window covers only day 2 -> 1 CPU-day counted.
   db.insert(make_job("sdss", "X", "/CN=a", 1, 48.0));
-  MetricBus bus;
-  MdViewer viewer{db, bus};
+  Collectors c;
+  const MdViewer viewer = c.viewer(db);
   const auto fig2 =
       viewer.integrated_cpu_days_by_vo(Time::days(2), Time::days(3));
   ASSERT_EQ(fig2.size(), 1u);
@@ -288,8 +359,8 @@ TEST(MdViewer, ConcurrencyAndPeak) {
   db.insert(make_job("a", "X", "/CN=a", 1.0, 24.0));
   db.insert(make_job("a", "X", "/CN=a", 1.5, 24.0));
   db.insert(make_job("a", "X", "/CN=a", 1.7, 4.8));
-  MetricBus bus;
-  MdViewer viewer{db, bus};
+  Collectors c;
+  const MdViewer viewer = c.viewer(db);
   EXPECT_DOUBLE_EQ(viewer.peak_concurrent_jobs(Time::zero(), Time::days(5)),
                    3.0);
 }
@@ -298,12 +369,12 @@ TEST(MdViewer, CrosscheckDivergenceNearZeroWhenPathsAgree) {
   JobDatabase db;
   // One job busy the whole window.
   db.insert(make_job("a", "X", "/CN=a", 0.0, 240.0));
-  MetricBus bus;
+  Collectors c;
   // The MonALISA VO-activity path reports 1 running job too.
-  bus.publish("X", "monalisa.vo_jobs_running.a", Time::zero(), 1.0);
-  bus.publish("X", gmetric::kCpusBusy, Time::zero(), 1.0);
-  bus.publish("X", gmetric::kCpusTotal, Time::zero(), 10.0);
-  MdViewer viewer{db, bus};
+  c.bus.publish("X", "monalisa.vo_jobs_running.a", Time::zero(), 1.0);
+  c.bus.publish("X", gmetric::kCpusBusy, Time::zero(), 1.0);
+  c.bus.publish("X", gmetric::kCpusTotal, Time::zero(), 10.0);
+  const MdViewer viewer = c.viewer(db);
   EXPECT_LT(viewer.crosscheck_divergence(Time::zero(), Time::days(10)), 0.05);
   EXPECT_NEAR(viewer.utilization_from_ganglia(Time::zero(), Time::days(10)),
               0.1, 1e-9);
@@ -312,11 +383,28 @@ TEST(MdViewer, CrosscheckDivergenceNearZeroWhenPathsAgree) {
 TEST(MdViewer, CrosscheckDetectsLostPath) {
   JobDatabase db;
   db.insert(make_job("a", "X", "/CN=a", 0.0, 240.0));
-  MetricBus bus;
+  Collectors c;
   // The MonALISA agent wedged: reports zero running jobs.
-  bus.publish("X", "monalisa.vo_jobs_running.a", Time::zero(), 0.0);
-  MdViewer viewer{db, bus};
+  c.bus.publish("X", "monalisa.vo_jobs_running.a", Time::zero(), 0.0);
+  const MdViewer viewer = c.viewer(db);
   EXPECT_GT(viewer.crosscheck_divergence(Time::zero(), Time::days(10)), 0.9);
+}
+
+TEST(MdViewer, CrosscheckCountsRepositoryOutageAsLostData) {
+  JobDatabase db;
+  db.insert(make_job("a", "X", "/CN=a", 1.0, 48.0));  // runs days 1..3
+  Collectors c;
+  MonalisaAgent agent{"X", c.bus};
+  const std::string running = vo_metric(mlmetric::kVoJobsRunning, "a");
+  agent.report(running, Time::zero(), 0.0);
+  // The agent reports the job faithfully, but the repository is down for
+  // its whole run, so those reports are lost.
+  c.repository.set_available(false);
+  agent.report(running, Time::days(1), 1.0);
+  agent.report(running, Time::days(3), 0.0);
+  c.repository.set_available(true);
+  const MdViewer viewer = c.viewer(db);
+  EXPECT_GT(viewer.crosscheck_divergence(Time::zero(), Time::days(4)), 0.9);
 }
 
 }  // namespace

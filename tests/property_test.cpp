@@ -1,16 +1,17 @@
 // Property-style parameterized suites: invariants that must hold across
-// parameter sweeps (scheduler types, network fan-in, RNG seeds, archive
-// configurations).
+// parameter sweeps (scheduler types, network fan-in, RNG seeds).
 #include <gtest/gtest.h>
 
 #include <memory>
 #include <numeric>
+#include <string>
 
 #include "batch/scheduler.h"
+#include "monitoring/bus.h"
+#include "monitoring/monalisa.h"
 #include "net/network.h"
 #include "sim/simulation.h"
 #include "util/rng.h"
-#include "util/rrd.h"
 #include "util/timeseries.h"
 
 namespace grid3 {
@@ -152,27 +153,27 @@ INSTANTIATE_TEST_SUITE_P(
                       NetCase{2, 20, 10, 15}));
 
 // ---------------------------------------------------------------------
-// Property: RRD consolidated averages match the exact series average for
-// aligned windows, at every level, for any seed.
+// Property: the MonALISA repository's 5-minute reads (the finest view of
+// the paper's round-robin database) match the exact average of the
+// samples published in each slot, for any seed.
 // ---------------------------------------------------------------------
 class RrdConsistency : public ::testing::TestWithParam<std::uint64_t> {};
 
 TEST_P(RrdConsistency, ConsolidatedAverageTracksExactSeries) {
   util::Rng rng{GetParam()};
-  util::RoundRobinArchive rra{
-      {{Time::minutes(5), 1000}, {Time::hours(1), 1000}},
-      util::Consolidation::kAverage};
+  monitoring::MetricBus bus;
+  monitoring::MonalisaRepository repo{bus};
+  const std::string metric = monitoring::mlmetric::kIoMbps;
   // Regular 1-minute samples over 6 hours.
   std::vector<double> values;
   for (int i = 0; i < 360; ++i) {
     const double v = rng.uniform(0.0, 100.0);
     values.push_back(v);
-    rra.update(Time::minutes(i), v);
+    bus.publish("BNL", metric, Time::minutes(i), v);
   }
-  rra.update(Time::minutes(360), 0.0);  // flush the pending slot
   // Each 5-minute slot equals the average of its 5 samples.
-  for (int slot = 0; slot < 71; ++slot) {
-    const auto got = rra.read(Time::minutes(slot * 5 + 2));
+  for (int slot = 0; slot < 72; ++slot) {
+    const auto got = repo.read("BNL", metric, Time::minutes(slot * 5 + 2));
     ASSERT_TRUE(got.has_value()) << slot;
     double expect = 0.0;
     for (int k = 0; k < 5; ++k) {

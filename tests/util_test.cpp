@@ -1,5 +1,5 @@
 // Unit tests for the util substrate: RNG determinism, distributions,
-// statistics, time series, round-robin archive, calendar, tables.
+// statistics, time series, calendar, tables.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -9,7 +9,6 @@
 #include "util/distributions.h"
 #include "util/retry.h"
 #include "util/rng.h"
-#include "util/rrd.h"
 #include "util/stats.h"
 #include "util/table.h"
 #include "util/timeseries.h"
@@ -218,40 +217,6 @@ TEST(EventSeries, TotalsAndCumulative) {
   const auto cum = es.cumulative(Time::zero(), Time::seconds(10), 2);
   EXPECT_DOUBLE_EQ(cum[0], 2.0);
   EXPECT_DOUBLE_EQ(cum[1], 6.0);
-}
-
-TEST(Rrd, PrimarySlotConsolidation) {
-  RoundRobinArchive rra{{{Time::minutes(5), 12}, {Time::hours(1), 24}},
-                        Consolidation::kAverage};
-  rra.update(Time::minutes(1), 10.0);
-  rra.update(Time::minutes(2), 20.0);
-  const auto v = rra.read(Time::minutes(3));
-  ASSERT_TRUE(v.has_value());
-  EXPECT_DOUBLE_EQ(*v, 15.0);
-}
-
-TEST(Rrd, OldDataConsolidatesUpward) {
-  RoundRobinArchive rra{{{Time::minutes(5), 4}, {Time::hours(1), 4}},
-                        Consolidation::kAverage};
-  // Fill far past the primary ring so early slots are evicted upward.
-  for (int i = 0; i < 40; ++i) {
-    rra.update(Time::minutes(5.0 * i + 1), static_cast<double>(i));
-  }
-  // The earliest samples are gone from level 0 but covered by level 1.
-  const auto v = rra.read(Time::minutes(2));
-  ASSERT_TRUE(v.has_value());
-  // Ancient data beyond all retention reads as nullopt.
-  RoundRobinArchive tiny{{{Time::minutes(5), 2}}, Consolidation::kLast};
-  for (int i = 0; i < 10; ++i) tiny.update(Time::minutes(5.0 * i + 1), 1.0);
-  EXPECT_FALSE(tiny.read(Time::minutes(1)).has_value());
-}
-
-TEST(Rrd, MaxConsolidationKeepsPeaks) {
-  RoundRobinArchive rra{{{Time::minutes(5), 8}}, Consolidation::kMax};
-  rra.update(Time::minutes(1), 5.0);
-  rra.update(Time::minutes(2), 50.0);
-  rra.update(Time::minutes(3), 7.0);
-  EXPECT_DOUBLE_EQ(*rra.read(Time::minutes(1)), 50.0);
 }
 
 TEST(Calendar, EpochAndMonthLabels) {
