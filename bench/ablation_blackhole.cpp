@@ -84,7 +84,7 @@ Outcome run_mode(bool breakers) {
   bool trips_on_bus = false;
   const monitoring::SubscriptionId trip_watch = grid.igoc().bus().subscribe(
       "blackhole", health::metric::kTrips,
-      [&](const monitoring::MetricKey&, Time, double) { trips_on_bus = true; });
+      [&](monitoring::MetricId, Time, double) { trips_on_bus = true; });
   grid.start_operations();
   sim.run_until(Time::minutes(6));
 

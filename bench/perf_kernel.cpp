@@ -203,7 +203,7 @@ void BM_MetricBusFanout(benchmark::State& state) {
   std::size_t hits = 0;
   for (int i = 0; i < subs; ++i) {
     bus.subscribe("*", "monalisa.*",
-                  [&hits](const monitoring::MetricKey&, Time, double) {
+                  [&hits](monitoring::MetricId, Time, double) {
                     ++hits;
                   });
   }

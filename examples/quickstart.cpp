@@ -112,7 +112,7 @@ int main() {
   const auto& beats = grid.igoc().gmetad().history().series(
       "BIG_PBS", monitoring::gmetric::kHeartbeat);
   std::cout << "BIG_PBS last ganglia heartbeat at t+"
-            << (beats.empty() ? -1.0 : beats.points().back().t.to_hours())
+            << (beats.empty() ? -1.0 : beats.latest().t.to_hours())
             << "h\n";
   return done_ok ? 0 : 1;
 }

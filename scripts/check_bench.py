@@ -14,15 +14,24 @@ regression in a docs/BENCH.md acceptance row fails the workflow.
 Usage:
   check_bench.py <build-dir> [--out artifact.json]    # ablation gates
   check_bench.py <build-dir> --check-catalog [--out artifact.json]
+  check_bench.py <build-dir> --check-golden [--write-golden]
 
 --check-catalog runs the scenario-catalog determinism gate instead of
 the ablation gates: ablation_catalog sweeps every catalog scenario
 under both policy stacks, and each (scenario, stack) digest must match
 the committed bench/CATALOG_MANIFEST.json byte for byte.
+
+--check-golden runs the paper-output gate: every program pinned in
+bench/GOLDEN_MANIFEST.json (the paper benches, the monitoring ablation
+and two examples) is rerun in quick mode, and the SHA-256 of its stdout
+must match the pinned digest; a mismatch prints the first differing
+line.  --write-golden rewrites the manifest from the build instead.
 """
 from __future__ import annotations
 
 import argparse
+import concurrent.futures
+import hashlib
 import json
 import os
 import pathlib
@@ -32,10 +41,35 @@ import time
 from typing import Callable, NamedTuple
 
 CATALOG_MANIFEST = "bench/CATALOG_MANIFEST.json"
+
 # The catalog gate requires at least this many distinct scenarios (the
 # catalog currently holds 10; the floor guards against an accidentally
 # emptied sweep passing vacuously).
 CATALOG_MIN_SCENARIOS = 8
+
+# Paper-output gate: the programs whose quick-mode stdout is pinned, and
+# the environment they are pinned under.
+GOLDEN_MANIFEST = "bench/GOLDEN_MANIFEST.json"
+GOLDEN_PROGRAMS = (
+    "bench/table1_job_stats",
+    "bench/fig2_integrated_cpu",
+    "bench/fig3_differential_cpu",
+    "bench/fig4_cms_by_site",
+    "bench/fig5_data_consumed",
+    "bench/fig6_jobs_by_month",
+    "bench/sec61_atlas_failures",
+    "bench/sec62_cms_production",
+    "bench/sec63_gridftp_demo",
+    "bench/sec64_gatekeeper_load",
+    "bench/sec7_milestones",
+    "bench/sec8_lessons_tools",
+    "bench/ablation_monitoring_redundancy",
+    "examples/quickstart",
+    "examples/sc2003_demo",
+)
+GOLDEN_ENV = {"GRID3_BENCH_QUICK": "1", "GRID3_JOB_SCALE": "0.05"}
+# The pinned programs are single-threaded; run this many at once.
+GOLDEN_JOBS = 4
 
 # Kernel-throughput snapshot gate: `perf_kernel --snapshot` rates must
 # stay within KERNEL_REGRESSION_RATIO of the committed baseline.  0.5
@@ -305,6 +339,85 @@ def check_bench_md(repo_root: pathlib.Path,
     return problems
 
 
+def run_golden_program(build_dir: pathlib.Path, program: str) -> dict:
+    """Run one pinned program under GOLDEN_ENV and digest its stdout."""
+    binary = build_dir / program
+    if not binary.exists():
+        return {"program": program, "error": f"missing binary {binary}"}
+    env = {k: v for k, v in os.environ.items() if not k.startswith("GRID3_")}
+    env.update(GOLDEN_ENV)
+    started = time.monotonic()
+    proc = subprocess.run([str(binary)], capture_output=True, env=env,
+                          timeout=1800)
+    entry = {
+        "program": program,
+        "exit_code": proc.returncode,
+        "seconds": round(time.monotonic() - started, 1),
+        "sha256": hashlib.sha256(proc.stdout).hexdigest(),
+        "stdout": proc.stdout.decode("utf-8", "replace").splitlines(),
+    }
+    if proc.returncode != 0:
+        entry["error"] = f"exit {proc.returncode}"
+    return entry
+
+
+def first_difference(expected: list[str], got: list[str]) -> str:
+    """Describe the first line where two outputs differ."""
+    for i, (want, have) in enumerate(zip(expected, got)):
+        if want != have:
+            return (f"line {i + 1}:\n      pinned: {want}\n"
+                    f"      got:    {have}")
+    if len(expected) != len(got):
+        n = min(len(expected), len(got))
+        return (f"line {n + 1}: pinned output has {len(expected)} lines, "
+                f"got {len(got)}")
+    return "outputs differ only in line endings"
+
+
+def check_golden(build_dir: pathlib.Path, repo_root: pathlib.Path,
+                 write: bool) -> list[str]:
+    """Rerun every pinned program and compare (or rewrite) the manifest."""
+    with concurrent.futures.ThreadPoolExecutor(GOLDEN_JOBS) as pool:
+        entries = list(pool.map(
+            lambda p: run_golden_program(build_dir, p), GOLDEN_PROGRAMS))
+    problems = [f"{e['program']}: {e['error']}" for e in entries
+                if "error" in e]
+    manifest_path = repo_root / GOLDEN_MANIFEST
+    if write:
+        if problems:
+            return problems
+        manifest = {
+            "env": GOLDEN_ENV,
+            "entries": [{k: e[k] for k in ("program", "sha256", "stdout")}
+                        for e in entries],
+        }
+        manifest_path.write_text(json.dumps(manifest, indent=2) + "\n",
+                                 encoding="utf-8")
+        print(f"wrote {GOLDEN_MANIFEST} ({len(entries)} programs)")
+        return []
+    if not manifest_path.exists():
+        return problems + [f"missing committed manifest {GOLDEN_MANIFEST}"]
+    manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
+    pinned = {e["program"]: e for e in manifest["entries"]}
+    for e in entries:
+        if "error" in e:
+            continue
+        want = pinned.get(e["program"])
+        if want is None:
+            problems.append(f"{e['program']}: not in {GOLDEN_MANIFEST}")
+            continue
+        ok = e["sha256"] == want["sha256"]
+        print(f"[{'PASS' if ok else 'FAIL'}] {e['program']} "
+              f"({e['seconds']}s)")
+        if not ok:
+            problems.append(
+                f"{e['program']}: stdout differs from {GOLDEN_MANIFEST} at "
+                + first_difference(want["stdout"], e["stdout"]))
+    for program in sorted(pinned.keys() - set(GOLDEN_PROGRAMS)):
+        problems.append(f"{program}: in {GOLDEN_MANIFEST} but not run")
+    return problems
+
+
 def print_table(entries: list[dict]) -> None:
     """One-line PASS/FAIL summary per gate."""
     width = max(len(e["name"]) for e in entries) if entries else 10
@@ -323,8 +436,26 @@ def main() -> int:
     parser.add_argument("--check-catalog", action="store_true",
                         help="run the scenario-catalog determinism gate "
                              "instead of the ablation gates")
+    parser.add_argument("--check-golden", action="store_true",
+                        help="run the paper-output gate against "
+                             f"{GOLDEN_MANIFEST} instead of the ablation "
+                             "gates")
+    parser.add_argument("--write-golden", action="store_true",
+                        help=f"with --check-golden: rewrite "
+                             f"{GOLDEN_MANIFEST} from this build")
     args = parser.parse_args()
     repo_root = pathlib.Path(__file__).resolve().parent.parent
+
+    if args.check_golden:
+        problems = check_golden(args.build_dir, repo_root, args.write_golden)
+        if problems:
+            print("\ngolden gate FAILED:")
+            for p in problems:
+                print(f"  - {p}")
+            return 1
+        if not args.write_golden:
+            print("\ngolden gate passed: every pinned output is unchanged")
+        return 0
 
     registry = CATALOG_REGISTRY if args.check_catalog else REGISTRY
     problems = check_bench_md(repo_root, registry)

@@ -57,6 +57,7 @@ SubmitResult BatchScheduler::submit(const JobRequest& req, CompletionFn done) {
 
   const LocalJobId id = next_id_++;
   queue_.push_back({id, req, sim_.now()});
+  ++vo_counts_[req.vo].queued;
   queued_callbacks_.emplace(id, std::move(done));
   dispatch();
   notify_observer();
@@ -76,6 +77,9 @@ bool BatchScheduler::cancel(LocalJobId id) {
     out.started = out.finished = sim_.now();
     auto cb = std::move(queued_callbacks_[id]);
     queued_callbacks_.erase(id);
+    VoCounts& counts = vo_counts_[qit->req.vo];
+    assert(counts.queued > 0);
+    --counts.queued;
     queue_.erase(qit);
     if (cb) cb(out);
     notify_observer();
@@ -125,19 +129,13 @@ void BatchScheduler::resume() {
 }
 
 int BatchScheduler::running_for_vo(const std::string& vo) const {
-  int n = 0;
-  for (const auto& [id, job] : running_) {
-    if (job.req.vo == vo) ++n;
-  }
-  return n;
+  auto it = vo_counts_.find(vo);
+  return it == vo_counts_.end() ? 0 : it->second.running;
 }
 
 std::size_t BatchScheduler::queued_for_vo(const std::string& vo) const {
-  std::size_t n = 0;
-  for (const auto& j : queue_) {
-    if (j.req.vo == vo) ++n;
-  }
-  return n;
+  auto it = vo_counts_.find(vo);
+  return it == vo_counts_.end() ? 0 : it->second.queued;
 }
 
 Time BatchScheduler::vo_usage(const std::string& vo) const {
@@ -175,6 +173,10 @@ void BatchScheduler::dispatch() {
     assert(*idx < queue_.size());
     QueuedJob qj = queue_[*idx];
     queue_.erase(queue_.begin() + static_cast<std::ptrdiff_t>(*idx));
+    VoCounts& counts = vo_counts_[qj.req.vo];
+    assert(counts.queued > 0);
+    --counts.queued;
+    ++counts.running;
 
     RunningJob run;
     run.id = qj.id;
@@ -206,6 +208,9 @@ void BatchScheduler::finish(LocalJobId id, JobState state) {
   if (it == running_.end()) return;
   RunningJob job = std::move(it->second);
   running_.erase(it);
+  VoCounts& counts = vo_counts_[job.req.vo];
+  assert(counts.running > 0);
+  --counts.running;
   if (job.completion != 0) sim_.cancel(job.completion);
 
   JobOutcome out;

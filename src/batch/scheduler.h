@@ -114,6 +114,7 @@ class BatchScheduler {
   [[nodiscard]] int busy_slots() const { return static_cast<int>(running_.size()); }
   [[nodiscard]] int free_slots() const { return cfg_.slots - busy_slots(); }
   [[nodiscard]] std::size_t queued_count() const { return queue_.size(); }
+  /// Per-VO running / queued job counts, kept as jobs move (O(1)).
   [[nodiscard]] int running_for_vo(const std::string& vo) const;
   [[nodiscard]] std::size_t queued_for_vo(const std::string& vo) const;
   [[nodiscard]] const SchedulerConfig& config() const { return cfg_; }
@@ -161,6 +162,13 @@ class BatchScheduler {
     CompletionFn done;
   };
 
+  /// Running and queued jobs of one VO; every change to `queue_` or
+  /// `running_` moves these in step.
+  struct VoCounts {
+    int running = 0;
+    std::size_t queued = 0;
+  };
+
   void dispatch();
   void finish(LocalJobId id, JobState state);
   void notify_observer();
@@ -174,6 +182,7 @@ class BatchScheduler {
   std::deque<QueuedJob> queue_;
   std::unordered_map<LocalJobId, RunningJob> running_;
   std::unordered_map<LocalJobId, CompletionFn> queued_callbacks_;
+  std::unordered_map<std::string, VoCounts> vo_counts_;
   std::unordered_map<std::string, Time> usage_;
   std::function<void(int, int)> observer_;
 };
@@ -181,7 +190,7 @@ class BatchScheduler {
 /// Condor: fair-share matchmaking, negative-priority backfill only runs
 /// when nothing else is waiting, no walltime enforcement (vanilla-universe
 /// behaviour of the era).
-class CondorScheduler final : public BatchScheduler {
+class CondorScheduler : public BatchScheduler {
  public:
   using BatchScheduler::BatchScheduler;
   [[nodiscard]] std::string lrms_type() const override { return "condor"; }
@@ -193,7 +202,7 @@ class CondorScheduler final : public BatchScheduler {
 
 /// OpenPBS: strict FIFO within priority class, walltime enforced, rejects
 /// requests beyond the queue limit at submission.
-class PbsScheduler final : public BatchScheduler {
+class PbsScheduler : public BatchScheduler {
  public:
   using BatchScheduler::BatchScheduler;
   [[nodiscard]] std::string lrms_type() const override { return "pbs"; }
@@ -206,7 +215,7 @@ class PbsScheduler final : public BatchScheduler {
 /// LSF: two queues split at a threshold walltime; the long queue is capped
 /// to a fraction of the slots so short jobs cannot be starved; walltime
 /// enforced.
-class LsfScheduler final : public BatchScheduler {
+class LsfScheduler : public BatchScheduler {
  public:
   LsfScheduler(sim::Simulation& sim, SchedulerConfig cfg,
                Time long_queue_threshold = Time::hours(12),

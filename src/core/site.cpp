@@ -22,6 +22,9 @@ namespace {
 /// and MonALISA agent reports.
 constexpr Time kMonitorPeriod = Time::minutes(5);
 
+/// Group the background jobs of a shared site's local users run under.
+constexpr const char* kLocalVo = "local";
+
 std::unique_ptr<batch::BatchScheduler> make_scheduler(sim::Simulation& sim,
                                                       const SiteConfig& cfg) {
   batch::SchedulerConfig sc;
@@ -122,6 +125,12 @@ bool Site::install_application(const pacman::PackageCache& cache,
 void Site::support_vo(const std::string& vo_name) {
   // Group-account naming convention (section 5.3): e.g. "usatlas1".
   gridmap_.support_vo(vo_name, {vo_name + "1", vo_name});
+  auto it = std::lower_bound(
+      vo_gauges_.begin(), vo_gauges_.end(), vo_name,
+      [](const VoGauges& g, const std::string& vo) { return g.vo < vo; });
+  if (it == vo_gauges_.end() || it->vo != vo_name) {
+    vo_gauges_.insert(it, {vo_name, {}, {}});
+  }
 }
 
 void Site::refresh_gridmap(
@@ -183,26 +192,7 @@ void Site::start_services() {
       sim_, kMonitorPeriod, [this] {
         gmond_.sample(sim_.now());
         publish_dynamic();
-        // MonALISA VO-activity agents (section 5.2: "custom agents ...
-        // collect VO-specific activity at sites such as jobs run, compute
-        // element usage, and I/O").
-        for (const std::string& vo_name : gridmap_.supported_vos()) {
-          ml_agent_.report(
-              monitoring::vo_metric(monitoring::mlmetric::kVoJobsRunning,
-                                    vo_name),
-              sim_.now(),
-              static_cast<double>(scheduler_->running_for_vo(vo_name)));
-          ml_agent_.report(
-              monitoring::vo_metric(monitoring::mlmetric::kVoJobsQueued,
-                                    vo_name),
-              sim_.now(),
-              static_cast<double>(scheduler_->queued_for_vo(vo_name)));
-        }
-        ml_agent_.report(monitoring::mlmetric::kGatekeeperLoad, sim_.now(),
-                         gatekeeper_->one_minute_load());
-        ml_agent_.report(
-            monitoring::mlmetric::kIoMbps, sim_.now(),
-            net_.rate_in(node_).to_mbps() + net_.rate_out(node_).to_mbps());
+        report_vo_activity();
         return true;
       });
   monitor_loop_->start(Time::seconds(rng_.uniform(0.0, 60.0)));
@@ -217,6 +207,33 @@ void Site::start_services() {
   }
 }
 
+void Site::report_vo_activity() {
+  // MonALISA VO-activity agents (section 5.2: "custom agents ... collect
+  // VO-specific activity at sites such as jobs run, compute element
+  // usage, and I/O").
+  namespace ml = monitoring::mlmetric;
+  if (!io_mbps_.valid()) {
+    gatekeeper_load_ = ml_agent_.resolve(ml::kGatekeeperLoad);
+    io_mbps_ = ml_agent_.resolve(ml::kIoMbps);
+  }
+  const Time now = sim_.now();
+  for (VoGauges& g : vo_gauges_) {
+    if (!g.running.valid()) {
+      using monitoring::vo_metric;
+      g.running = ml_agent_.resolve(vo_metric(ml::kVoJobsRunning, g.vo));
+      g.queued = ml_agent_.resolve(vo_metric(ml::kVoJobsQueued, g.vo));
+    }
+    ml_agent_.report(g.running, now,
+                     static_cast<double>(scheduler_->running_for_vo(g.vo)));
+    ml_agent_.report(g.queued, now,
+                     static_cast<double>(scheduler_->queued_for_vo(g.vo)));
+  }
+  ml_agent_.report(gatekeeper_load_, now, gatekeeper_->one_minute_load());
+  ml_agent_.report(
+      io_mbps_, now,
+      net_.rate_in(node_).to_mbps() + net_.rate_out(node_).to_mbps());
+}
+
 void Site::stop_services() {
   if (monitor_loop_) monitor_loop_->stop();
   if (local_load_loop_) local_load_loop_->stop();
@@ -228,19 +245,19 @@ void Site::sample_local_load() {
   const int target = static_cast<int>(
       cfg_.policy.local_load *
       static_cast<double>(scheduler_->total_slots()));
-  const int deficit = target - local_jobs_running_;
+  const int deficit = target - local_jobs_outstanding_;
   for (int i = 0; i < deficit; ++i) {
     batch::JobRequest req;
-    req.vo = "local";
+    req.vo = kLocalVo;
     req.user_dn = "/O=local/CN=user";
     const Time runtime = Time::hours(rng_.exponential(2.0));
     req.requested_walltime = runtime + Time::hours(1);
     req.actual_runtime = runtime;
     req.priority = 1;  // local users outrank grid jobs on shared nodes
-    ++local_jobs_running_;
+    ++local_jobs_outstanding_;
     // The completion callback fires exactly once, on a terminal state.
     scheduler_->submit(req, [this](const batch::JobOutcome&) {
-      --local_jobs_running_;
+      --local_jobs_outstanding_;
     });
   }
 }
@@ -257,9 +274,7 @@ std::vector<monitoring::ProbeResult> Site::run_probes() const {
 }
 
 int Site::grid_jobs_running() const {
-  return scheduler_->busy_slots() - local_jobs_running_ < 0
-             ? 0
-             : scheduler_->busy_slots() - local_jobs_running_;
+  return scheduler_->busy_slots() - scheduler_->running_for_vo(kLocalVo);
 }
 
 }  // namespace grid3::core

@@ -113,15 +113,25 @@ class Site {
   [[nodiscard]] net::NodeId node() const { return node_; }
   [[nodiscard]] util::Rng& rng() { return rng_; }
 
-  /// Grid jobs currently running / live CPU count (sites introduce and
-  /// withdraw nodes, so this tracks the scheduler, not the config).
+  /// Grid jobs currently running (busy slots not held by a running local
+  /// job) / live CPU count (sites introduce and withdraw nodes, so this
+  /// tracks the scheduler, not the config).
   [[nodiscard]] int grid_jobs_running() const;
   [[nodiscard]] int cpus() const { return scheduler_->total_slots(); }
 
  private:
   void publish_static();
   void publish_dynamic();
+  void report_vo_activity();
   void sample_local_load();
+
+  /// A supported VO's two MonALISA gauges, resolved on the first sweep
+  /// that reports them, so building a fabric interns no metric keys.
+  struct VoGauges {
+    std::string vo;
+    monitoring::MetricId running;
+    monitoring::MetricId queued;
+  };
 
   sim::Simulation& sim_;
   net::Network& net_;
@@ -140,9 +150,15 @@ class Site {
   std::unique_ptr<srm::StorageResourceManager> srm_;
   std::unique_ptr<sim::PeriodicProcess> monitor_loop_;
   std::unique_ptr<sim::PeriodicProcess> local_load_loop_;
+  /// Sorted by VO name, the order the agents report in.
+  std::vector<VoGauges> vo_gauges_;
+  /// Site-wide MonALISA gauges; invalid until the first sweep.
+  monitoring::MetricId gatekeeper_load_;
+  monitoring::MetricId io_mbps_;
   pacman::InstallReport install_report_;
   bool installed_ = false;
-  int local_jobs_running_ = 0;
+  /// Local jobs submitted and not yet terminal (queued or running).
+  int local_jobs_outstanding_ = 0;
   // Drain-rate differentiation baseline (see publish_dynamic).
   Bytes last_released_;
   Time last_drain_sample_;

@@ -3,7 +3,14 @@
 namespace grid3::mds {
 
 void Gris::publish(std::string_view key, AttrValue value, Time now) {
-  attrs_.insert_or_assign(std::string{key}, Attribute{std::move(value), now});
+  // One descent; an existing attribute is updated in place, so the
+  // periodic refresh builds no key string.
+  auto it = attrs_.lower_bound(key);
+  if (it != attrs_.end() && it->first == key) {
+    it->second = {std::move(value), now};
+    return;
+  }
+  attrs_.emplace_hint(it, std::string{key}, Attribute{std::move(value), now});
 }
 
 bool Gris::retract(std::string_view key) {

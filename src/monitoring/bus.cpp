@@ -17,17 +17,23 @@ bool name_matches(const std::string& pattern, const std::string& name) {
   return pattern == name;
 }
 
-MetricBus::Entry& MetricBus::entry_for(const std::string& site,
-                                       const std::string& name) {
+MetricId MetricBus::resolve(const std::string& site,
+                            const std::string& name) {
   const auto key =
       composite(site_ids_.intern(site), name_ids_.intern(name));
-  if (auto it = index_.find(key); it != index_.end()) {
-    return entries_[it->second];
-  }
-  index_.emplace(key, static_cast<std::uint32_t>(entries_.size()));
-  Entry& e = entries_.emplace_back();
-  e.key = {site, name};
-  return e;
+  const auto [it, inserted] =
+      index_.emplace(key, static_cast<std::uint32_t>(entries_.size()));
+  if (inserted) entries_.emplace_back().key = {site, name};
+  return MetricId{it->second};
+}
+
+MetricId MetricBus::find(const std::string& site,
+                         const std::string& name) const {
+  const core::SiteId site_id = site_ids_.find(site);
+  const core::ServiceId name_id = name_ids_.find(name);
+  if (!site_id.valid() || !name_id.valid()) return MetricId::invalid();
+  auto it = index_.find(composite(site_id, name_id));
+  return it == index_.end() ? MetricId::invalid() : MetricId{it->second};
 }
 
 void MetricBus::rebuild_fanout(Entry& e) const {
@@ -41,15 +47,24 @@ void MetricBus::rebuild_fanout(Entry& e) const {
   e.sub_epoch = sub_epoch_;
 }
 
-void MetricBus::publish(const std::string& site, const std::string& name,
-                        Time t, double value) {
+void MetricBus::publish(MetricId id, Time t, double value) {
+  assert(id.valid() && id.value() < entries_.size());
   ++published_;
-  Entry& e = entry_for(site, name);
+  Entry& e = entries_[id.value()];
+  if (!e.published) {
+    e.published = true;
+    ++published_keys_;
+  }
   if (e.sub_epoch != sub_epoch_) rebuild_fanout(e);
   for (const Subscriber* s : e.fanout) {
     // A tombstoned subscriber may linger until the next rebuild.
-    if (s->cb) s->cb(e.key, t, value);
+    if (s->cb) s->cb(id, t, value);
   }
+}
+
+void MetricBus::publish(const std::string& site, const std::string& name,
+                        Time t, double value) {
+  publish(resolve(site, name), t, value);
 }
 
 SubscriptionId MetricBus::subscribe(const std::string& site,

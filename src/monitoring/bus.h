@@ -7,8 +7,14 @@
 // tuples and the bus fans each one out to its subscribers.  It keeps no
 // samples; the consumers that serve reads (gmetad, the MonALISA
 // repository) each keep the series they collect.
+//
+// Every (site, name) key has a dense MetricId.  Periodic producers
+// resolve their keys once and publish by id, so a sample costs an index
+// plus the cached fan-out; the string publish resolves first and serves
+// the rare counter producers.
 #pragma once
 
+#include <cassert>
 #include <cstdint>
 #include <deque>
 #include <functional>
@@ -27,20 +33,35 @@ struct MetricKey {
   auto operator<=>(const MetricKey&) const = default;
 };
 
+struct MetricTag {};
+/// Dense id of one (site, name) key on one bus.
+using MetricId = core::InternedId<MetricTag>;
+
 /// True when `name` matches `pattern`: the same name, or, for a pattern
 /// ending in '*', any name starting with the part before the '*'.
 [[nodiscard]] bool name_matches(const std::string& pattern,
                                 const std::string& name);
 
-using MetricCallback =
-    std::function<void(const MetricKey&, Time, double)>;
+/// Receives each matching sample by id; `MetricBus::key` names it.
+using MetricCallback = std::function<void(MetricId, Time, double)>;
 using SubscriptionId = std::uint64_t;
 
 class MetricBus {
  public:
-  /// Publish a sample.  Fans out to matching subscribers synchronously,
-  /// each receiving the bus's own key for the sample (valid for the
-  /// bus's lifetime).
+  /// Id for (site, name), registering the key if unseen.
+  MetricId resolve(const std::string& site, const std::string& name);
+  /// Id for (site, name) if already resolved; invalid otherwise.
+  [[nodiscard]] MetricId find(const std::string& site,
+                              const std::string& name) const;
+  /// The key of a resolved id (valid for the bus's lifetime).
+  [[nodiscard]] const MetricKey& key(MetricId id) const {
+    assert(id.valid() && id.value() < entries_.size());
+    return entries_[id.value()].key;
+  }
+
+  /// Publish a sample.  Fans out to matching subscribers synchronously.
+  void publish(MetricId id, Time t, double value);
+  /// Resolve-then-publish, for producers that publish a key rarely.
   void publish(const std::string& site, const std::string& name, Time t,
                double value);
 
@@ -50,8 +71,9 @@ class MetricBus {
                            MetricCallback cb);
   void unsubscribe(SubscriptionId id);
 
-  /// Distinct (site, name) keys ever published.
-  [[nodiscard]] std::size_t key_count() const { return entries_.size(); }
+  /// Distinct (site, name) keys ever published (resolved keys that never
+  /// carried a sample do not count).
+  [[nodiscard]] std::size_t key_count() const { return published_keys_; }
   [[nodiscard]] std::uint64_t published() const { return published_; }
 
  private:
@@ -67,21 +89,21 @@ class MetricBus {
   /// so steady-state publishes skip a per-publish pattern scan.
   struct Entry {
     MetricKey key;
+    bool published = false;
     std::uint64_t sub_epoch = 0;  ///< 0 = fan-out never built
     std::vector<const Subscriber*> fanout;
   };
 
-  Entry& entry_for(const std::string& site, const std::string& name);
   void rebuild_fanout(Entry& e) const;
 
   /// Private interners for bus keys (sites here include non-fabric
   /// labels like VO names, so the bus does not share the grid registry).
   core::Interner<core::SiteId> site_ids_;
   core::Interner<core::ServiceId> name_ids_;
-  /// (site id << 32 | name id) -> index into entries_.
+  /// (site id << 32 | name id) -> MetricId value.
   std::unordered_map<std::uint64_t, std::uint32_t> index_;
-  /// Entries in first-publish order; a deque so growth never moves the
-  /// keys handed to subscribers.
+  /// Entries in resolve order, indexed by MetricId; a deque so growth
+  /// never moves the keys `key()` hands out.
   std::deque<Entry> entries_;
   std::deque<Subscriber> subscribers_;  ///< stable; tombstoned, not erased
   SubscriptionId next_sub_ = 1;
@@ -89,6 +111,7 @@ class MetricBus {
   /// rebuild their fan-out on next publish.
   std::uint64_t sub_epoch_ = 1;
   std::uint64_t published_ = 0;
+  std::size_t published_keys_ = 0;
 };
 
 }  // namespace grid3::monitoring

@@ -13,23 +13,31 @@ constexpr Time kStaleAfter = Time::minutes(10);
 void GangliaGmond::sample(Time now) {
   if (!up_) return;
   ++samples_;
+  if (!ids_.heartbeat.valid()) {
+    ids_ = {bus_.resolve(site_, gmetric::kCpuLoad),
+            bus_.resolve(site_, gmetric::kCpusTotal),
+            bus_.resolve(site_, gmetric::kCpusBusy),
+            bus_.resolve(site_, gmetric::kDiskFreeGb),
+            bus_.resolve(site_, gmetric::kNetInMbps),
+            bus_.resolve(site_, gmetric::kNetOutMbps),
+            bus_.resolve(site_, gmetric::kHeartbeat)};
+  }
   const HostMetrics m = source_();
-  bus_.publish(site_, gmetric::kCpuLoad, now, m.load_one);
-  bus_.publish(site_, gmetric::kCpusTotal, now,
-               static_cast<double>(m.cpus_total));
-  bus_.publish(site_, gmetric::kCpusBusy, now,
-               static_cast<double>(m.cpus_busy));
-  bus_.publish(site_, gmetric::kDiskFreeGb, now, m.disk_free_gb);
-  bus_.publish(site_, gmetric::kNetInMbps, now, m.net_in_mbps);
-  bus_.publish(site_, gmetric::kNetOutMbps, now, m.net_out_mbps);
-  bus_.publish(site_, gmetric::kHeartbeat, now, 1.0);
+  bus_.publish(ids_.cpu_load, now, m.load_one);
+  bus_.publish(ids_.cpus_total, now, static_cast<double>(m.cpus_total));
+  bus_.publish(ids_.cpus_busy, now, static_cast<double>(m.cpus_busy));
+  bus_.publish(ids_.disk_free_gb, now, m.disk_free_gb);
+  bus_.publish(ids_.net_in_mbps, now, m.net_in_mbps);
+  bus_.publish(ids_.net_out_mbps, now, m.net_out_mbps);
+  bus_.publish(ids_.heartbeat, now, 1.0);
 }
 
 GangliaGmetad::GangliaGmetad(MetricBus& bus)
     : bus_{bus},
+      history_{bus},
       sub_{bus_.subscribe("*", "ganglia.*",
-                          [this](const MetricKey& key, Time t, double value) {
-                            history_.append(key, t, value);
+                          [this](MetricId id, Time t, double value) {
+                            history_.append(id, t, value);
                           })} {}
 
 GangliaGmetad::~GangliaGmetad() { bus_.unsubscribe(sub_); }
@@ -38,7 +46,7 @@ GangliaGmetad::GridSummary GangliaGmetad::summarize(Time now) const {
   GridSummary s;
   history_.for_each(gmetric::kHeartbeat, [&](const MetricKey& key,
                                              const util::TimeSeries& beat) {
-    if (now - beat.points().back().t > kStaleAfter) {
+    if (now - beat.latest().t > kStaleAfter) {
       s.missing_sites.push_back(key.site);
       return;
     }
@@ -46,7 +54,7 @@ GangliaGmetad::GridSummary GangliaGmetad::summarize(Time now) const {
     const auto latest = [&](const char* metric) -> std::optional<double> {
       const util::TimeSeries& series = history_.series(key.site, metric);
       if (series.empty()) return std::nullopt;
-      return series.points().back().value;
+      return series.latest().value;
     };
     if (auto v = latest(gmetric::kCpusTotal)) {
       s.cpus_total += static_cast<int>(*v);

@@ -38,7 +38,9 @@ struct HostMetrics {
 
 using MetricsSource = std::function<HostMetrics()>;
 
-/// Per-site collector daemon.
+/// Per-site collector daemon.  Resolves its metric keys on its first
+/// sampling round, not at construction, so building a site interns
+/// nothing; every round publishes by id.
 class GangliaGmond {
  public:
   GangliaGmond(std::string site, MetricBus& bus, MetricsSource source)
@@ -58,6 +60,11 @@ class GangliaGmond {
   std::string site_;
   MetricBus& bus_;
   MetricsSource source_;
+  /// This site's gmetric keys; invalid until the first round.
+  struct Ids {
+    MetricId cpu_load, cpus_total, cpus_busy, disk_free_gb, net_in_mbps,
+        net_out_mbps, heartbeat;
+  } ids_;
   bool up_ = true;
   std::uint64_t samples_ = 0;
 };

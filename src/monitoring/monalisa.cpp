@@ -1,62 +1,72 @@
 #include "monitoring/monalisa.h"
 
-#include <algorithm>
-
 namespace grid3::monitoring {
 namespace {
 
 /// Width of the slot a read averages over: one site sweep period.
 constexpr Time kSlot = Time::minutes(5);
 
-/// Running average of the samples in t's slot, accumulated in arrival
-/// order.
-std::optional<double> slot_average(const util::TimeSeries& series, Time t) {
-  const Time lo = Time::micros(t.ticks() / kSlot.ticks() * kSlot.ticks());
-  const Time hi = lo + kSlot;
-  const auto& points = series.points();
-  auto it = std::lower_bound(
-      points.begin(), points.end(), lo,
-      [](const util::TimePoint& p, Time bound) { return p.t < bound; });
-  double average = 0.0;
-  double count = 0.0;
-  for (; it != points.end() && it->t < hi; ++it) {
-    average = (average * count + it->value) / (count + 1.0);
-    count += 1.0;
-  }
-  if (count == 0.0) return std::nullopt;
-  return average;
+Time slot_start(Time t) {
+  return Time::micros(t.ticks() / kSlot.ticks() * kSlot.ticks());
 }
 
 }  // namespace
+
+void MonalisaRepository::SlotAverage::add(Time t, double value) {
+  const Time start = slot_start(t);
+  if (count == 0.0 || start != slot) {
+    slot = start;
+    average = count = 0.0;
+  } else if (t == last) {
+    average = prior_average;
+    count = prior_count;
+  }
+  last = t;
+  prior_average = average;
+  prior_count = count;
+  average = (average * count + value) / (count + 1.0);
+  count += 1.0;
+}
+
+std::optional<double> MonalisaRepository::SlotAverage::at(Time t) const {
+  if (count == 0.0 || slot_start(t) != slot) return std::nullopt;
+  return average;
+}
 
 std::string vo_metric(const char* base, const std::string& vo) {
   return std::string{base} + "." + vo;
 }
 
-void MonalisaAgent::report(const std::string& metric, Time now,
-                           double value) {
+void MonalisaAgent::report(MetricId metric, Time now, double value) {
   if (!up_) return;
   ++reports_;
-  bus_.publish(site_, metric, now, value);
+  bus_.publish(metric, now, value);
+}
+
+void MonalisaAgent::report(const std::string& metric, Time now,
+                           double value) {
+  report(resolve(metric), now, value);
 }
 
 MonalisaRepository::MonalisaRepository(MetricBus& bus)
     : bus_{bus},
+      history_{bus},
       // One prefix subscription covers the fixed names and every per-VO
       // key agents mint later.
       sub_{bus_.subscribe("*", "monalisa.*",
-                          [this](const MetricKey& key, Time t, double value) {
-                            ingest(key, t, value);
+                          [this](MetricId id, Time t, double value) {
+                            ingest(id, t, value);
                           })} {}
 
 MonalisaRepository::~MonalisaRepository() { bus_.unsubscribe(sub_); }
 
-void MonalisaRepository::ingest(const MetricKey& key, Time t, double value) {
+void MonalisaRepository::ingest(MetricId id, Time t, double value) {
   if (!up_) {
     ++dropped_;
     return;
   }
-  history_.append(key, t, value);
+  history_.append(id, t, value);
+  slots_.at_or_grow(id).add(t, value);
   ++updates_;
 }
 
@@ -64,17 +74,17 @@ std::optional<double> MonalisaRepository::read(const std::string& site,
                                                const std::string& metric,
                                                Time t) const {
   if (!up_) return std::nullopt;
-  return slot_average(history_.series(site, metric), t);
+  const SlotAverage* slot = slots_.find(bus_.find(site, metric));
+  return slot == nullptr ? std::nullopt : slot->at(t);
 }
 
 double MonalisaRepository::grid_total(const std::string& metric,
                                       Time t) const {
   if (!up_) return 0.0;
   double total = 0.0;
-  history_.for_each(metric,
-                    [&](const MetricKey&, const util::TimeSeries& series) {
-                      if (auto v = slot_average(series, t)) total += *v;
-                    });
+  for (MetricId id : history_.matching(metric)) {
+    if (auto v = slots_.find(id)->at(t)) total += *v;
+  }
   return total;
 }
 

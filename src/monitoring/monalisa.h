@@ -2,15 +2,17 @@
 //
 // Site agents watch local sources (GRAM logs, job queues, Ganglia
 // metrics) and stream VO-tagged activity to the central repository at
-// the iGOC, which keeps every sample it receives and serves queries as
-// 5-minute averages, the finest view of the paper's "round robin-like
-// database".  The repository path is deliberately *redundant* with the
-// Ganglia/ACDC paths -- "permitting crosschecks on the data collected".
+// the iGOC, which keeps the step series of every key it receives and
+// serves the current 5-minute average, the finest view of the paper's
+// "round robin-like database".  The repository path is deliberately
+// *redundant* with the Ganglia/ACDC paths -- "permitting crosschecks on
+// the data collected".
 #pragma once
 
 #include <optional>
 #include <string>
 
+#include "core/ids.h"
 #include "monitoring/bus.h"
 #include "monitoring/metric_store.h"
 #include "util/units.h"
@@ -37,7 +39,14 @@ class MonalisaAgent {
 
   [[nodiscard]] const std::string& site() const { return site_; }
 
+  /// Id of one of this site's metrics, for the id-taking report().
+  [[nodiscard]] MetricId resolve(const std::string& metric) {
+    return bus_.resolve(site_, metric);
+  }
+
   /// Report one observation (called by the site model's sampling loop).
+  void report(MetricId metric, Time now, double value);
+  /// Resolve-then-report.
   void report(const std::string& metric, Time now, double value);
 
   void set_available(bool up) { up_ = up; }
@@ -51,8 +60,9 @@ class MonalisaAgent {
   std::uint64_t reports_ = 0;
 };
 
-/// Central repository: subscribes to MonALISA metrics on the bus and
-/// keeps the exact series of every sample it ingests, one per key.
+/// Central repository: subscribes to MonALISA metrics on the bus, keeps
+/// the step series of every key it ingests, and keeps a running average
+/// of each key's latest 5-minute slot.
 class MonalisaRepository {
  public:
   explicit MonalisaRepository(MetricBus& bus);
@@ -61,12 +71,14 @@ class MonalisaRepository {
   MonalisaRepository& operator=(const MonalisaRepository&) = delete;
 
   /// Average of the (site, metric) samples in the 5-minute slot holding
-  /// t; nullopt when that slot holds none.
+  /// t.  Only the key's latest slot with samples is kept: nullopt when t
+  /// falls in any other slot (a past one, or one with no samples yet).
   [[nodiscard]] std::optional<double> read(const std::string& site,
                                            const std::string& metric,
                                            Time t) const;
 
-  /// Sum across sites of read(site, metric, t).
+  /// Sum across sites of read(site, metric, t), with the same
+  /// latest-slot-only rule.
   [[nodiscard]] double grid_total(const std::string& metric, Time t) const;
 
   /// Sum over the keys whose name matches `pattern` (see name_matches)
@@ -88,11 +100,27 @@ class MonalisaRepository {
   [[nodiscard]] std::uint64_t dropped_updates() const { return dropped_; }
 
  private:
-  void ingest(const MetricKey& key, Time t, double value);
+  /// Running average of the samples in a key's latest slot, in arrival
+  /// order; a second sample at the same instant replaces the first.
+  struct SlotAverage {
+    Time slot;  ///< start of the slot
+    Time last;  ///< instant of the latest sample
+    double average = 0.0;
+    double count = 0.0;  ///< 0 = no sample yet
+    /// The average and count before the latest sample.
+    double prior_average = 0.0;
+    double prior_count = 0.0;
+
+    void add(Time t, double value);
+    [[nodiscard]] std::optional<double> at(Time t) const;
+  };
+
+  void ingest(MetricId id, Time t, double value);
 
   MetricBus& bus_;
   bool up_ = true;
   MetricStore history_;
+  core::IdMap<MetricId, SlotAverage> slots_;
   SubscriptionId sub_;
   std::uint64_t updates_ = 0;
   std::uint64_t dropped_ = 0;

@@ -1,17 +1,27 @@
 #include "util/timeseries.h"
 
 #include <algorithm>
+#include <bit>
 #include <cassert>
+#include <cstdint>
 
 namespace grid3::util {
+namespace {
+
+bool same_value(double a, double b) {
+  return std::bit_cast<std::uint64_t>(a) == std::bit_cast<std::uint64_t>(b);
+}
+
+}  // namespace
 
 void TimeSeries::append(Time t, double value) {
-  assert(points_.empty() || t >= points_.back().t);
-  if (!points_.empty() && points_.back().t == t) {
-    points_.back().value = value;  // same-instant update wins
-    return;
+  assert(points_.empty() || t >= latest_.t);
+  // Same-instant update wins: a stored point at t is replaced.
+  if (!points_.empty() && points_.back().t == t) points_.pop_back();
+  latest_ = {t, value};
+  if (points_.empty() || !same_value(points_.back().value, value)) {
+    points_.push_back(latest_);
   }
-  points_.push_back({t, value});
 }
 
 double TimeSeries::at(Time t) const {

@@ -17,13 +17,26 @@ struct TimePoint {
 
 /// A step-function time series: value(t) holds from each sample until the
 /// next.  Samples must be appended in non-decreasing time order.
+///
+/// The series is step-compressed: a sample whose value is bit-identical
+/// to the previous stored point's extends that step instead of adding a
+/// point, so a gauge that holds for hours costs one point.  `at` and
+/// `max_over` answer exactly as over every sample; `integrate` may differ
+/// in the last ulp where two equal segments merged.
 class TimeSeries {
  public:
+  /// Record a sample.  A second sample at the latest sample's instant
+  /// replaces it.
   void append(Time t, double value);
 
   [[nodiscard]] bool empty() const { return points_.empty(); }
+  /// Stored points: the change points of the step function.
   [[nodiscard]] std::size_t size() const { return points_.size(); }
   [[nodiscard]] const std::vector<TimePoint>& points() const { return points_; }
+
+  /// The most recent sample, including one that repeated the previous
+  /// value and so added no point.  Requires !empty().
+  [[nodiscard]] const TimePoint& latest() const { return latest_; }
 
   /// Step-function value at time t (0 before the first sample).
   [[nodiscard]] double at(Time t) const;
@@ -46,6 +59,7 @@ class TimeSeries {
 
  private:
   std::vector<TimePoint> points_;
+  TimePoint latest_;
 };
 
 /// A counter series for discrete events (jobs completed, bytes moved):

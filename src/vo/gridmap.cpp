@@ -12,14 +12,6 @@ bool GridMapFile::supports_vo(const std::string& vo) const {
   return policy_.contains(vo);
 }
 
-std::vector<std::string> GridMapFile::supported_vos() const {
-  std::vector<std::string> out;
-  out.reserve(policy_.size());
-  for (const auto& [vo, account] : policy_) out.push_back(vo);
-  std::sort(out.begin(), out.end());
-  return out;
-}
-
 std::size_t GridMapFile::regenerate(
     const std::vector<const VomsServer*>& servers, Time now) {
   std::unordered_map<std::string, GroupAccount> fresh;

@@ -31,7 +31,6 @@ class GridMapFile {
   /// Declare which VOs the site supports and the account each maps to.
   void support_vo(const std::string& vo, GroupAccount account);
   [[nodiscard]] bool supports_vo(const std::string& vo) const;
-  [[nodiscard]] std::vector<std::string> supported_vos() const;
 
   /// Regenerate from the given VOMS servers (edg-mkgridmap).  Servers for
   /// unsupported VOs are ignored; unavailable servers leave that VO's

@@ -15,7 +15,7 @@ class BusProbe {
            const std::string& name)
       : bus_{bus},
         id_{bus.subscribe(site, name,
-                          [this](const monitoring::MetricKey&, Time,
+                          [this](monitoring::MetricId, Time,
                                  double value) {
                             ++samples_;
                             last_ = value;

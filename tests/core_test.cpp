@@ -157,6 +157,32 @@ TEST_F(FabricTest, SharedSiteCarriesLocalLoad) {
   EXPECT_EQ(site.grid_jobs_running(), 0);
 }
 
+TEST_F(FabricTest, GridJobsRunningIgnoresQueuedLocalJobs) {
+  grid.add_vo("ivdgl");
+  SiteConfig cfg;
+  cfg.name = "SMALL";
+  cfg.owner_vo = "ivdgl";
+  cfg.cpus = 4;
+  cfg.policy.dedicated = false;
+  cfg.policy.local_load = 0.5;
+  Site& site = grid.add_site(cfg, 1000.0);
+  // Grid jobs fill every slot before the local-load loop first fires
+  // (within its first 30 minutes).
+  for (int i = 0; i < cfg.cpus; ++i) {
+    batch::JobRequest req;
+    req.vo = "ivdgl";
+    req.user_dn = "/CN=grid";
+    req.requested_walltime = Time::hours(48);
+    req.actual_runtime = Time::hours(24);
+    ASSERT_TRUE(site.scheduler().submit(req, {}).accepted);
+  }
+  sim.run_until(Time::minutes(31));
+  // The local top-up waits behind them and runs nothing yet.
+  EXPECT_EQ(site.scheduler().queued_for_vo("local"), 2u);
+  EXPECT_EQ(site.scheduler().running_for_vo("local"), 0);
+  EXPECT_EQ(site.grid_jobs_running(), cfg.cpus);
+}
+
 TEST_F(FabricTest, SiteCatalogSweepTracksOutages) {
   grid.add_vo("usatlas");
   SiteConfig cfg;

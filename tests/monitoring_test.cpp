@@ -18,33 +18,53 @@ namespace {
 
 TEST(MetricBus, PublishLatestSeries) {
   // The bus keeps no samples: a subscriber sees each one in order, with
-  // the bus's own key for it.
+  // the key's id, which names the key.
   MetricBus bus;
   std::vector<double> seen;
-  const MetricKey* delivered = nullptr;
-  bus.subscribe("BNL", "m", [&](const MetricKey& key, Time, double value) {
-    EXPECT_EQ(key, (MetricKey{"BNL", "m"}));
-    if (delivered == nullptr) delivered = &key;
-    EXPECT_EQ(&key, delivered);
+  std::vector<MetricId> ids;
+  bus.subscribe("BNL", "m", [&](MetricId id, Time, double value) {
+    EXPECT_EQ(bus.key(id), (MetricKey{"BNL", "m"}));
+    ids.push_back(id);
     seen.push_back(value);
   });
   bus.publish("BNL", "m", Time::seconds(1), 10.0);
   bus.publish("BNL", "m", Time::seconds(2), 20.0);
   bus.publish("BNL", "other", Time::seconds(2), 30.0);
   EXPECT_EQ(seen, (std::vector<double>{10.0, 20.0}));
+  ASSERT_EQ(ids.size(), 2u);
+  EXPECT_EQ(ids[0], ids[1]);
   EXPECT_EQ(bus.published(), 3u);
   EXPECT_EQ(bus.key_count(), 2u);
+}
+
+TEST(MetricBus, ResolvedIdsPublishLikeStrings) {
+  MetricBus bus;
+  std::vector<double> seen;
+  bus.subscribe("*", "m", [&](MetricId, Time, double value) {
+    seen.push_back(value);
+  });
+  const MetricId id = bus.resolve("BNL", "m");
+  EXPECT_EQ(bus.resolve("BNL", "m"), id);
+  EXPECT_EQ(bus.find("BNL", "m"), id);
+  EXPECT_FALSE(bus.find("BNL", "never").valid());
+  // A resolved key counts once it carries a sample.
+  EXPECT_EQ(bus.key_count(), 0u);
+  bus.publish(id, Time::seconds(1), 1.0);
+  bus.publish("BNL", "m", Time::seconds(2), 2.0);
+  EXPECT_EQ(seen, (std::vector<double>{1.0, 2.0}));
+  EXPECT_EQ(bus.key_count(), 1u);
+  EXPECT_EQ(bus.published(), 2u);
 }
 
 TEST(MetricBus, SubscriptionExactAndWildcards) {
   MetricBus bus;
   int exact = 0, any_site = 0, prefix = 0;
   bus.subscribe("BNL", "m.x",
-                [&](const MetricKey&, Time, double) { ++exact; });
+                [&](MetricId, Time, double) { ++exact; });
   bus.subscribe("*", "m.x",
-                [&](const MetricKey&, Time, double) { ++any_site; });
+                [&](MetricId, Time, double) { ++any_site; });
   bus.subscribe("*", "m.*",
-                [&](const MetricKey&, Time, double) { ++prefix; });
+                [&](MetricId, Time, double) { ++prefix; });
   bus.publish("BNL", "m.x", Time::zero(), 1.0);
   bus.publish("FNAL", "m.x", Time::zero(), 1.0);
   bus.publish("BNL", "m.y", Time::zero(), 1.0);
@@ -57,7 +77,7 @@ TEST(MetricBus, UnsubscribeStopsDelivery) {
   MetricBus bus;
   int calls = 0;
   const auto id =
-      bus.subscribe("*", "m", [&](const MetricKey&, Time, double) { ++calls; });
+      bus.subscribe("*", "m", [&](MetricId, Time, double) { ++calls; });
   bus.publish("a", "m", Time::zero(), 1.0);
   bus.unsubscribe(id);
   bus.publish("a", "m", Time::zero(), 1.0);
@@ -77,10 +97,8 @@ TEST(Ganglia, GmondPublishesAllMetrics) {
                      }};
   gmond.sample(Time::minutes(5));
   const MetricStore& history = gmetad.history();
-  EXPECT_EQ(history.series("BNL", gmetric::kCpusTotal).points().back().value,
-            360.0);
-  EXPECT_EQ(history.series("BNL", gmetric::kCpusBusy).points().back().value,
-            100.0);
+  EXPECT_EQ(history.series("BNL", gmetric::kCpusTotal).latest().value, 360.0);
+  EXPECT_EQ(history.series("BNL", gmetric::kCpusBusy).latest().value, 100.0);
   EXPECT_FALSE(history.series("BNL", gmetric::kHeartbeat).empty());
   gmond.set_available(false);
   gmond.sample(Time::minutes(10));
@@ -176,7 +194,9 @@ TEST(Monalisa, ReadServesTheSlotAverageTheBrokerRanksOn) {
   EXPECT_EQ(repo.read("BNL", load, Time::minutes(7)), 40.0);
   agent.report(load, Time::minutes(8), 60.0);
   EXPECT_EQ(repo.read("BNL", load, Time::minutes(8)), 50.0);
-  EXPECT_EQ(repo.read("BNL", load, Time::minutes(2)), 100.0);
+  // Only the latest slot with samples is kept: a past slot answers
+  // nothing.
+  EXPECT_FALSE(repo.read("BNL", load, Time::minutes(2)).has_value());
   // A down repository answers nothing.
   repo.set_available(false);
   EXPECT_FALSE(repo.read("BNL", load, Time::minutes(9)).has_value());
@@ -186,6 +206,32 @@ TEST(Monalisa, ReadServesTheSlotAverageTheBrokerRanksOn) {
   repo.set_available(true);
   EXPECT_EQ(repo.dropped_updates(), 1u);
   EXPECT_FALSE(repo.read("BNL", load, Time::minutes(13)).has_value());
+}
+
+TEST(Monalisa, SameInstantSampleReplacesTheFirstInTheSlotAverage) {
+  MetricBus bus;
+  MonalisaRepository repo{bus};
+  MonalisaAgent agent{"BNL", bus};
+  const MetricId load = agent.resolve(mlmetric::kGatekeeperLoad);
+  agent.report(load, Time::minutes(1), 10.0);
+  agent.report(load, Time::minutes(2), 20.0);
+  EXPECT_EQ(repo.read("BNL", mlmetric::kGatekeeperLoad, Time::minutes(2)),
+            15.0);
+  // A second sample at minute 2 replaces the first: (10 + 40) / 2.
+  agent.report(load, Time::minutes(2), 40.0);
+  EXPECT_EQ(repo.read("BNL", mlmetric::kGatekeeperLoad, Time::minutes(2)),
+            25.0);
+  // So does a third, and later samples average with the survivor.
+  agent.report(load, Time::minutes(2), 10.0);
+  agent.report(load, Time::minutes(3), 40.0);
+  EXPECT_EQ(repo.read("BNL", mlmetric::kGatekeeperLoad, Time::minutes(3)),
+            20.0);
+  // The first sample of a slot replaces nothing from the slot before.
+  agent.report(load, Time::minutes(5), 7.0);
+  EXPECT_EQ(repo.read("BNL", mlmetric::kGatekeeperLoad, Time::minutes(5)),
+            7.0);
+  EXPECT_EQ(agent.reports(), 6u);
+  EXPECT_EQ(repo.updates(), 6u);
 }
 
 TEST(Monalisa, DownAgentReportsNothing) {
