@@ -36,21 +36,23 @@ struct Outcome {
 Outcome run_mode(broker::PolicyKind kind) {
   // The base scenario is the catalog's sc2003-demo entry (two historical
   // months covering the conference burst; quick mode keeps both months
-  // and thins the workload).  Only the placement mode under test varies.
-  const workload::ScenarioSpec spec =
+  // and thins the workload), run with leases and without health
+  // breakers.  Only the placement mode under test varies.
+  workload::ScenarioSpec spec =
       workload::ScenarioCatalog::get("sc2003-demo", bench::seed());
-  sim::Simulation sim;
-  apps::ScenarioOptions opts = spec.options(bench::quick());
-  opts.job_scale *= bench::job_scale();
-  opts.cpu_scale = bench::cpu_scale();
-  opts.broker_policy = kind;
+  spec.job_scale *= bench::job_scale();
+  spec.cpu_scale = bench::cpu_scale();
+  workload::StackConfig stack;
+  stack.policy = kind;
+  stack.health_breakers = false;
   std::cout << "[mode " << broker::to_string(kind) << "] running ... "
             << std::flush;
-  apps::Scenario scenario{sim, opts};
-  scenario.run();
+  workload::CatalogRun run{spec, bench::quick(), stack};
+  run.run();
 
   Outcome out;
-  auto& grid = scenario.grid();
+  auto& grid = run.grid();
+  sim::Simulation& sim = run.sim();
   const auto& db = grid.igoc().job_db();
   const auto fs = db.failures("", Time::zero(), sim.now());
   out.jobs = fs.total;

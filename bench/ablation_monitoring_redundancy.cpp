@@ -25,8 +25,8 @@ int main() {
   // breaker, must be what notices the loss.
   workload::ScenarioSpec spec =
       workload::ScenarioCatalog::get("calib-month", bench::seed());
-  spec.base.job_scale *= bench::job_scale();
-  spec.base.cpu_scale = bench::cpu_scale();
+  spec.job_scale *= bench::job_scale();
+  spec.cpu_scale = bench::cpu_scale();
   workload::StackConfig stack;
   stack.health_breakers = false;
 
@@ -37,7 +37,7 @@ int main() {
     // Let the grid warm up, then stop the monitor loop at a fraction of
     // sites, exactly like a wedged host daemon.
     run.run_until(Time::days(3));
-    auto& sites = run.scenario().grid().sites();
+    auto& sites = run.grid().sites();
     const auto kill_count =
         static_cast<std::size_t>(kill_fraction * sites.size());
     for (std::size_t i = 0; i < kill_count; ++i) {
@@ -45,12 +45,12 @@ int main() {
     }
     run.run();
 
-    const auto viewer = run.scenario().viewer();
+    const auto viewer = run.viewer();
     const Time from = Time::days(4);
     const Time to = run.sim().now();
     const double acdc = viewer.concurrency(from, to).time_average(from, to);
     const double monalisa =
-        run.scenario().grid().igoc().ml_repository().average_total(
+        run.grid().igoc().ml_repository().average_total(
             monitoring::vo_metric(monitoring::mlmetric::kVoJobsRunning, "*"),
             from, to);
     table.add_row({util::AsciiTable::percent(kill_fraction, 0),

@@ -17,8 +17,8 @@
 #include <memory>
 #include <string>
 
-#include "apps/scenario.h"
 #include "util/table.h"
+#include "workload/catalog.h"
 
 namespace grid3::bench {
 
@@ -45,32 +45,24 @@ inline T quick_or(T full, T reduced) {
   return quick() ? reduced : full;
 }
 
-/// A scenario run bundled with its simulation clock.
-struct ScenarioRun {
-  sim::Simulation sim;
-  std::unique_ptr<apps::Scenario> scenario;
-
-  apps::Scenario& operator*() { return *scenario; }
-  apps::Scenario* operator->() { return scenario.get(); }
-};
-
-/// Run `months` of Grid2003 operations at the configured scales.
-inline std::unique_ptr<ScenarioRun> run_scenario(int months) {
-  auto run = std::make_unique<ScenarioRun>();
-  apps::ScenarioOptions opts;
-  opts.months = months;
-  opts.job_scale = job_scale();
-  opts.cpu_scale = cpu_scale();
-  opts.seed = seed();
+/// Run the first `months` of the catalog's table1-7month scenario (the
+/// historical demonstrator mix) at the configured scales, under the
+/// paper's favorite-sites stack: no broker, no leases, no breakers.
+inline std::unique_ptr<workload::CatalogRun> run_scenario(int months) {
+  workload::ScenarioSpec spec =
+      workload::ScenarioCatalog::get("table1-7month", seed());
+  spec.months = months;
+  spec.job_scale = job_scale();
+  spec.cpu_scale = cpu_scale();
   std::cout << "[scenario] months=" << months
-            << " job_scale=" << opts.job_scale
-            << " cpu_scale=" << opts.cpu_scale << " seed=" << opts.seed
+            << " job_scale=" << spec.job_scale
+            << " cpu_scale=" << spec.cpu_scale << " seed=" << spec.seed
             << " ... " << std::flush;
-  run->scenario = std::make_unique<apps::Scenario>(run->sim, opts);
-  run->scenario->run();
-  std::cout << "done (" << run->sim.executed() << " events, "
-            << run->scenario->grid().igoc().job_db().size()
-            << " job records)\n\n";
+  auto run = std::make_unique<workload::CatalogRun>(
+      spec, /*quick=*/false, workload::legacy_stack());
+  run->run();
+  std::cout << "done (" << run->sim().executed() << " events, "
+            << run->grid().igoc().job_db().size() << " job records)\n\n";
   return run;
 }
 

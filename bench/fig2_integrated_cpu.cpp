@@ -11,8 +11,8 @@ int main() {
                 "Figure 2, section 6");
 
   auto run = bench::run_scenario(/*months=*/2);
-  const auto viewer = (*run)->viewer();
-  const auto w = apps::sc2003_window();
+  const auto viewer = run->viewer();
+  const auto w = workload::sc2003_window();
   auto fig2 = viewer.integrated_cpu_days_by_vo(w.from, w.to);
   // Drop local (non-grid) load from the figure, as the paper's did.
   std::erase_if(fig2, [](const auto& p) { return p.first == "local"; });

@@ -14,8 +14,8 @@ int main() {
       "Figure 3, section 6");
 
   auto run = bench::run_scenario(/*months=*/2);
-  const auto viewer = (*run)->viewer();
-  const auto w = apps::sc2003_window();
+  const auto viewer = run->viewer();
+  const auto w = workload::sc2003_window();
   constexpr std::size_t kBins = 30;  // daily bins over the 30-day window
   auto by_vo = viewer.differential_cpu_by_vo(w.from, w.to, kBins);
   by_vo.erase("local");  // the paper's figure shows grid usage only

@@ -11,8 +11,8 @@ int main() {
                 "Figure 4, section 6.2");
 
   auto run = bench::run_scenario(/*months=*/6);
-  const auto viewer = (*run)->viewer();
-  const auto w = apps::cms150_window();
+  const auto viewer = run->viewer();
+  const auto w = workload::cms150_window();
   const auto by_site = viewer.cpu_days_by_site("uscms", w.from, w.to);
 
   std::cout << util::bar_chart(by_site, 48, "CPU-days") << "\n";

@@ -12,8 +12,8 @@ int main() {
                 "Figure 5, section 6.3");
 
   auto run = bench::run_scenario(/*months=*/2);
-  const auto& db = (*run)->grid().igoc().job_db();
-  const auto w = apps::sc2003_window();
+  const auto& db = run->grid().igoc().job_db();
+  const auto w = workload::sc2003_window();
 
   const auto by_vo = db.bytes_consumed_by_vo(w.from, w.to);
   util::AsciiTable table{{"VO", "total TB", "demonstrator TB", "app TB"}};

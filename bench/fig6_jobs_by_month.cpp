@@ -15,7 +15,7 @@ int main() {
 
   constexpr int kMonths = 7;  // Oct 2003 .. Apr 2004
   auto run = bench::run_scenario(kMonths);
-  const auto jobs = (*run)->viewer().jobs_by_month(kMonths);
+  const auto jobs = run->viewer().jobs_by_month(kMonths);
   const auto labels = util::month_labels(kMonths);
 
   std::vector<std::pair<std::string, double>> chart;

@@ -36,26 +36,28 @@ struct CampaignResult {
 CampaignResult run_campaign() {
   // The campaign is the catalog's grid30-2month entry: the paper's full
   // job volume (scale 1.0) on the 10x fabric for two months -- heavy
-  // enough to exercise tens of thousands of match cycles.
-  const workload::ScenarioSpec spec =
+  // enough to exercise tens of thousands of match cycles.  It runs
+  // under queue-depth brokers with leases and without health breakers.
+  workload::ScenarioSpec spec =
       workload::ScenarioCatalog::get("grid30-2month", bench::seed());
-  apps::ScenarioOptions opts = spec.options(bench::quick());
-  opts.job_scale *= bench::job_scale();
-  opts.cpu_scale = bench::cpu_scale();
-  std::cout << "[campaign] months=" << opts.months
-            << " job_scale=" << opts.job_scale
-            << " replicas=" << opts.roster_replicas << " ... " << std::flush;
+  spec.job_scale *= bench::job_scale();
+  spec.cpu_scale = bench::cpu_scale();
+  workload::StackConfig stack;
+  stack.health_breakers = false;
 
-  sim::Simulation sim;
   const auto start = std::chrono::steady_clock::now();
-  apps::Scenario scenario{sim, opts};
-  auto& grid = scenario.grid();
+  workload::CatalogRun run{spec, bench::quick(), stack};
+  std::cout << "[campaign] months=" << run.months()
+            << " job_scale=" << run.job_scale()
+            << " replicas=" << spec.roster_replicas << " ... " << std::flush;
+  auto& grid = run.grid();
   CampaignResult out;
   out.sites = grid.sites().size();
   out.total_cpus = grid.total_cpus();
-  scenario.run();
+  run.run();
   const std::chrono::duration<double> elapsed =
       std::chrono::steady_clock::now() - start;
+  sim::Simulation& sim = run.sim();
 
   out.wall_seconds = elapsed.count();
   out.events_per_sec =
@@ -86,7 +88,7 @@ CampaignResult run_campaign() {
   table.print(std::cout);
 
   std::cout << "\nFigure 2 (shape): integrated CPU-days by VO:\n";
-  const monitoring::MdViewer viewer = scenario.viewer();
+  const monitoring::MdViewer viewer = run.viewer();
   for (const auto& [vo, days] :
        viewer.integrated_cpu_days_by_vo(Time::zero(), to)) {
     std::cout << "  " << vo << ": " << AsciiTable::num(days, 1) << "\n";

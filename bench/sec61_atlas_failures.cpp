@@ -13,10 +13,10 @@ int main() {
                 "section 6.1 narrative metrics");
 
   auto run = bench::run_scenario(/*months=*/4);
-  const auto& db = (*run)->grid().igoc().job_db();
-  const auto f = db.failures("usatlas", Time::zero(), run->sim.now());
+  const auto& db = run->grid().igoc().job_db();
+  const auto f = db.failures("usatlas", Time::zero(), run->sim().now());
   const auto stats =
-      db.stats_for("usatlas", Time::zero(), run->sim.now());
+      db.stats_for("usatlas", Time::zero(), run->sim().now());
 
   util::AsciiTable table{{"metric", "paper", "measured"}};
   table.add_row({"jobs processed", ">5000 (through Apr: 7455)",

@@ -14,9 +14,9 @@ int main() {
                 "section 6.2 narrative metrics");
 
   auto run = bench::run_scenario(/*months=*/6);
-  const auto& db = (*run)->grid().igoc().job_db();
-  const auto f = db.failures("uscms", Time::zero(), run->sim.now());
-  const auto stats = db.stats_for("uscms", Time::zero(), run->sim.now());
+  const auto& db = run->grid().igoc().job_db();
+  const auto f = db.failures("uscms", Time::zero(), run->sim().now());
+  const auto stats = db.stats_for("uscms", Time::zero(), run->sim().now());
 
   // Event yield: GEANT4 simulation throughput ~100 events/hour of
   // runtime at 2003 clock rates (50M-event data challenge over all

@@ -9,7 +9,9 @@
 // reliability out of the NetLogger event stream.
 #include <iostream>
 
+#include "apps/entrada.h"
 #include "bench_common.h"
+#include "core/roster.h"
 
 int main() {
   using namespace grid3;

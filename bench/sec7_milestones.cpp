@@ -11,8 +11,8 @@ int main() {
                 "section 7 scorecard");
 
   auto run = bench::run_scenario(/*months=*/2);
-  const auto w = apps::sc2003_window();
-  const auto m = core::compute_milestones((*run)->grid(), w.from, w.to);
+  const auto w = workload::sc2003_window();
+  const auto m = core::compute_milestones(run->grid(), w.from, w.to);
 
   util::AsciiTable table{{"milestone", "target", "paper", "measured",
                           "met"}};
@@ -29,10 +29,10 @@ int main() {
               << "\n";
   }
   std::cout << "\ntrouble tickets during window: "
-            << (*run)->grid().igoc().tickets().total() << " opened, mean "
+            << run->grid().igoc().tickets().total() << " opened, mean "
                "resolution "
             << util::AsciiTable::num(
-                   (*run)->grid().igoc().tickets().mean_resolution().to_hours(),
+                   run->grid().igoc().tickets().mean_resolution().to_hours(),
                    1)
             << " h\n";
   bench::scale_note();

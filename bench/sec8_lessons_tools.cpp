@@ -16,8 +16,8 @@ int main() {
                 "section 8 improvement list, implemented");
 
   auto run = bench::run_scenario(/*months=*/2);
-  auto& grid = (*run)->grid();
-  const auto w = apps::sc2003_window();
+  auto& grid = run->grid();
+  const auto w = workload::sc2003_window();
 
   // --- Troubleshooting: burst detection + ticket correlation ---------
   monitoring::Troubleshooter ts{grid.igoc().job_db()};
@@ -74,7 +74,7 @@ int main() {
   // --- End-to-end efficiency -------------------------------------------
   std::cout << "\nend-to-end latency breakdown (queue+staging wait vs "
                "compute):\n";
-  const auto viewer = (*run)->viewer();
+  const auto viewer = run->viewer();
   util::AsciiTable table{{"VO", "jobs", "avg wait (h)", "avg run (h)",
                           "compute efficiency"}};
   for (const auto& vo : grid.igoc().job_db().vos()) {

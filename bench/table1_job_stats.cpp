@@ -45,8 +45,8 @@ int main() {
                 "Table 1 (ACDC accounting, Oct 23 2003 - Apr 23 2004)");
 
   auto run = bench::run_scenario(/*months=*/7);
-  const auto& db = (*run)->grid().igoc().job_db();
-  const auto w = apps::table1_window();
+  const auto& db = run->grid().igoc().job_db();
+  const auto w = workload::table1_window();
 
   AsciiTable table{{"metric", "source", "BTEV", "iVDGL", "LIGO", "SDSS",
                     "USATLAS", "USCMS", "Exerciser"}};

@@ -5,21 +5,22 @@
 //   $ ./sc2003_demo [job_scale]     (default 0.2 for a quick run)
 #include <iostream>
 
-#include "apps/scenario.h"
 #include "core/metrics.h"
 #include "util/calendar.h"
 #include "util/table.h"
+#include "workload/catalog.h"
 
 int main(int argc, char** argv) {
   using namespace grid3;
   const double job_scale = argc > 1 ? std::atof(argv[1]) : 0.2;
 
-  sim::Simulation sim;
-  apps::ScenarioOptions opts;
-  opts.months = 2;  // October + November 2003
-  opts.job_scale = job_scale;
-  apps::Scenario scenario{sim, opts};
-  scenario.start();
+  // The catalog's sc2003-demo scenario (October + November 2003) under
+  // the paper's favorite-sites stack: no broker, no leases, no breakers.
+  workload::ScenarioSpec spec =
+      workload::ScenarioCatalog::get("sc2003-demo", 20031025);
+  spec.job_scale = job_scale;
+  workload::CatalogRun run{spec, /*quick=*/false, workload::legacy_stack()};
+  run.start();
 
   std::cout << "Grid3 coming online (job_scale=" << job_scale << ")...\n\n";
 
@@ -27,13 +28,13 @@ int main(int argc, char** argv) {
   // SC2003 week, straight from the iGOC services.
   const Time sc_start = util::time_of({2003, 11, 15});
   const Time sc_end = util::time_of({2003, 11, 22});
-  scenario.run_until(sc_start);
+  run.run_until(sc_start);
 
-  auto& grid = scenario.grid();
+  auto& grid = run.grid();
   std::cout << "=== SC2003 week (Nov 15-21, 2003) iGOC ticker ===\n";
   for (Time day = sc_start; day < sc_end; day += Time::days(1)) {
-    scenario.run_until(day + Time::days(1));
-    const auto summary = grid.igoc().gmetad().summarize(sim.now());
+    run.run_until(day + Time::days(1));
+    const auto summary = grid.igoc().gmetad().summarize(run.sim().now());
     int grid_running = 0;
     std::size_t queued = 0;
     for (const auto& site : grid.sites()) {
@@ -50,8 +51,8 @@ int main(int argc, char** argv) {
   }
 
   // End-of-window scorecard.
-  scenario.run_until(util::month_start(2));
-  const auto w = apps::sc2003_window();
+  run.run_until(util::month_start(2));
+  const auto w = workload::sc2003_window();
   const auto m = core::compute_milestones(grid, w.from, w.to);
   std::cout << "\n=== SC2003 30-day milestones ===\n";
   util::AsciiTable table{{"milestone", "target", "measured", "met"}};

@@ -22,10 +22,11 @@ under both policy stacks, and each (scenario, stack) digest must match
 the committed bench/CATALOG_MANIFEST.json byte for byte.
 
 --check-golden runs the paper-output gate: every program pinned in
-bench/GOLDEN_MANIFEST.json (the paper benches, the monitoring ablation
-and two examples) is rerun in quick mode, and the SHA-256 of its stdout
-must match the pinned digest; a mismatch prints the first differing
-line.  --write-golden rewrites the manifest from the build instead.
+bench/GOLDEN_MANIFEST.json (the paper benches, the monitoring ablation,
+grid30 and two examples) is rerun in quick mode, and the SHA-256 of its
+stdout, host-timing fields masked, must match the pinned digest; a
+mismatch prints the first differing line.  --write-golden rewrites the
+manifest from the build instead.
 """
 from __future__ import annotations
 
@@ -35,6 +36,7 @@ import hashlib
 import json
 import os
 import pathlib
+import re
 import subprocess
 import sys
 import time
@@ -64,10 +66,20 @@ GOLDEN_PROGRAMS = (
     "bench/sec7_milestones",
     "bench/sec8_lessons_tools",
     "bench/ablation_monitoring_redundancy",
+    "bench/grid30",
     "examples/quickstart",
     "examples/sc2003_demo",
 )
 GOLDEN_ENV = {"GRID3_BENCH_QUICK": "1", "GRID3_JOB_SCALE": "0.05"}
+# Host-timing fields a pinned program prints, masked in its stdout before
+# hashing and storing: (pattern, replacement) pairs per program.
+GOLDEN_MASKS = {
+    "bench/grid30": (
+        (re.compile(rb"[0-9.]+s wall\)"), rb"*s wall)"),
+        (re.compile(rb"[0-9]+ events/s"), rb"* events/s"),
+        (re.compile(rb'"events_per_sec": [0-9]+'), rb'"events_per_sec": *'),
+    ),
+}
 # The pinned programs are single-threaded; run this many at once.
 GOLDEN_JOBS = 4
 
@@ -349,12 +361,15 @@ def run_golden_program(build_dir: pathlib.Path, program: str) -> dict:
     started = time.monotonic()
     proc = subprocess.run([str(binary)], capture_output=True, env=env,
                           timeout=1800)
+    stdout = proc.stdout
+    for pattern, replacement in GOLDEN_MASKS.get(program, ()):
+        stdout = pattern.sub(replacement, stdout)
     entry = {
         "program": program,
         "exit_code": proc.returncode,
         "seconds": round(time.monotonic() - started, 1),
-        "sha256": hashlib.sha256(proc.stdout).hexdigest(),
-        "stdout": proc.stdout.decode("utf-8", "replace").splitlines(),
+        "sha256": hashlib.sha256(stdout).hexdigest(),
+        "stdout": stdout.decode("utf-8", "replace").splitlines(),
     }
     if proc.returncode != 0:
         entry["error"] = f"exit {proc.returncode}"

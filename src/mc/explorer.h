@@ -46,7 +46,7 @@ namespace grid3::mc {
 
 /// One protocol invariant, checked after every explored transition and
 /// once more at quiescence (queue drained or horizon reached).  A
-/// ScenarioRun owns its invariants; they hold references into the run's
+/// ExploredRun owns its invariants; they hold references into the run's
 /// live services.
 class Invariant {
  public:
@@ -61,9 +61,9 @@ class Invariant {
 /// deterministic: building twice and firing the same event ids must
 /// reproduce the same behaviour, or replay diverges (the explorer
 /// reports this as a "replay-divergence" violation).
-class ScenarioRun {
+class ExploredRun {
  public:
-  virtual ~ScenarioRun() = default;
+  virtual ~ExploredRun() = default;
   [[nodiscard]] virtual sim::Simulation& sim() = 0;
   /// Invariants to check; pointers remain owned by the run.
   [[nodiscard]] virtual std::vector<Invariant*> invariants() = 0;
@@ -75,7 +75,7 @@ class ScenarioRun {
   [[nodiscard]] virtual std::string digest() = 0;
 };
 
-using ScenarioFactory = std::function<std::unique_ptr<ScenarioRun>()>;
+using ScenarioFactory = std::function<std::unique_ptr<ExploredRun>()>;
 
 struct McConfig {
   /// Stop exploring a run past this simulated time (open-ended scenarios

@@ -32,7 +32,7 @@
 // Adding an invariant: subclass mc::Invariant, read the real service
 // state (add a const accessor to the service if one is missing -- never
 // duplicate its bookkeeping), return a message on violation, and hand a
-// pointer to it from your ScenarioRun::invariants().
+// pointer to it from your ExploredRun::invariants().
 #pragma once
 
 #include <cstdint>

@@ -26,7 +26,7 @@ namespace {
 // breaker: two independent sites tripped at the same instant.
 // ---------------------------------------------------------------------
 
-class BreakerRun final : public ScenarioRun {
+class BreakerRun final : public ExploredRun {
  public:
   BreakerRun() {
     health::HealthConfig cfg;
@@ -101,7 +101,7 @@ class BreakerRun final : public ScenarioRun {
 // journal; recovery replay races the periodic refresh's own replay.
 // ---------------------------------------------------------------------
 
-class RlsOutageRun final : public ScenarioRun {
+class RlsOutageRun final : public ExploredRun {
  public:
   RlsOutageRun() : rls_{"usatlas"} {
     rls_.lrc_for("ALPHA");  // the target catalog exists before the storm
@@ -184,7 +184,7 @@ class RlsOutageRun final : public ScenarioRun {
 
 /// Owns a reduced Grid3 and the invariants wired into it.  The concrete
 /// scenario is defined by what the constructor-caller schedules.
-class GridRun final : public ScenarioRun {
+class GridRun final : public ExploredRun {
  public:
   GridRun() : grid_{std::make_unique<core::Grid3>(sim_, 77)} {}
 

@@ -8,10 +8,15 @@
 #include "broker/broker.h"
 #include "core/ids.h"
 #include "health/health.h"
+#include "util/retry.h"
 
 namespace grid3::workflow {
 
 namespace {
+
+/// A failed node retries twice, ten minutes apart (DAGMan's RETRY).
+constexpr util::RetryPolicy kNodeRetry{.base = Time::minutes(10),
+                                       .max_retries = 2};
 
 /// Health feedback for direct-submit (non-brokered) compute nodes; the
 /// broker classifies its own submissions, so this covers only jobs the
@@ -53,13 +58,12 @@ void report_gram_health(health::SiteHealthMonitor* health,
 
 DagMan::DagMan(sim::Simulation& sim, gram::CondorG& condor_g,
                gridftp::GridFtpClient& ftp, rls::ReplicaLocationService* rls,
-               SiteServices& services, DagManConfig cfg)
+               SiteServices& services)
     : sim_{sim},
       condor_g_{condor_g},
       ftp_{ftp},
       rls_{rls},
-      services_{services},
-      cfg_{cfg} {}
+      services_{services} {}
 
 void DagMan::run(ConcreteDag dag, vo::VomsProxy proxy, DoneFn done,
                  NodeObserver on_node) {
@@ -524,12 +528,12 @@ void DagMan::node_done(const std::shared_ptr<Run>& run, std::size_t idx,
     --run->attempts[idx];
   }
 
-  if (run->attempts[idx] <= cfg_.node_retries) {
+  if (kNodeRetry.allows(run->attempts[idx] - 1)) {
     ++run->stats.retries;
     run->states[idx] = NodeState::kPending;
     // Hold the slot: mark running again after the delay via start_node.
     ++run->outstanding;  // reserve so the DAG does not finish early
-    sim_.schedule_in(cfg_.retry_delay, [this, run, idx] {
+    sim_.schedule_in(kNodeRetry.delay(run->attempts[idx]), [this, run, idx] {
       --run->outstanding;
       if (run->states[idx] == NodeState::kPending) start_node(run, idx);
       maybe_finish(run);

@@ -77,11 +77,6 @@ struct DagRunStats {
   std::vector<std::size_t> rescue;  ///< indices needing a rescue run
 };
 
-struct DagManConfig {
-  int node_retries = 2;
-  Time retry_delay = Time::minutes(10);
-};
-
 class DagMan {
  public:
   using DoneFn = std::function<void(const DagRunStats&)>;
@@ -89,7 +84,7 @@ class DagMan {
 
   DagMan(sim::Simulation& sim, gram::CondorG& condor_g,
          gridftp::GridFtpClient& ftp, rls::ReplicaLocationService* rls,
-         SiteServices& services, DagManConfig cfg = {});
+         SiteServices& services);
 
   /// Execute `dag` under `proxy`.  `done` fires exactly once; `on_node`
   /// (optional) fires per terminal node attempt for accounting.
@@ -174,7 +169,6 @@ class DagMan {
   gridftp::GridFtpClient& ftp_;
   rls::ReplicaLocationService* rls_;
   SiteServices& services_;
-  DagManConfig cfg_;
   broker::ResourceBroker* broker_ = nullptr;
   health::SiteHealthMonitor* health_ = nullptr;
   std::uint64_t dags_run_ = 0;

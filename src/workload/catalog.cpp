@@ -1,34 +1,47 @@
 #include "workload/catalog.h"
 
+#include <algorithm>
 #include <chrono>
 #include <sstream>
 #include <stdexcept>
 
+#include "apps/atlas.h"
+#include "apps/btev.h"
+#include "apps/cms.h"
+#include "apps/entrada.h"
+#include "apps/exerciser.h"
+#include "apps/ivdgl.h"
+#include "apps/ligo.h"
+#include "apps/sdss.h"
 #include "core/roster.h"
 #include "util/calendar.h"
 
 namespace grid3::workload {
 
-apps::ScenarioOptions ScenarioSpec::options(bool quick) const {
-  apps::ScenarioOptions o = base;
-  if (quick) {
-    o.months = quick_months;
-    o.job_scale *= quick_job_scale;
-  }
-  return o;
-}
-
 std::string ScenarioSpec::serialize() const {
   std::ostringstream os;
-  os << "scenario " << name << " v" << version << " seed=" << base.seed
-     << " months=" << base.months << " job_scale=" << base.job_scale
-     << " cpu_scale=" << base.cpu_scale << " replicas=" << base.roster_replicas
-     << " standard_apps=" << (base.standard_apps ? 1 : 0)
+  os << "scenario " << name << " v" << version << " seed=" << seed
+     << " months=" << months << " job_scale=" << job_scale
+     << " cpu_scale=" << cpu_scale << " replicas=" << roster_replicas
      << " quick=" << quick_months << "x" << quick_job_scale << "\n";
   for (const CampaignSpec& c : campaigns) os << c.serialize() << "\n";
   for (const std::string& b : collective_bundles) os << "bundle " << b << "\n";
   os << calendar.serialize();
   return os.str();
+}
+
+Window sc2003_window() {
+  const Time from = util::time_of({2003, 10, 25});
+  return {from, from + Time::days(30)};
+}
+
+Window table1_window() {
+  return {util::time_of({2003, 10, 23}), util::time_of({2004, 4, 23})};
+}
+
+Window cms150_window() {
+  const Time from = util::time_of({2003, 11, 1});
+  return {from, from + Time::days(150)};
 }
 
 namespace {
@@ -141,9 +154,7 @@ CampaignSpec ligo_scan_campaign(std::vector<double> monthly) {
 ScenarioSpec base_spec(const std::string& name, std::uint64_t seed) {
   ScenarioSpec s;
   s.name = name;
-  s.base.seed = seed;
-  s.base.broker_policy = broker::PolicyKind::kQueueDepth;
-  s.base.standard_apps = false;
+  s.seed = seed;
   return s;
 }
 
@@ -151,9 +162,8 @@ ScenarioSpec make_grid30_2month(std::uint64_t seed) {
   ScenarioSpec s = base_spec("grid30-2month", seed);
   s.summary = "the bench/grid30 campaign: historical app mix at 10x scale";
   s.stressor = "fabric scale (270 sites, ~29k CPUs)";
-  s.base.standard_apps = true;
-  s.base.months = 2;
-  s.base.roster_replicas = 10;
+  s.months = 2;
+  s.roster_replicas = 10;
   s.quick_months = 1;
   s.quick_job_scale = 0.05;
   return s;
@@ -163,8 +173,7 @@ ScenarioSpec make_table1_7month(std::uint64_t seed) {
   ScenarioSpec s = base_spec("table1-7month", seed);
   s.summary = "the full Table 1 reproduction: 7 months, historical app mix";
   s.stressor = "long-horizon accounting fidelity";
-  s.base.standard_apps = true;
-  s.base.months = 7;
+  s.months = 7;
   s.quick_months = 1;
   s.quick_job_scale = 0.05;
   return s;
@@ -175,8 +184,7 @@ ScenarioSpec make_sc2003_demo(std::uint64_t seed) {
   s.summary =
       "the two-month historical window covering the SC2003 demo burst";
   s.stressor = "gatekeeper overload under the conference push";
-  s.base.standard_apps = true;
-  s.base.months = 2;
+  s.months = 2;
   // Quick mode keeps both months (the demo burst the placement layer
   // must absorb is in the second) and thins the workload instead.
   s.quick_months = 2;
@@ -188,7 +196,7 @@ ScenarioSpec make_cms_dc04(std::uint64_t seed) {
   ScenarioSpec s = base_spec("cms-dc04", seed);
   s.summary = "CMS DC04-style assignment production with validate/merge";
   s.stressor = "wide fan-in chains + archive stage-out pressure";
-  s.base.months = 3;
+  s.months = 3;
   s.quick_months = 1;
   s.quick_job_scale = 0.5;
   s.campaigns = {cms_dc04_campaign({40, 90, 140})};
@@ -199,7 +207,7 @@ ScenarioSpec make_atlas_dc2(std::uint64_t seed) {
   ScenarioSpec s = base_spec("atlas-dc2", seed);
   s.summary = "ATLAS DC2-style flat Monte-Carlo batches";
   s.stressor = "bulk independent-job throughput";
-  s.base.months = 3;
+  s.months = 3;
   s.quick_months = 1;
   s.quick_job_scale = 0.5;
   s.campaigns = {atlas_dc2_campaign({60, 120, 160})};
@@ -211,7 +219,7 @@ ScenarioSpec make_mixed_opportunistic(std::uint64_t seed) {
   s.summary =
       "CMS chains + ATLAS batches + opportunistic iVDGL short-job backfill";
   s.stressor = "multi-VO contention and fair sharing";
-  s.base.months = 2;
+  s.months = 2;
   s.quick_months = 1;
   s.quick_job_scale = 0.4;
   s.campaigns = {cms_dc04_campaign({50, 80}), atlas_dc2_campaign({70, 110}),
@@ -223,7 +231,7 @@ ScenarioSpec make_sc2003_burst(std::uint64_t seed) {
   ScenarioSpec s = base_spec("sc2003-burst", seed);
   s.summary = "conference-demo demand: heavy correlated burst windows";
   s.stressor = "correlated arrival bursts (SC2003-style pushes)";
-  s.base.months = 2;
+  s.months = 2;
   s.quick_months = 2;  // the bursts are the point; keep both months
   s.quick_job_scale = 0.4;
   CampaignSpec atlas = atlas_dc2_campaign({50, 90});
@@ -243,7 +251,7 @@ ScenarioSpec make_outage_storm(std::uint64_t seed) {
   ScenarioSpec s = base_spec("outage-storm", seed);
   s.summary = "production under collective-service storms and WAN weather";
   s.stressor = "collective outages + WAN degradation";
-  s.base.months = 2;
+  s.months = 2;
   s.quick_months = 1;
   s.quick_job_scale = 0.5;
   s.campaigns = {cms_dc04_campaign({60, 90}), atlas_dc2_campaign({80, 120})};
@@ -262,7 +270,7 @@ ScenarioSpec make_maintenance_season(std::uint64_t seed) {
   ScenarioSpec s = base_spec("maintenance-season", seed);
   s.summary = "rolling scheduled site maintenance under steady production";
   s.stressor = "scheduled-downtime churn (INFN-GRID calendar idiom)";
-  s.base.months = 3;
+  s.months = 3;
   s.quick_months = 1;
   s.quick_job_scale = 0.5;
   s.campaigns = {atlas_dc2_campaign({70, 100, 120}),
@@ -280,7 +288,7 @@ ScenarioSpec make_calib_month(std::uint64_t seed) {
   ScenarioSpec s = base_spec("calib-month", seed);
   s.summary = "small single-month LIGO + SDSS calibration batches";
   s.stressor = "light-load baseline (fast smoke anchor)";
-  s.base.months = 1;
+  s.months = 1;
   s.quick_months = 1;
   s.quick_job_scale = 0.3;
   s.campaigns = {ligo_scan_campaign({80}), sdss_coadd_campaign({50})};
@@ -325,16 +333,134 @@ StackConfig legacy_stack() {
   return s;
 }
 
+namespace {
+
+/// Users registered for a VO during assembly.
+const core::VoUsers* users_for(const core::Assembled& assembled,
+                               const std::string& vo) {
+  for (const auto& vu : assembled.users) {
+    if (vu.vo == vo) return &vu;
+  }
+  return nullptr;
+}
+
+template <typename App>
+void wire_users(App& app, const core::Assembled& assembled,
+                const std::string& vo) {
+  if (const core::VoUsers* vu = users_for(assembled, vo)) {
+    app.set_users(vu->app_admins, vu->users);
+  }
+}
+
+/// A demonstrator driver at the run's horizon and job scale.
+template <typename App>
+std::unique_ptr<App> make_app(core::Grid3& grid, int months,
+                              double job_scale) {
+  typename App::Options opts;
+  opts.job_scale = job_scale;
+  opts.months = months;
+  return std::make_unique<App>(grid, opts);
+}
+
+}  // namespace
+
+/// The eight historical application demonstrators (paper section 4),
+/// calibrated to Table 1.  Declared in construction order; each forks
+/// the grid RNG when built.
+struct CatalogRun::Demonstrators {
+  std::unique_ptr<apps::AtlasGce> atlas;
+  std::unique_ptr<apps::CmsMop> cms;
+  std::unique_ptr<apps::SdssCoadd> sdss;
+  std::unique_ptr<apps::LigoPulsar> ligo;
+  std::unique_ptr<apps::BtevSim> btev;
+  std::unique_ptr<apps::IvdglApps> ivdgl;
+  std::unique_ptr<apps::CondorExerciser> exerciser;
+  std::unique_ptr<apps::EntradaDemo> entrada;
+
+  Demonstrators(core::Grid3& grid, const core::Assembled& assembled,
+                int months, double job_scale) {
+    atlas = make_app<apps::AtlasGce>(grid, months, job_scale);
+    wire_users(*atlas, assembled, "usatlas");
+    cms = make_app<apps::CmsMop>(grid, months, job_scale);
+    wire_users(*cms, assembled, "uscms");
+    cms->register_pileup_dataset();
+    sdss = make_app<apps::SdssCoadd>(grid, months, job_scale);
+    wire_users(*sdss, assembled, "sdss");
+    sdss->register_survey_segments(8);
+    ligo = make_app<apps::LigoPulsar>(grid, months, job_scale);
+    wire_users(*ligo, assembled, "ligo");
+    btev = make_app<apps::BtevSim>(grid, months, job_scale);
+    wire_users(*btev, assembled, "btev");
+    ivdgl = make_app<apps::IvdglApps>(grid, months, job_scale);
+    exerciser = make_app<apps::CondorExerciser>(grid, months, job_scale);
+
+    // Table 1 user split inside the iVDGL VO: 24 members ran SnB/GADU, a
+    // separate 3-identity Condor-group pool ran the exerciser; the rest
+    // are authorized but idle.
+    if (const core::VoUsers* iv = users_for(assembled, "ivdgl")) {
+      std::vector<vo::Certificate> snb_users{
+          iv->users.begin(),
+          iv->users.begin() +
+              std::min<std::size_t>(22, iv->users.size())};
+      ivdgl->set_users(iv->app_admins, snb_users);
+      std::vector<vo::Certificate> probe_users{
+          iv->users.end() - std::min<std::size_t>(3, iv->users.size()),
+          iv->users.end()};
+      exerciser->set_users(probe_users, {});
+    }
+
+    entrada = make_app<apps::EntradaDemo>(grid, months, job_scale);
+    if (const core::VoUsers* iv = users_for(assembled, "ivdgl")) {
+      entrada->set_users(iv->app_admins, {});
+    }
+  }
+
+  void start() {
+    atlas->start();
+    cms->start();
+    sdss->start();
+    ligo->start();
+    btev->start();
+    ivdgl->start();
+    exerciser->start();
+    entrada->start();
+  }
+};
+
 CatalogRun::CatalogRun(const ScenarioSpec& spec, bool quick,
                        const StackConfig& stack)
-    : spec_{spec}, stack_{stack}, opts_{spec.options(quick)} {
-  opts_.broker_policy = stack.policy;
-  opts_.placement_leases = stack.placement_leases;
-
-  sim_ = std::make_unique<sim::Simulation>();
+    : spec_{spec},
+      stack_{stack},
+      months_{quick ? spec.quick_months : spec.months},
+      job_scale_{quick ? spec.job_scale * spec.quick_job_scale
+                       : spec.job_scale},
+      fluct_rng_{spec.seed ^ 0xf1c7u} {
   wall_start_ = std::chrono::steady_clock::now();
-  scenario_ = std::make_unique<apps::Scenario>(*sim_, opts_);
-  core::Grid3& grid = scenario_->grid();
+  grid_ = std::make_unique<core::Grid3>(sim_, spec_.seed);
+  core::Grid3& grid = *grid_;
+  core::AssembleOptions ao;
+  ao.cpu_scale = spec_.cpu_scale;
+  ao.roster_replicas = spec_.roster_replicas;
+  const core::Assembled assembled = core::assemble_grid3(grid, ao);
+
+  // Brokers must exist before the demonstrators: each AppBase binds its
+  // planner to its VO's broker at construction.
+  if (stack.policy != broker::PolicyKind::kNone) {
+    broker::BrokerConfig bcfg;
+    bcfg.placement_leases = stack.placement_leases;
+    for (const std::string& vo : core::canonical_vos()) {
+      grid.attach_broker(vo, stack.policy, bcfg);
+    }
+  }
+
+  // A spec without campaigns replays the historical demonstrators; a
+  // campaign spec skips them entirely (their RNG forks included, so
+  // campaign streams do not depend on them).
+  if (spec_.campaigns.empty()) {
+    demonstrators_ =
+        std::make_unique<Demonstrators>(grid, assembled, months_, job_scale_);
+  }
+
   if (stack.health_breakers) grid.attach_health();
 
   // Arm collective bundles the calendar targets.  All-zero rates, so
@@ -354,18 +480,14 @@ CatalogRun::CatalogRun(const ScenarioSpec& spec, bool quick,
   // job_scale and clips its schedule to the run horizon.
   for (const CampaignSpec& c : spec_.campaigns) {
     CampaignSpec scaled = c;
-    scaled.arrivals.scale *= opts_.job_scale;
-    if (scaled.arrivals.months() > opts_.months) {
-      scaled.arrivals.monthly.resize(
-          static_cast<std::size_t>(opts_.months));
+    scaled.arrivals.scale *= job_scale_;
+    if (scaled.arrivals.months() > months_) {
+      scaled.arrivals.monthly.resize(static_cast<std::size_t>(months_));
     }
     auto driver = std::make_unique<CampaignDriver>(
-        grid, std::move(scaled), opts_.seed ^ fnv1a64(c.vo + "/" + c.app));
-    for (const core::VoUsers& vu : scenario_->assembled().users) {
-      if (vu.vo == c.vo) {
-        driver->set_users(vu.app_admins, vu.users);
-        break;
-      }
+        grid, std::move(scaled), spec_.seed ^ fnv1a64(c.vo + "/" + c.app));
+    if (const core::VoUsers* vu = users_for(assembled, c.vo)) {
+      driver->set_users(vu->app_admins, vu->users);
     }
     drivers_.push_back(std::move(driver));
   }
@@ -378,16 +500,49 @@ CatalogRun::~CatalogRun() = default;
 void CatalogRun::start() {
   if (started_) return;
   started_ = true;
-  scenario_->start();
+  for (const auto& site : grid_->sites()) {
+    base_cpus_.push_back(site->cpus());
+  }
+  // The section 7 CPU-count fluctuation: every two weeks, shared sites
+  // resize within 80-105% of their base capacity (withdrawing nodes kills
+  // the jobs on them, as the paper's disk/node replacements did at
+  // unlucky sites); dedicated sites stay fixed.
+  fluctuation_ = std::make_unique<sim::PeriodicProcess>(
+      sim_, Time::days(14), [this] {
+        const auto& sites = grid_->sites();
+        for (std::size_t i = 0; i < sites.size(); ++i) {
+          if (sites[i]->config().policy.dedicated) continue;
+          const int target = std::max(
+              2, static_cast<int>(base_cpus_[i] *
+                                  fluct_rng_.uniform(0.80, 1.05)));
+          sites[i]->scheduler().resize(target, fluct_rng_);
+        }
+        return true;
+      });
+  fluctuation_->start(Time::days(10));
+  if (demonstrators_) {
+    // The SC2003 conference demonstration (paper section 7: "On Nov. 20,
+    // 2003 there were sustained periods when over 1300 jobs ran
+    // simultaneously"): a coordinated push that floods the grid with
+    // medium-length jobs for a day.  Sized to capacity, not to workload.
+    if (months_ >= 2) {
+      const int burst_jobs = static_cast<int>(1400 * spec_.cpu_scale);
+      if (burst_jobs > 0) {
+        demonstrators_->ivdgl->demo_burst(util::time_of({2003, 11, 20}),
+                                          burst_jobs);
+      }
+    }
+    demonstrators_->start();
+  }
   for (auto& d : drivers_) d->start();
 }
 
 void CatalogRun::run_until(Time t) {
   start();
-  sim_->run_until(t);
+  sim_.run_until(t);
 }
 
-void CatalogRun::run() { run_until(util::month_start(opts_.months)); }
+void CatalogRun::run() { run_until(util::month_start(months_)); }
 
 RunResult CatalogRun::finish() const {
   RunResult out;
@@ -397,8 +552,8 @@ RunResult CatalogRun::finish() const {
       std::chrono::duration<double>(std::chrono::steady_clock::now() -
                                     wall_start_)
           .count();
-  out.events = sim_->executed();
-  core::Grid3& grid = scenario_->grid();
+  out.events = sim_.executed();
+  core::Grid3& grid = *grid_;
   const auto& db = grid.igoc().job_db();
   out.jobs = db.size();
   for (const monitoring::JobRecord& r : db.records()) {

@@ -5,13 +5,13 @@
 #include "apps/cms.h"
 #include "apps/ligo.h"
 #include "apps/sdss.h"
-#include "apps/scenario.h"
 #include "core/metrics.h"
 #include "core/policy_audit.h"
 #include "monitoring/mdviewer.h"
 #include "monitoring/troubleshoot.h"
 #include "pacman/vdt.h"
 #include "util/calendar.h"
+#include "workload/catalog.h"
 
 namespace grid3 {
 namespace {
@@ -250,13 +250,20 @@ TEST_F(ExtendedFixture, LatencyBreakdownAccountsWaits) {
   EXPECT_LE(lb.compute_efficiency(), 1.0);
 }
 
+/// The historical demonstrator mix (a spec without campaigns) under the
+/// paper's favorite-sites stack.
+workload::CatalogRun historical_run(double cpu_scale, double job_scale,
+                                   int months, std::uint64_t seed) {
+  workload::ScenarioSpec spec;
+  spec.cpu_scale = cpu_scale;
+  spec.job_scale = job_scale;
+  spec.months = months;
+  spec.seed = seed;
+  return {spec, /*quick=*/false, workload::legacy_stack()};
+}
+
 TEST(ResourceFluctuation, CpuCountsVaryOverTheScenario) {
-  sim::Simulation sim;
-  apps::ScenarioOptions opts;
-  opts.cpu_scale = 0.2;
-  opts.job_scale = 0.01;
-  opts.months = 2;
-  apps::Scenario sc{sim, opts};
+  auto sc = historical_run(0.2, 0.01, 2, 20031025);
   sc.start();
   const int before = sc.grid().total_cpus();
   sc.run_until(util::month_start(2));
@@ -264,8 +271,8 @@ TEST(ResourceFluctuation, CpuCountsVaryOverTheScenario) {
   // Shared sites resized at least once over two months.
   EXPECT_NE(before, after);
   // The milestone evaluator reports a peak >= the instantaneous count.
-  const auto m = core::compute_milestones(sc.grid(), Time::zero(),
-                                          sim.now());
+  const auto m =
+      core::compute_milestones(sc.grid(), Time::zero(), sc.sim().now());
   EXPECT_GE(m.cpus_peak, static_cast<double>(after));
 }
 
@@ -275,13 +282,7 @@ TEST(ResourceFluctuation, CpuCountsVaryOverTheScenario) {
 // ---------------------------------------------------------------------
 TEST(Determinism, MonthlyHistogramsIdenticalAcrossRuns) {
   auto run_once = [] {
-    sim::Simulation s;
-    apps::ScenarioOptions opts;
-    opts.cpu_scale = 0.06;
-    opts.job_scale = 0.02;
-    opts.months = 2;
-    opts.seed = 424242;
-    apps::Scenario sc{s, opts};
+    auto sc = historical_run(0.06, 0.02, 2, 424242);
     sc.run();
     return sc.grid().igoc().job_db().jobs_by_month(2);
   };
@@ -290,13 +291,7 @@ TEST(Determinism, MonthlyHistogramsIdenticalAcrossRuns) {
 
 TEST(Determinism, DifferentSeedsDiverge) {
   auto run_with = [](std::uint64_t seed) {
-    sim::Simulation s;
-    apps::ScenarioOptions opts;
-    opts.cpu_scale = 0.06;
-    opts.job_scale = 0.02;
-    opts.months = 1;
-    opts.seed = seed;
-    apps::Scenario sc{s, opts};
+    auto sc = historical_run(0.06, 0.02, 1, seed);
     sc.run();
     // A fingerprint that is vanishingly unlikely to collide: total CPU
     // seconds across all records.

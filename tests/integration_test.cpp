@@ -2,40 +2,43 @@
 // checking the cross-module invariants the paper's evaluation relies on.
 #include <gtest/gtest.h>
 
-#include "apps/scenario.h"
 #include "core/metrics.h"
 #include "util/calendar.h"
+#include "workload/catalog.h"
 
-namespace grid3::apps {
+namespace grid3::workload {
 namespace {
+
+/// The historical demonstrator mix (a spec without campaigns) under the
+/// paper's favorite-sites stack.
+ScenarioSpec historical(double cpu_scale, double job_scale, int months) {
+  ScenarioSpec spec;
+  spec.cpu_scale = cpu_scale;
+  spec.job_scale = job_scale;
+  spec.months = months;
+  return spec;
+}
 
 /// One shared scenario run for all integration assertions (building and
 /// running it is the expensive part).
 class ScenarioTest : public ::testing::Test {
  protected:
-  static sim::Simulation* sim;
-  static Scenario* scenario;
+  static CatalogRun* scenario;
 
   static void SetUpTestSuite() {
-    sim = new sim::Simulation();
-    ScenarioOptions opts;
-    opts.cpu_scale = 0.12;  // ~330 CPUs
-    opts.job_scale = 0.05;  // ~15k accounting records
-    opts.months = 3;        // Oct-Dec 2003 covers SC2003
-    scenario = new Scenario(*sim, opts);
+    // ~330 CPUs, ~15k accounting records, Oct-Dec 2003 covers SC2003.
+    scenario = new CatalogRun(historical(0.12, 0.05, 3), /*quick=*/false,
+                              legacy_stack());
     scenario->run();
   }
 
   static void TearDownTestSuite() {
     delete scenario;
     scenario = nullptr;
-    delete sim;
-    sim = nullptr;
   }
 };
 
-sim::Simulation* ScenarioTest::sim = nullptr;
-Scenario* ScenarioTest::scenario = nullptr;
+CatalogRun* ScenarioTest::scenario = nullptr;
 
 TEST_F(ScenarioTest, AllVoClassesProducedJobs) {
   const auto& db = scenario->grid().igoc().job_db();
@@ -44,7 +47,7 @@ TEST_F(ScenarioTest, AllVoClassesProducedJobs) {
   // may round to zero under job_scale, so it is optional).
   for (const char* vo : {"usatlas", "uscms", "sdss", "btev", "ivdgl",
                          "exerciser"}) {
-    const auto stats = db.stats_for(vo, Time::zero(), sim->now());
+    const auto stats = db.stats_for(vo, Time::zero(), scenario->sim().now());
     EXPECT_GT(stats.jobs, 0u) << vo;
   }
 }
@@ -90,7 +93,7 @@ TEST_F(ScenarioTest, FavoriteResourceConcentration) {
 
 TEST_F(ScenarioTest, FailuresAreMostlySiteProblems) {
   const auto& db = scenario->grid().igoc().job_db();
-  const auto f = db.failures("usatlas", Time::zero(), sim->now());
+  const auto f = db.failures("usatlas", Time::zero(), scenario->sim().now());
   if (f.failed > 10) {
     // Section 6.1: ~90% of failures were site problems.
     EXPECT_GT(f.site_problem_share(), 0.5);
@@ -155,13 +158,9 @@ TEST_F(ScenarioTest, SiteCatalogSawAllSites) {
 TEST_F(ScenarioTest, DeterministicUnderSameSeed) {
   // A second, tiny scenario run twice gives identical accounting.
   auto run_once = [] {
-    sim::Simulation s;
-    ScenarioOptions opts;
-    opts.cpu_scale = 0.05;
-    opts.job_scale = 0.01;
-    opts.months = 1;
-    opts.seed = 777;
-    Scenario sc{s, opts};
+    ScenarioSpec spec = historical(0.05, 0.01, 1);
+    spec.seed = 777;
+    CatalogRun sc{spec, /*quick=*/false, legacy_stack()};
     sc.run();
     return sc.grid().igoc().job_db().size();
   };
@@ -172,4 +171,4 @@ TEST_F(ScenarioTest, DeterministicUnderSameSeed) {
 }
 
 }  // namespace
-}  // namespace grid3::apps
+}  // namespace grid3::workload

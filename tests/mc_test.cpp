@@ -34,7 +34,7 @@ TEST(Independence, SharedComponentOrUntaggedConflicts) {
 /// Minimal transition system for explorer unit tests: the setup lambda
 /// schedules tagged events against the bare kernel; `state` is what they
 /// mutate; the digest renders it.
-class ToyRun final : public ScenarioRun {
+class ToyRun final : public ExploredRun {
  public:
   using Setup = std::function<void(ToyRun&)>;
   explicit ToyRun(const Setup& setup) { setup(*this); }

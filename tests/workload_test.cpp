@@ -4,10 +4,12 @@
 #include <gtest/gtest.h>
 
 #include <map>
+#include <set>
 #include <sstream>
 #include <string>
 
-#include "apps/scenario.h"
+#include "core/grid3.h"
+#include "core/roster.h"
 #include "util/calendar.h"
 #include "workload/campaign.h"
 #include "workload/catalog.h"
@@ -153,27 +155,26 @@ TEST(OpsCalendar, WanWeatherTraceIsSeedDeterministic) {
   EXPECT_EQ(a.size(), 10u);
 }
 
-/// A bare fabric (no demonstrator apps, no campaigns) for injector
-/// tests.
-apps::ScenarioOptions bare_fabric(std::uint64_t seed) {
-  apps::ScenarioOptions opts;
-  opts.months = 1;
-  opts.seed = seed;
-  opts.standard_apps = false;
-  return opts;
-}
+/// A bare assembled fabric (no workload at all) for injector tests.
+struct BareFabric {
+  sim::Simulation sim;
+  core::Grid3 grid;
+
+  explicit BareFabric(std::uint64_t seed) : grid{sim, seed} {
+    core::assemble_grid3(grid);
+  }
+};
 
 TEST(OpsCalendar, CompiledWindowsFireAsScheduledDowntime) {
-  sim::Simulation sim;
-  apps::Scenario scenario{sim, bare_fabric(11)};
+  BareFabric fabric{11};
   OpsCalendar cal;
   cal.add({CalendarEvent::Kind::kSiteMaintenance, "BNL_ATLAS",
            Time::days(2), Time::hours(4)});
   cal.add({CalendarEvent::Kind::kWanWeather, "FNAL_CMS", Time::days(3),
            Time::hours(6)});
-  cal.compile(scenario.grid());
-  scenario.run_until(Time::days(5));
-  const auto& failures = scenario.grid().failures();
+  cal.compile(fabric.grid);
+  fabric.sim.run_until(Time::days(5));
+  const auto& failures = fabric.grid.failures();
   EXPECT_EQ(failures.incidents(core::Incident::kScheduledDowntime), 1u);
   EXPECT_EQ(failures.incidents(core::Incident::kWanWeather), 1u);
 }
@@ -189,23 +190,22 @@ TEST(OpsCalendar, CompilationConsumesNoRandomness) {
            f.incidents(core::Incident::kNetworkCut) +
            f.incidents(core::Incident::kServiceCrash);
   };
-  sim::Simulation sim_a;
-  apps::Scenario plain{sim_a, bare_fabric(17)};
-  plain.run_until(Time::days(20));
+  BareFabric plain{17};
+  plain.sim.run_until(Time::days(20));
 
-  sim::Simulation sim_b;
-  apps::Scenario calendared{sim_b, bare_fabric(17)};
+  BareFabric calendared{17};
   OpsCalendar cal;
   cal.add_site_rotation({"UC_ATLAS", "UFL_PG", "JHU_SDSS"}, Time::days(2),
                         Time::days(3), Time::hours(8), 5);
-  cal.compile(calendared.grid());
-  calendared.run_until(Time::days(20));
+  cal.compile(calendared.grid);
+  calendared.sim.run_until(Time::days(20));
 
-  EXPECT_EQ(count_random(plain.grid().failures()),
-            count_random(calendared.grid().failures()));
-  EXPECT_EQ(calendared.grid().failures().incidents(
-                core::Incident::kScheduledDowntime),
-            5u);
+  EXPECT_GT(count_random(plain.grid.failures()), 0u);
+  EXPECT_EQ(count_random(plain.grid.failures()),
+            count_random(calendared.grid.failures()));
+  EXPECT_EQ(
+      calendared.grid.failures().incidents(core::Incident::kScheduledDowntime),
+      5u);
 }
 
 TEST(ScenarioCatalog, NamesResolveAndUnknownThrows) {
@@ -233,10 +233,69 @@ TEST(ScenarioCatalog, SpecsAreSeedDeterministic) {
 
 TEST(ScenarioCatalog, QuickOptionsShrinkTheRun) {
   const ScenarioSpec spec = ScenarioCatalog::get("cms-dc04", 1);
-  const apps::ScenarioOptions full = spec.options(false);
-  const apps::ScenarioOptions quick = spec.options(true);
-  EXPECT_LE(quick.months, full.months);
-  EXPECT_LE(quick.job_scale, full.job_scale);
+  const CatalogRun full{spec, /*quick=*/false, modern_stack()};
+  const CatalogRun quick{spec, /*quick=*/true, modern_stack()};
+  EXPECT_EQ(full.months(), spec.months);
+  EXPECT_EQ(full.job_scale(), spec.job_scale);
+  EXPECT_EQ(quick.months(), spec.quick_months);
+  EXPECT_LT(quick.months(), full.months());
+  EXPECT_LT(quick.job_scale(), full.job_scale());
+}
+
+/// The ACDC application labels a run recorded.
+std::set<std::string> recorded_apps(CatalogRun& run) {
+  std::set<std::string> apps;
+  for (const monitoring::JobRecord& r : run.grid().igoc().job_db().records()) {
+    apps.insert(r.app);
+  }
+  return apps;
+}
+
+TEST(CatalogRun, StackConfigAloneAttachesBrokersLedgersAndBreakers) {
+  StackConfig no_breakers = modern_stack();
+  no_breakers.name = "no-breakers";
+  no_breakers.health_breakers = false;
+  for (const StackConfig& stack :
+       {modern_stack(), legacy_stack(), no_breakers}) {
+    SCOPED_TRACE(stack.name);
+    ScenarioSpec spec = ScenarioCatalog::get("calib-month", 5);
+    spec.cpu_scale = 0.1;
+    CatalogRun run{spec, /*quick=*/true, stack};
+    const bool brokered = stack.policy != broker::PolicyKind::kNone;
+    for (const std::string& vo : core::canonical_vos()) {
+      EXPECT_EQ(run.grid().broker(vo) != nullptr, brokered) << vo;
+      EXPECT_EQ(run.grid().placement(vo) != nullptr,
+                brokered && stack.placement_leases)
+          << vo;
+    }
+    EXPECT_EQ(run.grid().health() != nullptr, stack.health_breakers);
+  }
+}
+
+TEST(CatalogRun, NoCampaignsMeansTheHistoricalDemonstrators) {
+  ScenarioSpec spec;
+  spec.cpu_scale = 0.1;
+  spec.job_scale = 0.05;
+  spec.months = 1;
+  CatalogRun run{spec, /*quick=*/false, legacy_stack()};
+  run.run_until(Time::days(5));
+  const std::set<std::string> demonstrators{
+      core::app::kAtlasGce, core::app::kCmsMop, core::app::kSdssCoadd,
+      core::app::kLigoPulsar, core::app::kBtevSim, core::app::kSnb,
+      core::app::kGadu, core::app::kExerciser, core::app::kEntrada};
+  const std::set<std::string> apps = recorded_apps(run);
+  EXPECT_GE(apps.size(), 3u);
+  for (const std::string& app : apps) {
+    EXPECT_TRUE(demonstrators.contains(app)) << app;
+  }
+}
+
+TEST(CatalogRun, CampaignSpecRecordsOnlyItsCampaignLabels) {
+  CatalogRun run{ScenarioCatalog::get("calib-month", 3), /*quick=*/true,
+                 modern_stack()};
+  run.run();
+  EXPECT_EQ(recorded_apps(run),
+            (std::set<std::string>{"coadd-batch", "pulsar-scan"}));
 }
 
 TEST(CatalogRun, CampaignScenarioLaunchesAndDigestsDeterministically) {
