@@ -22,11 +22,11 @@ under both policy stacks, and each (scenario, stack) digest must match
 the committed bench/CATALOG_MANIFEST.json byte for byte.
 
 --check-golden runs the paper-output gate: every program pinned in
-bench/GOLDEN_MANIFEST.json (the paper benches, the monitoring ablation,
-grid30 and two examples) is rerun in quick mode, and the SHA-256 of its
-stdout, host-timing fields masked, must match the pinned digest; a
-mismatch prints the first differing line.  --write-golden rewrites the
-manifest from the build instead.
+bench/GOLDEN_MANIFEST.json (the paper benches, the monitoring, outage
+and multi-SE ablations, grid30 and two examples) is rerun in quick mode,
+and the SHA-256 of its stdout, host-timing fields masked, must match the
+pinned digest; a mismatch prints the first differing line.
+--write-golden rewrites the manifest from the build instead.
 """
 from __future__ import annotations
 
@@ -66,6 +66,8 @@ GOLDEN_PROGRAMS = (
     "bench/sec7_milestones",
     "bench/sec8_lessons_tools",
     "bench/ablation_monitoring_redundancy",
+    "bench/ablation_outage",
+    "bench/ablation_multise",
     "bench/grid30",
     "examples/quickstart",
     "examples/sc2003_demo",

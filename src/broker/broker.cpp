@@ -120,8 +120,9 @@ void ResourceBroker::refresh_view(Time now) {
 }
 
 bool ResourceBroker::meets_requirements(const JobSpec& spec,
+                                        std::string_view app_key,
                                         const SiteView& site) const {
-  if (!spec.required_app.empty() && !site.has_app(spec.required_app)) {
+  if (!spec.required_app.empty() && !site.snapshot.get(app_key).has_value()) {
     return false;
   }
   if (site.snapshot.get(mds::glue::kFreeCpus).has_value() &&
@@ -138,9 +139,10 @@ bool ResourceBroker::meets_requirements(const JobSpec& spec,
 std::vector<std::string> ResourceBroker::eligible(const JobSpec& spec,
                                                   Time now) {
   view(now);
+  const std::string key = mds::app_attribute(spec.required_app);
   std::vector<std::string> out;
   for (const SiteView& v : view_) {
-    if (meets_requirements(spec, v)) out.push_back(v.site);
+    if (meets_requirements(spec, key, v)) out.push_back(v.site);
   }
   return out;  // view_ is name-sorted
 }
@@ -286,8 +288,9 @@ std::optional<std::string> ResourceBroker::choose(const JobSpec& spec,
   };
   std::vector<const SiteView*> pool;
   if (spec.candidates.empty()) {
+    const std::string key = mds::app_attribute(spec.required_app);
     for (const SiteView& v : view_) {
-      if (meets_requirements(spec, v) && healthy(v)) pool.push_back(&v);
+      if (meets_requirements(spec, key, v) && healthy(v)) pool.push_back(&v);
     }
   } else {
     // Candidate membership as a bitset test instead of a linear
@@ -356,6 +359,11 @@ GangPlacement ResourceBroker::match_gang(const GangSpec& gang, Time now) {
   }
 
   const JobSpec& representative = gang.members.front();
+  std::vector<std::string> keys;
+  keys.reserve(gang.members.size());
+  for (const JobSpec& m : gang.members) {
+    keys.push_back(mds::app_attribute(m.required_app));
+  }
 
   struct Candidate {
     const SiteView* site;
@@ -372,8 +380,8 @@ GangPlacement ResourceBroker::match_gang(const GangSpec& gang, Time now) {
     // queue must not win the whole level.
     if (health_ != nullptr && health_->quarantined(v.site)) continue;
     bool all_eligible = true;
-    for (const JobSpec& m : gang.members) {
-      if (!meets_requirements(m, v)) {
+    for (std::size_t i = 0; i < gang.members.size(); ++i) {
+      if (!meets_requirements(gang.members[i], keys[i], v)) {
         all_eligible = false;
         break;
       }
@@ -586,8 +594,9 @@ std::vector<const SiteView*> ResourceBroker::admissible(
     out.push_back(&v);
   };
   if (p.spec.candidates.empty()) {
+    const std::string key = mds::app_attribute(p.spec.required_app);
     for (const SiteView& v : view_) {
-      if (meets_requirements(p.spec, v)) consider(v);
+      if (meets_requirements(p.spec, key, v)) consider(v);
     }
   } else {
     if (!p.bits_built) build_candidate_bits(p);

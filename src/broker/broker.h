@@ -37,6 +37,7 @@
 #include <memory>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "broker/rank_policy.h"
@@ -449,7 +450,10 @@ class ResourceBroker {
   void leave_gang(Pending& p);
   void publish_counter(const char* name, std::uint64_t value);
   [[nodiscard]] double predicted_load(const SiteView& site) const;
+  /// `app_key`: mds::app_attribute(spec.required_app), built once per
+  /// query by the caller.
   [[nodiscard]] bool meets_requirements(const JobSpec& spec,
+                                        std::string_view app_key,
                                         const SiteView& site) const;
   /// Policy score adjusted for the broker's own in-flight bindings
   /// (free CPUs the view has not seen consumed yet), the placement

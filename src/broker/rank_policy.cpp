@@ -2,14 +2,9 @@
 
 #include <algorithm>
 
-#include "mds/schema.h"
 #include "rls/rls.h"
 
 namespace grid3::broker {
-
-bool SiteView::has_app(const std::string& app_name) const {
-  return snapshot.get(mds::app_attribute(app_name)).has_value();
-}
 
 double FavoriteSitesPolicy::score(const JobSpec& job, const SiteView& site,
                                   Time /*now*/) const {

@@ -53,9 +53,6 @@ struct SiteView {
   double se_drain_gb_per_hour = 0.0;
   double gatekeeper_load = 0.0;  ///< MonALISA 1-min gauge (0 = unknown)
   mds::SiteSnapshot snapshot;    ///< full GLUE attributes
-
-  /// Installed-application check against the Grid3App-* markers.
-  [[nodiscard]] bool has_app(const std::string& app_name) const;
 };
 
 class RankPolicy {

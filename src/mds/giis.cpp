@@ -5,8 +5,9 @@
 namespace grid3::mds {
 
 std::optional<AttrValue> SiteSnapshot::get(std::string_view key) const {
-  auto it = attrs.find(key);
-  if (it == attrs.end()) return std::nullopt;
+  if (attrs == nullptr) return std::nullopt;
+  auto it = attrs->find(key);
+  if (it == attrs->end()) return std::nullopt;
   return it->second.value;
 }
 
@@ -35,80 +36,119 @@ std::optional<bool> SiteSnapshot::get_bool(std::string_view key) const {
   return std::nullopt;
 }
 
-void Giis::register_gris(const Gris* gris) {
-  if (gris == nullptr) return;
-  direct_.push_back(gris);
+Giis::~Giis() {
+  for (Giis* child : children_) std::erase(child->parents_, this);
+  for (Giis* parent : parents_) {
+    std::erase(parent->children_, this);
+    for (const auto& [site, e] : directory_) parent->relink(site);
+  }
 }
 
-void Giis::register_child(const Giis* child) {
+void Giis::relink(const std::string& site) {
+  auto it = directory_.find(site);
+  std::vector<Route> routes;
+  if (it != directory_.end() && it->second.own) {
+    routes.push_back({{}, it->second.own.get()});
+  } else {
+    for (const Giis* child : children_) {
+      auto c = child->directory_.find(site);
+      if (c == child->directory_.end()) continue;
+      for (const Route& r : c->second.routes) {
+        Route via{{child}, r.slot};
+        via.hops.insert(via.hops.end(), r.hops.begin(), r.hops.end());
+        routes.push_back(std::move(via));
+      }
+    }
+  }
+  if (!routes.empty()) {
+    if (it == directory_.end()) it = directory_.try_emplace(site).first;
+    it->second.routes = std::move(routes);
+  } else if (it != directory_.end()) {
+    directory_.erase(it);
+  }
+  for (Giis* parent : parents_) parent->relink(site);
+}
+
+void Giis::register_gris(const Gris* gris) {
+  if (gris == nullptr) return;
+  Entry& e = directory_[gris->site()];
+  if (e.own) return;  // shadowed by the first registration
+  e.own = std::make_unique<Slot>(Slot{gris, ttl_, {}});
+  e.own->snap.site = gris->site();
+  relink(gris->site());
+}
+
+void Giis::register_child(Giis* child) {
   if (child == nullptr || child == this) return;
   children_.push_back(child);
+  child->parents_.push_back(this);
+  for (const auto& [site, e] : child->directory_) relink(site);
 }
 
 void Giis::deregister_gris(const std::string& site_name) {
-  direct_.erase(std::remove_if(direct_.begin(), direct_.end(),
-                               [&](const Gris* g) {
-                                 return g->site() == site_name;
-                               }),
-                direct_.end());
-  cache_.erase(site_name);
+  auto it = directory_.find(site_name);
+  if (it == directory_.end() || !it->second.own) return;
+  it->second.own.reset();
+  relink(site_name);
 }
 
 std::vector<std::string> Giis::sites() const {
   std::vector<std::string> out;
-  for (const Gris* g : direct_) out.push_back(g->site());
-  for (const Giis* c : children_) {
-    for (auto& s : c->sites()) out.push_back(std::move(s));
-  }
-  std::sort(out.begin(), out.end());
-  out.erase(std::unique(out.begin(), out.end()), out.end());
+  out.reserve(directory_.size());
+  for (const auto& [site, e] : directory_) out.push_back(site);
   return out;
 }
 
-std::optional<SiteSnapshot> Giis::fetch(const Gris& gris, Time now) const {
-  auto cached = cache_.find(gris.site());
-  const bool have_cache = cached != cache_.end();
-  if (have_cache && now - cached->second.fetched < ttl_) {
-    return cached->second;
+const SiteSnapshot* Giis::fetch(Slot& slot, Time now) {
+  SiteSnapshot& snap = slot.snap;
+  const bool have_cache = snap.attrs != nullptr;
+  if (have_cache && now - snap.fetched < slot.ttl) {
+    snap.fresh = true;
+    return &snap;
   }
-  if (gris.available()) {
-    SiteSnapshot snap;
-    snap.site = gris.site();
+  if (slot.gris->available()) {
     snap.fetched = now;
     snap.fresh = true;
-    for (auto& [k, a] : gris.dump()) snap.attrs.emplace(k, a);
-    cache_[snap.site] = snap;
-    return snap;
+    snap.attrs = std::make_shared<const AttributeMap>(slot.gris->attributes());
+    return &snap;
   }
   // GRIS down: serve the stale snapshot within a grace period of one
   // additional TTL (MDS kept cached entries briefly), then drop the site.
-  if (have_cache && now - cached->second.fetched < ttl_ + ttl_) {
-    SiteSnapshot stale = cached->second;
-    stale.fresh = false;
-    return stale;
+  if (have_cache && now - snap.fetched < slot.ttl + slot.ttl) {
+    snap.fresh = false;
+    return &snap;
   }
-  return std::nullopt;
+  return nullptr;
+}
+
+const SiteSnapshot* Giis::serve(const Entry& entry, Time now) const {
+  for (const Route& r : entry.routes) {
+    if (std::any_of(r.hops.begin(), r.hops.end(),
+                    [](const Giis* g) { return !g->up_; })) {
+      continue;
+    }
+    if (const SiteSnapshot* snap = fetch(*r.slot, now)) return snap;
+  }
+  return nullptr;
 }
 
 std::optional<SiteSnapshot> Giis::lookup(const std::string& site,
                                          Time now) const {
   if (!up_) return std::nullopt;
-  for (const Gris* g : direct_) {
-    if (g->site() == site) return fetch(*g, now);
-  }
-  for (const Giis* c : children_) {
-    if (auto snap = c->lookup(site, now)) return snap;
-  }
-  return std::nullopt;
+  auto it = directory_.find(site);
+  const SiteSnapshot* snap =
+      it == directory_.end() ? nullptr : serve(it->second, now);
+  if (snap == nullptr) return std::nullopt;
+  return *snap;
 }
 
 std::vector<SiteSnapshot> Giis::find(
     const std::function<bool(const SiteSnapshot&)>& pred, Time now) const {
   std::vector<SiteSnapshot> out;
   if (!up_) return out;
-  for (const std::string& site : sites()) {
-    auto snap = lookup(site, now);
-    if (snap && pred(*snap)) out.push_back(std::move(*snap));
+  for (const auto& [site, e] : directory_) {
+    const SiteSnapshot* snap = serve(e, now);
+    if (snap != nullptr && pred(*snap)) out.push_back(*snap);
   }
   return out;
 }

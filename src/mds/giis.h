@@ -5,10 +5,21 @@
 // iGOC index.  Queries read through a per-site cache refreshed lazily when
 // older than the TTL; if a GRIS is down the cached snapshot is served
 // until it expires, after which the site drops out of query results.
+//
+// The cache lives in the index a GRIS registered with, so a down child
+// index hides its sites from its parents at once.  Every index keeps a
+// flat, name-sorted directory of each GRIS reachable through it: the
+// route (child indices passed through, then the cache entry) that
+// answers first for each site name.  Registration at any tier updates
+// the directory of that index and of every index above it, so a find is
+// one pass over the directory and a lookup one ordered search.  A cached
+// snapshot's attribute map is immutable and shared: a cache hit, a stale
+// serve and a find result each copy a pointer, not the map.
 #pragma once
 
 #include <functional>
 #include <map>
+#include <memory>
 #include <optional>
 #include <string>
 #include <vector>
@@ -22,7 +33,9 @@ struct SiteSnapshot {
   std::string site;
   Time fetched;
   bool fresh = false;  ///< false when served past-TTL or never fetched
-  std::map<std::string, Attribute, std::less<>> attrs;
+  /// The GRIS attributes as of `fetched`, shared by every copy of this
+  /// snapshot; null reads as no attributes.
+  std::shared_ptr<const AttributeMap> attrs;
 
   [[nodiscard]] std::optional<AttrValue> get(std::string_view key) const;
   [[nodiscard]] std::optional<std::int64_t> get_int(std::string_view key) const;
@@ -34,14 +47,25 @@ class Giis {
  public:
   Giis(std::string name, Time cache_ttl)
       : name_{std::move(name)}, ttl_{cache_ttl} {}
+  /// Unlinks this index from its parents and children, so either may
+  /// outlive it.
+  ~Giis();
+  // Parents and children hold this index's address.
+  Giis(const Giis&) = delete;
+  Giis& operator=(const Giis&) = delete;
 
   [[nodiscard]] const std::string& name() const { return name_; }
 
   /// Register a site GRIS with this index (non-owning; the Site owns it).
+  /// A second GRIS under a name already registered here is shadowed by
+  /// the first.
   void register_gris(const Gris* gris);
-  /// Register a child index (VO GIIS -> top-level GIIS).
-  void register_child(const Giis* child);
+  /// Register a child index (VO GIIS -> top-level GIIS).  For a name
+  /// reachable several ways, this index's own GRIS answers first, then
+  /// each child in registration order.
+  void register_child(Giis* child);
 
+  /// Drop every GRIS registered here under `site_name`, and its cache.
   void deregister_gris(const std::string& site_name);
 
   /// All site names reachable through this index (direct + children).
@@ -53,26 +77,51 @@ class Giis {
                                                    Time now) const;
 
   /// All sites whose snapshot satisfies `pred` (discovery queries, e.g.
-  /// "sites with app X installed and >= N free CPUs").
+  /// "sites with app X installed and >= N free CPUs"), in name order.
   [[nodiscard]] std::vector<SiteSnapshot> find(
       const std::function<bool(const SiteSnapshot&)>& pred, Time now) const;
 
   void set_available(bool up) { up_ = up; }
   [[nodiscard]] bool available() const { return up_; }
 
-  [[nodiscard]] Time ttl() const { return ttl_; }
-
  private:
-  [[nodiscard]] std::optional<SiteSnapshot> fetch(const Gris& gris,
-                                                  Time now) const;
+  /// The cache of one GRIS registered directly with an index.
+  struct Slot {
+    const Gris* gris;
+    Time ttl;
+    SiteSnapshot snap;  ///< attrs null until the first fetch
+  };
+  /// How an index reaches a GRIS: down through `hops` (child indices,
+  /// nearest first; empty for its own GRIS) to the cache that serves it.
+  struct Route {
+    std::vector<const Giis*> hops;
+    Slot* slot;
+  };
+  struct Entry {
+    /// The first GRIS registered here under this name, if any.
+    std::unique_ptr<Slot> own;
+    /// Tried in order until one serves: `own` alone when set, else every
+    /// child's routes in child registration order.
+    std::vector<Route> routes;
+  };
+  /// Site name -> entry; a name is present while at least one route
+  /// reaches it.  Node-based, so a registration inserts without moving
+  /// the other entries.
+  using Directory = std::map<std::string, Entry, std::less<>>;
+
+  /// Refetch a stale cache; the snapshot to serve, or null.
+  static const SiteSnapshot* fetch(Slot& slot, Time now);
+  [[nodiscard]] const SiteSnapshot* serve(const Entry& entry, Time now) const;
+  /// Recompute this index's routes for `site`, then its parents'.
+  void relink(const std::string& site);
 
   std::string name_;
   Time ttl_;
   bool up_ = true;
-  std::vector<const Gris*> direct_;
-  std::vector<const Giis*> children_;
-  // Cache is conceptually server state mutated by reads.
-  mutable std::map<std::string, SiteSnapshot> cache_;
+  std::vector<Giis*> children_;
+  std::vector<Giis*> parents_;
+  /// The caches are conceptually server state mutated by reads.
+  Directory directory_;
 };
 
 }  // namespace grid3::mds

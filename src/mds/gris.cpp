@@ -27,11 +27,4 @@ std::optional<Attribute> Gris::query(std::string_view key) const {
   return it->second;
 }
 
-std::vector<std::pair<std::string, Attribute>> Gris::dump() const {
-  std::vector<std::pair<std::string, Attribute>> out;
-  out.reserve(attrs_.size());
-  for (const auto& [k, v] : attrs_) out.emplace_back(k, v);
-  return out;
-}
-
 }  // namespace grid3::mds

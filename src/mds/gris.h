@@ -4,14 +4,15 @@
 // attributes into the site GRIS; GIIS index servers pull snapshots with a
 // cache TTL, so consumers may observe bounded staleness -- faithfully
 // reproducing MDS2 semantics, where a dead GRIS keeps serving cached data
-// until the TTL lapses.
+// until the TTL lapses.  A GIIS pull copies the attribute map once, from
+// the const view attributes(), into the immutable snapshot every reader
+// of that cache entry then shares.
 #pragma once
 
 #include <functional>
 #include <map>
 #include <optional>
 #include <string>
-#include <vector>
 
 #include "mds/schema.h"
 #include "util/units.h"
@@ -22,6 +23,9 @@ struct Attribute {
   AttrValue value;
   Time updated;
 };
+
+/// Attributes by key, sorted (LDIF-style order).
+using AttributeMap = std::map<std::string, Attribute, std::less<>>;
 
 class Gris {
  public:
@@ -39,8 +43,9 @@ class Gris {
   /// missing or the server is down.
   [[nodiscard]] std::optional<Attribute> query(std::string_view key) const;
 
-  /// All attributes, sorted by key (LDIF-style dump / GIIS pull).
-  [[nodiscard]] std::vector<std::pair<std::string, Attribute>> dump() const;
+  /// All attributes, sorted by key, as the server holds them (the GIIS
+  /// pull reads this regardless of availability; it checks available()).
+  [[nodiscard]] const AttributeMap& attributes() const { return attrs_; }
 
   void set_available(bool up) { up_ = up; }
   [[nodiscard]] bool available() const { return up_; }
@@ -50,7 +55,7 @@ class Gris {
  private:
   std::string site_;
   bool up_ = true;
-  std::map<std::string, Attribute, std::less<>> attrs_;
+  AttributeMap attrs_;
 };
 
 }  // namespace grid3::mds

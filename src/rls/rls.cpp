@@ -1,11 +1,18 @@
 #include "rls/rls.h"
 
 #include <algorithm>
+#include <atomic>
 #include <cassert>
 
 namespace grid3::rls {
 
+void LocalReplicaCatalog::touch() {
+  static std::atomic<std::uint64_t> last_version{0};
+  version_ = ++last_version;
+}
+
 void LocalReplicaCatalog::add(const std::string& lfn, Replica replica) {
+  touch();
   auto& replicas = map_[lfn];
   auto it = std::find_if(replicas.begin(), replicas.end(),
                          [&](const Replica& r) { return r.pfn == replica.pfn; });
@@ -27,6 +34,7 @@ bool LocalReplicaCatalog::remove(const std::string& lfn,
                  replicas.end());
   const bool removed = replicas.size() != before;
   if (replicas.empty()) map_.erase(it);
+  if (removed) touch();
   return removed;
 }
 
@@ -35,6 +43,7 @@ std::size_t LocalReplicaCatalog::remove_lfn(const std::string& lfn) {
   if (it == map_.end()) return 0;
   const std::size_t n = it->second.size();
   map_.erase(it);
+  touch();
   return n;
 }
 
@@ -54,28 +63,56 @@ std::size_t LocalReplicaCatalog::replica_count() const {
   return n;
 }
 
-std::vector<std::string> LocalReplicaCatalog::lfns() const {
-  std::vector<std::string> out;
-  out.reserve(map_.size());
-  for (const auto& [lfn, replicas] : map_) out.push_back(lfn);
-  return out;
+ReplicaLocationIndex::SiteDigest& ReplicaLocationIndex::digest_for(
+    const std::string& site) {
+  auto [it, added] = sites_.try_emplace(site);
+  if (added) it->second.site = site;
+  return it->second;
+}
+
+void ReplicaLocationIndex::add(SiteDigest& d, const std::string& lfn) {
+  Index::value_type& entry = *index_.try_emplace(lfn).first;
+  std::vector<SiteDigest*>& sites = entry.second;
+  auto pos = std::lower_bound(sites.begin(), sites.end(), d.site,
+                              [](const SiteDigest* s, const std::string& name) {
+                                return s->site < name;
+                              });
+  if (pos != sites.end() && *pos == &d) return;
+  sites.insert(pos, &d);
+  d.lfns.push_back(&entry);
+}
+
+void ReplicaLocationIndex::redigest(SiteDigest& d,
+                                    const LocalReplicaCatalog& lrc) {
+  for (Index::value_type* entry : d.lfns) {
+    std::erase(entry->second, &d);
+    if (entry->second.empty()) index_.erase(index_.find(entry->first));
+  }
+  d.lfns.clear();
+  for (const auto& [lfn, replicas] : lrc.mappings()) add(d, lfn);
 }
 
 void ReplicaLocationIndex::update_from(const LocalReplicaCatalog& lrc,
                                        Time now) {
   if (!up_) return;  // a down index drops digests; soft state re-heals
-  // Full-state digest: wipe the site's old contribution, then re-add.
-  for (auto it = index_.begin(); it != index_.end();) {
-    it->second.erase(lrc.site());
-    if (it->second.empty()) {
-      it = index_.erase(it);
-    } else {
-      ++it;
-    }
+  SiteDigest& d = digest_for(lrc.site());
+  if (d.version != lrc.version()) redigest(d, lrc);
+  d.refreshed = now;
+  d.version = lrc.version();
+}
+
+void ReplicaLocationIndex::update_from(const LocalReplicaCatalog& lrc,
+                                       std::uint64_t before,
+                                       const std::string& lfn, Time now) {
+  if (!up_) return;
+  SiteDigest& d = digest_for(lrc.site());
+  if (d.version == before) {
+    add(d, lfn);
+  } else {
+    redigest(d, lrc);
   }
-  for (const std::string& lfn : lrc.lfns()) {
-    index_[lfn][lrc.site()] = now;
-  }
+  d.refreshed = now;
+  d.version = lrc.version();
 }
 
 std::vector<std::string> ReplicaLocationIndex::sites_with(
@@ -84,8 +121,8 @@ std::vector<std::string> ReplicaLocationIndex::sites_with(
   if (!up_) return out;
   auto it = index_.find(lfn);
   if (it == index_.end()) return out;
-  for (const auto& [site, refreshed] : it->second) {
-    if (now - refreshed <= ttl_) out.push_back(site);
+  for (const SiteDigest* d : it->second) {
+    if (now - d->refreshed <= ttl_) out.push_back(d->site);
   }
   return out;
 }
@@ -95,8 +132,10 @@ bool ReplicaLocationIndex::knows(const std::string& lfn,
   if (!up_) return false;
   auto it = index_.find(lfn);
   if (it == index_.end()) return false;
-  auto jt = it->second.find(site);
-  return jt != it->second.end() && now - jt->second <= ttl_;
+  return std::any_of(it->second.begin(), it->second.end(),
+                     [&](const SiteDigest* d) {
+                       return d->site == site && now - d->refreshed <= ttl_;
+                     });
 }
 
 LocalReplicaCatalog& ReplicaLocationService::lrc_for(const std::string& site) {
@@ -135,12 +174,19 @@ void RegistrationJournal::mark_applied(JournalEntry& e, const char* event) {
   if (audit_) audit_(e, event);
 }
 
+void ReplicaLocationService::add_replica(const std::string& site,
+                                         const std::string& lfn,
+                                         Replica replica, Time now) {
+  LocalReplicaCatalog& lrc = lrc_for(site);
+  const std::uint64_t before = lrc.version();
+  lrc.add(lfn, std::move(replica));  // idempotent: upserts by PFN
+  // Dropped while the RLI is down; the next refresh_all re-advertises it.
+  rli_.update_from(lrc, before, lfn, now);
+}
+
 void ReplicaLocationService::apply(JournalEntry& e, Time now,
                                    const char* event) {
-  LocalReplicaCatalog& lrc = lrc_for(e.site);
-  lrc.add(e.lfn, e.replica);  // idempotent: upserts by PFN
-  rli_.update_from(lrc, now);  // dropped while the RLI is down; the
-                               // next refresh_all re-advertises it
+  add_replica(e.site, e.lfn, e.replica, now);
   journal_.mark_applied(e, event);
 }
 
@@ -161,9 +207,7 @@ void ReplicaLocationService::register_replica(const std::string& site,
     ++lost_registrations_;
     return;
   }
-  LocalReplicaCatalog& lrc = lrc_for(site);
-  lrc.add(lfn, std::move(replica));
-  rli_.update_from(lrc, now);
+  add_replica(site, lfn, std::move(replica), now);
 }
 
 std::size_t ReplicaLocationService::replay(Time now) {

@@ -2,9 +2,16 @@
 //
 // Two tiers: per-site Local Replica Catalogs (LRC) map logical file
 // names to physical locations; Replica Location Indices (RLI) answer
-// "which LRCs know this LFN".  LRCs push soft-state digests to their
-// RLIs on a period, so the index can lag the catalogs -- consumers must
-// tolerate a bounded staleness window, and the tests pin that behaviour.
+// "which LRCs know this LFN".  LRCs push periodic full soft-state
+// digests to their RLIs (refresh_all), so the index can lag the
+// catalogs -- consumers must tolerate a bounded staleness window, and
+// the tests pin that behaviour.  Between digests, each registration
+// reaches the RLI as an incremental update ("immediate mode", Chervenak
+// et al., HPDC 2004): one LFN, not the site's whole catalog.  An update
+// the index cannot apply as a delta -- it missed an earlier change, for
+// instance a digest dropped while the RLI was down -- becomes a full
+// digest of that one site, and the next refresh_all re-heals whatever
+// an RLI outage dropped.
 //
 // Outage degradation: the service endpoint and the RLI each carry an
 // availability flag.  Registrations attempted while the endpoint (or
@@ -37,6 +44,8 @@ struct Replica {
 /// Local Replica Catalog: authoritative per-site LFN -> PFN mappings.
 class LocalReplicaCatalog {
  public:
+  using Mappings = std::map<std::string, std::vector<Replica>>;
+
   explicit LocalReplicaCatalog(std::string site) : site_{std::move(site)} {}
 
   [[nodiscard]] const std::string& site() const { return site_; }
@@ -48,31 +57,58 @@ class LocalReplicaCatalog {
 
   [[nodiscard]] std::vector<Replica> lookup(const std::string& lfn) const;
   [[nodiscard]] bool has(const std::string& lfn) const;
-  [[nodiscard]] std::size_t lfn_count() const { return map_.size(); }
   [[nodiscard]] std::size_t replica_count() const;
 
-  /// All LFNs (digest payload for RLI soft-state updates).
-  [[nodiscard]] std::vector<std::string> lfns() const;
+  /// Every mapping, LFN-sorted, regardless of availability (the payload
+  /// of a full RLI digest).
+  [[nodiscard]] const Mappings& mappings() const { return map_; }
+
+  /// Changes on every mutation, to a value drawn from one process-wide
+  /// sequence, so two catalogs at the same version hold the same
+  /// mappings (0: never changed, empty).  The RLI compares it with the
+  /// version it last digested.
+  [[nodiscard]] std::uint64_t version() const { return version_; }
 
   void set_available(bool up) { up_ = up; }
   [[nodiscard]] bool available() const { return up_; }
 
  private:
+  void touch();
+
   std::string site_;
   bool up_ = true;
-  std::map<std::string, std::vector<Replica>> map_;
+  std::uint64_t version_ = 0;
+  Mappings map_;
 };
 
 /// Replica Location Index: LFN -> set of LRC sites, fed by soft-state.
+///
+/// A digest stamps every entry of its site with one time, so the index
+/// keeps one last-digest time per site and a name-sorted site set per
+/// LFN, and remembers the LRC version each site's entries reflect.
 class ReplicaLocationIndex {
  public:
   explicit ReplicaLocationIndex(std::string name) : name_{std::move(name)} {}
+  // The index holds pointers into its own tables.
+  ReplicaLocationIndex(const ReplicaLocationIndex&) = delete;
+  ReplicaLocationIndex& operator=(const ReplicaLocationIndex&) = delete;
+  ReplicaLocationIndex(ReplicaLocationIndex&&) = default;
+  ReplicaLocationIndex& operator=(ReplicaLocationIndex&&) = default;
 
   [[nodiscard]] const std::string& name() const { return name_; }
 
   /// Accept a full-state digest from one LRC (replaces that site's
   /// previous contribution).  Entries expire after `ttl` without refresh.
+  /// A digest of an LRC unchanged since the site's last digest only
+  /// re-stamps the site; any other costs O(the site's LFNs).
   void update_from(const LocalReplicaCatalog& lrc, Time now);
+
+  /// Immediate-mode update: `lrc` gained `lfn`, and its only change
+  /// since version `before` was that add.  Indexes `lfn` alone when this
+  /// index holds `before`, else digests `lrc` in full; either way the
+  /// result equals update_from(lrc, now).
+  void update_from(const LocalReplicaCatalog& lrc, std::uint64_t before,
+                   const std::string& lfn, Time now);
 
   /// Sites whose LRC advertised the LFN at last refresh and whose entry
   /// has not expired.
@@ -85,7 +121,6 @@ class ReplicaLocationIndex {
   [[nodiscard]] bool knows(const std::string& lfn, const std::string& site,
                            Time now) const;
 
-  [[nodiscard]] Time ttl() const { return ttl_; }
   void set_ttl(Time ttl) { ttl_ = ttl; }
 
   /// A down index answers nothing and drops incoming digests (soft
@@ -94,16 +129,31 @@ class ReplicaLocationIndex {
   void set_available(bool up) { up_ = up; }
   [[nodiscard]] bool available() const { return up_; }
 
+  /// LFNs that at least one site advertised at its last digest.
   [[nodiscard]] std::size_t indexed_lfns() const { return index_.size(); }
 
  private:
+  struct SiteDigest;
+  /// LFN -> advertising sites, name-sorted.  The table is unordered (hot
+  /// lookups hash once); its nodes never move, so digests point at them.
+  using Index = std::unordered_map<std::string, std::vector<SiteDigest*>>;
+  struct SiteDigest {
+    std::string site;
+    Time refreshed;
+    std::uint64_t version = 0;  ///< LRC version the entries reflect
+    std::vector<Index::value_type*> lfns;
+  };
+
+  [[nodiscard]] SiteDigest& digest_for(const std::string& site);
+  /// Index `lfn` under `d` unless it already is.
+  void add(SiteDigest& d, const std::string& lfn);
+  void redigest(SiteDigest& d, const LocalReplicaCatalog& lrc);
+
   std::string name_;
   bool up_ = true;
   Time ttl_ = Time::minutes(30);
-  // lfn -> site -> last refresh time.  The outer index is unordered
-  // (hot lookups hash once); the inner site map stays ordered so
-  // sites_with keeps returning name-sorted sites.
-  std::unordered_map<std::string, std::map<std::string, Time>> index_;
+  Index index_;
+  std::map<std::string, SiteDigest> sites_;
 };
 
 /// One logged registration intent.  Write-ahead: the entry exists
@@ -221,6 +271,9 @@ class ReplicaLocationService {
 
  private:
   void apply(JournalEntry& e, Time now, const char* event);
+  /// The catalog write plus its immediate-mode RLI update.
+  void add_replica(const std::string& site, const std::string& lfn,
+                   Replica replica, Time now);
 
   std::string vo_;
   bool available_ = true;

@@ -35,10 +35,10 @@ std::vector<std::string> PegasusPlanner::eligible_sites(
     const PlannerConfig& cfg, Time now) const {
   const Time needed_walltime =
       Time::seconds(max_runtime.to_seconds() * cfg.walltime_slack);
+  const std::string app_key = mds::app_attribute(required_app);
   auto snaps = giis_.find(
       [&](const mds::SiteSnapshot& s) {
-        if (!required_app.empty() &&
-            !s.get(mds::app_attribute(required_app)).has_value()) {
+        if (!required_app.empty() && !s.get(app_key).has_value()) {
           return false;
         }
         if (auto free = s.get_int(mds::glue::kFreeCpus);

@@ -14,6 +14,7 @@
 #include "bus_probe.h"
 #include "core/grid3.h"
 #include "core/site.h"
+#include "mds/schema.h"
 #include "pacman/vdt.h"
 #include "rls/rls.h"
 #include "sim/simulation.h"
@@ -176,8 +177,9 @@ TEST_F(BrokerFixture, ViewJoinsGiisAndMonalisa) {
   EXPECT_EQ(view[0].site, "ALPHA");  // name-sorted
   EXPECT_EQ(view[1].site, "BETA");
   EXPECT_EQ(view[0].total_cpus, 16);
-  EXPECT_TRUE(view[0].has_app("app"));
-  EXPECT_FALSE(view[0].has_app("ghost"));
+  EXPECT_TRUE(view[0].snapshot.get(mds::app_attribute("app")).has_value());
+  EXPECT_FALSE(
+      view[0].snapshot.get(mds::app_attribute("ghost")).has_value());
 }
 
 TEST_F(BrokerFixture, EligibilityMirrorsPlannerRules) {

@@ -167,12 +167,52 @@ TEST_F(GiisTest, DeregisterRemovesSite) {
   EXPECT_EQ(sites[0], "BNL");
 }
 
+TEST_F(GiisTest, HeldSnapshotKeepsItsValuesAcrossRefetch) {
+  // Snapshots share the cached attribute map; a refetch replaces the
+  // cache's map instead of editing it, so a snapshot already handed out
+  // keeps the values it was served with.
+  const auto before = top.lookup("FNAL", Time::zero());
+  ASSERT_TRUE(before.has_value());
+  fnal.publish(glue::kTotalCpus, std::int64_t{500}, Time::minutes(1));
+  const auto after = top.lookup("FNAL", Time::minutes(11));
+  ASSERT_TRUE(after.has_value());
+  EXPECT_EQ(after->get_int(glue::kTotalCpus), 500);
+  EXPECT_EQ(before->get_int(glue::kTotalCpus), 400);
+}
+
+TEST(GiisLifetime, ParentForgetsADestroyedChild) {
+  Gris bnl{"BNL"};
+  Giis top{"igoc", Time::minutes(10)};
+  {
+    Giis vo{"usatlas-giis", Time::minutes(10)};
+    vo.register_gris(&bnl);
+    top.register_child(&vo);
+    ASSERT_EQ(top.sites().size(), 1u);
+  }
+  EXPECT_TRUE(top.sites().empty());
+  EXPECT_FALSE(top.lookup("BNL", Time::zero()).has_value());
+}
+
+TEST(GiisLifetime, ChildOutlivesItsParent) {
+  Gris bnl{"BNL"};
+  Giis vo{"usatlas-giis", Time::minutes(10)};
+  {
+    Giis top{"igoc", Time::minutes(10)};
+    top.register_child(&vo);
+  }
+  vo.register_gris(&bnl);  // no parent left to update
+  EXPECT_TRUE(vo.lookup("BNL", Time::zero()).has_value());
+}
+
 TEST(SiteSnapshot, TypedGetters) {
+  AttributeMap attrs;
+  attrs.emplace("int", Attribute{std::int64_t{7}, Time::zero()});
+  attrs.emplace("dbl", Attribute{3.5, Time::zero()});
+  attrs.emplace("str", Attribute{std::string{"hi"}, Time::zero()});
+  attrs.emplace("flag", Attribute{true, Time::zero()});
   SiteSnapshot snap;
-  snap.attrs.emplace("int", Attribute{std::int64_t{7}, Time::zero()});
-  snap.attrs.emplace("dbl", Attribute{3.5, Time::zero()});
-  snap.attrs.emplace("str", Attribute{std::string{"hi"}, Time::zero()});
-  snap.attrs.emplace("flag", Attribute{true, Time::zero()});
+  EXPECT_FALSE(snap.get("int").has_value());  // no attributes yet
+  snap.attrs = std::make_shared<const AttributeMap>(std::move(attrs));
   EXPECT_EQ(snap.get_int("int"), 7);
   EXPECT_EQ(snap.get_int("dbl"), 3);  // double narrows
   EXPECT_EQ(snap.get_string("str"), "hi");

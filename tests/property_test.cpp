@@ -4,15 +4,22 @@
 
 #include <algorithm>
 #include <cmath>
+#include <functional>
+#include <map>
 #include <memory>
 #include <numeric>
+#include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "batch/scheduler.h"
+#include "mds/giis.h"
+#include "mds/gris.h"
 #include "monitoring/bus.h"
 #include "monitoring/monalisa.h"
 #include "net/network.h"
+#include "rls/rls.h"
 #include "sim/simulation.h"
 #include "util/rng.h"
 #include "util/timeseries.h"
@@ -476,6 +483,456 @@ TEST_P(SeriesAdditivity, IntegralSplitsAcrossWindows) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, SeriesAdditivity,
                          ::testing::Values(31u, 32u, 33u, 34u));
+
+// ---------------------------------------------------------------------
+// Property: a GIIS answers from its flat directory exactly as the
+// recursive walk it replaced -- the same names in the same order, with
+// the same fetch times, freshness and attribute values, from find,
+// lookup and sites() at every tier -- after every step of a random
+// sequence of registrations, outages, publishes and clock advances.
+// The walk is kept here as the reference.
+// ---------------------------------------------------------------------
+
+/// A snapshot as the walk served it: the attribute map held by value.
+struct WalkSnapshot {
+  std::string site;
+  Time fetched;
+  bool fresh = false;
+  mds::AttributeMap attrs;
+};
+
+/// The recursive GIIS: sites() collects, sorts and de-duplicates every
+/// name below; lookup() asks the first GRIS registered here under the
+/// name, else each child in turn; the cache lives where the GRIS
+/// registered.
+class WalkGiis {
+ public:
+  explicit WalkGiis(Time ttl) : ttl_{ttl} {}
+
+  void register_gris(const mds::Gris* g) { direct_.push_back(g); }
+  void register_child(const WalkGiis* c) { children_.push_back(c); }
+  void deregister_gris(const std::string& site) {
+    std::erase_if(direct_,
+                  [&](const mds::Gris* g) { return g->site() == site; });
+    cache_.erase(site);
+  }
+  void set_available(bool up) { up_ = up; }
+
+  [[nodiscard]] std::vector<std::string> sites() const {
+    std::vector<std::string> out;
+    for (const mds::Gris* g : direct_) out.push_back(g->site());
+    for (const WalkGiis* c : children_) {
+      for (auto& s : c->sites()) out.push_back(std::move(s));
+    }
+    std::sort(out.begin(), out.end());
+    out.erase(std::unique(out.begin(), out.end()), out.end());
+    return out;
+  }
+
+  [[nodiscard]] std::optional<WalkSnapshot> lookup(const std::string& site,
+                                                   Time now) const {
+    if (!up_) return std::nullopt;
+    for (const mds::Gris* g : direct_) {
+      if (g->site() == site) return fetch(*g, now);
+    }
+    for (const WalkGiis* c : children_) {
+      if (auto snap = c->lookup(site, now)) return snap;
+    }
+    return std::nullopt;
+  }
+
+  [[nodiscard]] std::vector<WalkSnapshot> find(
+      const std::function<bool(const WalkSnapshot&)>& pred, Time now) const {
+    std::vector<WalkSnapshot> out;
+    if (!up_) return out;
+    for (const std::string& site : sites()) {
+      auto snap = lookup(site, now);
+      if (snap && pred(*snap)) out.push_back(std::move(*snap));
+    }
+    return out;
+  }
+
+ private:
+  [[nodiscard]] std::optional<WalkSnapshot> fetch(const mds::Gris& gris,
+                                                  Time now) const {
+    auto cached = cache_.find(gris.site());
+    const bool have_cache = cached != cache_.end();
+    if (have_cache && now - cached->second.fetched < ttl_) {
+      return cached->second;
+    }
+    if (gris.available()) {
+      WalkSnapshot snap{gris.site(), now, true, gris.attributes()};
+      cache_[snap.site] = snap;
+      return snap;
+    }
+    if (have_cache && now - cached->second.fetched < ttl_ + ttl_) {
+      WalkSnapshot stale = cached->second;
+      stale.fresh = false;
+      return stale;
+    }
+    return std::nullopt;
+  }
+
+  Time ttl_;
+  bool up_ = true;
+  std::vector<const mds::Gris*> direct_;
+  std::vector<const WalkGiis*> children_;
+  mutable std::map<std::string, WalkSnapshot> cache_;
+};
+
+void expect_same_snapshot(const mds::SiteSnapshot& got,
+                          const WalkSnapshot& want, const std::string& at) {
+  EXPECT_EQ(got.site, want.site) << at;
+  EXPECT_EQ(got.fetched.ticks(), want.fetched.ticks()) << at;
+  EXPECT_EQ(got.fresh, want.fresh) << at;
+  ASSERT_NE(got.attrs, nullptr) << at;
+  ASSERT_EQ(got.attrs->size(), want.attrs.size()) << at;
+  auto w = want.attrs.begin();
+  for (const auto& [key, attr] : *got.attrs) {
+    EXPECT_EQ(key, w->first) << at;
+    EXPECT_TRUE(attr.value == w->second.value) << at << " " << key;
+    EXPECT_EQ(attr.updated.ticks(), w->second.updated.ticks()) << at;
+    ++w;
+  }
+}
+
+void expect_same_snapshots(const std::vector<mds::SiteSnapshot>& got,
+                           const std::vector<WalkSnapshot>& want,
+                           const std::string& at) {
+  ASSERT_EQ(got.size(), want.size()) << at;
+  for (std::size_t i = 0; i < got.size(); ++i) {
+    expect_same_snapshot(got[i], want[i], at + " #" + std::to_string(i));
+  }
+}
+
+struct GiisCase {
+  std::uint64_t seed;
+  int levels;  ///< 2: top + VO indices; 3: plus indices below the VOs
+};
+
+class GiisDirectory : public ::testing::TestWithParam<GiisCase> {};
+
+TEST_P(GiisDirectory, MatchesTheRecursiveWalkAfterEveryStep) {
+  const GiisCase c = GetParam();
+  util::Rng rng{c.seed};
+  const auto pick = [&](std::size_t n) {
+    return static_cast<std::size_t>(
+        rng.uniform_int(0, static_cast<std::int64_t>(n) - 1));
+  };
+
+  // Index 0 is the top; 1-3 hang below it; with three levels, 4-5 hang
+  // below a random one of 1-3.  Per-index TTLs differ, so each cache
+  // ages by its own owner's TTL.
+  const int count = c.levels == 2 ? 4 : 6;
+  std::vector<std::unique_ptr<mds::Giis>> real;
+  std::vector<std::unique_ptr<WalkGiis>> walk;
+  std::vector<int> parent_of(static_cast<std::size_t>(count), -1);
+  std::vector<bool> linked(static_cast<std::size_t>(count), false);
+  for (int i = 0; i < count; ++i) {
+    const Time ttl = Time::minutes(i % 2 == 0 ? 10 : 5);
+    real.push_back(
+        std::make_unique<mds::Giis>("giis" + std::to_string(i), ttl));
+    walk.push_back(std::make_unique<WalkGiis>(ttl));
+    if (i > 3) {
+      parent_of[static_cast<std::size_t>(i)] = static_cast<int>(1 + pick(3));
+    } else if (i > 0) {
+      parent_of[static_cast<std::size_t>(i)] = 0;
+    }
+  }
+  const auto link = [&](std::size_t i) {
+    if (i == 0 || linked[i]) return;
+    const auto p = static_cast<std::size_t>(parent_of[i]);
+    real[p]->register_child(real[i].get());
+    walk[p]->register_child(walk[i].get());
+    linked[i] = true;
+  };
+  // Some indices join their parent before any GRIS registers, the rest
+  // at a random later step (after GRISes registered with them).
+  for (std::size_t i = 1; i < linked.size(); ++i) {
+    if (rng.uniform() < 0.5) link(i);
+  }
+
+  // Seven GRISes over five names: two names are published twice.
+  const std::vector<std::string> names{"ALPHA", "BETA", "DELTA", "EPSILON",
+                                       "GAMMA"};
+  std::vector<std::unique_ptr<mds::Gris>> gris;
+  for (std::size_t i = 0; i < 7; ++i) {
+    gris.push_back(std::make_unique<mds::Gris>(names[i % names.size()]));
+    gris.back()->publish("n", std::int64_t{0}, Time::zero());
+    gris.back()->publish("tag", std::string{"g" + std::to_string(i)},
+                         Time::zero());
+  }
+
+  Time now;
+  const auto even_n = [](std::optional<std::int64_t> n) {
+    return n.has_value() && *n % 2 == 0;
+  };
+  const auto check = [&](int step) {
+    for (std::size_t i = 0; i < real.size(); ++i) {
+      const std::string at =
+          "giis" + std::to_string(i) + " at step " + std::to_string(step);
+      ASSERT_EQ(real[i]->sites(), walk[i]->sites()) << at;
+      expect_same_snapshots(
+          real[i]->find([](const mds::SiteSnapshot&) { return true; }, now),
+          walk[i]->find([](const WalkSnapshot&) { return true; }, now),
+          at + " find(all)");
+      expect_same_snapshots(
+          real[i]->find(
+              [&](const mds::SiteSnapshot& s) {
+                return even_n(s.get_int("n"));
+              },
+              now),
+          walk[i]->find(
+              [&](const WalkSnapshot& s) {
+                auto it = s.attrs.find("n");
+                return it != s.attrs.end() &&
+                       even_n(std::get<std::int64_t>(it->second.value));
+              },
+              now),
+          at + " find(even n)");
+      for (const std::string& name : {names[0], names[1], names[2], names[3],
+                                      names[4], std::string{"UNKNOWN"}}) {
+        const auto got = real[i]->lookup(name, now);
+        const auto want = walk[i]->lookup(name, now);
+        ASSERT_EQ(got.has_value(), want.has_value()) << at << " " << name;
+        if (got) expect_same_snapshot(*got, *want, at + " lookup " + name);
+      }
+    }
+  };
+
+  for (int step = 0; step < 500; ++step) {
+    const double op = rng.uniform();
+    if (op < 0.22) {
+      const std::size_t i = pick(real.size());
+      const mds::Gris* g = gris[pick(gris.size())].get();
+      real[i]->register_gris(g);
+      walk[i]->register_gris(g);
+    } else if (op < 0.30) {
+      const std::size_t i = pick(real.size());
+      const std::string& name = names[pick(names.size())];
+      real[i]->deregister_gris(name);
+      walk[i]->deregister_gris(name);
+    } else if (op < 0.36) {
+      link(pick(real.size()));
+    } else if (op < 0.48) {
+      mds::Gris& g = *gris[pick(gris.size())];
+      g.set_available(!g.available());
+    } else if (op < 0.56) {
+      const std::size_t i = pick(real.size());
+      const bool up = !real[i]->available();
+      real[i]->set_available(up);
+      walk[i]->set_available(up);
+    } else if (op < 0.72) {
+      // Publishes land in the GRIS, and show only once a cache refetches.
+      mds::Gris& g = *gris[pick(gris.size())];
+      g.publish("n", std::int64_t{step}, now);
+      if (rng.uniform() < 0.3) {
+        g.retract("tag");
+      } else {
+        g.publish("tag", std::string{"s" + std::to_string(step)}, now);
+      }
+    } else {
+      // Cross the 5- and 10-minute TTLs and their grace periods, landing
+      // on the boundaries exactly now and then.
+      static const int kMinutes[] = {0, 1, 3, 5, 5, 10, 10, 15, 20, 25};
+      now += Time::minutes(kMinutes[pick(std::size(kMinutes))]);
+    }
+    check(step);
+    if (::testing::Test::HasFatalFailure() || HasNonfatalFailure()) return;
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    RandomTrees, GiisDirectory,
+    ::testing::Values(GiisCase{61, 2}, GiisCase{62, 2}, GiisCase{63, 2},
+                      GiisCase{64, 3}, GiisCase{65, 3}, GiisCase{66, 3}),
+    [](const ::testing::TestParamInfo<GiisCase>& info) {
+      return "seed" + std::to_string(info.param.seed) + "_levels" +
+             std::to_string(info.param.levels);
+    });
+
+// ---------------------------------------------------------------------
+// Property: an RLI fed incremental registrations and version-checked
+// digests answers exactly as the whole-index rewrite it replaced, after
+// every step of a random sequence of registrations (journal on and
+// off), catalog edits outside the service, outages, replays, refreshes,
+// direct digests and TTL crossings.  The rewrite is kept here as the
+// reference, fed the digests the service sends (the journal's audit tap
+// shows each apply and replay).
+// ---------------------------------------------------------------------
+
+/// The full-rewrite RLI: each digest wipes its site from every LFN,
+/// then re-adds the site under each LFN its catalog holds.
+class RewriteIndex {
+ public:
+  void update_from(const rls::LocalReplicaCatalog& lrc, Time now) {
+    if (!up_) return;
+    for (auto it = index_.begin(); it != index_.end();) {
+      it->second.erase(lrc.site());
+      it = it->second.empty() ? index_.erase(it) : std::next(it);
+    }
+    for (const auto& [lfn, replicas] : lrc.mappings()) {
+      index_[lfn][lrc.site()] = now;
+    }
+  }
+  [[nodiscard]] std::vector<std::string> sites_with(const std::string& lfn,
+                                                    Time now) const {
+    std::vector<std::string> out;
+    if (!up_) return out;
+    auto it = index_.find(lfn);
+    if (it == index_.end()) return out;
+    for (const auto& [site, refreshed] : it->second) {
+      if (now - refreshed <= ttl_) out.push_back(site);
+    }
+    return out;
+  }
+  [[nodiscard]] bool knows(const std::string& lfn, const std::string& site,
+                           Time now) const {
+    if (!up_) return false;
+    auto it = index_.find(lfn);
+    if (it == index_.end()) return false;
+    auto jt = it->second.find(site);
+    return jt != it->second.end() && now - jt->second <= ttl_;
+  }
+  [[nodiscard]] std::size_t indexed_lfns() const { return index_.size(); }
+  void set_available(bool up) { up_ = up; }
+  [[nodiscard]] bool available() const { return up_; }
+
+ private:
+  bool up_ = true;
+  Time ttl_ = Time::minutes(30);
+  std::map<std::string, std::map<std::string, Time>> index_;
+};
+
+class RliDeltas : public ::testing::TestWithParam<std::uint64_t> {};
+
+TEST_P(RliDeltas, MatchTheWholeIndexRewriteAfterEveryStep) {
+  util::Rng rng{GetParam()};
+  const auto pick = [&](std::size_t n) {
+    return static_cast<std::size_t>(
+        rng.uniform_int(0, static_cast<std::int64_t>(n) - 1));
+  };
+  const std::vector<std::string> sites{"BNL", "FNAL", "UC", "UFL"};
+  std::vector<std::string> lfns;
+  for (int i = 0; i < 10; ++i) lfns.push_back("lfn" + std::to_string(i));
+
+  rls::ReplicaLocationService svc{"vo"};
+  RewriteIndex ref;
+  Time now;
+  svc.journal().set_audit([&](const rls::JournalEntry& e, const char* event) {
+    if (std::string_view{event} != "log") {
+      ref.update_from(*svc.find_lrc(e.site), now);
+    }
+  });
+  const auto replica = [&](const std::string& site, const std::string& lfn) {
+    return rls::Replica{"gsiftp://" + site + "/" + lfn + "/" +
+                            std::to_string(pick(2)),
+                        Bytes::mb(static_cast<double>(1 + pick(100))), now};
+  };
+
+  // The service's locate and has_replica_at over the reference index.
+  const auto ref_locate = [&](const std::string& lfn) {
+    std::vector<std::pair<std::string, rls::Replica>> out;
+    const auto add = [&](const std::string& site) {
+      if (const auto* lrc = svc.find_lrc(site)) {
+        for (const rls::Replica& r : lrc->lookup(lfn)) {
+          out.emplace_back(site, r);
+        }
+      }
+    };
+    if (!ref.available()) {
+      for (const std::string& site : sites) add(site);
+    } else {
+      for (const std::string& site : ref.sites_with(lfn, now)) add(site);
+    }
+    return out;
+  };
+  const auto ref_has = [&](const std::string& lfn, const std::string& site) {
+    if (ref.available() && !ref.knows(lfn, site, now)) return false;
+    const auto* lrc = svc.find_lrc(site);
+    return lrc != nullptr && lrc->has(lfn);
+  };
+
+  const auto check = [&](int step) {
+    const std::string at = "step " + std::to_string(step);
+    ASSERT_EQ(svc.rli().indexed_lfns(), ref.indexed_lfns()) << at;
+    for (const std::string& lfn : lfns) {
+      ASSERT_EQ(svc.rli().sites_with(lfn, now), ref.sites_with(lfn, now))
+          << at << " " << lfn;
+      const auto got = svc.locate(lfn, now);
+      const auto want = ref_locate(lfn);
+      ASSERT_EQ(got.size(), want.size()) << at << " " << lfn;
+      for (std::size_t i = 0; i < got.size(); ++i) {
+        EXPECT_EQ(got[i].first, want[i].first) << at << " " << lfn;
+        EXPECT_EQ(got[i].second.pfn, want[i].second.pfn) << at << " " << lfn;
+        EXPECT_EQ(got[i].second.size.count(), want[i].second.size.count())
+            << at << " " << lfn;
+        EXPECT_EQ(got[i].second.registered.ticks(),
+                  want[i].second.registered.ticks())
+            << at << " " << lfn;
+      }
+      for (const std::string& site : sites) {
+        ASSERT_EQ(svc.rli().knows(lfn, site, now), ref.knows(lfn, site, now))
+            << at << " " << lfn << "@" << site;
+        ASSERT_EQ(svc.has_replica_at(lfn, site, now), ref_has(lfn, site))
+            << at << " " << lfn << "@" << site;
+      }
+    }
+  };
+
+  for (int step = 0; step < 800; ++step) {
+    const std::string& site = sites[pick(sites.size())];
+    const std::string& lfn = lfns[pick(lfns.size())];
+    const double op = rng.uniform();
+    if (op < 0.30) {
+      // With the journal on, the audit tap mirrors the digest; without
+      // it the registration digests only when the write goes through.
+      const bool direct = !svc.journal_enabled() && svc.available() &&
+                          svc.lrc_for(site).available();
+      svc.register_replica(site, lfn, replica(site, lfn), now);
+      if (direct) ref.update_from(*svc.find_lrc(site), now);
+    } else if (op < 0.35) {
+      svc.set_journal_enabled(!svc.journal_enabled());
+    } else if (op < 0.43) {
+      svc.lrc_for(site).add(lfn, replica(site, lfn));
+    } else if (op < 0.49) {
+      svc.lrc_for(site).remove(lfn, replica(site, lfn).pfn);
+    } else if (op < 0.53) {
+      svc.lrc_for(site).remove_lfn(lfn);
+    } else if (op < 0.59) {
+      const bool up = !svc.rli().available();
+      svc.rli().set_available(up);
+      ref.set_available(up);
+    } else if (op < 0.64) {
+      svc.set_available(!svc.available());
+    } else if (op < 0.71) {
+      rls::LocalReplicaCatalog& lrc = svc.lrc_for(site);
+      lrc.set_available(!lrc.available());
+    } else if (op < 0.75) {
+      svc.replay(now);
+    } else if (op < 0.81) {
+      svc.refresh_all(now);
+      for (const std::string& s : sites) {
+        const auto* lrc = svc.find_lrc(s);
+        if (lrc != nullptr && lrc->available()) ref.update_from(*lrc, now);
+      }
+    } else if (op < 0.87) {
+      // A direct digest, down catalogs included.
+      const rls::LocalReplicaCatalog& lrc = svc.lrc_for(site);
+      svc.rli().update_from(lrc, now);
+      ref.update_from(lrc, now);
+    } else {
+      // Cross the 30-minute TTL, landing on it exactly now and then.
+      static const int kMinutes[] = {0, 1, 5, 10, 15, 20, 30, 30, 31, 45};
+      now += Time::minutes(kMinutes[pick(std::size(kMinutes))]);
+    }
+    check(step);
+    if (::testing::Test::HasFatalFailure() || HasNonfatalFailure()) return;
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, RliDeltas,
+                         ::testing::Values(71u, 72u, 73u, 74u, 75u, 76u));
 
 }  // namespace
 }  // namespace grid3
