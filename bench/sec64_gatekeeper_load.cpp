@@ -46,7 +46,7 @@ struct Harness {
     const auto cert = ca.issue("/CN=a", sim.now(), Time::days(999));
     voms.add_member("/CN=a", vo::Role::kAppAdmin);
     gridmap.support_vo("vo", {"vo1", "vo"});
-    gridmap.regenerate({&voms}, sim.now());
+    gridmap.regenerate({&voms});
     proxy = *vo::issue_proxy(voms, cert, sim.now(), Time::days(30));
   }
 

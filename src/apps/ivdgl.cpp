@@ -39,11 +39,6 @@ void IvdglApps::stop() {
 bool IvdglApps::launch_job() {
   const std::uint64_t id = ++seq_;
   const bool snb = rng().chance(opts_.snb_fraction);
-  if (snb) {
-    ++snb_;
-  } else {
-    ++gadu_;
-  }
   const std::string out = (snb ? "ivdgl/snb/trial-" : "ivdgl/gadu/blast-") +
                           std::to_string(id);
 
@@ -77,7 +72,6 @@ void IvdglApps::demo_burst(Time at, int jobs, Time window) {
         at + Time::seconds(window.to_seconds() * i / std::max(jobs, 1));
     sim().schedule_at(when, [this] {
       const std::uint64_t id = ++seq_;
-      ++snb_;
       const std::string out = "ivdgl/sc2003-demo/" + std::to_string(id);
       workflow::VirtualDataCatalog vdc;
       vdc.add_transformation({"snb-dual-space", "1.0", core::app::kSnb});

@@ -40,15 +40,10 @@ class IvdglApps : public AppBase {
   /// paper's 1300-concurrent-jobs moment on Nov 20, 2003).
   void demo_burst(Time at, int jobs, Time window = Time::hours(5));
 
-  [[nodiscard]] std::uint64_t snb_jobs() const { return snb_; }
-  [[nodiscard]] std::uint64_t gadu_jobs() const { return gadu_; }
-
  private:
   Options opts_;
   std::unique_ptr<PoissonLauncher> launcher_;
   std::uint64_t seq_ = 0;
-  std::uint64_t snb_ = 0;
-  std::uint64_t gadu_ = 0;
   util::Distribution runtime_;
   util::Distribution demo_runtime_;
 };

@@ -57,10 +57,8 @@ SubmitResult BatchScheduler::submit(const JobRequest& req, CompletionFn done) {
 
   const LocalJobId id = next_id_++;
   queue_.push_back({id, req, sim_.now()});
-  ++vo_counts_[req.vo].queued;
   queued_callbacks_.emplace(id, std::move(done));
   dispatch();
-  notify_observer();
   return {true, id, {}};
 }
 
@@ -77,12 +75,8 @@ bool BatchScheduler::cancel(LocalJobId id) {
     out.started = out.finished = sim_.now();
     auto cb = std::move(queued_callbacks_[id]);
     queued_callbacks_.erase(id);
-    VoCounts& counts = vo_counts_[qit->req.vo];
-    assert(counts.queued > 0);
-    --counts.queued;
     queue_.erase(qit);
     if (cb) cb(out);
-    notify_observer();
     return true;
   }
   if (running_.contains(id)) {
@@ -120,7 +114,6 @@ void BatchScheduler::resize(int new_slots, util::Rng& rng) {
     }
   }
   dispatch();
-  notify_observer();
 }
 
 void BatchScheduler::resume() {
@@ -129,13 +122,8 @@ void BatchScheduler::resume() {
 }
 
 int BatchScheduler::running_for_vo(const std::string& vo) const {
-  auto it = vo_counts_.find(vo);
-  return it == vo_counts_.end() ? 0 : it->second.running;
-}
-
-std::size_t BatchScheduler::queued_for_vo(const std::string& vo) const {
-  auto it = vo_counts_.find(vo);
-  return it == vo_counts_.end() ? 0 : it->second.queued;
+  auto it = running_per_vo_.find(vo);
+  return it == running_per_vo_.end() ? 0 : it->second;
 }
 
 Time BatchScheduler::vo_usage(const std::string& vo) const {
@@ -173,10 +161,7 @@ void BatchScheduler::dispatch() {
     assert(*idx < queue_.size());
     QueuedJob qj = queue_[*idx];
     queue_.erase(queue_.begin() + static_cast<std::ptrdiff_t>(*idx));
-    VoCounts& counts = vo_counts_[qj.req.vo];
-    assert(counts.queued > 0);
-    --counts.queued;
-    ++counts.running;
+    ++running_per_vo_[qj.req.vo];
 
     RunningJob run;
     run.id = qj.id;
@@ -200,7 +185,6 @@ void BatchScheduler::dispatch() {
     running_.emplace(id, std::move(run));
   }
   dispatching_ = false;
-  notify_observer();
 }
 
 void BatchScheduler::finish(LocalJobId id, JobState state) {
@@ -208,9 +192,9 @@ void BatchScheduler::finish(LocalJobId id, JobState state) {
   if (it == running_.end()) return;
   RunningJob job = std::move(it->second);
   running_.erase(it);
-  VoCounts& counts = vo_counts_[job.req.vo];
-  assert(counts.running > 0);
-  --counts.running;
+  int& running = running_per_vo_[job.req.vo];
+  assert(running > 0);
+  --running;
   if (job.completion != 0) sim_.cancel(job.completion);
 
   JobOutcome out;
@@ -223,11 +207,6 @@ void BatchScheduler::finish(LocalJobId id, JobState state) {
   charge_usage(job.req.vo, out.cpu_used());
   if (job.done) job.done(out);
   dispatch();
-  notify_observer();
-}
-
-void BatchScheduler::notify_observer() {
-  if (observer_) observer_(busy_slots(), static_cast<int>(queue_.size()));
 }
 
 void BatchScheduler::charge_usage(const std::string& vo, Time cpu) {

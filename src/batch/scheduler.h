@@ -36,9 +36,6 @@ enum class JobState {
 };
 
 [[nodiscard]] const char* to_string(JobState s);
-[[nodiscard]] inline bool is_terminal(JobState s) {
-  return s != JobState::kQueued && s != JobState::kRunning;
-}
 
 struct JobRequest {
   std::string vo;            ///< group account the job maps to
@@ -114,20 +111,14 @@ class BatchScheduler {
   [[nodiscard]] int busy_slots() const { return static_cast<int>(running_.size()); }
   [[nodiscard]] int free_slots() const { return cfg_.slots - busy_slots(); }
   [[nodiscard]] std::size_t queued_count() const { return queue_.size(); }
-  /// Per-VO running / queued job counts, kept as jobs move (O(1)).
+  /// Per-VO running job count, kept as jobs start and end (O(1)).
   [[nodiscard]] int running_for_vo(const std::string& vo) const;
-  [[nodiscard]] std::size_t queued_for_vo(const std::string& vo) const;
   [[nodiscard]] const SchedulerConfig& config() const { return cfg_; }
   [[nodiscard]] Time max_walltime() const { return cfg_.max_walltime; }
   void set_max_walltime(Time t) { cfg_.max_walltime = t; }
 
   /// Cumulative CPU time charged per VO (fair-share input + accounting).
   [[nodiscard]] Time vo_usage(const std::string& vo) const;
-
-  /// Observer invoked on every running-count change (monitoring hook).
-  void set_load_observer(std::function<void(int running, int queued)> fn) {
-    observer_ = std::move(fn);
-  }
 
  protected:
   struct QueuedJob {
@@ -162,16 +153,8 @@ class BatchScheduler {
     CompletionFn done;
   };
 
-  /// Running and queued jobs of one VO; every change to `queue_` or
-  /// `running_` moves these in step.
-  struct VoCounts {
-    int running = 0;
-    std::size_t queued = 0;
-  };
-
   void dispatch();
   void finish(LocalJobId id, JobState state);
-  void notify_observer();
   void charge_usage(const std::string& vo, Time cpu);
 
   sim::Simulation& sim_;
@@ -182,9 +165,9 @@ class BatchScheduler {
   std::deque<QueuedJob> queue_;
   std::unordered_map<LocalJobId, RunningJob> running_;
   std::unordered_map<LocalJobId, CompletionFn> queued_callbacks_;
-  std::unordered_map<std::string, VoCounts> vo_counts_;
+  /// Running jobs per VO; every change to `running_` moves it in step.
+  std::unordered_map<std::string, int> running_per_vo_;
   std::unordered_map<std::string, Time> usage_;
-  std::function<void(int, int)> observer_;
 };
 
 /// Condor: fair-share matchmaking, negative-priority backfill only runs

@@ -197,44 +197,37 @@ void FailureInjector::attach_collective(const std::string& name,
   c->rates = rates;
   collectives_[name] = std::move(c);
 
-  auto alive = [this, name]() -> AttachedCollective* {
-    auto it = collectives_.find(name);
-    return it != collectives_.end() && it->second->active ? it->second.get()
-                                                          : nullptr;
+  // Pending outages look the bundle up by name: entries are never
+  // erased, and re-attaching a name swaps the targets they act on.
+  auto bundle = [this, name]() -> AttachedCollective& {
+    return *collectives_.at(name);
   };
 
   // One generic Poisson outage loop per service class.  `select` pulls
   // the class's target out of the bundle (null = class not armed here);
   // `down`/`up` flip its availability.  Classes whose MTBF is zero are
   // never armed, so they consume no RNG draws at all.
-  auto arm = [this, alive](Incident kind, const char* issue, Time mtbf,
-                                 Time repair_mean, auto select, auto down,
-                                 auto up) {
-    AttachedCollective* c0 = alive();
-    if (c0 == nullptr || mtbf <= Time::zero() || select(*c0) == nullptr) {
-      return;
-    }
-    auto schedule = [this, alive, kind, issue, mtbf, repair_mean, select,
+  auto arm = [this, bundle](Incident kind, const char* issue, Time mtbf,
+                            Time repair_mean, auto select, auto down,
+                            auto up) {
+    if (mtbf <= Time::zero() || select(bundle()) == nullptr) return;
+    auto schedule = [this, bundle, kind, issue, mtbf, repair_mean, select,
                      down, up](auto&& self) -> void {
-      AttachedCollective* c = alive();
-      if (c == nullptr) return;
       const Time gap = Time::hours(rng_.exponential(mtbf.to_hours()));
-      sim_.schedule_in(gap, [this, alive, kind, issue, repair_mean, select,
+      sim_.schedule_in(gap, [this, bundle, kind, issue, repair_mean, select,
                              down, up, self] {
-        AttachedCollective* c = alive();
-        if (c == nullptr || select(*c) == nullptr) return;
+        auto* target = select(bundle());
+        if (target == nullptr) return;
         record(kind);
-        down(*select(*c));
+        down(*target);
         // The ticket goes against the service name; when the down
         // service IS the ticket queue, open() drops it (id 0) -- the
         // operators' view goes dark, exactly the modeled failure.
         const auto ticket = igoc_.tickets().open(issue, issue, sim_.now());
         const Time repair =
             Time::hours(rng_.exponential(repair_mean.to_hours()));
-        sim_.schedule_in(repair, [this, alive, ticket, select, up] {
-          if (AttachedCollective* c2 = alive()) {
-            if (auto* t = select(*c2)) up(*t);
-          }
+        sim_.schedule_in(repair, [this, bundle, ticket, select, up] {
+          if (auto* t = select(bundle())) up(*t);
           igoc_.tickets().close(ticket, sim_.now());
         });
         self(self);
@@ -276,13 +269,6 @@ void FailureInjector::attach_collective(const std::string& name,
       [](TroubleTicketSystem& t) { t.set_available(true); });
 }
 
-void FailureInjector::detach_collective(const std::string& name) {
-  auto it = collectives_.find(name);
-  if (it == collectives_.end()) return;
-  it->second->active = false;
-  // Keep the entry (inactive) so in-flight lambdas resolve to nullptr.
-}
-
 bool FailureInjector::set_target_up(const std::string& target, bool up) {
   if (auto it = attached_.find(target);
       it != attached_.end() && it->second->active) {
@@ -291,8 +277,7 @@ bool FailureInjector::set_target_up(const std::string& target, bool up) {
     site.gris().set_available(up);
     return true;
   }
-  if (auto it = collectives_.find(target);
-      it != collectives_.end() && it->second->active) {
+  if (auto it = collectives_.find(target); it != collectives_.end()) {
     CollectiveTargets& t = it->second->targets;
     if (t.giis != nullptr) t.giis->set_available(up);
     if (t.rls != nullptr) {

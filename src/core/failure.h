@@ -138,8 +138,6 @@ class FailureInjector {
   /// An RLS repair also replays its registration journal.
   void attach_collective(const std::string& name, CollectiveTargets targets,
                          CollectiveFailureRates rates);
-  /// Stop injecting for a collective bundle.
-  void detach_collective(const std::string& name);
 
   /// Queue an ops-calendar maintenance window (no RNG involved).  The
   /// restore at window end is unconditional: a window overlapping a
@@ -161,7 +159,6 @@ class FailureInjector {
   struct AttachedCollective {
     CollectiveTargets targets;
     CollectiveFailureRates rates;
-    bool active = true;
   };
 
   /// Take a downtime target (site or collective bundle) down or up.
@@ -170,8 +167,6 @@ class FailureInjector {
   /// Take an attached site's network node down or up (WAN weather).
   bool set_site_wan_up(const std::string& target, bool up);
 
-  void arm_poisson(Attached& a, Time mtbf,
-                   const std::function<void(Attached&)>& fire);
   void record(Incident kind) { ++counts_[kind]; }
 
   sim::Simulation& sim_;

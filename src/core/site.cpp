@@ -50,7 +50,6 @@ Site::Site(sim::Simulation& sim, net::Network& network,
            monitoring::MetricBus& bus, const vo::CertificateAuthority& ca,
            gridftp::GridFtpClient& ftp_client, SiteConfig cfg, util::Rng rng)
     : sim_{sim},
-      net_{network},
       bus_{bus},
       cfg_{std::move(cfg)},
       rng_{rng},
@@ -68,8 +67,6 @@ Site::Site(sim::Simulation& sim, net::Network& network,
                m.load_one =
                    gatekeeper_ ? gatekeeper_->one_minute_load() : 0.0;
                m.disk_free_gb = disk_.free().to_gb();
-               m.net_in_mbps = net_.rate_in(node_).to_mbps();
-               m.net_out_mbps = net_.rate_out(node_).to_mbps();
                return m;
              }},
       ml_agent_{cfg_.name, bus} {
@@ -127,15 +124,15 @@ void Site::support_vo(const std::string& vo_name) {
   gridmap_.support_vo(vo_name, {vo_name + "1", vo_name});
   auto it = std::lower_bound(
       vo_gauges_.begin(), vo_gauges_.end(), vo_name,
-      [](const VoGauges& g, const std::string& vo) { return g.vo < vo; });
+      [](const VoGauge& g, const std::string& vo) { return g.vo < vo; });
   if (it == vo_gauges_.end() || it->vo != vo_name) {
-    vo_gauges_.insert(it, {vo_name, {}, {}});
+    vo_gauges_.insert(it, {vo_name, {}});
   }
 }
 
 void Site::refresh_gridmap(
     const std::vector<const vo::VomsServer*>& servers) {
-  gridmap_.regenerate(servers, sim_.now());
+  gridmap_.regenerate(servers);
 }
 
 void Site::publish_static() {
@@ -210,28 +207,24 @@ void Site::start_services() {
 void Site::report_vo_activity() {
   // MonALISA VO-activity agents (section 5.2: "custom agents ... collect
   // VO-specific activity at sites such as jobs run, compute element
-  // usage, and I/O").
+  // usage, and I/O").  Only the gauges something reads are reported:
+  // each VO's running jobs (MdViewer's crosscheck) and the gatekeeper
+  // load (the broker's ranking).  The paper's I/O figures come from the
+  // ACDC transfer records, not from an agent gauge.
   namespace ml = monitoring::mlmetric;
-  if (!io_mbps_.valid()) {
+  if (!gatekeeper_load_.valid()) {
     gatekeeper_load_ = ml_agent_.resolve(ml::kGatekeeperLoad);
-    io_mbps_ = ml_agent_.resolve(ml::kIoMbps);
   }
   const Time now = sim_.now();
-  for (VoGauges& g : vo_gauges_) {
+  for (VoGauge& g : vo_gauges_) {
     if (!g.running.valid()) {
-      using monitoring::vo_metric;
-      g.running = ml_agent_.resolve(vo_metric(ml::kVoJobsRunning, g.vo));
-      g.queued = ml_agent_.resolve(vo_metric(ml::kVoJobsQueued, g.vo));
+      g.running = ml_agent_.resolve(
+          monitoring::vo_metric(ml::kVoJobsRunning, g.vo));
     }
     ml_agent_.report(g.running, now,
                      static_cast<double>(scheduler_->running_for_vo(g.vo)));
-    ml_agent_.report(g.queued, now,
-                     static_cast<double>(scheduler_->queued_for_vo(g.vo)));
   }
   ml_agent_.report(gatekeeper_load_, now, gatekeeper_->one_minute_load());
-  ml_agent_.report(
-      io_mbps_, now,
-      net_.rate_in(node_).to_mbps() + net_.rate_out(node_).to_mbps());
 }
 
 void Site::stop_services() {

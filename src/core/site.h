@@ -125,16 +125,14 @@ class Site {
   void report_vo_activity();
   void sample_local_load();
 
-  /// A supported VO's two MonALISA gauges, resolved on the first sweep
-  /// that reports them, so building a fabric interns no metric keys.
-  struct VoGauges {
+  /// A supported VO's MonALISA running-jobs gauge, resolved on the first
+  /// sweep that reports it, so building a fabric interns no metric keys.
+  struct VoGauge {
     std::string vo;
     monitoring::MetricId running;
-    monitoring::MetricId queued;
   };
 
   sim::Simulation& sim_;
-  net::Network& net_;
   monitoring::MetricBus& bus_;
   SiteConfig cfg_;
   util::Rng rng_;
@@ -151,10 +149,9 @@ class Site {
   std::unique_ptr<sim::PeriodicProcess> monitor_loop_;
   std::unique_ptr<sim::PeriodicProcess> local_load_loop_;
   /// Sorted by VO name, the order the agents report in.
-  std::vector<VoGauges> vo_gauges_;
-  /// Site-wide MonALISA gauges; invalid until the first sweep.
+  std::vector<VoGauge> vo_gauges_;
+  /// Site-wide MonALISA gauge; invalid until the first sweep.
   monitoring::MetricId gatekeeper_load_;
-  monitoring::MetricId io_mbps_;
   pacman::InstallReport install_report_;
   bool installed_ = false;
   /// Local jobs submitted and not yet terminal (queued or running).

@@ -52,13 +52,11 @@ class GridFtpServer {
       ++transfers_in_;
     } else {
       bytes_out_ += b;
-      ++transfers_out_;
     }
   }
   [[nodiscard]] Bytes bytes_in() const { return bytes_in_; }
   [[nodiscard]] Bytes bytes_out() const { return bytes_out_; }
   [[nodiscard]] std::uint64_t transfers_in() const { return transfers_in_; }
-  [[nodiscard]] std::uint64_t transfers_out() const { return transfers_out_; }
 
  private:
   std::string site_;
@@ -67,7 +65,6 @@ class GridFtpServer {
   Bytes bytes_in_;
   Bytes bytes_out_;
   std::uint64_t transfers_in_ = 0;
-  std::uint64_t transfers_out_ = 0;
 };
 
 struct TransferRequest {

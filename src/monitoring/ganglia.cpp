@@ -18,8 +18,6 @@ void GangliaGmond::sample(Time now) {
             bus_.resolve(site_, gmetric::kCpusTotal),
             bus_.resolve(site_, gmetric::kCpusBusy),
             bus_.resolve(site_, gmetric::kDiskFreeGb),
-            bus_.resolve(site_, gmetric::kNetInMbps),
-            bus_.resolve(site_, gmetric::kNetOutMbps),
             bus_.resolve(site_, gmetric::kHeartbeat)};
   }
   const HostMetrics m = source_();
@@ -27,8 +25,6 @@ void GangliaGmond::sample(Time now) {
   bus_.publish(ids_.cpus_total, now, static_cast<double>(m.cpus_total));
   bus_.publish(ids_.cpus_busy, now, static_cast<double>(m.cpus_busy));
   bus_.publish(ids_.disk_free_gb, now, m.disk_free_gb);
-  bus_.publish(ids_.net_in_mbps, now, m.net_in_mbps);
-  bus_.publish(ids_.net_out_mbps, now, m.net_out_mbps);
   bus_.publish(ids_.heartbeat, now, 1.0);
 }
 

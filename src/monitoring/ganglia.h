@@ -20,8 +20,6 @@ inline constexpr const char* kCpuLoad = "ganglia.load_one";
 inline constexpr const char* kCpusTotal = "ganglia.cpu_num";
 inline constexpr const char* kCpusBusy = "ganglia.cpu_busy";
 inline constexpr const char* kDiskFreeGb = "ganglia.disk_free";
-inline constexpr const char* kNetInMbps = "ganglia.bytes_in";
-inline constexpr const char* kNetOutMbps = "ganglia.bytes_out";
 inline constexpr const char* kHeartbeat = "ganglia.heartbeat";
 }  // namespace gmetric
 
@@ -32,8 +30,6 @@ struct HostMetrics {
   int cpus_total = 0;
   int cpus_busy = 0;
   double disk_free_gb = 0.0;
-  double net_in_mbps = 0.0;
-  double net_out_mbps = 0.0;
 };
 
 using MetricsSource = std::function<HostMetrics()>;
@@ -62,8 +58,7 @@ class GangliaGmond {
   MetricsSource source_;
   /// This site's gmetric keys; invalid until the first round.
   struct Ids {
-    MetricId cpu_load, cpus_total, cpus_busy, disk_free_gb, net_in_mbps,
-        net_out_mbps, heartbeat;
+    MetricId cpu_load, cpus_total, cpus_busy, disk_free_gb, heartbeat;
   } ids_;
   bool up_ = true;
   std::uint64_t samples_ = 0;

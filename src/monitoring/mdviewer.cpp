@@ -127,22 +127,6 @@ MdViewer::LatencyBreakdown MdViewer::latency_breakdown(const std::string& vo,
   return out;
 }
 
-std::vector<std::pair<std::string, double>> MdViewer::placement_shares(
-    Time from, Time to, const std::string& vo) const {
-  const auto counts = jobs_.placements_by_site(from, to, vo);
-  double total = 0.0;
-  for (const auto& [site, n] : counts) total += static_cast<double>(n);
-  std::vector<std::pair<std::string, double>> out;
-  out.reserve(counts.size());
-  for (const auto& [site, n] : counts) {
-    out.emplace_back(site, total > 0.0 ? static_cast<double>(n) / total : 0.0);
-  }
-  std::sort(out.begin(), out.end(), [](const auto& a, const auto& b) {
-    return a.second != b.second ? a.second > b.second : a.first < b.first;
-  });
-  return out;
-}
-
 double MdViewer::crosscheck_divergence(Time from, Time to) const {
   // MonALISA path: sum every per-site per-VO running-jobs gauge.
   const double monalisa = repository_.average_total(

@@ -41,12 +41,6 @@ class MdViewer {
   [[nodiscard]] std::vector<std::pair<std::string, double>>
   cpu_days_by_site(const std::string& vo, Time from, Time to) const;
 
-  /// Figure 5: data consumed per VO over a window: (total, demo-only).
-  [[nodiscard]] std::map<std::string, std::pair<Bytes, Bytes>>
-  data_consumed_by_vo(Time from, Time to) const {
-    return jobs_.bytes_consumed_by_vo(from, to);
-  }
-
   /// Figure 6: completed jobs per month since the epoch.
   [[nodiscard]] std::vector<std::size_t> jobs_by_month(int months) const {
     return jobs_.jobs_by_month(months);
@@ -77,12 +71,6 @@ class MdViewer {
   };
   [[nodiscard]] LatencyBreakdown latency_breakdown(const std::string& vo,
                                                    Time from, Time to) const;
-
-  /// Broker placement distribution: share of match decisions per chosen
-  /// site over a window, descending (the brokered-vs-favorite-sites
-  /// ablation plots this next to Figure 4's CPU-by-site view).
-  [[nodiscard]] std::vector<std::pair<std::string, double>>
-  placement_shares(Time from, Time to, const std::string& vo = {}) const;
 
   /// Lease lifecycle histogram from the ACDC mirror: event -> count over
   /// a window (events: acquire, consume, release, reject).

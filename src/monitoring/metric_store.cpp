@@ -16,8 +16,8 @@ const util::TimeSeries& MetricStore::series(const std::string& site,
   return s == nullptr ? empty_ : *s;
 }
 
-std::vector<MetricId> MetricStore::matching(
-    const std::string& pattern) const {
+void MetricStore::for_each(const std::string& pattern,
+                           const Visitor& visit) const {
   std::vector<MetricId> hits;
   for (MetricId id : ids_) {
     if (name_matches(pattern, bus_.key(id).name)) hits.push_back(id);
@@ -25,14 +25,7 @@ std::vector<MetricId> MetricStore::matching(
   std::sort(hits.begin(), hits.end(), [this](MetricId a, MetricId b) {
     return bus_.key(a) < bus_.key(b);
   });
-  return hits;
-}
-
-void MetricStore::for_each(const std::string& pattern,
-                           const Visitor& visit) const {
-  for (MetricId id : matching(pattern)) {
-    visit(bus_.key(id), *series_.find(id));
-  }
+  for (MetricId id : hits) visit(bus_.key(id), *series_.find(id));
 }
 
 }  // namespace grid3::monitoring

@@ -30,13 +30,9 @@ class MetricStore {
   [[nodiscard]] const util::TimeSeries& series(const std::string& site,
                                                const std::string& name) const;
 
-  /// Ids of the keys holding a sample whose name matches `pattern` (see
+  /// Visit every key holding a sample whose name matches `pattern` (see
   /// name_matches), in sorted (site, name) order, so sums over them do
   /// not depend on id order.
-  [[nodiscard]] std::vector<MetricId> matching(
-      const std::string& pattern) const;
-
-  /// Visit every key matching(pattern) returns, in that order.
   void for_each(const std::string& pattern, const Visitor& visit) const;
 
   /// Keys holding at least one sample.

@@ -78,16 +78,6 @@ std::optional<double> MonalisaRepository::read(const std::string& site,
   return slot == nullptr ? std::nullopt : slot->at(t);
 }
 
-double MonalisaRepository::grid_total(const std::string& metric,
-                                      Time t) const {
-  if (!up_) return 0.0;
-  double total = 0.0;
-  for (MetricId id : history_.matching(metric)) {
-    if (auto v = slots_.find(id)->at(t)) total += *v;
-  }
-  return total;
-}
-
 double MonalisaRepository::average_total(const std::string& pattern,
                                          Time from, Time to) const {
   if (!up_) return 0.0;

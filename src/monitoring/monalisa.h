@@ -1,8 +1,8 @@
 // MonALISA: agent-based monitoring (paper section 5.2).
 //
-// Site agents watch local sources (GRAM logs, job queues, Ganglia
-// metrics) and stream VO-tagged activity to the central repository at
-// the iGOC, which keeps the step series of every key it receives and
+// Site agents watch local sources (the batch queue, the gatekeeper) and
+// stream VO-tagged activity to the central repository at the iGOC,
+// which keeps the step series of every key it receives and
 // serves the current 5-minute average, the finest view of the paper's
 // "round robin-like database".  The repository path is deliberately
 // *redundant* with the Ganglia/ACDC paths -- "permitting crosschecks on
@@ -19,12 +19,12 @@
 
 namespace grid3::monitoring {
 
-/// VO-activity metric names MonALISA agents derive at sites.
+/// Metric names MonALISA agents derive at sites: one running-jobs gauge
+/// per supported VO (read by MdViewer's crosscheck) and the gatekeeper
+/// load (read by the broker's ranking).
 namespace mlmetric {
 inline constexpr const char* kVoJobsRunning = "monalisa.vo_jobs_running";
-inline constexpr const char* kVoJobsQueued = "monalisa.vo_jobs_queued";
 inline constexpr const char* kGatekeeperLoad = "monalisa.gatekeeper_load";
-inline constexpr const char* kIoMbps = "monalisa.io_mbps";
 }  // namespace mlmetric
 
 /// Compose a per-VO metric key name, e.g. "monalisa.vo_jobs_running.usatlas".
@@ -76,10 +76,6 @@ class MonalisaRepository {
   [[nodiscard]] std::optional<double> read(const std::string& site,
                                            const std::string& metric,
                                            Time t) const;
-
-  /// Sum across sites of read(site, metric, t), with the same
-  /// latest-slot-only rule.
-  [[nodiscard]] double grid_total(const std::string& metric, Time t) const;
 
   /// Sum over the keys whose name matches `pattern` (see name_matches)
   /// of each series' time average over [from, to].

@@ -18,15 +18,9 @@ const char* to_string(FlowStatus s) {
 }
 
 NodeId Network::add_node(NodeConfig cfg) {
-  nodes_.push_back({std::move(cfg), true, Bytes::zero(), Bytes::zero()});
+  nodes_.push_back({std::move(cfg), true});
   return static_cast<NodeId>(nodes_.size() - 1);
 }
-
-const std::string& Network::node_name(NodeId n) const {
-  return nodes_.at(n).cfg.name;
-}
-
-bool Network::node_up(NodeId n) const { return nodes_.at(n).up; }
 
 double Network::link_capacity(std::uint64_t key) const {
   const Node& node = nodes_[static_cast<std::size_t>(key / 2)];
@@ -39,19 +33,6 @@ double Network::done_at(const Flow& f, Time now) const {
   if (secs <= 0.0) return f.anchor_done;
   return std::min(f.anchor_done + f.rate_bps * secs,
                   static_cast<double>(f.size.count()));
-}
-
-void Network::credit_to(Flow& f, double done) {
-  // Credit node counters in whole bytes without accumulation drift: the
-  // delta is against the last credited whole-byte mark, and `done` is a
-  // pure function of time, so crediting at any intermediate schedule
-  // yields the same cumulative counters.
-  const auto whole = static_cast<std::int64_t>(done);
-  if (whole <= f.credited) return;
-  const Bytes delta = Bytes::of(whole - f.credited);
-  f.credited = whole;
-  nodes_[f.src].sent += delta;
-  nodes_[f.dst].received += delta;
 }
 
 void Network::attach_links(FlowId id, const Flow& f) {
@@ -152,7 +133,6 @@ void Network::reallocate() {
     if (rate < 0.0) rate = 0.0;
     if (rate == f.rate_bps) continue;  // untouched: event + anchor stand
     const double done = done_at(f, now);
-    credit_to(f, done);
     f.anchor_done = done;
     f.anchor_time = now;
     f.rate_bps = rate;
@@ -160,7 +140,6 @@ void Network::reallocate() {
       sim_.cancel(f.completion);
       f.completion = 0;
     }
-    ++completions_rescheduled_;
     const double remaining = static_cast<double>(f.size.count()) - done;
     if (remaining <= 0.0) {
       f.completion = sim_.schedule_at(now, [this, id] { on_completion(id); });
@@ -262,58 +241,6 @@ Bandwidth Network::flow_rate(FlowId id) const {
              : Bandwidth::bytes_per_sec(it->second.rate_bps);
 }
 
-Bytes Network::bytes_received(NodeId n) const {
-  Bytes total = nodes_.at(n).received;
-  auto it = link_flows_.find(link_in(n));
-  if (it != link_flows_.end()) {
-    const Time now = sim_.now();
-    for (const FlowId id : it->second) {
-      const Flow& f = flows_.find(id)->second;
-      total += Bytes::of(static_cast<std::int64_t>(done_at(f, now)) -
-                         f.credited);
-    }
-  }
-  return total;
-}
-
-Bytes Network::bytes_sent(NodeId n) const {
-  Bytes total = nodes_.at(n).sent;
-  auto it = link_flows_.find(link_out(n));
-  if (it != link_flows_.end()) {
-    const Time now = sim_.now();
-    for (const FlowId id : it->second) {
-      const Flow& f = flows_.find(id)->second;
-      total += Bytes::of(static_cast<std::int64_t>(done_at(f, now)) -
-                         f.credited);
-    }
-  }
-  return total;
-}
-
-Bandwidth Network::rate_in(NodeId n) const {
-  double bps = 0.0;
-  auto it = link_flows_.find(link_in(n));
-  if (it != link_flows_.end()) {
-    for (const FlowId id : it->second) {
-      const double r = flows_.find(id)->second.rate_bps;
-      if (r > 0.0) bps += r;
-    }
-  }
-  return Bandwidth::bytes_per_sec(bps);
-}
-
-Bandwidth Network::rate_out(NodeId n) const {
-  double bps = 0.0;
-  auto it = link_flows_.find(link_out(n));
-  if (it != link_flows_.end()) {
-    for (const FlowId id : it->second) {
-      const double r = flows_.find(id)->second.rate_bps;
-      if (r > 0.0) bps += r;
-    }
-  }
-  return Bandwidth::bytes_per_sec(bps);
-}
-
 void Network::finish_flow(FlowId id, FlowStatus status) {
   auto it = flows_.find(id);
   if (it == flows_.end()) return;
@@ -323,15 +250,6 @@ void Network::finish_flow(FlowId id, FlowStatus status) {
   if (f.completion != 0) sim_.cancel(f.completion);
 
   const Time now = sim_.now();
-  if (status == FlowStatus::kCompleted) {
-    // Settle rounding: a completed flow delivered exactly `size` bytes.
-    const Bytes tail = Bytes::of(f.size.count() - f.credited);
-    nodes_[f.src].sent += tail;
-    nodes_[f.dst].received += tail;
-  } else {
-    credit_to(f, done_at(f, now));
-  }
-
   FlowResult r;
   r.id = id;
   r.status = status;

@@ -18,8 +18,11 @@
 //
 //   start_flow / cancel_flow / completion   O(L^2) solve, O(F) settle
 //   set_node_up(false)                      O(F) victim scan + O(L^2)
-//   flow_rate / rate_in / rate_out          O(flows on the link)
-//   bytes_sent / bytes_received             O(flows on the link)
+//   flow_rate                               O(log F)
+//
+// The network keeps no per-node byte or rate counters: a transfer's
+// bytes reach the accounting through its FlowResult, and the paper's
+// data-consumed figure (Figure 5) reads the ACDC transfer records.
 #pragma once
 
 #include <cstdint>
@@ -79,13 +82,10 @@ class Network {
   Network& operator=(const Network&) = delete;
 
   NodeId add_node(NodeConfig cfg);
-  [[nodiscard]] std::size_t node_count() const { return nodes_.size(); }
-  [[nodiscard]] const std::string& node_name(NodeId n) const;
 
   /// Mark an endpoint down/up (network interruption injection).  Going
   /// down fails all flows touching the node.
   void set_node_up(NodeId n, bool up);
-  [[nodiscard]] bool node_up(NodeId n) const;
 
   /// Firewall rule: block src -> dst (simulates closed ports, section 6.3
   /// "issues of account privileges, ports, and firewalls").
@@ -105,35 +105,17 @@ class Network {
   /// Current max-min fair rate of a flow (0 if unknown/stalled).
   [[nodiscard]] Bandwidth flow_rate(FlowId id) const;
 
-  /// Cumulative bytes received by a node since construction ("data
-  /// consumed by Grid3 sites", Figure 5).  Includes in-flight progress:
-  /// the stored counter is topped up from each active flow's pure
-  /// progress function, so lazy settling never under-reports.
-  [[nodiscard]] Bytes bytes_received(NodeId n) const;
-  [[nodiscard]] Bytes bytes_sent(NodeId n) const;
-
-  /// Instantaneous aggregate flow rate into / out of a node (monitoring).
-  [[nodiscard]] Bandwidth rate_in(NodeId n) const;
-  [[nodiscard]] Bandwidth rate_out(NodeId n) const;
-
   // --- solver-cost introspection (bench + tests) -----------------------
 
   /// Progressive-filling invocations since construction.
   [[nodiscard]] std::uint64_t reallocs() const { return reallocs_; }
   /// Links visited across all solves (every active link, per solve).
   [[nodiscard]] std::uint64_t links_solved() const { return links_solved_; }
-  /// Completion events actually cancelled+rescheduled (only flows whose
-  /// rate moved pay this).
-  [[nodiscard]] std::uint64_t completions_rescheduled() const {
-    return completions_rescheduled_;
-  }
 
  private:
   struct Node {
     NodeConfig cfg;
     bool up = true;
-    Bytes received;
-    Bytes sent;
   };
   struct Flow {
     NodeId src = 0;
@@ -144,7 +126,6 @@ class Network {
     /// settles cannot perturb floating-point accumulation.
     double anchor_done = 0.0;
     Time anchor_time;
-    std::int64_t credited = 0;  ///< whole bytes pushed into node counters
     Time started;
     double rate_bps = -1.0;  ///< -1 until the first solve assigns a rate
     sim::EventId completion = 0;
@@ -163,8 +144,6 @@ class Network {
   /// Bytes transferred by `now` at the anchored rate (pure; clamped at
   /// the flow size).
   [[nodiscard]] double done_at(const Flow& f, Time now) const;
-  /// Push the whole-byte progress delta into the endpoint counters.
-  void credit_to(Flow& f, double done);
 
   void attach_links(FlowId id, const Flow& f);
   void detach_links(FlowId id, const Flow& f);
@@ -187,7 +166,6 @@ class Network {
   FlowId next_flow_ = 1;
   std::uint64_t reallocs_ = 0;
   std::uint64_t links_solved_ = 0;
-  std::uint64_t completions_rescheduled_ = 0;
 };
 
 }  // namespace grid3::net

@@ -1,18 +1,8 @@
-// Open-addressing hash set for event ids.
-//
-// The kernel consults the live/cancelled sets on every schedule, cancel,
-// and pop, so the per-event cost of std::unordered_set -- one node
-// allocation per insert, one deallocation per erase, pointer-chasing on
-// find -- dominates the hot path long before the queue discipline does.
-// This set stores keys inline in a power-of-two slot array (linear
-// probing, Fibonacci hashing, backward-shift deletion, so no tombstones
-// accumulate) and never allocates except to grow.
-//
-// Key 0 is the empty-slot sentinel; the kernel never stores it
-// (EventIds start at 1, enforced by an assert in insert()).
-//
-//   insert / erase / contains   O(1) expected, allocation-free
-//   size / empty                O(1)
+// The kernel's set of pending event ids: an id is in it from
+// schedule_at until its event fires or is cancelled, so the kernel
+// consults it on every schedule, cancel, and pop.  EventIds are handed
+// out sequentially, so the set is a bitmap over a sliding id window
+// (IdWindow) rather than a hash set.
 #pragma once
 
 #include <cassert>
@@ -21,99 +11,20 @@
 
 namespace grid3::sim {
 
-class IdSet {
- public:
-  IdSet() : slots_(kMinCapacity, 0) {}
-
-  /// Add `key`; false if it was already present.
-  bool insert(std::uint64_t key) {
-    assert(key != 0);
-    if ((size_ + 1) * 4 > slots_.size() * 3) grow();
-    std::size_t i = slot_of(key);
-    while (slots_[i] != 0) {
-      if (slots_[i] == key) return false;
-      i = (i + 1) & mask();
-    }
-    slots_[i] = key;
-    ++size_;
-    return true;
-  }
-
-  /// Remove `key`; false if it was absent.  Backward-shift deletion
-  /// keeps probe chains intact without tombstones.
-  bool erase(std::uint64_t key) {
-    std::size_t hole = slot_of(key);
-    while (slots_[hole] != key) {
-      if (slots_[hole] == 0) return false;
-      hole = (hole + 1) & mask();
-    }
-    std::size_t j = (hole + 1) & mask();
-    while (slots_[j] != 0) {
-      const std::size_t ideal = slot_of(slots_[j]);
-      // Shift j back into the hole only if doing so keeps it reachable
-      // from its ideal slot (cyclic distance check).
-      if (((j - ideal) & mask()) >= ((j - hole) & mask())) {
-        slots_[hole] = slots_[j];
-        hole = j;
-      }
-      j = (j + 1) & mask();
-    }
-    slots_[hole] = 0;
-    --size_;
-    return true;
-  }
-
-  [[nodiscard]] bool contains(std::uint64_t key) const {
-    std::size_t i = slot_of(key);
-    while (slots_[i] != 0) {
-      if (slots_[i] == key) return true;
-      i = (i + 1) & mask();
-    }
-    return false;
-  }
-
-  [[nodiscard]] std::size_t size() const { return size_; }
-  [[nodiscard]] bool empty() const { return size_ == 0; }
-
- private:
-  static constexpr std::size_t kMinCapacity = 64;
-
-  [[nodiscard]] std::size_t mask() const { return slots_.size() - 1; }
-  [[nodiscard]] std::size_t slot_of(std::uint64_t key) const {
-    // Fibonacci hashing: sequential ids (the common case) spread evenly.
-    return static_cast<std::size_t>((key * 0x9E3779B97F4A7C15ULL) >> 32) &
-           mask();
-  }
-
-  void grow() {
-    std::vector<std::uint64_t> old = std::move(slots_);
-    slots_.assign(old.size() * 2, 0);
-    for (const std::uint64_t key : old) {
-      if (key == 0) continue;
-      std::size_t i = slot_of(key);
-      while (slots_[i] != 0) i = (i + 1) & mask();
-      slots_[i] = key;
-    }
-  }
-
-  std::vector<std::uint64_t> slots_;
-  std::size_t size_ = 0;
-};
-
 /// Windowed bitmap over monotonically-allocated ids.
 ///
-/// EventIds are handed out sequentially, so the *live* ids always sit in
-/// a window [base, next_id).  One bit per id in that window beats a hash
+/// EventIds are handed out sequentially, so the pending ids always sit
+/// in a window [base, next_id).  One bit per id in that window beats a hash
 /// set on every axis the kernel cares about: insert lands in the same
 /// cache line as the previous insert (ids are consecutive), erase and
 /// contains touch a bitmap that is ~8 KB per 64k-event window (L1-sized
 /// where the equivalent hash table is megabytes), and nothing is ever
 /// rehashed.  The window's leading all-zero words are trimmed whenever
-/// the bitmap grows, so memory tracks the id-span of the *live* events,
-/// not the total ever scheduled.
+/// the bitmap grows, so memory tracks the id-span of the pending
+/// events, not the total ever scheduled.
 ///
 ///   insert / erase / contains   O(1), amortized over window compaction
-///   size / empty                O(1)
+///   size                        O(1)
 class IdWindow {
  public:
   /// Add `id`; false if already present.  Ids must be >= the window base
@@ -156,7 +67,6 @@ class IdWindow {
   }
 
   [[nodiscard]] std::size_t size() const { return size_; }
-  [[nodiscard]] bool empty() const { return size_ == 0; }
 
  private:
   /// Extend the bitmap to cover `word`, first sliding the window past

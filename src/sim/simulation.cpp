@@ -10,7 +10,7 @@ EventId Simulation::schedule_at(Time t, EventFn fn) {
   const EventId id = next_id_++;
   heap_.push_back({t, id, tag_id_, std::move(fn)});
   std::push_heap(heap_.begin(), heap_.end(), Later{});
-  live_.insert(id);
+  pending_.insert(id);
   return id;
 }
 
@@ -18,23 +18,17 @@ EventId Simulation::schedule_in(Time delay, EventFn fn) {
   return schedule_at(now_ + delay, std::move(fn));
 }
 
-bool Simulation::cancel(EventId id) {
-  // Only ids still stored may enter cancelled_: marking an already-fired
-  // id would leak it forever (nothing purges it), growing the set
-  // monotonically over a multi-month campaign.
-  if (!live_.contains(id)) return false;
-  return cancelled_.insert(id);
-}
+bool Simulation::cancel(EventId id) { return pending_.erase(id); }
 
 bool Simulation::settle_heap_front() {
-  while (!heap_.empty()) {
-    if (cancelled_.empty()) return true;  // nothing to settle out
-    if (!cancelled_.erase(heap_.front().id)) return true;
-    live_.erase(heap_.front().id);
+  // While no entry is cancelled the heap holds exactly the pending ids,
+  // so the cancel-free path never looks the front up.
+  while (heap_.size() != pending_.size() &&
+         !pending_.contains(heap_.front().id)) {
     std::pop_heap(heap_.begin(), heap_.end(), Later{});
     heap_.pop_back();
   }
-  return false;
+  return !heap_.empty();
 }
 
 std::uint32_t Simulation::intern(const std::string& tag) {
@@ -63,7 +57,7 @@ bool Simulation::step_front(const Time* horizon) {
   std::pop_heap(heap_.begin(), heap_.end(), Later{});
   Entry e = std::move(heap_.back());
   heap_.pop_back();
-  live_.erase(e.id);
+  pending_.erase(e.id);
   execute(std::move(e));
   return true;
 }
@@ -81,16 +75,12 @@ void Simulation::run() {
   }
 }
 
-std::size_t Simulation::pending() const {
-  return heap_.size() - cancelled_.size();
-}
-
 std::optional<Time> Simulation::next_time() const {
   // const scan: skip cancelled entries without mutating anything.
   // O(pending); model-checker territory.
   std::optional<Time> best;
   for (const Entry& e : heap_) {
-    if (cancelled_.contains(e.id)) continue;
+    if (!pending_.contains(e.id)) continue;
     if (!best.has_value() || e.t < *best) best = e.t;
   }
   return best;
@@ -102,7 +92,7 @@ std::vector<ReadyEvent> Simulation::enumerate_ready() const {
   if (!front.has_value()) return ready;
   for (const Entry& e : heap_) {
     if (e.t != *front) continue;
-    if (cancelled_.contains(e.id)) continue;
+    if (!pending_.contains(e.id)) continue;
     ready.push_back({e.id, e.t, tag_table_[e.tag]});
   }
   std::sort(ready.begin(), ready.end(),
@@ -113,14 +103,13 @@ std::vector<ReadyEvent> Simulation::enumerate_ready() const {
 }
 
 bool Simulation::step_event(EventId id) {
-  if (!live_.contains(id)) return false;
-  if (cancelled_.contains(id)) return false;
+  if (!pending_.contains(id)) return false;
   const auto front = next_time();
   if (!front.has_value()) return false;
 
   auto hit = std::find_if(heap_.begin(), heap_.end(),
                           [id](const Entry& e) { return e.id == id; });
-  assert(hit != heap_.end() && "live id missing from the heap");
+  assert(hit != heap_.end() && "pending id missing from the heap");
   if (hit == heap_.end()) return false;
   if (hit->t != *front) return false;  // no time travel
   Entry e = std::move(*hit);
@@ -129,7 +118,7 @@ bool Simulation::step_event(EventId id) {
   *hit = std::move(heap_.back());
   heap_.pop_back();
   std::make_heap(heap_.begin(), heap_.end(), Later{});
-  live_.erase(e.id);
+  pending_.erase(e.id);
   execute(std::move(e));
   return true;
 }

@@ -19,7 +19,7 @@
 //
 //   schedule_at       O(log n)
 //   step (pop)        O(log n)
-//   cancel            O(1) (lazy tombstone, purged when it reaches the front)
+//   cancel            O(1) (its entry is purged when it reaches the front)
 //   pending/backlog   O(1)
 //   next_time         O(n) -- model checker only
 //   enumerate_ready   O(n) -- model checker only
@@ -67,9 +67,10 @@ class Simulation {
   /// Schedule `fn` after `delay` from now.
   EventId schedule_in(Time delay, EventFn fn);
 
-  /// Cancel a pending event.  Safe to call on already-fired or unknown ids
-  /// (no-op, returns false).  O(1): the entry is tombstoned and reclaimed
-  /// when it reaches the heap front.
+  /// Cancel a pending event.  Safe to call on already-fired, unknown or
+  /// already-cancelled ids (no-op, returns false).  O(1): the id leaves
+  /// the pending set, and its heap entry is reclaimed when it reaches the
+  /// heap front.
   bool cancel(EventId id);
 
   /// Execute a single event.  Returns false when the queue is empty.
@@ -82,14 +83,14 @@ class Simulation {
   /// Run until the queue drains.
   void run();
 
-  [[nodiscard]] std::size_t pending() const;
+  /// Events scheduled and neither fired nor cancelled.
+  [[nodiscard]] std::size_t pending() const { return pending_.size(); }
   [[nodiscard]] std::uint64_t executed() const { return executed_; }
-  /// Cancelled-but-not-yet-purged entries.  Bounded by the number of
-  /// stored entries: cancel() refuses ids that already fired, so the set
-  /// cannot grow monotonically over a long campaign, and draining the
-  /// queue always purges it to zero (tests assert the bound).
+  /// Cancelled entries still on the heap.  Bounded by the heap size, and
+  /// draining the queue always purges it to zero (tests assert the
+  /// bound).
   [[nodiscard]] std::size_t cancel_backlog() const {
-    return cancelled_.size();
+    return heap_.size() - pending_.size();
   }
 
   /// Events scheduled since construction (every one goes on the heap).
@@ -168,7 +169,7 @@ class Simulation {
   /// Intern `tag`, returning its stable table index (0 = "").
   std::uint32_t intern(const std::string& tag);
 
-  /// Pop cancelled entries off the heap front; true when a live entry
+  /// Pop cancelled entries off the heap front; true when a pending entry
   /// remains on top.
   bool settle_heap_front();
   /// Pop-and-execute the front event; refuses events past `horizon`.
@@ -189,8 +190,9 @@ class Simulation {
   // enumerate_ready()/step_event() can inspect and extract arbitrary
   // front-timestamp events.
   std::vector<Entry> heap_;
-  IdWindow live_;    ///< scheduled, not yet popped (bitmap over the id window)
-  IdSet cancelled_;  ///< subset of live_ (hash set; usually empty)
+  /// Ids on the heap that are neither fired nor cancelled; a heap entry
+  /// whose id is absent is a cancelled one awaiting its purge.
+  IdWindow pending_;
 };
 
 /// A self-rescheduling periodic callback (monitoring sweeps, exerciser

@@ -64,7 +64,4 @@ class Histogram {
   double overflow_ = 0.0;
 };
 
-/// Exact quantile over a retained sample (used for small record sets).
-[[nodiscard]] double exact_quantile(std::vector<double> samples, double q);
-
 }  // namespace grid3::util

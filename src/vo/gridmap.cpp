@@ -13,7 +13,7 @@ bool GridMapFile::supports_vo(const std::string& vo) const {
 }
 
 std::size_t GridMapFile::regenerate(
-    const std::vector<const VomsServer*>& servers, Time now) {
+    const std::vector<const VomsServer*>& servers) {
   std::unordered_map<std::string, GroupAccount> fresh;
   std::vector<std::string> refreshed_vos;
   for (const VomsServer* server : servers) {
@@ -34,7 +34,6 @@ std::size_t GridMapFile::regenerate(
     if (!vo_refreshed) fresh.emplace(dn, account);
   }
   map_ = std::move(fresh);
-  last_regen_ = now;
   return map_.size();
 }
 

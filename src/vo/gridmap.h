@@ -12,7 +12,6 @@
 #include <unordered_map>
 #include <vector>
 
-#include "util/units.h"
 #include "vo/voms.h"
 
 namespace grid3::vo {
@@ -37,19 +36,16 @@ class GridMapFile {
   /// previous entries intact (stale but functional -- matching the real
   /// script's behaviour of keeping the old file on failure).
   /// Returns the number of DN entries in the new map.
-  std::size_t regenerate(const std::vector<const VomsServer*>& servers,
-                         Time now);
+  std::size_t regenerate(const std::vector<const VomsServer*>& servers);
 
   /// Gatekeeper lookup: DN -> local account.
   [[nodiscard]] std::optional<GroupAccount> map(const std::string& dn) const;
 
   [[nodiscard]] std::size_t entries() const { return map_.size(); }
-  [[nodiscard]] Time last_regenerated() const { return last_regen_; }
 
  private:
   std::unordered_map<std::string, GroupAccount> policy_;  // vo -> account
   std::unordered_map<std::string, GroupAccount> map_;     // dn -> account
-  Time last_regen_;
 };
 
 }  // namespace grid3::vo

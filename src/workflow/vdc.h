@@ -43,9 +43,6 @@ class VirtualDataCatalog {
   [[nodiscard]] const Transformation* find_transformation(
       const std::string& name) const;
   [[nodiscard]] const Derivation* producer_of(const std::string& lfn) const;
-  [[nodiscard]] std::size_t derivation_count() const {
-    return derivations_.size();
-  }
 
   /// Provenance (Chimera's "querying" role): the derivation lineage of
   /// an LFN, root-first -- every derivation that contributed, directly

@@ -274,15 +274,5 @@ TEST(Lsf, EnforcesWalltime) {
   EXPECT_EQ(out.state, JobState::kKilledWalltime);
 }
 
-TEST(LoadObserver, FiresOnStateChanges) {
-  sim::Simulation sim;
-  CondorScheduler sched{sim, config(1)};
-  int calls = 0;
-  sched.set_load_observer([&](int, int) { ++calls; });
-  sched.submit(job("a", 1.0), {});
-  sim.run();
-  EXPECT_GT(calls, 0);
-}
-
 }  // namespace
 }  // namespace grid3::batch

@@ -142,6 +142,30 @@ TEST_F(FabricTest, SitePublishesDynamicStateOnMonitorLoop) {
   (void)site;
 }
 
+TEST_F(FabricTest, FirstSweepPublishesOnlyTheKeysSomethingReads) {
+  for (const char* vo : {"usatlas", "uscms", "ivdgl"}) grid.add_vo(vo);
+  SiteConfig cfg;
+  cfg.name = "S";
+  cfg.owner_vo = "usatlas";
+  cfg.cpus = 4;
+  cfg.policy.dedicated = true;
+  grid.add_site(cfg, 1000.0);
+  // The site's first sweep fires within its first minute.
+  sim.run_until(Time::minutes(2));
+  // gmetad holds the five gmetric keys its summaries, the Ganglia
+  // utilization and the milestones read.
+  std::size_t ganglia_keys = 0;
+  grid.igoc().gmetad().history().for_each(
+      "ganglia.*",
+      [&](const monitoring::MetricKey& key, const util::TimeSeries&) {
+        if (key.site == "S") ++ganglia_keys;
+      });
+  EXPECT_EQ(ganglia_keys, 5u);
+  // The repository holds one running-jobs gauge per supported VO (the
+  // crosscheck reads them) plus the gatekeeper load the broker ranks on.
+  EXPECT_EQ(grid.igoc().ml_repository().archived_keys(), 3u + 1u);
+}
+
 TEST_F(FabricTest, SharedSiteCarriesLocalLoad) {
   grid.add_vo("ivdgl");
   SiteConfig cfg;
@@ -178,7 +202,7 @@ TEST_F(FabricTest, GridJobsRunningIgnoresQueuedLocalJobs) {
   }
   sim.run_until(Time::minutes(31));
   // The local top-up waits behind them and runs nothing yet.
-  EXPECT_EQ(site.scheduler().queued_for_vo("local"), 2u);
+  EXPECT_EQ(site.scheduler().queued_count(), 2u);
   EXPECT_EQ(site.scheduler().running_for_vo("local"), 0);
   EXPECT_EQ(site.grid_jobs_running(), cfg.cpus);
 }
@@ -401,7 +425,11 @@ TEST(CollectiveFailures, TicketQueueDowntimeDropsOpens) {
   EXPECT_EQ(grid.igoc().tickets().total(), 0u);
   // MonALISA drops updates while down and answers nothing.
   EXPECT_FALSE(grid.igoc().ml_repository().available());
-  EXPECT_EQ(grid.igoc().ml_repository().grid_total("cpu", sim.now()), 0.0);
+  EXPECT_FALSE(grid.igoc()
+                   .ml_repository()
+                   .read("BNL", monitoring::mlmetric::kGatekeeperLoad,
+                         sim.now())
+                   .has_value());
   sim.run_until(Time::hours(3));
   EXPECT_TRUE(grid.igoc().tickets().available());
   EXPECT_TRUE(grid.igoc().ml_repository().available());

@@ -45,7 +45,7 @@ TEST_P(GatekeeperLoadSweep, LoadScalesLinearlyInManagedJobs) {
   const auto cert = ca.issue("/CN=u", sim.now(), Time::days(999));
   voms.add_member("/CN=u", vo::Role::kUser);
   gridmap.support_vo("vo", {"vo1", "vo"});
-  gridmap.regenerate({&voms}, sim.now());
+  gridmap.regenerate({&voms});
   const auto proxy = *vo::issue_proxy(voms, cert, sim.now(), Time::days(30));
 
   for (int i = 0; i < jobs; ++i) {

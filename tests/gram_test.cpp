@@ -52,7 +52,7 @@ class GramTest : public ::testing::Test {
     alice_cert = ca.issue("/CN=alice", sim.now(), Time::days(365));
     voms.add_member("/CN=alice", vo::Role::kAppAdmin);
     gridmap.support_vo("usatlas", {"usatlas1", "usatlas"});
-    gridmap.regenerate({&voms}, sim.now());
+    gridmap.regenerate({&voms});
     alice = *vo::issue_proxy(voms, alice_cert, sim.now(), Time::hours(96));
   }
 

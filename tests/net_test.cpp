@@ -125,16 +125,6 @@ TEST_F(NetTest, PrivateNodesCannotOpenOutbound) {
   EXPECT_TRUE(net.route_open(b, a));  // inbound still fine
 }
 
-TEST_F(NetTest, ByteAccountingMatchesTransfers) {
-  const NodeId a = add("a", 100);
-  const NodeId b = add("b", 100);
-  net.start_flow(a, b, Bytes::mb(30), [](const FlowResult&) {});
-  sim.run();
-  EXPECT_NEAR(net.bytes_sent(a).to_mb(), 30.0, 0.5);
-  EXPECT_NEAR(net.bytes_received(b).to_mb(), 30.0, 0.5);
-  EXPECT_EQ(net.bytes_received(a), Bytes::zero());
-}
-
 TEST_F(NetTest, CancelFlowReportsCancelled) {
   const NodeId a = add("a", 100);
   const NodeId b = add("b", 100);
@@ -152,8 +142,6 @@ TEST_F(NetTest, RateQueriesReflectActiveFlows) {
   const NodeId b = add("b", 100);
   const FlowId id = net.start_flow(a, b, Bytes::gb(1), [](const FlowResult&) {});
   EXPECT_GT(net.flow_rate(id).bps(), 0.0);
-  EXPECT_GT(net.rate_out(a).bps(), 0.0);
-  EXPECT_GT(net.rate_in(b).bps(), 0.0);
   EXPECT_EQ(net.active_flows(), 1u);
   sim.run();
   EXPECT_EQ(net.active_flows(), 0u);

@@ -80,7 +80,7 @@ TEST(GridMap, RegenerationMapsMembersToGroupAccounts) {
   GridMapFile map;
   map.support_vo("usatlas", {"usatlas1", "usatlas"});
   map.support_vo("uscms", {"uscms1", "uscms"});
-  EXPECT_EQ(map.regenerate({&atlas, &cms}, Time::zero()), 2u);
+  EXPECT_EQ(map.regenerate({&atlas, &cms}), 2u);
 
   const auto acct = map.map("/CN=alice");
   ASSERT_TRUE(acct.has_value());
@@ -94,7 +94,7 @@ TEST(GridMap, UnsupportedVoIgnored) {
   btev.add_member("/CN=carol", Role::kUser);
   GridMapFile map;
   map.support_vo("usatlas", {"usatlas1", "usatlas"});
-  map.regenerate({&btev}, Time::zero());
+  map.regenerate({&btev});
   EXPECT_FALSE(map.map("/CN=carol").has_value());
   EXPECT_FALSE(map.supports_vo("btev"));
 }
@@ -106,11 +106,11 @@ TEST(GridMap, StaleSnapshotMissesNewMembers) {
   voms.add_member("/CN=old", Role::kUser);
   GridMapFile map;
   map.support_vo("sdss", {"sdss1", "sdss"});
-  map.regenerate({&voms}, Time::zero());
+  map.regenerate({&voms});
   voms.add_member("/CN=new", Role::kUser);
   EXPECT_TRUE(map.map("/CN=old").has_value());
   EXPECT_FALSE(map.map("/CN=new").has_value());
-  map.regenerate({&voms}, Time::hours(6));
+  map.regenerate({&voms});
   EXPECT_TRUE(map.map("/CN=new").has_value());
 }
 
@@ -119,10 +119,10 @@ TEST(GridMap, DownVomsKeepsPreviousEntries) {
   voms.add_member("/CN=dave", Role::kUser);
   GridMapFile map;
   map.support_vo("ivdgl", {"ivdgl1", "ivdgl"});
-  map.regenerate({&voms}, Time::zero());
+  map.regenerate({&voms});
   voms.set_available(false);
   voms.add_member("/CN=erin", Role::kUser);
-  map.regenerate({&voms}, Time::hours(6));
+  map.regenerate({&voms});
   // Old entry survives; new member not picked up while the server is down.
   EXPECT_TRUE(map.map("/CN=dave").has_value());
   EXPECT_FALSE(map.map("/CN=erin").has_value());
@@ -133,9 +133,9 @@ TEST(GridMap, RemovedMemberDroppedOnRefresh) {
   voms.add_member("/CN=frank", Role::kUser);
   GridMapFile map;
   map.support_vo("uscms", {"uscms1", "uscms"});
-  map.regenerate({&voms}, Time::zero());
+  map.regenerate({&voms});
   voms.remove_member("/CN=frank");
-  map.regenerate({&voms}, Time::hours(1));
+  map.regenerate({&voms});
   EXPECT_FALSE(map.map("/CN=frank").has_value());
 }
 
