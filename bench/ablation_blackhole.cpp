@@ -111,7 +111,6 @@ Outcome run_mode(bool breakers) {
     gram::GramJob job;
     job.proxy = proxy;
     job.request.vo = "usatlas";
-    job.request.user_dn = proxy.identity.subject_dn;
     job.request.requested_walltime = kJobRuntime + Time::hours(1);
     job.request.actual_runtime = kJobRuntime;
     grid.broker("usatlas")->submit(

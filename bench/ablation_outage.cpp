@@ -130,7 +130,6 @@ Outcome run_mode(const char* label, bool storm, bool naive) {
       gram::GramJob job;
       job.proxy = proxy;
       job.request.vo = "usatlas";
-      job.request.user_dn = proxy.identity.subject_dn;
       job.request.requested_walltime = kJobRuntime + Time::hours(1);
       job.request.actual_runtime = kJobRuntime;
       grid.broker("usatlas")->submit(

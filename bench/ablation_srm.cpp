@@ -34,11 +34,11 @@ Result run_trial(bool with_srm, std::uint64_t seed) {
   gridftp::GridFtpClient client{sim, net};
   util::Rng rng{seed};
 
-  const auto src_node = net.add_node({"SRC", Bandwidth::gbps(1),
+  const auto src_node = net.add_node({Bandwidth::gbps(1),
                                       Bandwidth::gbps(1), true});
   // A modest SE uplink: a 12 GB file takes ~16 minutes unconstrained,
   // longer under contention -- a wide race window.
-  const auto se_node = net.add_node({"SE", Bandwidth::mbps(100),
+  const auto se_node = net.add_node({Bandwidth::mbps(100),
                                      Bandwidth::mbps(100), true});
   gridftp::GridFtpServer src{"SRC", src_node};
   gridftp::GridFtpServer se_ftp{"SE", se_node};

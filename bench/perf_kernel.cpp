@@ -54,8 +54,7 @@ void BM_NetworkReallocate(benchmark::State& state) {
     net::Network net{sim};
     std::vector<net::NodeId> nodes;
     for (int i = 0; i < 16; ++i) {
-      nodes.push_back(net.add_node({"n" + std::to_string(i),
-                                    Bandwidth::mbps(100),
+      nodes.push_back(net.add_node({Bandwidth::mbps(100),
                                     Bandwidth::mbps(100), true}));
     }
     util::Rng rng{2};
@@ -83,7 +82,8 @@ void BM_SchedulerChurn(benchmark::State& state) {
     util::Rng rng{3};
     for (int i = 0; i < jobs; ++i) {
       batch::JobRequest req;
-      req.vo = "vo" + std::to_string(i % 6);
+      req.vo = "vo";
+      req.vo.append(std::to_string(i % 6));
       req.actual_runtime = Time::minutes(rng.uniform(5, 120));
       req.requested_walltime = Time::hours(3);
       sched.submit(req, {});
@@ -106,7 +106,8 @@ struct MatchRig {
     broker = &grid.attach_broker("benchvo", broker::PolicyKind::kQueueDepth);
     for (int i = 0; i < sites; ++i) {
       core::SiteConfig cfg;
-      cfg.name = "S" + std::to_string(i);
+      cfg.name = "S";
+      cfg.name.append(std::to_string(i));
       cfg.owner_vo = "benchvo";
       cfg.cpus = 32;
       grid.add_site(cfg, /*reliability=*/1000.0);
@@ -178,9 +179,7 @@ void BM_FlowChurn(benchmark::State& state) {
     for (int c = 0; c < 16; ++c) {
       net::NodeId base = 0;
       for (int n = 0; n < 4; ++n) {
-        const auto id = net.add_node({"c" + std::to_string(c) + "n" +
-                                          std::to_string(n),
-                                      Bandwidth::mbps(100),
+        const auto id = net.add_node({Bandwidth::mbps(100),
                                       Bandwidth::mbps(100), true});
         if (n == 0) base = id;
       }
@@ -367,8 +366,7 @@ double measure_flow_reallocs_per_sec() {
       net::NodeId base = 0;
       for (int n = 0; n < kNodesPerCluster; ++n) {
         const auto id = net.add_node(
-            {"c" + std::to_string(c) + "n" + std::to_string(n),
-             Bandwidth::mbps(100), Bandwidth::mbps(100), true});
+            {Bandwidth::mbps(100), Bandwidth::mbps(100), true});
         if (n == 0) base = id;
       }
       for (int k = 0; k < kChainsPerCluster; ++k) {

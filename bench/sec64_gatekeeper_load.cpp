@@ -28,9 +28,9 @@ struct Harness {
   vo::VomsServer voms{"vo"};
   vo::GridMapFile gridmap;
   srm::DiskVolume scratch{"s:/scratch", Bytes::tb(500)};
-  net::NodeId node = net.add_node({"S", Bandwidth::gbps(10),
+  net::NodeId node = net.add_node({Bandwidth::gbps(10),
                                    Bandwidth::gbps(10), true});
-  net::NodeId data = net.add_node({"D", Bandwidth::gbps(10),
+  net::NodeId data = net.add_node({Bandwidth::gbps(10),
                                    Bandwidth::gbps(10), true});
   gridftp::GridFtpServer ftp{"S", node};
   gridftp::GridFtpServer data_ftp{"D", data};
@@ -58,7 +58,6 @@ struct Harness {
         gram::GramJob job;
         job.proxy = proxy;
         job.request.vo = "vo";
-        job.request.user_dn = "/CN=a";
         job.request.actual_runtime = Time::hours(500);
         job.request.requested_walltime = Time::hours(600);
         if (stage_in > Bytes::zero()) {
@@ -116,7 +115,6 @@ int main() {
       grid3::gram::GramJob job;
       job.proxy = fast.proxy;
       job.request.vo = "vo";
-      job.request.user_dn = "/CN=a";
       job.request.actual_runtime = grid3::Time::hours(500);
       job.request.requested_walltime = grid3::Time::hours(600);
       fast.gk.submit(std::move(job), {});

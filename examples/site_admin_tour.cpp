@@ -77,7 +77,6 @@ int main() {
   gram::GramJob job;
   job.proxy = *proxy;
   job.request.vo = "usatlas";
-  job.request.user_dn = alice.subject_dn;
   job.request.actual_runtime = Time::hours(2);
   job.request.requested_walltime = Time::hours(3);
   job.scratch = Bytes::gb(1);

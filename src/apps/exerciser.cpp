@@ -72,7 +72,6 @@ void CondorExerciser::probe_next_site() {
   gram::GramJob job;
   job.proxy = *proxy;
   job.request.vo = vo();
-  job.request.user_dn = submitter.subject_dn;
   const bool december = month == 2;  // the 12-2003 rapid-fire campaign
   const Time runtime = Time::hours(
       (december ? december_runtime_ : runtime_).sample(rng()));

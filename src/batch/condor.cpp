@@ -12,7 +12,7 @@ std::optional<std::size_t> CondorScheduler::pick_next() {
   double best_rank = 0.0;
   for (std::size_t i = 0; i < q.size(); ++i) {
     if (q[i].req.priority < 0) continue;
-    const double rank = fair_share_rank(q[i].req.vo);
+    const double rank = fair_share_rank(q[i].vo);
     if (!best.has_value() || rank < best_rank) {
       best = i;
       best_rank = rank;

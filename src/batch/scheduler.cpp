@@ -29,35 +29,45 @@ BatchScheduler::~BatchScheduler() {
   }
 }
 
+VoIndex BatchScheduler::vo_index(const std::string& vo) {
+  const VoIndex v = vo_names_.intern(vo);
+  if (v.value() == vos_.size()) {
+    VoRow& row = vos_.emplace_back();
+    if (auto it = cfg_.vo_shares.find(vo); it != cfg_.vo_shares.end()) {
+      row.share = std::max(it->second, 1e-9);
+    } else {
+      row.authorized = !cfg_.closed_shares;
+    }
+  }
+  return v;
+}
+
 SubmitResult BatchScheduler::submit(const JobRequest& req, CompletionFn done) {
+  const auto reject = [&](const char* reason) -> SubmitResult {
+    if (done) {
+      JobOutcome out;
+      out.state = JobState::kRejected;
+      out.vo = req.vo;
+      out.submitted = sim_.now();
+      done(out);
+    }
+    return {false, 0, reason};
+  };
   // Policy gate 1: queue walltime limit (section 6.4, requirement 3 --
   // "queue managed Grid3 resources required every computational job to
   // specify the runtime requested").
   if (enforces_walltime() && req.requested_walltime > cfg_.max_walltime) {
-    if (done) {
-      JobOutcome out;
-      out.state = JobState::kRejected;
-      out.vo = req.vo;
-      out.submitted = sim_.now();
-      done(out);
-    }
-    return {false, 0, "requested walltime exceeds queue limit"};
+    return reject("requested walltime exceeds queue limit");
   }
   // Policy gate 2: closed share lists refuse foreign VOs.
-  if (cfg_.closed_shares && !cfg_.vo_shares.contains(req.vo)) {
-    if (done) {
-      JobOutcome out;
-      out.state = JobState::kRejected;
-      out.vo = req.vo;
-      out.submitted = sim_.now();
-      done(out);
-    }
-    return {false, 0, "VO not authorized on this resource"};
+  const VoIndex vo = vo_index(req.vo);
+  if (!vos_[vo.value()].authorized) {
+    return reject("VO not authorized on this resource");
   }
 
   const LocalJobId id = next_id_++;
-  queue_.push_back({id, req, sim_.now()});
-  queued_callbacks_.emplace(id, std::move(done));
+  queue_.push_back({id, req, vo, sim_.now(), std::move(done)});
+  ++vos_[vo.value()].outstanding;
   dispatch();
   return {true, id, {}};
 }
@@ -73,14 +83,16 @@ bool BatchScheduler::cancel(LocalJobId id) {
     out.vo = qit->req.vo;
     out.submitted = qit->submitted;
     out.started = out.finished = sim_.now();
-    auto cb = std::move(queued_callbacks_[id]);
-    queued_callbacks_.erase(id);
+    CompletionFn cb = std::move(qit->done);
+    int& outstanding = vos_[qit->vo.value()].outstanding;
+    assert(outstanding > 0);
+    --outstanding;
     queue_.erase(qit);
     if (cb) cb(out);
     return true;
   }
-  if (running_.contains(id)) {
-    finish(id, JobState::kKilledAdmin);
+  if (auto it = running_.find(id); it != running_.end()) {
+    finish(it, JobState::kKilledAdmin);
     return true;
   }
   return false;
@@ -121,26 +133,18 @@ void BatchScheduler::resume() {
   dispatch();
 }
 
-int BatchScheduler::running_for_vo(const std::string& vo) const {
-  auto it = running_per_vo_.find(vo);
-  return it == running_per_vo_.end() ? 0 : it->second;
-}
-
 Time BatchScheduler::vo_usage(const std::string& vo) const {
-  auto it = usage_.find(vo);
-  return it == usage_.end() ? Time::zero() : it->second;
+  const VoIndex v = vo_names_.find(vo);
+  return v.valid() ? vos_[v.value()].usage : Time::zero();
 }
 
-double BatchScheduler::fair_share_rank(const std::string& vo) const {
-  double share = 1.0;
-  if (auto it = cfg_.vo_shares.find(vo); it != cfg_.vo_shares.end()) {
-    share = std::max(it->second, 1e-9);
-  }
+double BatchScheduler::fair_share_rank(VoIndex vo) const {
+  const VoRow& row = vos_[vo.value()];
   // Include currently-running occupancy so a burst from one VO does not
   // monopolize the next free slots.
   const double used =
-      vo_usage(vo).to_hours() + static_cast<double>(running_for_vo(vo));
-  return used / share;
+      row.usage.to_hours() + static_cast<double>(row.running);
+  return used / row.share;
 }
 
 int BatchScheduler::count_running(
@@ -159,58 +163,60 @@ void BatchScheduler::dispatch() {
     auto idx = pick_next();
     if (!idx.has_value()) break;
     assert(*idx < queue_.size());
-    QueuedJob qj = queue_[*idx];
+    QueuedJob qj = std::move(queue_[*idx]);
     queue_.erase(queue_.begin() + static_cast<std::ptrdiff_t>(*idx));
-    ++running_per_vo_[qj.req.vo];
+    ++vos_[qj.vo.value()].running;
 
     RunningJob run;
     run.id = qj.id;
-    run.req = qj.req;
+    run.req = std::move(qj.req);
+    run.vo = qj.vo;
     run.submitted = qj.submitted;
     run.started = sim_.now();
-    run.done = std::move(queued_callbacks_[qj.id]);
-    queued_callbacks_.erase(qj.id);
+    run.done = std::move(qj.done);
 
     // Completion: either natural end or the walltime killer, whichever is
     // sooner on an enforcing LRMS.
     Time end_after = run.req.actual_runtime;
-    JobState end_state = JobState::kCompleted;
     if (enforces_walltime() && run.req.actual_runtime > run.req.requested_walltime) {
       end_after = run.req.requested_walltime;
-      end_state = JobState::kKilledWalltime;
+      run.end_state = JobState::kKilledWalltime;
     }
+    // [this, id] fits std::function's inline buffer: no allocation.
     const LocalJobId id = qj.id;
-    run.completion = sim_.schedule_in(
-        end_after, [this, id, end_state] { finish(id, end_state); });
+    run.completion = sim_.schedule_in(end_after, [this, id] {
+      auto it = running_.find(id);
+      assert(it != running_.end());
+      finish(it, it->second.end_state);
+    });
     running_.emplace(id, std::move(run));
   }
   dispatching_ = false;
 }
 
 void BatchScheduler::finish(LocalJobId id, JobState state) {
-  auto it = running_.find(id);
-  if (it == running_.end()) return;
+  if (auto it = running_.find(id); it != running_.end()) finish(it, state);
+}
+
+void BatchScheduler::finish(RunningMap::iterator it, JobState state) {
   RunningJob job = std::move(it->second);
   running_.erase(it);
-  int& running = running_per_vo_[job.req.vo];
-  assert(running > 0);
-  --running;
+  VoRow& row = vos_[job.vo.value()];
+  assert(row.running > 0 && row.outstanding > 0);
+  --row.running;
+  --row.outstanding;
   if (job.completion != 0) sim_.cancel(job.completion);
 
   JobOutcome out;
-  out.id = id;
+  out.id = job.id;
   out.state = state;
   out.vo = job.req.vo;
   out.submitted = job.submitted;
   out.started = job.started;
   out.finished = sim_.now();
-  charge_usage(job.req.vo, out.cpu_used());
+  row.usage += out.cpu_used();
   if (job.done) job.done(out);
   dispatch();
-}
-
-void BatchScheduler::charge_usage(const std::string& vo, Time cpu) {
-  usage_[vo] += cpu;
 }
 
 }  // namespace grid3::batch

@@ -17,6 +17,7 @@
 #include <unordered_map>
 #include <vector>
 
+#include "core/ids.h"
 #include "sim/simulation.h"
 #include "util/rng.h"
 #include "util/units.h"
@@ -24,6 +25,11 @@
 namespace grid3::batch {
 
 using LocalJobId = std::uint64_t;
+
+struct VoIndexTag {};
+/// Dense index of one VO (group account) on one scheduler, assigned the
+/// first time the scheduler sees the name.
+using VoIndex = core::InternedId<VoIndexTag>;
 
 enum class JobState {
   kQueued,
@@ -39,7 +45,6 @@ enum class JobState {
 
 struct JobRequest {
   std::string vo;            ///< group account the job maps to
-  std::string user_dn;
   Time requested_walltime;   ///< queue-managed sites require this (§6.4)
   Time actual_runtime;       ///< true demand, unknown to the scheduler
   int priority = 0;          ///< < 0 marks backfill (the Condor exerciser)
@@ -74,7 +79,7 @@ struct SchedulerConfig {
   Time max_walltime = Time::hours(72);  ///< published queue limit
   /// Relative fair-share weight per VO; VOs absent from the map may still
   /// run (weight 1) unless `closed_shares` is set.
-  std::map<std::string, double> vo_shares;
+  std::map<std::string, double> vo_shares = {};
   bool closed_shares = false;
 };
 
@@ -111,11 +116,22 @@ class BatchScheduler {
   [[nodiscard]] int busy_slots() const { return static_cast<int>(running_.size()); }
   [[nodiscard]] int free_slots() const { return cfg_.slots - busy_slots(); }
   [[nodiscard]] std::size_t queued_count() const { return queue_.size(); }
-  /// Per-VO running job count, kept as jobs start and end (O(1)).
-  [[nodiscard]] int running_for_vo(const std::string& vo) const;
   [[nodiscard]] const SchedulerConfig& config() const { return cfg_; }
   [[nodiscard]] Time max_walltime() const { return cfg_.max_walltime; }
   void set_max_walltime(Time t) { cfg_.max_walltime = t; }
+
+  /// The index of `vo`, assigning the next one if the name is new.
+  /// Callers that read a VO's counts every sweep resolve it once.
+  VoIndex vo_index(const std::string& vo);
+
+  /// Running jobs of a VO, kept as jobs start and end (O(1)).
+  [[nodiscard]] int running_for_vo(VoIndex vo) const {
+    return vos_[vo.value()].running;
+  }
+  /// Accepted jobs of a VO that are queued or running (O(1)).
+  [[nodiscard]] int outstanding_for_vo(VoIndex vo) const {
+    return vos_[vo.value()].outstanding;
+  }
 
   /// Cumulative CPU time charged per VO (fair-share input + accounting).
   [[nodiscard]] Time vo_usage(const std::string& vo) const;
@@ -124,7 +140,9 @@ class BatchScheduler {
   struct QueuedJob {
     LocalJobId id;
     JobRequest req;
+    VoIndex vo;
     Time submitted;
+    CompletionFn done;
   };
 
   /// Policy hook: index into `queue_` of the next job to start, or nullopt
@@ -136,7 +154,7 @@ class BatchScheduler {
 
   /// Decayed usage ratio used by fair-share policies:
   /// usage / share_weight, lower runs first.
-  [[nodiscard]] double fair_share_rank(const std::string& vo) const;
+  [[nodiscard]] double fair_share_rank(VoIndex vo) const;
 
   /// Number of running jobs whose request satisfies `pred` (policy
   /// bookkeeping, e.g. LSF's long-queue cap).
@@ -147,15 +165,28 @@ class BatchScheduler {
   struct RunningJob {
     LocalJobId id;
     JobRequest req;
+    VoIndex vo;
     Time submitted;
     Time started;
     sim::EventId completion = 0;
+    /// How the completion event ends the job: kCompleted, or
+    /// kKilledWalltime when an enforcing LRMS stops it at its request.
+    JobState end_state = JobState::kCompleted;
     CompletionFn done;
   };
+  /// One VO's row, indexed by VoIndex.
+  struct VoRow {
+    double share = 1.0;       ///< fair-share weight, floored at 1e-9
+    bool authorized = true;   ///< false: closed shares refuse the VO
+    int running = 0;
+    int outstanding = 0;      ///< queued + running
+    Time usage;
+  };
+  using RunningMap = std::unordered_map<LocalJobId, RunningJob>;
 
   void dispatch();
   void finish(LocalJobId id, JobState state);
-  void charge_usage(const std::string& vo, Time cpu);
+  void finish(RunningMap::iterator it, JobState state);
 
   sim::Simulation& sim_;
   SchedulerConfig cfg_;
@@ -163,11 +194,12 @@ class BatchScheduler {
   bool dispatching_ = false;
   LocalJobId next_id_ = 1;
   std::deque<QueuedJob> queue_;
-  std::unordered_map<LocalJobId, RunningJob> running_;
-  std::unordered_map<LocalJobId, CompletionFn> queued_callbacks_;
-  /// Running jobs per VO; every change to `running_` moves it in step.
-  std::unordered_map<std::string, int> running_per_vo_;
-  std::unordered_map<std::string, Time> usage_;
+  /// Stays a hash map: kill_running draws one chance() per running job
+  /// in this map's iteration order, and the pinned digests depend on it.
+  RunningMap running_;
+  core::Interner<VoIndex> vo_names_;
+  /// Every change to `queue_` or `running_` moves these counts in step.
+  std::vector<VoRow> vos_;
 };
 
 /// Condor: fair-share matchmaking, negative-priority backfill only runs

@@ -138,13 +138,12 @@ bool ResourceBroker::meets_requirements(const JobSpec& spec,
 
 std::vector<std::string> ResourceBroker::eligible(const JobSpec& spec,
                                                   Time now) {
-  view(now);
   const std::string key = mds::app_attribute(spec.required_app);
   std::vector<std::string> out;
-  for (const SiteView& v : view_) {
+  for (const SiteView& v : view(now)) {
     if (meets_requirements(spec, key, v)) out.push_back(v.site);
   }
-  return out;  // view_ is name-sorted
+  return out;  // the view is name-sorted
 }
 
 namespace {
@@ -199,9 +198,9 @@ double ResourceBroker::policy_term(const JobSpec& spec, const SiteView& site,
 
 ResourceBroker::RankPass ResourceBroker::begin_pass(const JobSpec& spec,
                                                     Time now) {
-  view(now);
-  ++match_cycles_;
   RankPass pass;
+  pass.view = &view(now);
+  ++match_cycles_;
   // Placement-aware ranking only with a ledger attached, so the
   // ledger-free broker keeps its established match log byte-for-byte.
   // The chain factor is site-independent, so one evaluation serves the
@@ -289,7 +288,7 @@ std::optional<std::string> ResourceBroker::choose(const JobSpec& spec,
   std::vector<const SiteView*> pool;
   if (spec.candidates.empty()) {
     const std::string key = mds::app_attribute(spec.required_app);
-    for (const SiteView& v : view_) {
+    for (const SiteView& v : *pass.view) {
       if (meets_requirements(spec, key, v) && healthy(v)) pool.push_back(&v);
     }
   } else {
@@ -302,7 +301,7 @@ std::optional<std::string> ResourceBroker::choose(const JobSpec& spec,
         scratch_bits_.set(id);
       }
     }
-    for (const SiteView& v : view_) {
+    for (const SiteView& v : *pass.view) {
       if (scratch_bits_.test(v.id) && healthy(v)) pool.push_back(&v);
     }
   }
@@ -347,7 +346,7 @@ GangPlacement ResourceBroker::match_gang(const GangSpec& gang, Time now) {
   GangPlacement out;
   out.member_sites.assign(gang.members.size(), std::string{});
   if (gang.members.empty()) return out;
-  view(now);
+  const std::vector<SiteView>& sites = view(now);
   ++match_cycles_;
 
   // The level's aggregate disk footprint at one site: every member's
@@ -371,7 +370,7 @@ GangPlacement ResourceBroker::match_gang(const GangSpec& gang, Time now) {
     int capacity;
   };
   std::vector<Candidate> pool;
-  for (const SiteView& v : view_) {
+  for (const SiteView& v : sites) {
     if ((v.gk != nullptr ? v.gk : gatekeepers_.gatekeeper(v.site)) ==
         nullptr) {
       continue;
@@ -563,7 +562,7 @@ void ResourceBroker::build_candidate_bits(Pending& p) {
 
 std::vector<const SiteView*> ResourceBroker::admissible(
     Pending& p, Time now, bool* any_deferred) {
-  view(now);
+  const std::vector<SiteView>& sites = view(now);
   // A GIIS outage past the staleness bound empties the pool, but the
   // sites are not gone -- the index is.  Defer so the job waits for the
   // index to recover instead of failing with kSubmitRejected.
@@ -595,13 +594,13 @@ std::vector<const SiteView*> ResourceBroker::admissible(
   };
   if (p.spec.candidates.empty()) {
     const std::string key = mds::app_attribute(p.spec.required_app);
-    for (const SiteView& v : view_) {
+    for (const SiteView& v : sites) {
       if (meets_requirements(p.spec, key, v)) consider(v);
     }
   } else {
     if (!p.bits_built) build_candidate_bits(p);
     std::size_t found = 0;
-    for (const SiteView& v : view_) {
+    for (const SiteView& v : sites) {
       if (p.candidate_bits.test(v.id)) {
         ++found;
         consider(v);

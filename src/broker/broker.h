@@ -408,6 +408,7 @@ class ResourceBroker {
   /// (site-independent, so identical for every candidate) and the
   /// interned source-affinity site.
   struct RankPass {
+    const std::vector<SiteView>* view = nullptr;  ///< refreshed, name-sorted
     double chain = 1.0;
     core::SiteId source;
   };

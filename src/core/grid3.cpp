@@ -178,7 +178,6 @@ health::SiteHealthMonitor& Grid3::attach_health(health::HealthConfig cfg) {
         gram::GramJob job;
         job.proxy = *proxy;
         job.request.vo = "ivdgl";
-        job.request.user_dn = probe_cert_->subject_dn;
         job.request.requested_walltime = Time::hours(1);
         job.request.actual_runtime = Time::minutes(15);
         job.request.priority = -10;
@@ -266,7 +265,7 @@ ExternalHost& Grid3::add_external_host(const std::string& name,
                                        Bandwidth bw) {
   auto host = std::make_unique<ExternalHost>();
   host->name = name;
-  host->node = net_.add_node({name, bw, bw, true});
+  host->node = net_.add_node({bw, bw, true});
   host->ftp = std::make_unique<gridftp::GridFtpServer>(name, host->node);
   host->disk =
       std::make_unique<srm::DiskVolume>(name + ":/tape", Bytes::tb(100000));

@@ -53,7 +53,7 @@ Site::Site(sim::Simulation& sim, net::Network& network,
       bus_{bus},
       cfg_{std::move(cfg)},
       rng_{rng},
-      node_{network.add_node({cfg_.name, cfg_.wan, cfg_.wan,
+      node_{network.add_node({cfg_.wan, cfg_.wan,
                               cfg_.policy.outbound})},
       disk_{cfg_.name + ":/data", cfg_.disk},
       ftp_server_{cfg_.name, node_},
@@ -70,6 +70,7 @@ Site::Site(sim::Simulation& sim, net::Network& network,
                return m;
              }},
       ml_agent_{cfg_.name, bus} {
+  local_vo_ = scheduler_->vo_index(kLocalVo);
   gram::GatekeeperConfig gkc;
   gkc.site = cfg_.name;
   gatekeeper_ = std::make_unique<gram::Gatekeeper>(
@@ -126,7 +127,7 @@ void Site::support_vo(const std::string& vo_name) {
       vo_gauges_.begin(), vo_gauges_.end(), vo_name,
       [](const VoGauge& g, const std::string& vo) { return g.vo < vo; });
   if (it == vo_gauges_.end() || it->vo != vo_name) {
-    vo_gauges_.insert(it, {vo_name, {}});
+    vo_gauges_.insert(it, {vo_name, {}, {}});
   }
 }
 
@@ -220,9 +221,11 @@ void Site::report_vo_activity() {
     if (!g.running.valid()) {
       g.running = ml_agent_.resolve(
           monitoring::vo_metric(ml::kVoJobsRunning, g.vo));
+      g.batch_vo = scheduler_->vo_index(g.vo);
     }
-    ml_agent_.report(g.running, now,
-                     static_cast<double>(scheduler_->running_for_vo(g.vo)));
+    ml_agent_.report(
+        g.running, now,
+        static_cast<double>(scheduler_->running_for_vo(g.batch_vo)));
   }
   ml_agent_.report(gatekeeper_load_, now, gatekeeper_->one_minute_load());
 }
@@ -238,20 +241,17 @@ void Site::sample_local_load() {
   const int target = static_cast<int>(
       cfg_.policy.local_load *
       static_cast<double>(scheduler_->total_slots()));
-  const int deficit = target - local_jobs_outstanding_;
+  // Local jobs need no callback: the scheduler counts them while they
+  // are queued or running, and a rejected one is never counted.
+  const int deficit = target - scheduler_->outstanding_for_vo(local_vo_);
   for (int i = 0; i < deficit; ++i) {
     batch::JobRequest req;
     req.vo = kLocalVo;
-    req.user_dn = "/O=local/CN=user";
     const Time runtime = Time::hours(rng_.exponential(2.0));
     req.requested_walltime = runtime + Time::hours(1);
     req.actual_runtime = runtime;
     req.priority = 1;  // local users outrank grid jobs on shared nodes
-    ++local_jobs_outstanding_;
-    // The completion callback fires exactly once, on a terminal state.
-    scheduler_->submit(req, [this](const batch::JobOutcome&) {
-      --local_jobs_outstanding_;
-    });
+    scheduler_->submit(req, {});
   }
 }
 
@@ -267,7 +267,7 @@ std::vector<monitoring::ProbeResult> Site::run_probes() const {
 }
 
 int Site::grid_jobs_running() const {
-  return scheduler_->busy_slots() - scheduler_->running_for_vo(kLocalVo);
+  return scheduler_->busy_slots() - scheduler_->running_for_vo(local_vo_);
 }
 
 }  // namespace grid3::core

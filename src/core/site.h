@@ -125,11 +125,13 @@ class Site {
   void report_vo_activity();
   void sample_local_load();
 
-  /// A supported VO's MonALISA running-jobs gauge, resolved on the first
-  /// sweep that reports it, so building a fabric interns no metric keys.
+  /// A supported VO's MonALISA running-jobs gauge and scheduler row,
+  /// resolved on the first sweep that reports it, so building a fabric
+  /// interns no metric keys.
   struct VoGauge {
     std::string vo;
     monitoring::MetricId running;
+    batch::VoIndex batch_vo;
   };
 
   sim::Simulation& sim_;
@@ -154,8 +156,8 @@ class Site {
   monitoring::MetricId gatekeeper_load_;
   pacman::InstallReport install_report_;
   bool installed_ = false;
-  /// Local jobs submitted and not yet terminal (queued or running).
-  int local_jobs_outstanding_ = 0;
+  /// The scheduler row of local users' jobs.
+  batch::VoIndex local_vo_;
   // Drain-rate differentiation baseline (see publish_dynamic).
   Bytes last_released_;
   Time last_drain_sample_;

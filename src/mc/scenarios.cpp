@@ -244,7 +244,6 @@ class GridRun final : public ExploredRun {
     gram::GramJob job;
     job.proxy = proxy_;
     job.request.vo = proxy_.vo;
-    job.request.user_dn = proxy_.identity.subject_dn;
     job.request.requested_walltime = Time::minutes(15);
     job.request.actual_runtime = Time::minutes(10);
     return job;

@@ -28,7 +28,6 @@
 #include <cstdint>
 #include <functional>
 #include <map>
-#include <string>
 #include <vector>
 
 #include "sim/simulation.h"
@@ -67,7 +66,6 @@ struct FlowResult {
 using FlowCallback = std::function<void(const FlowResult&)>;
 
 struct NodeConfig {
-  std::string name;
   Bandwidth uplink = Bandwidth::mbps(100);
   Bandwidth downlink = Bandwidth::mbps(100);
   /// Worker nodes on a private network cannot open outbound connections

@@ -48,8 +48,10 @@ Time time_of(const CalendarDate& target) {
 }
 
 std::string month_label(const CalendarDate& d) {
-  const std::string mm = (d.month < 10 ? "0" : "") + std::to_string(d.month);
-  return mm + "-" + std::to_string(d.year);
+  std::string label = d.month < 10 ? "0" : "";
+  label.append(std::to_string(d.month)).append("-").append(
+      std::to_string(d.year));
+  return label;
 }
 
 std::string month_label_at(Time t) { return month_label(date_at(t)); }

@@ -7,6 +7,7 @@
 // this module reproduces.
 #pragma once
 
+#include <cstdint>
 #include <optional>
 #include <string>
 #include <unordered_map>
@@ -36,6 +37,10 @@ class GridMapFile {
   /// previous entries intact (stale but functional -- matching the real
   /// script's behaviour of keeping the old file on failure).
   /// Returns the number of DN entries in the new map.
+  ///
+  /// Rebuilding from unchanged inputs reproduces the same map, so when
+  /// the server list and every server's version equal those of the last
+  /// rebuild, and no support_vo came since, this returns at once.
   std::size_t regenerate(const std::vector<const VomsServer*>& servers);
 
   /// Gatekeeper lookup: DN -> local account.
@@ -44,8 +49,18 @@ class GridMapFile {
   [[nodiscard]] std::size_t entries() const { return map_.size(); }
 
  private:
+  struct Source {
+    const VomsServer* server;
+    std::uint64_t version;
+  };
+  [[nodiscard]] bool unchanged(
+      const std::vector<const VomsServer*>& servers) const;
+
   std::unordered_map<std::string, GroupAccount> policy_;  // vo -> account
   std::unordered_map<std::string, GroupAccount> map_;     // dn -> account
+  /// The servers, in order, and their versions at the last rebuild;
+  /// support_vo clears it, so the next regenerate from any server rebuilds.
+  std::vector<Source> built_from_;
 };
 
 }  // namespace grid3::vo

@@ -1,6 +1,7 @@
 #include "vo/voms.h"
 
 #include <algorithm>
+#include <atomic>
 
 namespace grid3::vo {
 
@@ -37,15 +38,28 @@ bool CertificateAuthority::verify(const Certificate& cert, Time now) const {
   return cert.issuer == name_ && cert.within_validity(now) && !revoked(cert);
 }
 
+void VomsServer::touch() {
+  static std::atomic<std::uint64_t> last_version{0};
+  version_ = ++last_version;
+}
+
 void VomsServer::add_member(const std::string& dn, Role role) {
+  touch();
   if (!members_.contains(dn)) order_.push_back(dn);
   members_[dn] = role;
 }
 
 bool VomsServer::remove_member(const std::string& dn) {
   if (members_.erase(dn) == 0) return false;
+  touch();
   order_.erase(std::remove(order_.begin(), order_.end(), dn), order_.end());
   return true;
+}
+
+void VomsServer::set_available(bool up) {
+  if (up == up_) return;
+  touch();
+  up_ = up;
 }
 
 bool VomsServer::is_member(const std::string& dn) const {
@@ -56,15 +70,6 @@ std::optional<Role> VomsServer::role_of(const std::string& dn) const {
   auto it = members_.find(dn);
   if (it == members_.end()) return std::nullopt;
   return it->second;
-}
-
-std::vector<Member> VomsServer::members() const {
-  std::vector<Member> out;
-  out.reserve(order_.size());
-  for (const auto& dn : order_) {
-    out.push_back({dn, members_.at(dn)});
-  }
-  return out;
 }
 
 std::size_t VomsServer::count_role(Role r) const {

@@ -61,16 +61,13 @@ enum class Role { kUser, kAppAdmin, kVoAdmin, kSoftware };
 
 [[nodiscard]] const char* to_string(Role r);
 
-struct Member {
-  std::string dn;
-  Role role = Role::kUser;
-};
-
 /// Per-VO membership server (VOMS).  Sites query it when regenerating
 /// grid-map files; it can be taken down to model service failures.
 class VomsServer {
  public:
-  explicit VomsServer(std::string vo_name) : vo_{std::move(vo_name)} {}
+  explicit VomsServer(std::string vo_name) : vo_{std::move(vo_name)} {
+    touch();
+  }
 
   [[nodiscard]] const std::string& vo() const { return vo_; }
 
@@ -78,18 +75,30 @@ class VomsServer {
   bool remove_member(const std::string& dn);
   [[nodiscard]] bool is_member(const std::string& dn) const;
   [[nodiscard]] std::optional<Role> role_of(const std::string& dn) const;
-  [[nodiscard]] std::vector<Member> members() const;
+  /// Member DNs in the order they joined.
+  [[nodiscard]] const std::vector<std::string>& member_dns() const {
+    return order_;
+  }
   [[nodiscard]] std::size_t member_count() const { return members_.size(); }
 
   /// Count of members with a given role.
   [[nodiscard]] std::size_t count_role(Role r) const;
 
-  void set_available(bool up) { up_ = up; }
+  void set_available(bool up);
   [[nodiscard]] bool available() const { return up_; }
 
+  /// Changes whenever the members, a role or the availability change,
+  /// to a value drawn from one process-wide sequence (construction draws
+  /// one too), so two different server states never share a version.
+  /// A grid-map rebuild compares it with the version it last read.
+  [[nodiscard]] std::uint64_t version() const { return version_; }
+
  private:
+  void touch();
+
   std::string vo_;
   bool up_ = true;
+  std::uint64_t version_ = 0;
   std::unordered_map<std::string, Role> members_;
   std::vector<std::string> order_;  // deterministic iteration order
 };

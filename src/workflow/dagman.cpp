@@ -219,7 +219,6 @@ gram::GramJob DagMan::build_brokered_job(const Run& run,
   gram::GramJob job;
   job.proxy = run.proxy;
   job.request.vo = run.proxy.vo;
-  job.request.user_dn = run.proxy.identity.subject_dn;
   job.request.requested_walltime = node.requested_walltime;
   job.request.actual_runtime = node.runtime;
   job.request.priority = node.priority;
@@ -379,7 +378,6 @@ void DagMan::start_node(const std::shared_ptr<Run>& run, std::size_t idx) {
       gram::GramJob job;
       job.proxy = run->proxy;
       job.request.vo = run->proxy.vo;
-      job.request.user_dn = run->proxy.identity.subject_dn;
       job.request.requested_walltime = node.requested_walltime;
       job.request.actual_runtime = node.runtime;
       job.request.priority = node.priority;

@@ -15,7 +15,6 @@ JobRequest job(const std::string& vo, double runtime_h,
                double walltime_h = 0.0, int priority = 0) {
   JobRequest r;
   r.vo = vo;
-  r.user_dn = "/CN=" + vo;
   r.actual_runtime = Time::hours(runtime_h);
   r.requested_walltime =
       Time::hours(walltime_h > 0 ? walltime_h : runtime_h + 1);

@@ -174,7 +174,7 @@ TEST(CondorG, NoRetryOnPermanentFailure) {
   vo::CertificateAuthority ca{"CA"};
   vo::GridMapFile gridmap;  // empty: everyone is unauthorized
   srm::DiskVolume scratch{"s", Bytes::tb(1)};
-  const auto node = net.add_node({"S", Bandwidth::mbps(100),
+  const auto node = net.add_node({Bandwidth::mbps(100),
                                   Bandwidth::mbps(100), true});
   gridftp::GridFtpServer ftp{"S", node};
   batch::SchedulerConfig scfg{.site_name = "S", .slots = 4};

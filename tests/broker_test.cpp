@@ -163,7 +163,6 @@ class BrokerFixture : public ::testing::Test {
     gram::GramJob job;
     job.proxy = proxy;
     job.request.vo = proxy.vo;
-    job.request.user_dn = proxy.identity.subject_dn;
     job.request.requested_walltime =
         Time::seconds(runtime.to_seconds() * 1.5);
     job.request.actual_runtime = runtime;
@@ -293,7 +292,6 @@ TEST_F(BrokerFixture, ThrottleHoldsJobsInsteadOfPiling) {
     gram::GramJob j;
     j.proxy = p;
     j.request.vo = p.vo;
-    j.request.user_dn = p.identity.subject_dn;
     j.request.requested_walltime = Time::hours(2);
     j.request.actual_runtime = Time::hours(1);
     return j;
@@ -351,7 +349,6 @@ std::string run_match_log(PolicyKind kind, std::uint64_t seed) {
     gram::GramJob job;
     job.proxy = proxy;
     job.request.vo = proxy.vo;
-    job.request.user_dn = proxy.identity.subject_dn;
     job.request.requested_walltime = Time::hours(2);
     job.request.actual_runtime = Time::hours(1);
     broker.submit(spec, std::move(job), {});
@@ -525,7 +522,8 @@ TEST_F(BrokerFixture, DagManLateBindsThroughBroker) {
 TEST_F(BrokerFixture, StaleViewServesMatchesThroughAnIndexOutage) {
   testutil::BusProbe stale_matches{grid.igoc().bus(), "usatlas",
                                    metric::kStaleMatches};
-  broker().view(sim.now());  // prime the last-known-good view
+  // Prime the last-known-good view.
+  ASSERT_EQ(broker().view(sim.now()).size(), 2u);
   EXPECT_FALSE(broker().view_stale());
   grid.igoc().top_giis().set_available(false);
   // Outlive the view TTL so the next view() actually consults the
@@ -549,10 +547,10 @@ TEST_F(BrokerFixture, StaleViewServesMatchesThroughAnIndexOutage) {
 }
 
 TEST_F(BrokerFixture, StaleViewRecoversWhenTheIndexReturns) {
-  broker().view(sim.now());
+  ASSERT_EQ(broker().view(sim.now()).size(), 2u);
   grid.igoc().top_giis().set_available(false);
   sim.run_until(sim.now() + broker().config().view_ttl + Time::minutes(1));
-  broker().view(sim.now());
+  EXPECT_EQ(broker().view(sim.now()).size(), 2u);  // frozen
   EXPECT_TRUE(broker().view_stale());
   grid.igoc().top_giis().set_available(true);
   // No TTL wait: the next view call re-checks and drops the flag.
@@ -563,7 +561,7 @@ TEST_F(BrokerFixture, StaleViewRecoversWhenTheIndexReturns) {
 }
 
 TEST_F(BrokerFixture, PastTheStalenessBoundJobsHoldInsteadOfFailing) {
-  broker().view(sim.now());
+  ASSERT_EQ(broker().view(sim.now()).size(), 2u);
   grid.igoc().top_giis().set_available(false);
   // Outlive the bound: the frozen view is no longer trusted.
   sim.run_until(sim.now() + broker().config().stale_view_max +
@@ -615,7 +613,7 @@ TEST_F(BrokerFixture, ZeroStalenessBoundKeepsLegacyRejectSemantics) {
   g.start_operations();
   sim2.run_until(Time::minutes(1));
 
-  b.view(sim2.now());
+  ASSERT_EQ(b.view(sim2.now()).size(), 1u);
   g.igoc().top_giis().set_available(false);
   sim2.run_until(sim2.now() + cfg.view_ttl + Time::minutes(1));
   EXPECT_TRUE(b.view(sim2.now()).empty());
@@ -629,7 +627,6 @@ TEST_F(BrokerFixture, ZeroStalenessBoundKeepsLegacyRejectSemantics) {
   gram::GramJob job;
   job.proxy = p;
   job.request.vo = p.vo;
-  job.request.user_dn = p.identity.subject_dn;
   job.request.requested_walltime = Time::hours(2);
   job.request.actual_runtime = Time::hours(1);
   std::optional<BrokeredResult> result;

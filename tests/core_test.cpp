@@ -2,6 +2,8 @@
 // injection, roster, milestones.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "core/failure.h"
 #include "core/grid3.h"
 #include "core/igoc.h"
@@ -195,7 +197,6 @@ TEST_F(FabricTest, GridJobsRunningIgnoresQueuedLocalJobs) {
   for (int i = 0; i < cfg.cpus; ++i) {
     batch::JobRequest req;
     req.vo = "ivdgl";
-    req.user_dn = "/CN=grid";
     req.requested_walltime = Time::hours(48);
     req.actual_runtime = Time::hours(24);
     ASSERT_TRUE(site.scheduler().submit(req, {}).accepted);
@@ -203,8 +204,68 @@ TEST_F(FabricTest, GridJobsRunningIgnoresQueuedLocalJobs) {
   sim.run_until(Time::minutes(31));
   // The local top-up waits behind them and runs nothing yet.
   EXPECT_EQ(site.scheduler().queued_count(), 2u);
-  EXPECT_EQ(site.scheduler().running_for_vo("local"), 0);
+  EXPECT_EQ(site.scheduler().running_for_vo(
+                site.scheduler().vo_index("local")),
+            0);
   EXPECT_EQ(site.grid_jobs_running(), cfg.cpus);
+}
+
+TEST_F(FabricTest, LocalTopUpNeverExceedsItsTarget) {
+  grid.add_vo("ivdgl");
+  SiteConfig cfg;
+  cfg.name = "SHARED";
+  cfg.owner_vo = "ivdgl";
+  cfg.cpus = 10;
+  cfg.policy.dedicated = false;
+  cfg.policy.local_load = 0.5;
+  Site& site = grid.add_site(cfg, 1000.0);
+  batch::BatchScheduler& sched = site.scheduler();
+  const batch::VoIndex local = sched.vo_index("local");
+  const int target = 5;  // local_load * cpus
+  int peak = 0;
+  // Two days in 10-minute steps: every 30-minute top-up and the
+  // completions between them.
+  for (int step = 0; step < 2 * 24 * 6; ++step) {
+    sim.run_until(sim.now() + Time::minutes(10));
+    const int outstanding = sched.outstanding_for_vo(local);
+    ASSERT_LE(outstanding, target) << "step " << step;
+    ASSERT_EQ(sched.busy_slots() + static_cast<int>(sched.queued_count()),
+              outstanding)
+        << "step " << step;
+    peak = std::max(peak, outstanding);
+  }
+  EXPECT_EQ(peak, target);
+}
+
+TEST_F(FabricTest, RejectedLocalJobsAreNotCounted) {
+  grid.add_vo("ivdgl");
+  SiteConfig cfg;
+  cfg.name = "CLOSED";
+  cfg.owner_vo = "ivdgl";
+  cfg.cpus = 10;
+  cfg.policy.dedicated = false;
+  cfg.policy.local_load = 0.5;
+  // The local users' group is not on the closed share list, so the
+  // scheduler refuses every top-up.
+  cfg.policy.vo_shares = {{"ivdgl", 1.0}};
+  cfg.policy.closed_shares = true;
+  Site& site = grid.add_site(cfg, 1000.0);
+  sim.run_until(Time::hours(6));
+  batch::BatchScheduler& sched = site.scheduler();
+  EXPECT_EQ(sched.outstanding_for_vo(sched.vo_index("local")), 0);
+  EXPECT_EQ(sched.busy_slots(), 0);
+  EXPECT_EQ(sched.queued_count(), 0u);
+  // Refused local work holds no slot: grid jobs get all ten.
+  for (int i = 0; i < cfg.cpus; ++i) {
+    batch::JobRequest req;
+    req.vo = "ivdgl";
+    req.requested_walltime = Time::hours(48);
+    req.actual_runtime = Time::hours(24);
+    ASSERT_TRUE(sched.submit(req, {}).accepted);
+  }
+  sim.run_until(Time::hours(7));
+  EXPECT_EQ(site.grid_jobs_running(), cfg.cpus);
+  EXPECT_EQ(sched.outstanding_for_vo(sched.vo_index("local")), 0);
 }
 
 TEST_F(FabricTest, SiteCatalogSweepTracksOutages) {

@@ -31,7 +31,7 @@ TEST_P(GatekeeperLoadSweep, LoadScalesLinearlyInManagedJobs) {
   vo::VomsServer voms{"vo"};
   vo::GridMapFile gridmap;
   srm::DiskVolume scratch{"s", Bytes::tb(100)};
-  const auto node = net.add_node({"S", Bandwidth::gbps(1),
+  const auto node = net.add_node({Bandwidth::gbps(1),
                                   Bandwidth::gbps(1), true});
   gridftp::GridFtpServer ftp{"S", node};
   batch::SchedulerConfig cfg{.site_name = "S", .slots = 10000,

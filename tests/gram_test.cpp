@@ -27,9 +27,9 @@ class GramTest : public ::testing::Test {
   vo::GridMapFile gridmap;
   srm::DiskVolume scratch{"site:/scratch", Bytes::tb(1)};
 
-  net::NodeId site_node = net.add_node({"SITE", Bandwidth::mbps(155),
+  net::NodeId site_node = net.add_node({Bandwidth::mbps(155),
                                         Bandwidth::mbps(155), true});
-  net::NodeId data_node = net.add_node({"DATA", Bandwidth::mbps(622),
+  net::NodeId data_node = net.add_node({Bandwidth::mbps(622),
                                         Bandwidth::mbps(622), true});
   gridftp::GridFtpServer site_ftp{"SITE", site_node};
   gridftp::GridFtpServer data_ftp{"DATA", data_node};
@@ -60,7 +60,6 @@ class GramTest : public ::testing::Test {
     GramJob job;
     job.proxy = alice;
     job.request.vo = "usatlas";
-    job.request.user_dn = "/CN=alice";
     job.request.actual_runtime = Time::hours(runtime_h);
     job.request.requested_walltime =
         Time::hours(walltime_h > 0 ? walltime_h : runtime_h + 1);

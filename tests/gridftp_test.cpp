@@ -19,9 +19,9 @@ class GridFtpTest : public ::testing::Test {
   NetLogger logger;
   GridFtpClient client{sim, net, &logger};
 
-  net::NodeId node_a = net.add_node({"a", Bandwidth::mbps(100),
+  net::NodeId node_a = net.add_node({Bandwidth::mbps(100),
                                      Bandwidth::mbps(100), true});
-  net::NodeId node_b = net.add_node({"b", Bandwidth::mbps(100),
+  net::NodeId node_b = net.add_node({Bandwidth::mbps(100),
                                      Bandwidth::mbps(100), true});
   GridFtpServer ftp_a{"a", node_a};
   GridFtpServer ftp_b{"b", node_b};

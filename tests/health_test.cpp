@@ -247,7 +247,6 @@ struct HealthFabric {
     gram::GramJob j;
     j.proxy = proxy;
     j.request.vo = "usatlas";
-    j.request.user_dn = proxy.identity.subject_dn;
     j.request.requested_walltime = runtime + Time::hours(1);
     j.request.actual_runtime = runtime;
     return j;

@@ -2,7 +2,6 @@
 #include <gtest/gtest.h>
 
 #include <optional>
-#include <string>
 #include <vector>
 
 #include "net/network.h"
@@ -16,16 +15,15 @@ class NetTest : public ::testing::Test {
   sim::Simulation sim;
   Network net{sim};
 
-  NodeId add(const std::string& name, double mbps,
-             bool outbound = true) {
+  NodeId add(double mbps, bool outbound = true) {
     return net.add_node(
-        {name, Bandwidth::mbps(mbps), Bandwidth::mbps(mbps), outbound});
+        {Bandwidth::mbps(mbps), Bandwidth::mbps(mbps), outbound});
   }
 };
 
 TEST_F(NetTest, SingleFlowUsesBottleneck) {
-  const NodeId a = add("a", 100);
-  const NodeId b = add("b", 50);
+  const NodeId a = add(100);
+  const NodeId b = add(50);
   std::optional<FlowResult> result;
   net.start_flow(a, b, Bytes::mb(50), [&](const FlowResult& r) {
     result = r;
@@ -38,9 +36,9 @@ TEST_F(NetTest, SingleFlowUsesBottleneck) {
 }
 
 TEST_F(NetTest, TwoFlowsShareFairly) {
-  const NodeId a = add("a", 100);
-  const NodeId b = add("b", 100);
-  const NodeId c = add("c", 100);
+  const NodeId a = add(100);
+  const NodeId b = add(100);
+  const NodeId c = add(100);
   // Two flows into b: each should get half of b's downlink.
   int done = 0;
   Time t1, t2;
@@ -62,9 +60,9 @@ TEST_F(NetTest, TwoFlowsShareFairly) {
 TEST_F(NetTest, UnevenFlowsRedistribute) {
   // One small and one large flow into the same sink: after the small one
   // finishes, the large flow speeds up.
-  const NodeId a = add("a", 100);
-  const NodeId b = add("b", 100);
-  const NodeId c = add("c", 100);
+  const NodeId a = add(100);
+  const NodeId b = add(100);
+  const NodeId c = add(100);
   Time small_done, large_done;
   net.start_flow(a, b, Bytes::mb(12.5),
                  [&](const FlowResult& r) { small_done = r.finished; });
@@ -78,8 +76,8 @@ TEST_F(NetTest, UnevenFlowsRedistribute) {
 }
 
 TEST_F(NetTest, NodeOutageFailsFlows) {
-  const NodeId a = add("a", 100);
-  const NodeId b = add("b", 100);
+  const NodeId a = add(100);
+  const NodeId b = add(100);
   std::optional<FlowResult> result;
   net.start_flow(a, b, Bytes::gb(10), [&](const FlowResult& r) {
     result = r;
@@ -93,8 +91,8 @@ TEST_F(NetTest, NodeOutageFailsFlows) {
 }
 
 TEST_F(NetTest, FlowToDownNodeFailsImmediately) {
-  const NodeId a = add("a", 100);
-  const NodeId b = add("b", 100);
+  const NodeId a = add(100);
+  const NodeId b = add(100);
   net.set_node_up(b, false);
   std::optional<FlowResult> result;
   net.start_flow(a, b, Bytes::mb(1), [&](const FlowResult& r) {
@@ -105,8 +103,8 @@ TEST_F(NetTest, FlowToDownNodeFailsImmediately) {
 }
 
 TEST_F(NetTest, BlockedRouteRefused) {
-  const NodeId a = add("a", 100);
-  const NodeId b = add("b", 100);
+  const NodeId a = add(100);
+  const NodeId b = add(100);
   net.block_route(a, b);
   std::optional<FlowResult> result;
   net.start_flow(a, b, Bytes::mb(1), [&](const FlowResult& r) {
@@ -119,15 +117,15 @@ TEST_F(NetTest, BlockedRouteRefused) {
 }
 
 TEST_F(NetTest, PrivateNodesCannotOpenOutbound) {
-  const NodeId a = add("a", 100, /*outbound=*/false);
-  const NodeId b = add("b", 100);
+  const NodeId a = add(100, /*outbound=*/false);
+  const NodeId b = add(100);
   EXPECT_FALSE(net.route_open(a, b));
   EXPECT_TRUE(net.route_open(b, a));  // inbound still fine
 }
 
 TEST_F(NetTest, CancelFlowReportsCancelled) {
-  const NodeId a = add("a", 100);
-  const NodeId b = add("b", 100);
+  const NodeId a = add(100);
+  const NodeId b = add(100);
   std::optional<FlowResult> result;
   const FlowId id = net.start_flow(a, b, Bytes::gb(100),
                                    [&](const FlowResult& r) { result = r; });
@@ -138,8 +136,8 @@ TEST_F(NetTest, CancelFlowReportsCancelled) {
 }
 
 TEST_F(NetTest, RateQueriesReflectActiveFlows) {
-  const NodeId a = add("a", 100);
-  const NodeId b = add("b", 100);
+  const NodeId a = add(100);
+  const NodeId b = add(100);
   const FlowId id = net.start_flow(a, b, Bytes::gb(1), [](const FlowResult&) {});
   EXPECT_GT(net.flow_rate(id).bps(), 0.0);
   EXPECT_EQ(net.active_flows(), 1u);
@@ -148,10 +146,10 @@ TEST_F(NetTest, RateQueriesReflectActiveFlows) {
 }
 
 TEST_F(NetTest, ManyFlowsAllComplete) {
-  const NodeId hub = add("hub", 1000);
+  const NodeId hub = add(1000);
   std::vector<NodeId> leaves;
   for (int i = 0; i < 10; ++i) {
-    leaves.push_back(add("leaf" + std::to_string(i), 100));
+    leaves.push_back(add(100));
   }
   int completed = 0;
   for (NodeId leaf : leaves) {

@@ -107,8 +107,9 @@ INSTANTIATE_TEST_SUITE_P(
         SchedulerCase{Lrms::kLsf, 1, 30, 9}));
 
 // ---------------------------------------------------------------------
-// Property: the per-VO running counts a scheduler keeps agree with a
-// recount of its running jobs after every operation that moves a job.
+// Property: the per-VO running and queued-plus-running counts a
+// scheduler keeps agree with a recount of its queue and running jobs
+// after every operation that moves a job.
 // ---------------------------------------------------------------------
 
 /// A policy scheduler that can recount its own tables.
@@ -120,6 +121,14 @@ class Recounted : public Policy {
   [[nodiscard]] int recount_running(const std::string& vo) const {
     return this->count_running(
         [&](const batch::JobRequest& r) { return r.vo == vo; });
+  }
+
+  [[nodiscard]] int recount_outstanding(const std::string& vo) const {
+    int queued = 0;
+    for (const auto& job : this->queue()) {
+      if (job.req.vo == vo) ++queued;
+    }
+    return queued + recount_running(vo);
   }
 };
 
@@ -148,12 +157,20 @@ void drive_and_recount(const CountCase& c) {
 
   const auto check = [&](int step) {
     int running = 0;
+    int outstanding = 0;
     for (const std::string& vo : vos) {
-      ASSERT_EQ(sched.running_for_vo(vo), sched.recount_running(vo))
+      const batch::VoIndex v = sched.vo_index(vo);
+      ASSERT_EQ(sched.running_for_vo(v), sched.recount_running(vo))
           << vo << " at step " << step;
-      running += sched.running_for_vo(vo);
+      ASSERT_EQ(sched.outstanding_for_vo(v), sched.recount_outstanding(vo))
+          << vo << " at step " << step;
+      running += sched.running_for_vo(v);
+      outstanding += sched.outstanding_for_vo(v);
     }
     ASSERT_EQ(running, sched.busy_slots()) << step;
+    ASSERT_EQ(outstanding, sched.busy_slots() +
+                               static_cast<int>(sched.queued_count()))
+        << step;
   };
 
   for (int step = 0; step < 600; ++step) {
@@ -248,15 +265,14 @@ TEST_P(NetworkConservation, BytesDeliveredMatchRequested) {
   const auto c = GetParam();
   sim::Simulation sim;
   net::Network net{sim};
-  const auto sink = net.add_node({"sink", Bandwidth::mbps(c.sink_mbps),
+  const auto sink = net.add_node({Bandwidth::mbps(c.sink_mbps),
                                   Bandwidth::mbps(c.sink_mbps), true});
   util::Rng rng{c.seed};
   std::int64_t requested = 0;
   std::int64_t delivered = 0;
   int completions = 0;
   for (int s = 0; s < c.sources; ++s) {
-    const auto src = net.add_node({"s" + std::to_string(s),
-                                   Bandwidth::mbps(100),
+    const auto src = net.add_node({Bandwidth::mbps(100),
                                    Bandwidth::mbps(100), true});
     for (int f = 0; f < c.flows_per_source; ++f) {
       const Bytes size = Bytes::mb(rng.uniform(1.0, 50.0));

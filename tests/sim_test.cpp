@@ -2,6 +2,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <memory>
 #include <vector>
 
 #include "sim/simulation.h"
@@ -287,7 +288,9 @@ TEST(Simulation, ChurnFiresInTimeOrderAndSkipsCancelled) {
     if (next(4) == 0) cancelled[i] = true;
   }
   for (std::size_t i = 0; i < kEvents; ++i) {
-    if (cancelled[i]) EXPECT_TRUE(sim.cancel(ids[i]));
+    if (cancelled[i]) {
+      EXPECT_TRUE(sim.cancel(ids[i]));
+    }
   }
   sim.run();
   EXPECT_GT(fired_at.size(), 100u);
@@ -367,6 +370,35 @@ TEST(Simulation, SteeringPermutesEventsScheduledFromDifferentInstants) {
   EXPECT_TRUE(sim.step_event(ready[1].id));  // later-scheduled, fired first
   EXPECT_TRUE(sim.step_event(ready[0].id));
   EXPECT_EQ(order, (std::vector<int>{1, 0}));
+}
+
+TEST(Simulation, FiredCallbackReleasesItsCapturesWhenItRuns) {
+  Simulation sim;
+  auto token = std::make_shared<int>(7);
+  int seen = 0;
+  sim.schedule_in(Time::seconds(1), [token, &seen] { seen = *token; });
+  EXPECT_EQ(token.use_count(), 2);
+  EXPECT_TRUE(sim.step());
+  EXPECT_EQ(seen, 7);
+  EXPECT_EQ(token.use_count(), 1);
+}
+
+TEST(Simulation, CancelledCallbackReleasesItsCapturesByItsPurge) {
+  Simulation sim;
+  auto token = std::make_shared<int>(0);
+  std::vector<int> order;
+  sim.schedule_at(Time::seconds(1), [&] { order.push_back(1); });
+  const EventId doomed =
+      sim.schedule_at(Time::seconds(2), [token] { ++*token; });
+  sim.schedule_at(Time::seconds(3), [&] { order.push_back(3); });
+  ASSERT_TRUE(sim.cancel(doomed));
+  EXPECT_TRUE(sim.step());  // fires t=1; the cancelled entry is not in front
+  EXPECT_EQ(sim.cancel_backlog(), 1u);
+  EXPECT_TRUE(sim.step());  // purges t=2, fires t=3
+  EXPECT_EQ(sim.cancel_backlog(), 0u);
+  EXPECT_EQ(token.use_count(), 1);
+  EXPECT_EQ(*token, 0);
+  EXPECT_EQ(order, (std::vector<int>{1, 3}));
 }
 
 TEST(PeriodicProcess, TicksAtInterval) {

@@ -49,11 +49,12 @@ TEST(VomsServer, MembersDeterministicOrder) {
   VomsServer voms{"sdss"};
   voms.add_member("/CN=c", Role::kUser);
   voms.add_member("/CN=a", Role::kUser);
-  voms.add_member("/CN=b", Role::kUser);
-  const auto members = voms.members();
-  ASSERT_EQ(members.size(), 3u);
-  EXPECT_EQ(members[0].dn, "/CN=c");  // insertion order
-  EXPECT_EQ(members[1].dn, "/CN=a");
+  voms.add_member("/CN=b", Role::kAppAdmin);
+  const std::vector<std::string>& dns = voms.member_dns();
+  ASSERT_EQ(dns.size(), 3u);
+  EXPECT_EQ(dns[0], "/CN=c");  // insertion order
+  EXPECT_EQ(dns[1], "/CN=a");
+  EXPECT_EQ(voms.role_of(dns[2]), Role::kAppAdmin);
 }
 
 TEST(Proxy, IssueRequiresMembershipAndAvailability) {
@@ -137,6 +138,75 @@ TEST(GridMap, RemovedMemberDroppedOnRefresh) {
   voms.remove_member("/CN=frank");
   map.regenerate({&voms});
   EXPECT_FALSE(map.map("/CN=frank").has_value());
+}
+
+TEST(GridMap, SupportVoForcesTheNextRebuild) {
+  VomsServer atlas{"usatlas"};
+  atlas.add_member("/CN=alice", Role::kUser);
+  VomsServer cms{"uscms"};
+  cms.add_member("/CN=bob", Role::kUser);
+  GridMapFile map;
+  map.support_vo("usatlas", {"usatlas1", "usatlas"});
+  EXPECT_EQ(map.regenerate({&atlas, &cms}), 1u);
+  EXPECT_EQ(map.regenerate({&atlas, &cms}), 1u);  // nothing changed
+  // No server changed, but the site now supports uscms.
+  map.support_vo("uscms", {"uscms1", "uscms"});
+  EXPECT_EQ(map.regenerate({&atlas, &cms}), 2u);
+  const auto acct = map.map("/CN=bob");
+  ASSERT_TRUE(acct.has_value());
+  EXPECT_EQ(acct->unix_name, "uscms1");
+}
+
+TEST(GridMap, ServerAddedToTheListIsPickedUp) {
+  VomsServer atlas{"usatlas"};
+  atlas.add_member("/CN=alice", Role::kUser);
+  VomsServer cms{"uscms"};
+  cms.add_member("/CN=bob", Role::kUser);
+  GridMapFile map;
+  map.support_vo("usatlas", {"usatlas1", "usatlas"});
+  map.support_vo("uscms", {"uscms1", "uscms"});
+  EXPECT_EQ(map.regenerate({&atlas}), 1u);
+  EXPECT_FALSE(map.map("/CN=bob").has_value());
+  EXPECT_EQ(map.regenerate({&atlas, &cms}), 2u);
+  EXPECT_TRUE(map.map("/CN=bob").has_value());
+}
+
+TEST(GridMap, VomsBackUpPicksUpMembersAddedWhileDown) {
+  VomsServer voms{"ivdgl"};
+  voms.add_member("/CN=dave", Role::kUser);
+  GridMapFile map;
+  map.support_vo("ivdgl", {"ivdgl1", "ivdgl"});
+  map.regenerate({&voms});
+  voms.set_available(false);
+  voms.add_member("/CN=erin", Role::kUser);
+  map.regenerate({&voms});
+  EXPECT_FALSE(map.map("/CN=erin").has_value());
+  // Only the availability changes before the next refresh.
+  voms.set_available(true);
+  EXPECT_EQ(map.regenerate({&voms}), 2u);
+  EXPECT_TRUE(map.map("/CN=erin").has_value());
+}
+
+TEST(VomsServer, VersionMovesOnEveryChange) {
+  VomsServer voms{"sdss"};
+  VomsServer other{"sdss"};
+  EXPECT_NE(voms.version(), other.version());
+  auto last = voms.version();
+  const auto moved = [&] {
+    const bool changed = voms.version() != last;
+    last = voms.version();
+    return changed;
+  };
+  voms.add_member("/CN=a", Role::kUser);
+  EXPECT_TRUE(moved());
+  voms.set_available(false);
+  EXPECT_TRUE(moved());
+  voms.set_available(false);  // no flip
+  EXPECT_FALSE(moved());
+  EXPECT_FALSE(voms.remove_member("/CN=ghost"));
+  EXPECT_FALSE(moved());
+  EXPECT_TRUE(voms.remove_member("/CN=a"));
+  EXPECT_TRUE(moved());
 }
 
 }  // namespace
