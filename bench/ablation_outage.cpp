@@ -87,11 +87,11 @@ Outcome run_mode(const char* label, bool storm, bool naive) {
   rls::ReplicaLocationService* rls = grid.rls("usatlas");
   rls->set_journal_enabled(!naive);
 
-  // Collective bundles the ops calendar can target.  All-zero rates:
-  // no Poisson process is armed, the windows below are the only storm.
-  grid.failures().attach_collective(
-      "top-index", {.giis = &grid.igoc().top_giis()}, {});
-  grid.failures().attach_collective("usatlas-rls", {.rls = rls}, {});
+  // Collective bundles the ops calendar can target; the windows below
+  // are the only storm.
+  grid.failures().attach_collective("top-index",
+                                    {.giis = &grid.igoc().top_giis()});
+  grid.failures().attach_collective("usatlas-rls", {.rls = rls});
 
   grid.start_operations();
   sim.run_until(Time::minutes(6));

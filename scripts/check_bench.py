@@ -15,6 +15,7 @@ Usage:
   check_bench.py <build-dir> [--out artifact.json]    # ablation gates
   check_bench.py <build-dir> --check-catalog [--out artifact.json]
   check_bench.py <build-dir> --check-golden [--write-golden]
+  check_bench.py <build-dir> --check-campaign [--write-campaign]
 
 --check-catalog runs the scenario-catalog determinism gate instead of
 the ablation gates: ablation_catalog sweeps every catalog scenario
@@ -27,6 +28,14 @@ and multi-SE ablations, grid30 and two examples) is rerun in quick mode,
 and the SHA-256 of its stdout, host-timing fields masked, must match the
 pinned digest; a mismatch prints the first differing line.
 --write-golden rewrites the manifest from the build instead.
+
+--check-campaign runs the campaign-benchmark determinism gate: it builds
+campaign_bench from perfbench/CMakeLists.txt into <build-dir>/perfbench,
+runs one campaign per (workload, seed) in CAMPAIGN_RUNS, and compares the
+digest, the job counts, the checks and every layer count with the
+committed bench/CAMPAIGN_MANIFEST.json; the first difference fails the
+gate.  Host timings and RSS are never compared.  --write-campaign
+rewrites the manifest from the build instead.
 """
 from __future__ import annotations
 
@@ -84,6 +93,15 @@ GOLDEN_MASKS = {
 }
 # The pinned programs are single-threaded; run this many at once.
 GOLDEN_JOBS = 4
+
+# Campaign-benchmark gate: the perfbench/ workloads and seeds whose
+# deterministic outputs are pinned, and the fields of each campaign's JSON
+# line that must repeat exactly (timings and RSS are host-dependent).
+CAMPAIGN_MANIFEST = "bench/CAMPAIGN_MANIFEST.json"
+CAMPAIGN_RUNS = tuple((w, s) for w in ("fabric-sweep", "multi-vo-production")
+                      for s in (1, 2, 20040423))
+CAMPAIGN_FIELDS = ("digest", "jobs", "completed", "failed", "workflows",
+                   "checks", "counts")
 
 # Kernel-throughput snapshot gate: `perf_kernel --snapshot` rates must
 # stay within KERNEL_REGRESSION_RATIO of the committed baseline.  0.5
@@ -435,6 +453,98 @@ def check_golden(build_dir: pathlib.Path, repo_root: pathlib.Path,
     return problems
 
 
+def build_campaign_bench(build_dir: pathlib.Path,
+                         repo_root: pathlib.Path) -> pathlib.Path | None:
+    """Configure perfbench/ into its own build directory and build
+    campaign_bench; returns the binary, or None when the build failed."""
+    out = build_dir / "perfbench"
+    jobs = str(max(1, min(4, os.cpu_count() or 1)))
+    steps = [["cmake", "-S", str(repo_root / "perfbench"), "-B", str(out)],
+             ["cmake", "--build", str(out), "-j", jobs, "--target",
+              "campaign_bench"]]
+    for cmd in steps:
+        proc = subprocess.run(cmd, capture_output=True, text=True)
+        if proc.returncode != 0:
+            print(proc.stdout[-3000:] + proc.stderr[-3000:])
+            return None
+    return out / "campaign_bench"
+
+
+def run_campaign(binary: pathlib.Path, workload: str, seed: int) -> dict:
+    """One campaign; its pinned fields, or an "error" entry."""
+    proc = subprocess.run(
+        [str(binary), "--workload", workload, "--seed", str(seed)],
+        capture_output=True, text=True, timeout=1800)
+    entry = {"workload": workload, "seed": seed}
+    lines = proc.stdout.strip().splitlines()
+    if proc.returncode != 0 or not lines:
+        entry["error"] = f"exit {proc.returncode}"
+        return entry
+    result = json.loads(lines[-1])
+    entry.update({k: result[k] for k in CAMPAIGN_FIELDS})
+    return entry
+
+
+def campaign_difference(want: dict, got: dict) -> str | None:
+    """The first pinned field where two campaigns differ, or None."""
+    for field in CAMPAIGN_FIELDS:
+        a, b = want.get(field), got.get(field)
+        if isinstance(a, dict) and isinstance(b, dict):
+            for key in sorted(a.keys() | b.keys()):
+                if a.get(key) != b.get(key):
+                    return (f"{field}.{key}: pinned {a.get(key)}, "
+                            f"got {b.get(key)}")
+        elif a != b:
+            return f"{field}: pinned {a}, got {b}"
+    return None
+
+
+def check_campaign(build_dir: pathlib.Path, repo_root: pathlib.Path,
+                   write: bool) -> list[str]:
+    """Run every pinned campaign and compare (or rewrite) the manifest."""
+    binary = build_campaign_bench(build_dir, repo_root)
+    if binary is None:
+        return ["campaign_bench failed to build"]
+    entries = []
+    for workload, seed in CAMPAIGN_RUNS:
+        started = time.monotonic()
+        entry = run_campaign(binary, workload, seed)
+        print(f"[{'FAIL' if 'error' in entry else 'done'}] {workload} "
+              f"seed={seed} digest={entry.get('digest')} "
+              f"({time.monotonic() - started:.1f}s)")
+        entries.append(entry)
+    problems = [f"{e['workload']} seed={e['seed']}: {e['error']}"
+                for e in entries if "error" in e]
+    manifest_path = repo_root / CAMPAIGN_MANIFEST
+    if write:
+        if problems:
+            return problems
+        manifest = {"fields": list(CAMPAIGN_FIELDS), "entries": entries}
+        manifest_path.write_text(json.dumps(manifest, indent=2) + "\n",
+                                 encoding="utf-8")
+        print(f"wrote {CAMPAIGN_MANIFEST} ({len(entries)} campaigns)")
+        return []
+    if not manifest_path.exists():
+        return problems + [f"missing committed manifest {CAMPAIGN_MANIFEST}"]
+    manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
+    pinned = {(e["workload"], e["seed"]): e for e in manifest["entries"]}
+    for e in entries:
+        if "error" in e:
+            continue
+        key = (e["workload"], e["seed"])
+        want = pinned.get(key)
+        if want is None:
+            return problems + [f"{key[0]} seed={key[1]}: not in "
+                               f"{CAMPAIGN_MANIFEST}"]
+        diff = campaign_difference(want, e)
+        if diff is not None:
+            return problems + [f"{key[0]} seed={key[1]}: {diff}"]
+    for key in sorted(pinned.keys() - set(CAMPAIGN_RUNS)):
+        problems.append(f"{key[0]} seed={key[1]}: in {CAMPAIGN_MANIFEST} "
+                        "but not run")
+    return problems
+
+
 def print_table(entries: list[dict]) -> None:
     """One-line PASS/FAIL summary per gate."""
     width = max(len(e["name"]) for e in entries) if entries else 10
@@ -460,6 +570,13 @@ def main() -> int:
     parser.add_argument("--write-golden", action="store_true",
                         help=f"with --check-golden: rewrite "
                              f"{GOLDEN_MANIFEST} from this build")
+    parser.add_argument("--check-campaign", action="store_true",
+                        help="run the campaign-benchmark determinism gate "
+                             f"against {CAMPAIGN_MANIFEST} instead of the "
+                             "ablation gates")
+    parser.add_argument("--write-campaign", action="store_true",
+                        help=f"with --check-campaign: rewrite "
+                             f"{CAMPAIGN_MANIFEST} from this build")
     args = parser.parse_args()
     repo_root = pathlib.Path(__file__).resolve().parent.parent
 
@@ -472,6 +589,19 @@ def main() -> int:
             return 1
         if not args.write_golden:
             print("\ngolden gate passed: every pinned output is unchanged")
+        return 0
+
+    if args.check_campaign:
+        problems = check_campaign(args.build_dir, repo_root,
+                                  args.write_campaign)
+        if problems:
+            print("\ncampaign gate FAILED:")
+            for p in problems:
+                print(f"  - {p}")
+            return 1
+        if not args.write_campaign:
+            print("\ncampaign gate passed: every pinned campaign is "
+                  "unchanged")
         return 0
 
     registry = CATALOG_REGISTRY if args.check_catalog else REGISTRY

@@ -35,7 +35,6 @@ bool AppBase::launch(const workflow::AbstractDag& dag,
                      workflow::DagMan::DoneFn done, std::string app_label) {
   auto plan = planner_.plan(dag, cfg, rng_, sim().now());
   if (!plan.has_value()) return false;
-  ++stats_.workflows;
 
   const vo::Certificate& submitter = pick_submitter();
   auto proxy = grid_.make_proxy(submitter, vo_, Time::hours(96));
@@ -44,11 +43,7 @@ bool AppBase::launch(const workflow::AbstractDag& dag,
   if (app_label.empty()) app_label = app_name_;
 
   grid_.dagman(vo_).run(
-      std::move(*plan), *proxy,
-      [this, done](const workflow::DagRunStats& s) {
-        if (s.success) ++stats_.workflows_ok;
-        if (done) done(s);
-      },
+      std::move(*plan), *proxy, std::move(done),
       [this, user_dn, app_label](const workflow::NodeResult& r) {
         record_node(r, user_dn, app_label);
       });
@@ -72,22 +67,15 @@ void AppBase::record_node(const workflow::NodeResult& result,
       rec.success = result.ok;
       rec.site_problem = result.site_problem;
       rec.failure = result.failure_class;
-      rec.submit_id = record_vo_ + "/" + app_label + "/" +
-                      std::to_string(stats_.jobs + 1);
+      rec.submit_id =
+          record_vo_ + "/" + app_label + "/" + std::to_string(++jobs_);
       rec.gram_contact = result.gram_contact;
-      ++stats_.jobs;
-      if (result.ok) {
-        ++stats_.jobs_ok;
-      } else if (result.site_problem) {
-        ++stats_.jobs_failed_site;
-      }
       db.insert(std::move(rec));
       // Jobmanager stage-in is data consumed by the execution site.
       if (result.ok && result.bytes > Bytes::zero() &&
           !result.source_site.empty()) {
         db.insert_transfer({result.source_site, result.site, record_vo_,
                             result.bytes, result.finished, false});
-        ++stats_.transfers;
       }
       return;
     }
@@ -96,7 +84,6 @@ void AppBase::record_node(const workflow::NodeResult& result,
       if (!result.ok || result.bytes == Bytes::zero()) return;
       db.insert_transfer({result.source_site, result.site, record_vo_,
                           result.bytes, result.finished, false});
-      ++stats_.transfers;
       return;
     }
     case workflow::NodeType::kRegister:

@@ -19,13 +19,11 @@
 
 namespace grid3::apps {
 
-struct AppStats {
-  std::uint64_t workflows = 0;
-  std::uint64_t workflows_ok = 0;
-  std::uint64_t jobs = 0;
-  std::uint64_t jobs_ok = 0;
-  std::uint64_t jobs_failed_site = 0;
-  std::uint64_t transfers = 0;
+/// A demonstrator driver's run: its Table 1 launch profile scaled by
+/// `job_scale`, over the first `months` months from the epoch.
+struct DemonstratorOptions {
+  double job_scale = 1.0;
+  int months = 7;
 };
 
 class AppBase {
@@ -43,7 +41,6 @@ class AppBase {
   void set_users(std::vector<vo::Certificate> admins,
                  std::vector<vo::Certificate> users);
 
-  [[nodiscard]] const AppStats& stats() const { return stats_; }
   [[nodiscard]] const std::string& vo() const { return vo_; }
   [[nodiscard]] const std::string& app_name() const { return app_name_; }
 
@@ -80,7 +77,8 @@ class AppBase {
   workflow::PegasusPlanner planner_;
   std::vector<vo::Certificate> admins_;
   std::vector<vo::Certificate> users_;
-  AppStats stats_;
+  /// Compute jobs recorded so far; numbers their ACDC submit ids.
+  std::uint64_t jobs_ = 0;
 };
 
 }  // namespace grid3::apps

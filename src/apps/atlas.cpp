@@ -5,6 +5,11 @@
 
 namespace grid3::apps {
 
+namespace {
+/// Where production output is archived (the BNL Tier1).
+constexpr const char* kArchiveSite = "BNL_ATLAS";
+}  // namespace
+
 AtlasGce::AtlasGce(core::Grid3& grid, Options opts)
     : AppBase{grid, "usatlas", core::app::kAtlasGce},
       opts_{opts},
@@ -81,7 +86,7 @@ bool AtlasGce::launch_workflow() {
 
   workflow::PlannerConfig cfg;
   cfg.vo = vo();
-  cfg.archive_site = opts_.archive_site;
+  cfg.archive_site = kArchiveSite;
   cfg.archive_all = true;  // every ATLAS dataset archived at the Tier1
   cfg.walltime_slack = 1.4;
   cfg.site_preference = {{"BNL_ATLAS", 4.5}, {"UC_ATLAS", 1.8}};

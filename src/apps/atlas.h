@@ -12,16 +12,9 @@
 
 namespace grid3::apps {
 
-struct AtlasOptions {
-  double job_scale = 1.0;
-  std::string archive_site = "BNL_ATLAS";
-  int months = 7;
-};
-
-
 class AtlasGce : public AppBase {
  public:
-  using Options = AtlasOptions;
+  using Options = DemonstratorOptions;
 
   AtlasGce(core::Grid3& grid, Options opts = {});
 

@@ -11,17 +11,9 @@
 
 namespace grid3::apps {
 
-struct BtevOptions {
-  double job_scale = 1.0;
-  int months = 7;
-  /// Events per second of runtime: 1 event / 15 s on a 2 GHz node.
-  double events_per_second = 1.0 / 15.0;
-};
-
-
 class BtevSim : public AppBase {
  public:
-  using Options = BtevOptions;
+  using Options = DemonstratorOptions;
 
   BtevSim(core::Grid3& grid, Options opts = {});
 

@@ -7,7 +7,12 @@ namespace grid3::apps {
 
 namespace {
 constexpr const char* kPileupLfn = "uscms/minbias/pileup-2e33";
-}
+/// The FNAL Tier1: holds the pile-up sample and archives the output.
+constexpr const char* kArchiveSite = "FNAL_CMS";
+/// Fraction of post-SC2003 simulation jobs that run OSCAR (long);
+/// before December 2003 production is nearly all CMSIM.
+constexpr double kOscarFraction = 0.85;
+}  // namespace
 
 CmsMop::CmsMop(core::Grid3& grid, Options opts)
     : AppBase{grid, "uscms", core::app::kCmsMop},
@@ -23,8 +28,9 @@ CmsMop::CmsMop(core::Grid3& grid, Options opts)
 
 void CmsMop::register_pileup_dataset() {
   grid().rls(vo())->register_replica(
-      opts_.archive_site, kPileupLfn,
-      {"gsiftp://" + opts_.archive_site + "/" + kPileupLfn, Bytes::gb(1.5),
+      kArchiveSite, kPileupLfn,
+      {std::string{"gsiftp://"} + kArchiveSite + "/" + kPileupLfn,
+       Bytes::gb(1.5),
        sim().now()},
       sim().now());
 }
@@ -53,7 +59,7 @@ bool CmsMop::launch_workflow() {
   // OSCAR ramps in December 2003 (post-SC2003), per section 6.2.
   const bool post_sc2003 = util::month_index_at(sim().now()) >= 2;
   const bool oscar =
-      rng().chance(post_sc2003 ? opts_.oscar_fraction : 0.02);
+      rng().chance(post_sc2003 ? kOscarFraction : 0.02);
 
   workflow::VirtualDataCatalog vdc;
   vdc.add_transformation({oscar ? "oscar" : "cmsim",
@@ -85,7 +91,7 @@ bool CmsMop::launch_workflow() {
 
   workflow::PlannerConfig cfg;
   cfg.vo = vo();
-  cfg.archive_site = opts_.archive_site;
+  cfg.archive_site = kArchiveSite;
   cfg.archive_all = false;  // only the digitized sample goes to tape
   cfg.walltime_slack = 1.3;
   cfg.site_preference = {{"FNAL_CMS", 14.0}, {"UFL_PG", 2.2},

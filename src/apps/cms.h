@@ -14,19 +14,9 @@
 
 namespace grid3::apps {
 
-struct CmsOptions {
-  double job_scale = 1.0;
-  std::string archive_site = "FNAL_CMS";
-  int months = 7;
-  /// Fraction of post-SC2003 simulation jobs that run OSCAR (long);
-  /// before December 2003 production is nearly all CMSIM.
-  double oscar_fraction = 0.85;
-};
-
-
 class CmsMop : public AppBase {
  public:
-  using Options = CmsOptions;
+  using Options = DemonstratorOptions;
 
   CmsMop(core::Grid3& grid, Options opts = {});
 

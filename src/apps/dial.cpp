@@ -4,15 +4,27 @@
 
 namespace grid3::apps {
 
-DialAnalysis::DialAnalysis(core::Grid3& grid, Options opts)
-    : AppBase{grid, "usatlas", "dial"}, opts_{opts} {}
+namespace {
+/// The datasets scanned: kDatasetPrefix<id>kDatasetSuffix.
+constexpr const char* kDatasetPrefix = "usatlas/dc2/";
+constexpr const char* kDatasetSuffix = ".esd";
+/// Mean analysis job length; analysis jobs are short.
+constexpr double kJobHoursMean = 0.4;
+/// Binning of the merged physics histogram ("GeV").
+constexpr double kHistLo = 0.0;
+constexpr double kHistHi = 500.0;
+constexpr std::size_t kHistBins = 50;
+}  // namespace
+
+DialAnalysis::DialAnalysis(core::Grid3& grid)
+    : AppBase{grid, "usatlas", "dial"} {}
 
 void DialAnalysis::analyze(int max_dataset_id,
                            std::function<void(DialResult)> done) {
   auto* rls = grid().rls(vo());
   auto result = std::make_shared<DialResult>(DialResult{
       0, 0, 0,
-      util::Histogram{opts_.hist_lo, opts_.hist_hi, opts_.hist_bins}});
+      util::Histogram{kHistLo, kHistHi, kHistBins}});
   auto outstanding = std::make_shared<std::size_t>(0);
   auto finished_scan = std::make_shared<bool>(false);
   auto maybe_done = [result, outstanding, finished_scan, done] {
@@ -21,7 +33,7 @@ void DialAnalysis::analyze(int max_dataset_id,
 
   for (int id = 1; id <= max_dataset_id; ++id) {
     const std::string lfn =
-        opts_.dataset_prefix + std::to_string(id) + opts_.dataset_suffix;
+        kDatasetPrefix + std::to_string(id) + kDatasetSuffix;
     const auto replicas = rls->locate(lfn, sim().now());
     if (replicas.empty()) continue;
     ++result->datasets_found;
@@ -37,14 +49,11 @@ void DialAnalysis::analyze(int max_dataset_id,
          .inputs = {lfn},
          .outputs = {"usatlas/dial/hist-" + std::to_string(run_id)},
          .runtime = Time::hours(
-             std::max(0.05, rng().exponential(opts_.job_hours_mean))),
+             std::max(0.05, rng().exponential(kJobHoursMean))),
          .output_size = Bytes::mb(5),
          .scratch = Bytes::gb(1)});
     auto dag = vdc.request({"usatlas/dial/hist-" + std::to_string(run_id)});
     if (!dag.has_value()) continue;
-    // Interactive analysis should not be re-planned as batch: mark every
-    // compute node with interactive priority.
-    for (auto& job : dag->jobs) (void)job;
 
     workflow::PlannerConfig cfg;
     cfg.vo = vo();

@@ -21,18 +21,6 @@
 
 namespace grid3::apps {
 
-struct DialOptions {
-  std::string dataset_prefix = "usatlas/dc2/";
-  std::string dataset_suffix = ".esd";
-  /// Analysis jobs are short and interactive-priority.
-  double job_hours_mean = 0.4;
-  int priority = 2;
-  /// Histogram binning for the merged physics result.
-  double hist_lo = 0.0;
-  double hist_hi = 500.0;  ///< "GeV"
-  std::size_t hist_bins = 50;
-};
-
 /// Result of one analysis round.
 struct DialResult {
   std::size_t datasets_found = 0;
@@ -46,17 +34,15 @@ struct DialResult {
 
 class DialAnalysis : public AppBase {
  public:
-  using Options = DialOptions;
+  explicit DialAnalysis(core::Grid3& grid);
 
-  DialAnalysis(core::Grid3& grid, Options opts = {});
-
-  /// Scan RLS for datasets `prefix<1..max_id>suffix`, launch one analysis
-  /// job per replica-holding dataset, and invoke `done` with the merged
-  /// histogram when every job has terminated.
+  /// Scan RLS for the ATLAS DC2 datasets `usatlas/dc2/<1..max_id>.esd`,
+  /// launch one short analysis job per replica-holding dataset, and
+  /// invoke `done` with the merged histogram (50 bins over 0-500 "GeV")
+  /// when every job has terminated.
   void analyze(int max_dataset_id, std::function<void(DialResult)> done);
 
  private:
-  Options opts_;
   std::uint64_t seq_ = 0;
 };
 

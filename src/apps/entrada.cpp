@@ -2,12 +2,19 @@
 
 namespace grid3::apps {
 
+namespace {
+/// Mean chunk size per matrix transfer, in GB.
+constexpr double kChunkGb = 14.0;
+/// Transfers per day in steady state after the SC2003 push.
+constexpr double kSteadyPerDay = 80.0;
+}  // namespace
+
 EntradaDemo::EntradaDemo(core::Grid3& grid, Options opts)
     : AppBase{grid, "ivdgl", core::app::kEntrada},
       opts_{opts},
       chunk_gb_{util::Distribution::clamped(
-          util::Distribution::lognormal_mean_cv(opts.chunk.to_gb(), 0.5),
-          1.0, 60.0)} {}
+          util::Distribution::lognormal_mean_cv(kChunkGb, 0.5), 1.0,
+          60.0)} {}
 
 void EntradaDemo::start() {
   if (launcher_) return;
@@ -15,11 +22,11 @@ void EntradaDemo::start() {
   // Daily rates -> monthly totals (30.5-day months are close enough for
   // shaping; the Poisson launcher re-reads exact month lengths).
   schedule.monthly = {opts_.sc2003_per_day * 31, opts_.sc2003_per_day * 30,
-                      opts_.steady_per_day * 31, opts_.steady_per_day * 31,
-                      opts_.steady_per_day * 29, opts_.steady_per_day * 31,
-                      opts_.steady_per_day * 30};
+                      kSteadyPerDay * 31, kSteadyPerDay * 31,
+                      kSteadyPerDay * 29, kSteadyPerDay * 31,
+                      kSteadyPerDay * 30};
   schedule.monthly.resize(static_cast<std::size_t>(opts_.months),
-                          opts_.steady_per_day * 30);
+                          kSteadyPerDay * 30);
   schedule.scale = opts_.job_scale;
   launcher_ = std::make_unique<PoissonLauncher>(
       sim(), schedule, [this] { transfer_once(); }, rng().fork());

@@ -17,12 +17,8 @@ namespace grid3::apps {
 struct EntradaOptions {
   double job_scale = 1.0;
   int months = 7;
-  /// Mean chunk size per matrix transfer.
-  Bytes chunk = Bytes::gb(14);
   /// Transfers per day during the SC2003 push (Oct/Nov 2003).
   double sc2003_per_day = 200.0;
-  /// Transfers per day in steady state afterwards.
-  double steady_per_day = 80.0;
 };
 
 

@@ -6,7 +6,9 @@ namespace grid3::apps {
 
 CondorExerciser::CondorExerciser(core::Grid3& grid, Options opts)
     : AppBase{grid, "ivdgl", core::app::kExerciser, "exerciser"},
-      opts_{std::move(opts)},
+      opts_{opts},
+      sites_{core::application_sites(core::app::kExerciser,
+                                     core::grid3_roster())},
       // Probes average 0.13 h overall; December 2003's rapid-fire
       // campaign ran ~1-minute probes (Table 1: 72224 jobs yet only
       // 51.78 CPU-days that month).  A rare tail reaches the 36.45 h
@@ -18,12 +20,7 @@ CondorExerciser::CondorExerciser(core::Grid3& grid, Options opts)
               {0.995, 0.005}),
           0.02, 36.4)},
       december_runtime_{util::Distribution::clamped(
-          util::Distribution::lognormal_mean_cv(0.016, 0.6), 0.005, 0.2)} {
-  if (opts_.sites.empty()) {
-    opts_.sites = core::application_sites(core::app::kExerciser,
-                                          core::grid3_roster());
-  }
-}
+          util::Distribution::lognormal_mean_cv(0.016, 0.6), 0.005, 0.2)} {}
 
 void CondorExerciser::start() {
   if (launcher_) return;
@@ -41,13 +38,13 @@ void CondorExerciser::stop() {
 }
 
 void CondorExerciser::probe_next_site() {
-  if (opts_.sites.empty()) return;
+  if (sites_.empty()) return;
   // The probe frequency was far from uniform in practice (Table 1: one
   // site took 53.4% of exerciser jobs in the peak month and only 7 of
   // the 14 configured sites produced during it): each month's campaign
   // rotates over a 7-site window with a steep geometric weight decay.
   const int month = util::month_index_at(sim().now());
-  const std::size_t window = std::min<std::size_t>(7, opts_.sites.size());
+  const std::size_t window = std::min<std::size_t>(7, sites_.size());
   std::vector<double> weights(window);
   double w = 1.0;
   for (std::size_t i = window; i-- > 0;) {
@@ -55,12 +52,10 @@ void CondorExerciser::probe_next_site() {
     w *= 2.1;  // top site carries ~53% of probe volume
   }
   const std::size_t base =
-      (static_cast<std::size_t>(std::max(month, 0)) * 3) %
-      opts_.sites.size();
+      (static_cast<std::size_t>(std::max(month, 0)) * 3) % sites_.size();
   const std::size_t pick =
-      (base + rng().weighted_index(weights)) % opts_.sites.size();
-  const std::string site = opts_.sites[pick];
-  ++next_site_;
+      (base + rng().weighted_index(weights)) % sites_.size();
+  const std::string site = sites_[pick];
   gram::Gatekeeper* gk = grid().gatekeeper(site);
   if (gk == nullptr) return;
 

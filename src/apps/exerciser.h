@@ -17,17 +17,9 @@
 
 namespace grid3::apps {
 
-struct ExerciserOptions {
-  double job_scale = 1.0;
-  int months = 7;
-  /// Sites probed (defaults to the exerciser's Table 1 site set).
-  std::vector<std::string> sites;
-};
-
-
 class CondorExerciser : public AppBase {
  public:
-  using Options = ExerciserOptions;
+  using Options = DemonstratorOptions;
 
   CondorExerciser(core::Grid3& grid, Options opts = {});
 
@@ -36,15 +28,16 @@ class CondorExerciser : public AppBase {
   void start();
   void stop();
 
-  /// Probe one site (round-robin across the configured set).
+  /// Probe one site of the exerciser's Table 1 site set.
   void probe_next_site();
 
   [[nodiscard]] std::uint64_t probes() const { return probes_; }
 
  private:
   Options opts_;
+  /// Sites probed: the exerciser's Table 1 site set.
+  std::vector<std::string> sites_;
   std::unique_ptr<PoissonLauncher> launcher_;
-  std::size_t next_site_ = 0;
   std::uint64_t probes_ = 0;
   util::Distribution runtime_;
   util::Distribution december_runtime_;

@@ -4,6 +4,15 @@
 
 namespace grid3::apps {
 
+namespace {
+/// SnB's share of the job mix (the rest is GADU).
+constexpr double kSnbFraction = 0.6;
+/// The site the iVDGL submitters favoured.
+constexpr const char* kFavoriteSite = "UWMAD_CS";
+/// The SC2003 demonstration push spreads its jobs over this window.
+constexpr Time kDemoBurstWindow = Time::hours(5);
+}  // namespace
+
 IvdglApps::IvdglApps(core::Grid3& grid, Options opts)
     : AppBase{grid, "ivdgl", core::app::kSnb},
       opts_{opts},
@@ -38,7 +47,7 @@ void IvdglApps::stop() {
 
 bool IvdglApps::launch_job() {
   const std::uint64_t id = ++seq_;
-  const bool snb = rng().chance(opts_.snb_fraction);
+  const bool snb = rng().chance(kSnbFraction);
   const std::string out = (snb ? "ivdgl/snb/trial-" : "ivdgl/gadu/blast-") +
                           std::to_string(id);
 
@@ -61,15 +70,15 @@ bool IvdglApps::launch_job() {
   cfg.vo = vo();
   cfg.walltime_slack = 1.5;
   // One dominant shared pool (Table 1: 88% of peak from one resource).
-  cfg.site_preference = {{opts_.favorite_site, 150.0}};
+  cfg.site_preference = {{kFavoriteSite, 150.0}};
   return launch(*dag, cfg, {},
                 snb ? core::app::kSnb : core::app::kGadu);
 }
 
-void IvdglApps::demo_burst(Time at, int jobs, Time window) {
+void IvdglApps::demo_burst(Time at, int jobs) {
   for (int i = 0; i < jobs; ++i) {
-    const Time when =
-        at + Time::seconds(window.to_seconds() * i / std::max(jobs, 1));
+    const Time when = at + Time::seconds(kDemoBurstWindow.to_seconds() * i /
+                                         std::max(jobs, 1));
     sim().schedule_at(when, [this] {
       const std::uint64_t id = ++seq_;
       const std::string out = "ivdgl/sc2003-demo/" + std::to_string(id);

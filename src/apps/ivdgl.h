@@ -13,17 +13,9 @@
 
 namespace grid3::apps {
 
-struct IvdglOptions {
-  double job_scale = 1.0;
-  int months = 7;
-  double snb_fraction = 0.6;  ///< SnB vs GADU job mix
-  std::string favorite_site = "UWMAD_CS";
-};
-
-
 class IvdglApps : public AppBase {
  public:
-  using Options = IvdglOptions;
+  using Options = DemonstratorOptions;
 
   IvdglApps(core::Grid3& grid, Options opts = {});
 
@@ -36,9 +28,9 @@ class IvdglApps : public AppBase {
   bool launch_job();
 
   /// The SC2003 demonstration push: schedule `jobs` medium-length jobs
-  /// over `window` starting at `at`, spread evenly across the grid (the
+  /// over five hours starting at `at`, spread evenly across the grid (the
   /// paper's 1300-concurrent-jobs moment on Nov 20, 2003).
-  void demo_burst(Time at, int jobs, Time window = Time::hours(5));
+  void demo_burst(Time at, int jobs);
 
  private:
   Options opts_;

@@ -7,6 +7,13 @@
 
 namespace grid3::apps {
 
+namespace {
+/// The SFT archive endpoint, where search results also return.
+constexpr const char* kDataHost = "LIGO_Hanford";
+/// The one site with the LIGO application installed.
+constexpr const char* kRunSite = "UWM_LIGO";
+}  // namespace
+
 LigoPulsar::LigoPulsar(core::Grid3& grid, Options opts)
     : AppBase{grid, "ligo", core::app::kLigoPulsar},
       opts_{opts},
@@ -21,8 +28,8 @@ void LigoPulsar::register_sft_bands(int count) {
     const std::string lfn =
         "ligo/s2/sft-band-" + std::to_string(bands_available_++);
     catalog->register_replica(
-        opts_.data_host, lfn,
-        {"gsiftp://" + opts_.data_host + "/" + lfn, Bytes::gb(4.0),
+        kDataHost, lfn,
+        {std::string{"gsiftp://"} + kDataHost + "/" + lfn, Bytes::gb(4.0),
          sim().now()},
         sim().now());
   }
@@ -61,7 +68,7 @@ bool LigoPulsar::launch_registration_test() {
   if (!dag.has_value()) return false;
   workflow::PlannerConfig cfg;
   cfg.vo = vo();
-  cfg.site_preference = {{opts_.run_site, 100.0}};
+  cfg.site_preference = {{kRunSite, 100.0}};
   return launch(*dag, cfg);
 }
 
@@ -99,10 +106,10 @@ bool LigoPulsar::launch_band(int band) {
 
   workflow::PlannerConfig cfg;
   cfg.vo = vo();
-  cfg.archive_site = opts_.data_host;  // results return to the facility
+  cfg.archive_site = kDataHost;  // results return to the facility
   cfg.archive_all = true;
   cfg.walltime_slack = 1.6;
-  cfg.site_preference = {{opts_.run_site, 50.0}};
+  cfg.site_preference = {{kRunSite, 50.0}};
   return launch(*dag, cfg);
 }
 

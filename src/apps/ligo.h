@@ -18,17 +18,9 @@
 
 namespace grid3::apps {
 
-struct LigoOptions {
-  double job_scale = 1.0;
-  std::string data_host = "LIGO_Hanford";  ///< SFT archive endpoint
-  std::string run_site = "UWM_LIGO";
-  int months = 7;
-};
-
-
 class LigoPulsar : public AppBase {
  public:
-  using Options = LigoOptions;
+  using Options = DemonstratorOptions;
 
   LigoPulsar(core::Grid3& grid, Options opts = {});
 

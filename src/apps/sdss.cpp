@@ -5,6 +5,14 @@
 
 namespace grid3::apps {
 
+namespace {
+/// The archive holding the survey segments and the co-added output.
+constexpr const char* kArchiveSite = "FNAL_SDSS";
+/// Parallel chains per workflow x steps per chain (25 jobs/workflow).
+constexpr int kChains = 5;
+constexpr int kStepsPerChain = 5;
+}  // namespace
+
 SdssCoadd::SdssCoadd(core::Grid3& grid, Options opts)
     : AppBase{grid, "sdss", core::app::kSdssCoadd},
       opts_{opts},
@@ -21,8 +29,8 @@ void SdssCoadd::register_survey_segments(int count) {
   for (int i = 0; i < count; ++i) {
     const std::string lfn = "sdss/dr2/segment-" + std::to_string(segments_++);
     catalog->register_replica(
-        opts_.archive_site, lfn,
-        {"gsiftp://" + opts_.archive_site + "/" + lfn, Bytes::mb(500),
+        kArchiveSite, lfn,
+        {std::string{"gsiftp://"} + kArchiveSite + "/" + lfn, Bytes::mb(500),
          sim().now()},
         sim().now());
   }
@@ -31,7 +39,7 @@ void SdssCoadd::register_survey_segments(int count) {
 void SdssCoadd::start() {
   if (launcher_) return;
   const double per_wf =
-      static_cast<double>(opts_.chains * opts_.steps_per_chain);
+      static_cast<double>(kChains * kStepsPerChain);
   // Jobs per month / jobs per workflow; SDSS peaked in February 2004.
   LaunchSchedule schedule;
   schedule.monthly = {200 / per_wf, 800 / per_wf,  600 / per_wf,
@@ -59,9 +67,9 @@ bool SdssCoadd::launch_workflow() {
   workflow::VirtualDataCatalog vdc;
   vdc.add_transformation({"brg-search", "1.2", core::app::kSdssCoadd});
   std::vector<std::string> targets;
-  for (int c = 0; c < opts_.chains; ++c) {
+  for (int c = 0; c < kChains; ++c) {
     std::string prev = seg;  // chain head stages the survey segment
-    for (int s = 0; s < opts_.steps_per_chain; ++s) {
+    for (int s = 0; s < kStepsPerChain; ++s) {
       const std::string out = "sdss/run-" + std::to_string(id) + "/c" +
                               std::to_string(c) + "-s" + std::to_string(s);
       vdc.add_derivation(
@@ -82,7 +90,7 @@ bool SdssCoadd::launch_workflow() {
 
   workflow::PlannerConfig cfg;
   cfg.vo = vo();
-  cfg.archive_site = opts_.archive_site;
+  cfg.archive_site = kArchiveSite;
   cfg.walltime_slack = 1.5;
   cfg.locality = 0.9;  // chains stay put; cutout data is heavy to move
   // Monthly production campaign: each month targets a rotating set of

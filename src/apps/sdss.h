@@ -11,19 +11,9 @@
 
 namespace grid3::apps {
 
-struct SdssOptions {
-  double job_scale = 1.0;
-  std::string archive_site = "FNAL_SDSS";
-  int months = 7;
-  /// Parallel chains per workflow x steps per chain (25 jobs/workflow).
-  int chains = 5;
-  int steps_per_chain = 5;
-};
-
-
 class SdssCoadd : public AppBase {
  public:
-  using Options = SdssOptions;
+  using Options = DemonstratorOptions;
 
   SdssCoadd(core::Grid3& grid, Options opts = {});
 
@@ -32,8 +22,8 @@ class SdssCoadd : public AppBase {
   void start();
   void stop();
 
-  /// One cluster-finding workflow: `chains` independent chains of
-  /// `steps_per_chain` derivations each, over one survey segment.
+  /// One cluster-finding workflow: 5 independent chains of 5
+  /// derivations each (25 jobs), over one survey segment.
   bool launch_workflow();
 
   /// Register survey-segment input replicas at the archive sites.

@@ -4,26 +4,29 @@
 
 namespace grid3::batch {
 
-LsfScheduler::LsfScheduler(sim::Simulation& sim, SchedulerConfig cfg,
-                           Time long_queue_threshold, double long_queue_cap)
-    : BatchScheduler(sim, std::move(cfg)),
-      long_threshold_{long_queue_threshold},
-      long_cap_{long_queue_cap} {}
+namespace {
+
+/// Requested walltime above which a job goes to the long queue.
+constexpr Time kLongQueueThreshold = Time::hours(12);
+/// Fraction of the slots the long queue may occupy.
+constexpr double kLongQueueCap = 0.6;
+
+}  // namespace
 
 std::optional<std::size_t> LsfScheduler::pick_next() {
-  // Two queues split at long_threshold_.  The long queue may hold at most
-  // long_cap_ * slots running jobs so short work is never starved; within
-  // each queue dispatch is FIFO with priority classes, and the short
-  // queue is preferred when both have candidates and the long queue is at
-  // its cap.
+  // Two queues split at kLongQueueThreshold.  The long queue may hold at
+  // most kLongQueueCap * slots running jobs so short work is never
+  // starved; within each queue dispatch is FIFO with priority classes,
+  // and the short queue is preferred when both have candidates and the
+  // long queue is at its cap.
   const auto& q = queue();
   // At least one slot can always take long work (real LSF queues never
   // starve a class outright).
   const int long_cap = std::max(
       1, static_cast<int>(
-             std::floor(long_cap_ * static_cast<double>(total_slots()))));
-  const int long_now = count_running([this](const JobRequest& r) {
-    return r.requested_walltime > long_threshold_;
+             std::floor(kLongQueueCap * static_cast<double>(total_slots()))));
+  const int long_now = count_running([](const JobRequest& r) {
+    return r.requested_walltime > kLongQueueThreshold;
   });
   const bool long_allowed = long_now < long_cap;
 
@@ -40,7 +43,7 @@ std::optional<std::size_t> LsfScheduler::pick_next() {
   // Pass 1: short-queue candidates.
   for (std::size_t i = 0; i < q.size(); ++i) {
     if (q[i].req.priority < 0) continue;
-    if (q[i].req.requested_walltime > long_threshold_) continue;
+    if (q[i].req.requested_walltime > kLongQueueThreshold) continue;
     if (better(i)) best = i;
   }
   if (best.has_value()) return best;
@@ -48,7 +51,7 @@ std::optional<std::size_t> LsfScheduler::pick_next() {
   if (long_allowed) {
     for (std::size_t i = 0; i < q.size(); ++i) {
       if (q[i].req.priority < 0) continue;
-      if (q[i].req.requested_walltime <= long_threshold_) continue;
+      if (q[i].req.requested_walltime <= kLongQueueThreshold) continue;
       if (better(i)) best = i;
     }
     if (best.has_value()) return best;

@@ -98,14 +98,13 @@ bool BatchScheduler::cancel(LocalJobId id) {
   return false;
 }
 
-std::size_t BatchScheduler::kill_running(double fraction, util::Rng& rng,
-                                         JobState reason) {
+std::size_t BatchScheduler::kill_running(double fraction, util::Rng& rng) {
   std::vector<LocalJobId> victims;
   for (const auto& [id, job] : running_) {
     if (rng.chance(fraction)) victims.push_back(id);
   }
   std::sort(victims.begin(), victims.end());  // deterministic order
-  for (LocalJobId id : victims) finish(id, reason);
+  for (LocalJobId id : victims) finish(id, JobState::kKilledNodeFailure);
   return victims.size();
 }
 

@@ -100,9 +100,9 @@ class BatchScheduler {
   bool cancel(LocalJobId id);
 
   /// Kill each running job independently with probability `fraction`
-  /// (ACDC's nightly worker rollover, section 6.1).
-  std::size_t kill_running(double fraction, util::Rng& rng,
-                           JobState reason = JobState::kKilledNodeFailure);
+  /// (ACDC's nightly worker rollover, section 6.1): they end in
+  /// kKilledNodeFailure.
+  std::size_t kill_running(double fraction, util::Rng& rng);
 
   /// Remove `n` slots (node withdrawal); running jobs on removed slots are
   /// killed.  Adding slots triggers a dispatch round.
@@ -227,23 +227,18 @@ class PbsScheduler : public BatchScheduler {
   [[nodiscard]] std::optional<std::size_t> pick_next() override;
 };
 
-/// LSF: two queues split at a threshold walltime; the long queue is capped
-/// to a fraction of the slots so short jobs cannot be starved; walltime
-/// enforced.
+/// LSF: two queues split at a 12-hour requested walltime; the long queue
+/// is capped to 60% of the slots so short jobs cannot be starved;
+/// walltime enforced.
 class LsfScheduler : public BatchScheduler {
  public:
-  LsfScheduler(sim::Simulation& sim, SchedulerConfig cfg,
-               Time long_queue_threshold = Time::hours(12),
-               double long_queue_cap = 0.6);
+  LsfScheduler(sim::Simulation& sim, SchedulerConfig cfg)
+      : BatchScheduler(sim, std::move(cfg)) {}
   [[nodiscard]] std::string lrms_type() const override { return "lsf"; }
   [[nodiscard]] bool enforces_walltime() const override { return true; }
 
  protected:
   [[nodiscard]] std::optional<std::size_t> pick_next() override;
-
- private:
-  Time long_threshold_;
-  double long_cap_;
 };
 
 }  // namespace grid3::batch

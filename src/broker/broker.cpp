@@ -9,6 +9,27 @@
 
 namespace grid3::broker {
 
+namespace {
+
+/// How long a failed site stays excluded for the job that failed there.
+constexpr Time kFailedSiteCooloff = Time::minutes(15);
+/// Predicted 1-minute load above which no further jobs are bound to a
+/// gatekeeper (kept below the ~400 overload knee).
+constexpr double kLoadCeiling = 320.0;
+/// Predicted load contribution per staging-factor unit of in-flight
+/// brokered submissions (each job contributes its own 1-4x
+/// gram::staging_load_factor, matching the gatekeeper's load model).
+constexpr double kInflightLoadWeight = 0.45;
+/// Rank boost for the site named by JobSpec::source_site (where the
+/// job's staged input physically sits): consumers chase their data.
+constexpr double kSourceAffinity = 4.0;
+/// Rank multiplier applied to every site while matching from a frozen
+/// stale view (uniform, so argmax order and stochastic draw
+/// proportions are unchanged -- it only shows up in logged scores).
+constexpr double kStaleRankPenalty = 0.5;
+
+}  // namespace
+
 ResourceBroker::ResourceBroker(sim::Simulation& sim, BrokerConfig cfg,
                                std::unique_ptr<RankPolicy> policy,
                                const mds::Giis& giis,
@@ -40,7 +61,7 @@ void ResourceBroker::set_id_registry(std::shared_ptr<core::IdRegistry> ids) {
 }
 
 const std::vector<SiteView>& ResourceBroker::view(Time now) {
-  if (!view_valid_ || now - view_refreshed_ >= cfg_.view_ttl) {
+  if (!view_valid_ || now - view_refreshed_ >= kViewTtl) {
     refresh_view(now);
   }
   return view_;
@@ -229,11 +250,11 @@ double ResourceBroker::effective_score(const JobSpec& spec,
   // consumer chases its data instead of pricing a WAN transfer.  The
   // hint stands on its own: a provisionally co-located consumer carries
   // no folded stage-in bytes, yet its data is just as immobile.
-  if (site.id == pass.source) score *= cfg_.source_affinity;
+  if (site.id == pass.source) score *= kSourceAffinity;
   // Matching from a frozen stale view: a uniform penalty, so argmax
   // order and stochastic draw proportions are untouched, but logged
   // scores show the decision was made on degraded information.
-  if (view_stale_) score *= cfg_.stale_rank_penalty;
+  if (view_stale_) score *= kStaleRankPenalty;
   return score;
 }
 
@@ -327,18 +348,14 @@ int ResourceBroker::gang_capacity(const SiteView& site) const {
   // in flight there, bounded by the per-site throttle.
   int cap = std::min(site.free_cpus - inf, cfg_.max_inflight_per_site - inf);
   // Load-ceiling headroom in burst units: submitting n gang members in
-  // the same minute adds n * burst_weight to the gatekeeper's section
-  // 6.4 burst term, so the site can absorb at most headroom/burst_weight
-  // members before the broker's own ceiling would be crossed.
-  const gram::Gatekeeper* gk =
-      site.gk != nullptr ? site.gk : gatekeepers_.gatekeeper(site.site);
-  const double burst_weight =
-      gk != nullptr ? gk->config().burst_weight : 0.0;
-  if (burst_weight > 0.0) {
-    const double headroom = cfg_.load_ceiling - predicted_load(site);
-    if (headroom <= 0.0) return 0;
-    cap = std::min(cap, static_cast<int>(headroom / burst_weight));
-  }
+  // the same minute adds n * kBurstWeight to the gatekeeper's section
+  // 6.4 burst term, so the site can absorb at most headroom/kBurstWeight
+  // members before the broker's own ceiling would be crossed.  (match_gang
+  // only asks about sites whose gatekeeper resolves.)
+  const double headroom = kLoadCeiling - predicted_load(site);
+  if (headroom <= 0.0) return 0;
+  cap = std::min(cap, static_cast<int>(headroom /
+                                       gram::Gatekeeper::kBurstWeight));
   return std::max(cap, 0);
 }
 
@@ -453,11 +470,7 @@ void ResourceBroker::submit_gang(GangSpec gang,
   const Time now = sim_.now();
   const GangPlacement placement = match_gang(gang, now);
   ++gang_matches_;
-  publish_counter(metric::kGangMatches, gang_matches_);
-  if (placement.split) {
-    ++gang_splits_;
-    publish_counter(metric::kGangSplits, gang_splits_);
-  }
+  if (placement.split) ++gang_splits_;
   if (accounting_ != nullptr && !gang.members.empty()) {
     accounting_->insert_gang({gang_matches_, now, gang.members.front().vo,
                               gang.gang_id, placement.primary,
@@ -528,7 +541,7 @@ double ResourceBroker::predicted_load(const SiteView& site) const {
   // gigabytes through its jobmanager loads the gatekeeper harder than a
   // no-staging probe, and the view's MonALISA sample hasn't seen either.
   const double staged = inflight_staging_.get(site.id, 0.0);
-  return site.gatekeeper_load + cfg_.inflight_load_weight * staged;
+  return site.gatekeeper_load + kInflightLoadWeight * staged;
 }
 
 int ResourceBroker::inflight(const std::string& site) const {
@@ -582,7 +595,7 @@ std::vector<const SiteView*> ResourceBroker::admissible(
       return;
     }
     if (inflight(v.id) >= cfg_.max_inflight_per_site ||
-        predicted_load(v) >= cfg_.load_ceiling) {
+        predicted_load(v) >= kLoadCeiling) {
       *any_deferred = true;
       return;
     }
@@ -636,15 +649,7 @@ void ResourceBroker::record_match(const Pending& p, const SiteView& site,
   d.rebind = p.rebinds;
   d.score = score;
   log_.push_back(d);
-  publish_counter(metric::kMatches, log_.size());
-  if (view_stale_) {
-    ++stale_matches_;
-    publish_counter(metric::kStaleMatches, stale_matches_);
-  }
-  if (accounting_ != nullptr) {
-    accounting_->insert_match({d.seq, d.at, d.vo, d.app, d.policy, d.site,
-                               d.candidates, d.rebind, d.score});
-  }
+  if (view_stale_) ++stale_matches_;
 }
 
 void ResourceBroker::try_match(const std::shared_ptr<Pending>& p) {
@@ -809,8 +814,8 @@ void ResourceBroker::on_result(const std::shared_ptr<Pending>& p,
   const bool free_rebind =
       health_ != nullptr && health_->quarantined(p->bound_site);
   p->last = r;
-  p->excluded_until[p->bound_site] = sim_.now() + cfg_.failed_site_cooloff;
-  if (!free_rebind && !cfg_.rebind.allows(p->rebinds)) {
+  p->excluded_until[p->bound_site] = sim_.now() + kFailedSiteCooloff;
+  if (!free_rebind && !kRebind.allows(p->rebinds)) {
     BrokeredResult out;
     out.gram = r;
     out.site = p->bound_site;
@@ -822,8 +827,7 @@ void ResourceBroker::on_result(const std::shared_ptr<Pending>& p,
   }
   if (!free_rebind) ++p->rebinds;
   ++rebinds_;
-  publish_counter(metric::kRebinds, rebinds_);
-  const double backoff = cfg_.rebind.delay_seconds(p->rebinds);
+  const double backoff = kRebind.delay_seconds(p->rebinds);
   auto self = p;
   sim::Simulation::ScopedTag tag{sim_, "rb",
                                  sim::Simulation::ScopedTag::kAppend};
@@ -881,7 +885,6 @@ void ResourceBroker::report_health(const Pending& p,
 void ResourceBroker::hold(const std::shared_ptr<Pending>& p) {
   ++p->holds;
   ++holds_;
-  publish_counter(metric::kHolds, holds_);
   waiting_.push_back(p);
   // Per-job retry with deterministic jitter: a saturated grid holds many
   // jobs in the same tick, and a shared timer would re-release them as
@@ -1041,11 +1044,6 @@ void ResourceBroker::drop_lease(Pending& p, bool consumed) {
   p.lease = 0;
   p.job.stage_out_srm = nullptr;
   p.job.stage_out_reservation = 0;
-}
-
-void ResourceBroker::publish_counter(const char* name, std::uint64_t value) {
-  if (bus_ == nullptr) return;
-  bus_->publish(bus_label_, name, sim_.now(), static_cast<double>(value));
 }
 
 std::string ResourceBroker::serialize_match_log() const {

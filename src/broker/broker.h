@@ -11,8 +11,8 @@
 //  2. Matchmaking: rank eligible sites with a pluggable RankPolicy and
 //     bind the job -- weighted draw for stochastic policies (the
 //     favorite-sites status quo), deterministic argmax otherwise.
-//     Every decision is appended to the match log and mirrored into the
-//     ACDC accounting database for placement analysis.
+//     Every decision is appended to the match log, the one store of
+//     match decisions.
 //  3. Late binding: jobs are matched at dispatch time, re-matched onto a
 //     different site when a submission fails transiently (exponential
 //     backoff, per-job site cool-off), and throttled per gatekeeper so
@@ -46,7 +46,6 @@
 #include "health/health.h"
 #include "mds/giis.h"
 #include "monitoring/acdc.h"
-#include "monitoring/bus.h"
 #include "monitoring/monalisa.h"
 #include "placement/ledger.h"
 #include "sim/simulation.h"
@@ -65,26 +64,8 @@ class GatekeeperDirectory {
 };
 
 struct BrokerConfig {
-  std::string name = "grid3-broker";
-  /// Site-view refresh period (staleness the matchmaker tolerates).
-  Time view_ttl = Time::minutes(5);
-  /// Late binding: the re-match schedule after transient failures.
-  /// `max_retries` rebinds per job, first delay `base`, growing by
-  /// `factor` per further rebind.
-  util::RetryPolicy rebind{.base = Time::minutes(2),
-                           .factor = 2.0,
-                           .max_retries = 4};
-  /// How long a failed site stays excluded for the job that failed there.
-  Time failed_site_cooloff = Time::minutes(15);
   /// Per-gatekeeper throttle: max broker submissions in flight per site.
   int max_inflight_per_site = 60;
-  /// Predicted 1-minute load above which no further jobs are bound to a
-  /// gatekeeper (kept below the ~400 overload knee).
-  double load_ceiling = 320.0;
-  /// Predicted load contribution per staging-factor unit of in-flight
-  /// brokered submissions (each job contributes its own 1-4x
-  /// gram::staging_load_factor, matching the gatekeeper's load model).
-  double inflight_load_weight = 0.45;
   /// Held jobs re-attempt matching on this schedule (also kicked
   /// whenever an in-flight submission completes): period `base`,
   /// stretched per hold by up to `jitter` fraction with u in [0, 1)
@@ -101,10 +82,6 @@ struct BrokerConfig {
   /// baseline (disk-full discovered at stage-out time).  Only effective
   /// when a PlacementLedger is attached.
   bool placement_leases = true;
-  /// Rank boost for the site named by JobSpec::source_site (where the
-  /// job's staged input physically sits): consumers chase their data.
-  /// 1.0 disables the affinity.
-  double source_affinity = 4.0;
   /// Graceful degradation under a GIIS outage: when the index answers
   /// nothing (down, or every snapshot aged out), keep matching against
   /// the last-known-good view for up to this long past its refresh
@@ -115,23 +92,8 @@ struct BrokerConfig {
   /// blind or failing jobs with kSubmitRejected.  Time::zero() disables
   /// the freeze entirely (legacy behaviour: empty view, rejected jobs).
   Time stale_view_max = Time::minutes(30);
-  /// Rank multiplier applied to every site while matching from a frozen
-  /// stale view (uniform, so argmax order and stochastic draw
-  /// proportions are unchanged -- it only shows up in logged scores).
-  double stale_rank_penalty = 0.5;
   std::uint64_t rng_seed = 0xb20ce5;
 };
-
-/// Counter metric names the broker publishes per VO (site key = the
-/// label passed to set_metric_bus), plottable next to gatekeeper load.
-namespace metric {
-inline constexpr const char* kMatches = "broker.matches";
-inline constexpr const char* kRebinds = "broker.rebinds";
-inline constexpr const char* kHolds = "broker.holds";
-inline constexpr const char* kGangMatches = "broker.gang_matches";
-inline constexpr const char* kGangSplits = "broker.gang_splits";
-inline constexpr const char* kStaleMatches = "broker.stale_matches";
-}  // namespace metric
 
 /// One DAG level submitted for co-located placement: the members'
 /// specs plus the level's aggregate intermediate-product volume.
@@ -166,7 +128,7 @@ struct GangPlacement {
   std::size_t primary_members = 0;
 };
 
-/// One append-only match-log entry (also mirrored into ACDC).
+/// One append-only match-log entry.
 struct MatchDecision {
   std::uint64_t seq = 0;
   Time at;
@@ -210,6 +172,14 @@ class ResourceBroker {
   ResourceBroker(const ResourceBroker&) = delete;
   ResourceBroker& operator=(const ResourceBroker&) = delete;
 
+  /// Site-view refresh period (staleness the matchmaker tolerates).
+  static constexpr Time kViewTtl = Time::minutes(5);
+  /// Late binding: the re-match schedule after transient failures.
+  /// `max_retries` rebinds per job, first delay `base`, growing by
+  /// `factor` per further rebind.
+  static constexpr util::RetryPolicy kRebind{
+      .base = Time::minutes(2), .factor = 2.0, .max_retries = 4};
+
   [[nodiscard]] const BrokerConfig& config() const { return cfg_; }
   [[nodiscard]] const RankPolicy& policy() const { return *policy_; }
 
@@ -237,7 +207,7 @@ class ResourceBroker {
   /// its free capacity covers the gang width.  Capacity counts free CPUs
   /// net of the broker's own in-flight bindings, the per-site throttle,
   /// and the load ceiling divided into predicted burst units (one
-  /// gatekeeper burst_weight per member submitted in the same minute --
+  /// gatekeeper kBurstWeight per member submitted in the same minute --
   /// the section 6.4 burst term the whole level triggers at once).
   /// Whole-fit sites are scored policy * aggregate storage headroom for
   /// stage-in + scratch + the level's intermediates, and the best one
@@ -297,13 +267,6 @@ class ResourceBroker {
   /// Interned id of a site name (invalid = never seen by this registry).
   [[nodiscard]] core::SiteId site_id(const std::string& site) const {
     return ids_->sites.find(site);
-  }
-
-  /// Publish match/hold/rebind counters on the bus under `label` (the VO
-  /// name) as streams for any subscriber.
-  void set_metric_bus(monitoring::MetricBus* bus, std::string label) {
-    bus_ = bus;
-    bus_label_ = std::move(label);
   }
 
   // --- introspection / accounting ---
@@ -449,7 +412,6 @@ class ResourceBroker {
   void drop_lease(Pending& p, bool consumed);
   /// Member resolved: the last one out releases the gang lease.
   void leave_gang(Pending& p);
-  void publish_counter(const char* name, std::uint64_t value);
   [[nodiscard]] double predicted_load(const SiteView& site) const;
   /// `app_key`: mds::app_attribute(spec.required_app), built once per
   /// query by the caller.
@@ -470,7 +432,8 @@ class ResourceBroker {
   /// nothing or no chain SE is in the view.
   [[nodiscard]] double chain_headroom(const JobSpec& spec) const;
   /// Members the site can take right now: free slots net of in-flight,
-  /// throttle headroom, and load-ceiling headroom in burst units.
+  /// throttle headroom, and load-ceiling headroom in burst units (one
+  /// gram::Gatekeeper::kBurstWeight per member).
   [[nodiscard]] int gang_capacity(const SiteView& site) const;
 
   sim::Simulation& sim_;
@@ -483,8 +446,6 @@ class ResourceBroker {
   monitoring::JobDatabase* accounting_;
   health::SiteHealthMonitor* health_ = nullptr;
   placement::PlacementLedger* ledger_ = nullptr;
-  monitoring::MetricBus* bus_ = nullptr;
-  std::string bus_label_;
   util::Rng rng_;
 
   /// Site interner (shared with core::Grid3 when attached there).

@@ -14,6 +14,9 @@ double FavoriteSitesPolicy::score(const JobSpec& job, const SiteView& site,
 
 namespace {
 
+/// DataLocalityPolicy's score boost per input LFN replicated at the site.
+constexpr double kLocalityWeight = 2.0;
+
 /// Shared load term: free slots attract, LRMS queue depth repels.
 double queue_pressure_score(const SiteView& site) {
   return (static_cast<double>(site.free_cpus) + 1.0) /
@@ -39,13 +42,13 @@ double DataLocalityPolicy::score(const JobSpec& job, const SiteView& site,
       }
     }
   }
-  return queue_pressure_score(site) * (1.0 + locality_weight_ * local_inputs);
+  return queue_pressure_score(site) * (1.0 + kLocalityWeight * local_inputs);
 }
 
 double LoadSheddingPolicy::score(const JobSpec& /*job*/, const SiteView& site,
                                  Time /*now*/) const {
   const double headroom =
-      std::max(0.0, 1.0 - site.gatekeeper_load / shed_threshold_);
+      std::max(0.0, 1.0 - site.gatekeeper_load / kShedThreshold);
   return headroom * queue_pressure_score(site);
 }
 

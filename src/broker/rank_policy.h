@@ -90,14 +90,9 @@ class QueueDepthPolicy final : public RankPolicy {
 /// replicated at the site.
 class DataLocalityPolicy final : public RankPolicy {
  public:
-  explicit DataLocalityPolicy(double locality_weight = 2.0)
-      : locality_weight_{locality_weight} {}
   [[nodiscard]] const char* name() const override { return "data-locality"; }
   [[nodiscard]] double score(const JobSpec& job, const SiteView& site,
                              Time now) const override;
-
- private:
-  double locality_weight_;
 };
 
 /// Queue-aware with headroom scaling that drops to zero as the
@@ -105,14 +100,12 @@ class DataLocalityPolicy final : public RankPolicy {
 /// the gatekeeper's overload knee).
 class LoadSheddingPolicy final : public RankPolicy {
  public:
-  explicit LoadSheddingPolicy(double shed_threshold = 300.0)
-      : shed_threshold_{shed_threshold} {}
+  /// Gatekeeper 1-minute load at which a site's score reaches zero.
+  static constexpr double kShedThreshold = 300.0;
+
   [[nodiscard]] const char* name() const override { return "load-shedding"; }
   [[nodiscard]] double score(const JobSpec& job, const SiteView& site,
                              Time now) const override;
-
- private:
-  double shed_threshold_;
 };
 
 /// Policy selection for scenario/bench configuration.

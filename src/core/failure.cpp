@@ -4,6 +4,21 @@
 
 namespace grid3::core {
 
+namespace {
+
+/// Fraction of the disk a disk-fill incident eats, and how long until
+/// the admin cleans it up.
+constexpr double kDiskFillFraction = 0.5;
+constexpr Time kDiskCleanupAfter = Time::hours(8);
+/// Mean repair times of the random site incidents.
+constexpr Time kGatekeeperRepairMean = Time::hours(4);
+constexpr Time kNetworkRepairMean = Time::hours(2);
+constexpr Time kServiceRepairMean = Time::hours(6);
+/// Fraction of running jobs the nightly worker rollover kills.
+constexpr double kRolloverKillFraction = 0.9;
+
+}  // namespace
+
 const char* to_string(Incident i) {
   switch (i) {
     case Incident::kDiskFill: return "disk-fill";
@@ -11,10 +26,6 @@ const char* to_string(Incident i) {
     case Incident::kNetworkCut: return "network-cut";
     case Incident::kServiceCrash: return "service-crash";
     case Incident::kRollover: return "worker-rollover";
-    case Incident::kGiisOutage: return "giis-outage";
-    case Incident::kRlsOutage: return "rls-outage";
-    case Incident::kMonitorOutage: return "monalisa-outage";
-    case Incident::kTicketQueueOutage: return "ticket-queue-outage";
     case Incident::kScheduledDowntime: return "scheduled-downtime";
     case Incident::kWanWeather: return "wan-weather";
   }
@@ -55,20 +66,14 @@ void FailureInjector::attach(Site& site, FailureRates rates) {
       Attached* a = alive();
       if (a == nullptr) return;
       record(Incident::kDiskFill);
-      const Bytes eaten =
-          a->site->disk().capacity() * a->rates.disk_fill_fraction;
+      const Bytes eaten = a->site->disk().capacity() * kDiskFillFraction;
       a->site->disk().consume_unmanaged(eaten);
       const auto ticket =
           igoc_.tickets().open(a->site->name(), "disk-fill", sim_.now());
-      const std::string site_name = a->site->name();
-      sim_.schedule_in(a->rates.disk_cleanup_after,
-                       [this, alive, ticket, eaten] {
-                         if (Attached* a2 = alive()) {
-                           a2->site->disk().cleanup(eaten);
-                         }
-                         igoc_.tickets().close(ticket, sim_.now());
-                       });
-      (void)site_name;
+      sim_.schedule_in(kDiskCleanupAfter, [this, alive, ticket, eaten] {
+        if (Attached* a2 = alive()) a2->site->disk().cleanup(eaten);
+        igoc_.tickets().close(ticket, sim_.now());
+      });
       self(self);
     });
   };
@@ -88,7 +93,7 @@ void FailureInjector::attach(Site& site, FailureRates rates) {
       const auto ticket = igoc_.tickets().open(a->site->name(),
                                                "gatekeeper-crash", sim_.now());
       const Time repair = Time::hours(
-          rng_.exponential(a->rates.gatekeeper_repair_mean.to_hours()));
+          rng_.exponential(kGatekeeperRepairMean.to_hours()));
       sim_.schedule_in(repair, [this, alive, ticket] {
         if (Attached* a2 = alive()) {
           a2->site->gatekeeper().set_available(true);
@@ -114,7 +119,7 @@ void FailureInjector::attach(Site& site, FailureRates rates) {
       const auto ticket =
           igoc_.tickets().open(a->site->name(), "network-cut", sim_.now());
       const Time repair = Time::hours(
-          rng_.exponential(a->rates.network_repair_mean.to_hours()));
+          rng_.exponential(kNetworkRepairMean.to_hours()));
       sim_.schedule_in(repair, [this, alive, ticket] {
         if (Attached* a2 = alive()) {
           net_.set_node_up(a2->site->node(), true);
@@ -145,7 +150,7 @@ void FailureInjector::attach(Site& site, FailureRates rates) {
       const auto ticket = igoc_.tickets().open(
           a->site->name(), ftp ? "gridftp-crash" : "gris-crash", sim_.now());
       const Time repair = Time::hours(
-          rng_.exponential(a->rates.service_repair_mean.to_hours()));
+          rng_.exponential(kServiceRepairMean.to_hours()));
       sim_.schedule_in(repair, [this, alive, ticket, ftp] {
         if (Attached* a2 = alive()) {
           if (ftp) {
@@ -168,8 +173,7 @@ void FailureInjector::attach(Site& site, FailureRates rates) {
           Attached* a = alive();
           if (a == nullptr) return false;
           record(Incident::kRollover);
-          a->site->scheduler().kill_running(a->rates.rollover_kill_fraction,
-                                            rng_);
+          a->site->scheduler().kill_running(kRolloverKillFraction, rng_);
           return true;
         });
     // First rollover at the next "midnight" (whole day boundary).
@@ -190,83 +194,8 @@ void FailureInjector::detach(const std::string& site_name) {
 }
 
 void FailureInjector::attach_collective(const std::string& name,
-                                        CollectiveTargets targets,
-                                        CollectiveFailureRates rates) {
-  auto c = std::make_unique<AttachedCollective>();
-  c->targets = targets;
-  c->rates = rates;
-  collectives_[name] = std::move(c);
-
-  // Pending outages look the bundle up by name: entries are never
-  // erased, and re-attaching a name swaps the targets they act on.
-  auto bundle = [this, name]() -> AttachedCollective& {
-    return *collectives_.at(name);
-  };
-
-  // One generic Poisson outage loop per service class.  `select` pulls
-  // the class's target out of the bundle (null = class not armed here);
-  // `down`/`up` flip its availability.  Classes whose MTBF is zero are
-  // never armed, so they consume no RNG draws at all.
-  auto arm = [this, bundle](Incident kind, const char* issue, Time mtbf,
-                            Time repair_mean, auto select, auto down,
-                            auto up) {
-    if (mtbf <= Time::zero() || select(bundle()) == nullptr) return;
-    auto schedule = [this, bundle, kind, issue, mtbf, repair_mean, select,
-                     down, up](auto&& self) -> void {
-      const Time gap = Time::hours(rng_.exponential(mtbf.to_hours()));
-      sim_.schedule_in(gap, [this, bundle, kind, issue, repair_mean, select,
-                             down, up, self] {
-        auto* target = select(bundle());
-        if (target == nullptr) return;
-        record(kind);
-        down(*target);
-        // The ticket goes against the service name; when the down
-        // service IS the ticket queue, open() drops it (id 0) -- the
-        // operators' view goes dark, exactly the modeled failure.
-        const auto ticket = igoc_.tickets().open(issue, issue, sim_.now());
-        const Time repair =
-            Time::hours(rng_.exponential(repair_mean.to_hours()));
-        sim_.schedule_in(repair, [this, bundle, ticket, select, up] {
-          if (auto* t = select(bundle())) up(*t);
-          igoc_.tickets().close(ticket, sim_.now());
-        });
-        self(self);
-      });
-    };
-    schedule(schedule);
-  };
-
-  arm(
-      Incident::kGiisOutage, "giis-outage", rates.giis_outage_mtbf,
-      rates.giis_repair_mean,
-      [](AttachedCollective& c) { return c.targets.giis; },
-      [](mds::Giis& g) { g.set_available(false); },
-      [](mds::Giis& g) { g.set_available(true); });
-  arm(
-      Incident::kRlsOutage, "rls-outage", rates.rls_outage_mtbf,
-      rates.rls_repair_mean,
-      [](AttachedCollective& c) { return c.targets.rls; },
-      [](rls::ReplicaLocationService& r) {
-        r.set_available(false);
-        r.rli().set_available(false);
-      },
-      [this](rls::ReplicaLocationService& r) {
-        r.set_available(true);
-        r.rli().set_available(true);
-        r.replay(sim_.now());  // drain the write-ahead journal
-      });
-  arm(
-      Incident::kMonitorOutage, "monalisa-outage", rates.monitor_outage_mtbf,
-      rates.monitor_repair_mean,
-      [](AttachedCollective& c) { return c.targets.monitor; },
-      [](monitoring::MonalisaRepository& m) { m.set_available(false); },
-      [](monitoring::MonalisaRepository& m) { m.set_available(true); });
-  arm(
-      Incident::kTicketQueueOutage, "ticket-queue-outage",
-      rates.ticket_queue_mtbf, rates.ticket_queue_repair_mean,
-      [](AttachedCollective& c) { return c.targets.tickets; },
-      [](TroubleTicketSystem& t) { t.set_available(false); },
-      [](TroubleTicketSystem& t) { t.set_available(true); });
+                                        CollectiveTargets targets) {
+  collectives_[name] = targets;
 }
 
 bool FailureInjector::set_target_up(const std::string& target, bool up) {
@@ -278,7 +207,7 @@ bool FailureInjector::set_target_up(const std::string& target, bool up) {
     return true;
   }
   if (auto it = collectives_.find(target); it != collectives_.end()) {
-    CollectiveTargets& t = it->second->targets;
+    const CollectiveTargets& t = it->second;
     if (t.giis != nullptr) t.giis->set_available(up);
     if (t.rls != nullptr) {
       t.rls->set_available(up);

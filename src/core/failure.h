@@ -10,17 +10,13 @@
 // class; every incident opens an iGOC trouble ticket and repairs close
 // it after a repair-time distribution.
 //
-// Collective services fail too (section 5/6: the index, the replica
-// catalog, the monitoring collectors, even the ticket queue): attach
-// them via attach_collective and per-class Poisson outage processes
-// take the whole service down grid-wide.  Every collective MTBF
-// defaults to Time::zero() = disabled, so existing seeds draw nothing
-// extra and stay byte-identical until a scenario opts in.
-//
-// Scheduled downtime (the INFN-GRID-style maintenance calendar) rides
-// alongside the random processes: schedule_downtime() takes absolute
-// (target, start, duration) windows, consumes no RNG, and opens a
-// "scheduled-maintenance" ticket per window.
+// Collective services (section 5/6: the index, the replica catalog, the
+// monitoring collectors, even the ticket queue) go down only on the
+// operations calendar, the INFN-GRID-style maintenance schedule:
+// attach_collective names a bundle of them, and schedule_downtime()
+// takes absolute (target, start, duration) windows for a site or a
+// bundle, consumes no RNG, and opens a "scheduled-maintenance" ticket per
+// window.
 #pragma once
 
 #include <map>
@@ -40,47 +36,21 @@ namespace grid3::core {
 struct FailureRates {
   /// Mean time between unmanaged disk-consumption incidents.
   Time disk_fill_mtbf = Time::days(35);
-  /// Fraction of the disk an incident eats.
-  double disk_fill_fraction = 0.5;
-  Time disk_cleanup_after = Time::hours(8);
-
   Time gatekeeper_crash_mtbf = Time::days(50);
-  Time gatekeeper_repair_mean = Time::hours(4);
-
   Time network_cut_mtbf = Time::days(75);
-  Time network_repair_mean = Time::hours(2);
-
   /// GridFTP / GRIS / SE service crash.
   Time service_crash_mtbf = Time::days(45);
-  Time service_repair_mean = Time::hours(6);
 
   /// ACDC-style nightly worker rollover.
   bool nightly_rollover = false;
-  double rollover_kill_fraction = 0.9;
 
   /// Scale every MTBF (1.0 = nominal; < 1 = flakier site).
   [[nodiscard]] FailureRates scaled(double reliability) const;
 };
 
-/// Outage rates for one attached collective-service bundle.  A
-/// Time::zero() MTBF disables that class -- no Poisson draw is made, so
-/// arming a bundle with all-zero rates never perturbs existing seeds.
-struct CollectiveFailureRates {
-  Time giis_outage_mtbf = Time::zero();
-  Time giis_repair_mean = Time::hours(2);
-
-  Time rls_outage_mtbf = Time::zero();
-  Time rls_repair_mean = Time::hours(3);
-
-  Time monitor_outage_mtbf = Time::zero();
-  Time monitor_repair_mean = Time::hours(1);
-
-  Time ticket_queue_mtbf = Time::zero();
-  Time ticket_queue_repair_mean = Time::hours(4);
-};
-
 /// The services one attach_collective call covers (null = not part of
-/// this bundle; its class never fires even with a non-zero MTBF).
+/// this bundle).  A maintenance window on the bundle takes every
+/// non-null service down and brings it back.
 struct CollectiveTargets {
   mds::Giis* giis = nullptr;
   rls::ReplicaLocationService* rls = nullptr;
@@ -110,10 +80,6 @@ enum class Incident {
   kNetworkCut,
   kServiceCrash,
   kRollover,
-  kGiisOutage,         ///< VO GIIS / top index down grid-wide
-  kRlsOutage,          ///< replica catalog endpoint + RLI down
-  kMonitorOutage,      ///< MonALISA collector down
-  kTicketQueueOutage,  ///< the iGOC ticket queue itself down
   kScheduledDowntime,  ///< ops-calendar maintenance window
   kWanWeather,         ///< ops-calendar WAN degradation window
 };
@@ -133,16 +99,16 @@ class FailureInjector {
   /// Stop injecting for a site (e.g. it stabilized / was withdrawn).
   void detach(const std::string& site_name);
 
-  /// Attach a collective-service bundle under `name`; outage classes
-  /// with a non-zero MTBF start their Poisson processes immediately.
-  /// An RLS repair also replays its registration journal.
-  void attach_collective(const std::string& name, CollectiveTargets targets,
-                         CollectiveFailureRates rates);
+  /// Name a collective-service bundle as a downtime target.  Attaching
+  /// draws nothing and takes nothing down by itself; re-attaching a name
+  /// swaps the services its windows act on.
+  void attach_collective(const std::string& name, CollectiveTargets targets);
 
   /// Queue an ops-calendar maintenance window (no RNG involved).  The
   /// restore at window end is unconditional: a window overlapping a
   /// random incident's repair may bring the service back early -- real
-  /// maintenance does that too.
+  /// maintenance does that too.  Bringing an RLS back replays its
+  /// registration journal.
   void schedule_downtime(DowntimeWindow w);
 
   [[nodiscard]] std::size_t incidents(Incident kind) const;
@@ -156,13 +122,9 @@ class FailureInjector {
     bool active = true;
   };
 
-  struct AttachedCollective {
-    CollectiveTargets targets;
-    CollectiveFailureRates rates;
-  };
-
   /// Take a downtime target (site or collective bundle) down or up.
-  /// Returns false when the name resolves to nothing attached.
+  /// Returns false when the name resolves to nothing attached.  The only
+  /// code that flips a collective service.
   bool set_target_up(const std::string& target, bool up);
   /// Take an attached site's network node down or up (WAN weather).
   bool set_site_wan_up(const std::string& target, bool up);
@@ -174,7 +136,7 @@ class FailureInjector {
   Igoc& igoc_;
   util::Rng rng_;
   std::map<std::string, std::unique_ptr<Attached>> attached_;
-  std::map<std::string, std::unique_ptr<AttachedCollective>> collectives_;
+  std::map<std::string, CollectiveTargets> collectives_;
   std::map<Incident, std::size_t> counts_;
 };
 

@@ -8,6 +8,15 @@
 
 namespace grid3::core {
 
+namespace {
+
+/// Periods of the RLS soft-state refresh and the Site Status Catalog
+/// verification sweep (start_operations).
+constexpr Time kRlsRefreshPeriod = Time::minutes(20);
+constexpr Time kCatalogSweepPeriod = Time::minutes(30);
+
+}  // namespace
+
 const std::vector<std::string>& canonical_vos() {
   static const std::vector<std::string> kVos = {
       "usatlas", "uscms", "sdss", "ligo", "btev", "ivdgl"};
@@ -20,7 +29,6 @@ Grid3::Grid3(sim::Simulation& sim, std::uint64_t seed)
       rng_{seed},
       net_{sim},
       ca_{"DOEGrids CA"},
-      netlogger_{},
       ftp_client_{sim, net_, &netlogger_},
       // Fail fast at the Condor-G layer: DAGMan owns retries, so every
       // failed jobmanager attempt is visible to ACDC accounting, as on
@@ -88,22 +96,18 @@ workflow::DagMan& Grid3::dagman(const std::string& vo_name) {
   return *vos_.at(vo_name).dagman;
 }
 
-void Grid3::arm_vo_collective_failures(const std::string& vo_name,
-                                       CollectiveFailureRates rates) {
+void Grid3::arm_vo_collective_failures(const std::string& vo_name) {
   add_vo(vo_name);
   VoServices& svc = vos_.at(vo_name);
-  CollectiveTargets targets;
-  targets.giis = svc.giis.get();
-  targets.rls = svc.rls.get();
-  failures_.attach_collective(vo_name + "-collective", targets, rates);
+  failures_.attach_collective(vo_name + "-collective",
+                              {.giis = svc.giis.get(), .rls = svc.rls.get()});
 }
 
-void Grid3::arm_igoc_collective_failures(CollectiveFailureRates rates) {
-  CollectiveTargets targets;
-  targets.giis = &igoc_.top_giis();
-  targets.monitor = &igoc_.ml_repository();
-  targets.tickets = &igoc_.tickets();
-  failures_.attach_collective("igoc-collective", targets, rates);
+void Grid3::arm_igoc_collective_failures() {
+  failures_.attach_collective("igoc-collective",
+                              {.giis = &igoc_.top_giis(),
+                               .monitor = &igoc_.ml_repository(),
+                               .tickets = &igoc_.tickets()});
 }
 
 broker::ResourceBroker& Grid3::attach_broker(const std::string& vo_name,
@@ -124,7 +128,6 @@ broker::ResourceBroker& Grid3::attach_broker(const std::string& vo_name,
   // Every VO broker shares the fabric's interners, so site ids agree
   // across brokers, health, and the fabric's own site index.
   svc.broker->set_id_registry(ids_);
-  svc.broker->set_metric_bus(&igoc_.bus(), vo_name);
   if (cfg.placement_leases) {
     svc.placement = std::make_unique<placement::PlacementLedger>(
         vo_name, *this, &igoc_.bus(), &igoc_.job_db());
@@ -144,9 +147,9 @@ broker::ResourceBroker& Grid3::attach_broker(const std::string& vo_name,
   return *svc.broker;
 }
 
-health::SiteHealthMonitor& Grid3::attach_health(health::HealthConfig cfg) {
+health::SiteHealthMonitor& Grid3::attach_health() {
   if (health_) return *health_;
-  health_ = std::make_unique<health::SiteHealthMonitor>(sim_, cfg);
+  health_ = std::make_unique<health::SiteHealthMonitor>(sim_);
   health_->set_id_registry(ids_);
   health_->set_metric_bus(&igoc_.bus());
   health_->set_accounting(&igoc_.job_db());
@@ -275,11 +278,10 @@ ExternalHost& Grid3::add_external_host(const std::string& name,
   return *externals_.back();
 }
 
-void Grid3::start_operations(Time gridmap_period, Time rls_period,
-                             Time catalog_period) {
+void Grid3::start_operations() {
   // Grid-map regeneration at every site (edg-mkgridmap cron).
   auto gridmap_loop = std::make_unique<sim::PeriodicProcess>(
-      sim_, gridmap_period, [this] {
+      sim_, kGridmapPeriod, [this] {
         std::vector<const vo::VomsServer*> servers;
         for (const auto& [name, svc] : vos_) servers.push_back(svc.voms.get());
         for (auto& s : sites_) s->refresh_gridmap(servers);
@@ -290,7 +292,7 @@ void Grid3::start_operations(Time gridmap_period, Time rls_period,
 
   // RLS soft-state refresh.
   auto rls_loop =
-      std::make_unique<sim::PeriodicProcess>(sim_, rls_period, [this] {
+      std::make_unique<sim::PeriodicProcess>(sim_, kRlsRefreshPeriod, [this] {
         for (auto& [name, svc] : vos_) svc.rls->refresh_all(sim_.now());
         return true;
       });
@@ -299,7 +301,7 @@ void Grid3::start_operations(Time gridmap_period, Time rls_period,
 
   // Site Status Catalog verification sweep.
   auto catalog_loop = std::make_unique<sim::PeriodicProcess>(
-      sim_, catalog_period, [this] {
+      sim_, kCatalogSweepPeriod, [this] {
         igoc_.site_catalog().run_sweep(sim_.now());
         return true;
       });

@@ -96,11 +96,14 @@ class Grid3 final : public workflow::SiteServices,
                                   Bandwidth bw = Bandwidth::gbps(1));
 
   // --- central operations ---------------------------------------------
+  /// Period of the grid-map regeneration cron (edg-mkgridmap); its first
+  /// run is one minute after start_operations.
+  static constexpr Time kGridmapPeriod = Time::hours(6);
+
   /// Start grid-wide periodic processes: grid-map regeneration, RLS
-  /// soft-state refresh, site-catalog verification sweeps.
-  void start_operations(Time gridmap_period = Time::hours(6),
-                        Time rls_period = Time::minutes(20),
-                        Time catalog_period = Time::minutes(30));
+  /// soft-state refresh every 20 minutes, site-catalog verification
+  /// sweeps every 30.
+  void start_operations();
 
   // --- shared services --------------------------------------------------
   [[nodiscard]] sim::Simulation& sim() { return sim_; }
@@ -114,16 +117,13 @@ class Grid3 final : public workflow::SiteServices,
   [[nodiscard]] FailureInjector& failures() { return failures_; }
   [[nodiscard]] util::Rng& rng() { return rng_; }
 
-  /// Arm collective-outage injection for a VO's services (its GIIS and
-  /// RLS) under the bundle name "<vo>-collective".  Classes with a zero
-  /// MTBF stay disabled; the default rates are all zero, so arming is
-  /// inert until a scenario sets rates.
-  void arm_vo_collective_failures(const std::string& vo_name,
-                                  CollectiveFailureRates rates);
-  /// Arm collective-outage injection for the iGOC's central services
-  /// (top GIIS, MonALISA repository, ticket queue) under the bundle
-  /// name "igoc-collective".
-  void arm_igoc_collective_failures(CollectiveFailureRates rates);
+  /// Name a VO's collective services (its GIIS and RLS) as the
+  /// downtime target "<vo>-collective" for ops-calendar windows.
+  /// Attaching takes nothing down by itself.
+  void arm_vo_collective_failures(const std::string& vo_name);
+  /// Name the iGOC's central services (top GIIS, MonALISA repository,
+  /// ticket queue) as the downtime target "igoc-collective".
+  void arm_igoc_collective_failures();
 
   /// Per-VO DAGMan (bound to that VO's RLS).
   [[nodiscard]] workflow::DagMan& dagman(const std::string& vo_name);
@@ -149,7 +149,7 @@ class Grid3 final : public workflow::SiteServices,
   /// broker (existing and future) excludes quarantined sites, kicks its
   /// held jobs, and returns quarantined gang leases on a trip.
   /// Idempotent: a second call returns the existing monitor.
-  health::SiteHealthMonitor& attach_health(health::HealthConfig cfg = {});
+  health::SiteHealthMonitor& attach_health();
   /// The grid's health monitor, or null before attach_health.
   [[nodiscard]] health::SiteHealthMonitor* health() { return health_.get(); }
 

@@ -8,6 +8,13 @@
 
 namespace grid3::core {
 
+namespace {
+
+/// Used/configured share ratio beyond which check_fair_share flags a VO.
+constexpr double kFairShareTolerance = 3.0;
+
+}  // namespace
+
 const char* to_string(AuditSeverity s) {
   switch (s) {
     case AuditSeverity::kInfo: return "info";
@@ -83,8 +90,8 @@ std::vector<AuditFinding> PolicyAuditor::check_closed_shares(
   return out;
 }
 
-std::vector<AuditFinding> PolicyAuditor::check_fair_share(
-    Time from, Time to, double tolerance) const {
+std::vector<AuditFinding> PolicyAuditor::check_fair_share(Time from,
+                                                         Time to) const {
   std::vector<AuditFinding> out;
   const auto& db = grid_.igoc().job_db();
   for (const auto& site : grid_.sites()) {
@@ -106,7 +113,7 @@ std::vector<AuditFinding> PolicyAuditor::check_fair_share(
         const double achieved_ratio = used_a / used_b;
         const double configured_ratio = a->second / b->second;
         const double skew = achieved_ratio / configured_ratio;
-        if (skew > tolerance || skew < 1.0 / tolerance) {
+        if (skew > kFairShareTolerance || skew < 1.0 / kFairShareTolerance) {
           out.push_back(
               {AuditSeverity::kWarning, site->name(), "fair-share",
                a->first + ":" + b->first + " achieved " +

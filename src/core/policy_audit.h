@@ -55,8 +55,10 @@ class PolicyAuditor {
   [[nodiscard]] std::vector<AuditFinding> check_published_walltime() const;
   [[nodiscard]] std::vector<AuditFinding> check_closed_shares(
       Time from, Time to) const;
-  [[nodiscard]] std::vector<AuditFinding> check_fair_share(
-      Time from, Time to, double tolerance = 3.0) const;
+  /// Flags a VO whose CPU share strays more than 3x from its configured
+  /// fair share, either way.
+  [[nodiscard]] std::vector<AuditFinding> check_fair_share(Time from,
+                                                           Time to) const;
   [[nodiscard]] std::vector<AuditFinding> check_required_attributes() const;
 
  private:

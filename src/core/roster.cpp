@@ -175,30 +175,28 @@ Assembled assemble_grid3(Grid3& grid, const AssembleOptions& opts) {
       &grid.add_external_host("LIGO_Hanford", Bandwidth::mbps(155));
 
   // Table 1 user population: (users, of which app-admins).
-  if (opts.add_users) {
-    struct Pop {
-      const char* vo;
-      int users;
-      int admins;
-    };
-    // 102 authorized users total; ~10% are application administrators.
-    static constexpr Pop kPop[] = {
-        {"usatlas", 25, 3}, {"uscms", 26, 3}, {"sdss", 9, 1},
-        {"ligo", 7, 1},     {"btev", 1, 1},   {"ivdgl", 34, 2},
-    };
-    for (const Pop& p : kPop) {
-      VoUsers vu;
-      vu.vo = p.vo;
-      for (int i = 0; i < p.admins; ++i) {
-        vu.app_admins.push_back(grid.add_user(
-            p.vo, std::string{p.vo} + " admin", vo::Role::kAppAdmin));
-      }
-      for (int i = 0; i < p.users - p.admins; ++i) {
-        vu.users.push_back(
-            grid.add_user(p.vo, std::string{p.vo} + " user"));
-      }
-      result.users.push_back(std::move(vu));
+  struct Pop {
+    const char* vo;
+    int users;
+    int admins;
+  };
+  // 102 authorized users total; ~10% are application administrators.
+  static constexpr Pop kPop[] = {
+      {"usatlas", 25, 3}, {"uscms", 26, 3}, {"sdss", 9, 1},
+      {"ligo", 7, 1},     {"btev", 1, 1},   {"ivdgl", 34, 2},
+  };
+  for (const Pop& p : kPop) {
+    VoUsers vu;
+    vu.vo = p.vo;
+    for (int i = 0; i < p.admins; ++i) {
+      vu.app_admins.push_back(grid.add_user(
+          p.vo, std::string{p.vo} + " admin", vo::Role::kAppAdmin));
     }
+    for (int i = 0; i < p.users - p.admins; ++i) {
+      vu.users.push_back(
+          grid.add_user(p.vo, std::string{p.vo} + " user"));
+    }
+    result.users.push_back(std::move(vu));
   }
 
   // Application packages in the iGOC Pacman cache.
@@ -219,18 +217,16 @@ Assembled assemble_grid3(Grid3& grid, const AssembleOptions& opts) {
     grid.add_site(cfg, reliability, rollover);
   }
 
-  if (opts.install_applications) {
-    const auto replicas =
-        static_cast<std::size_t>(std::max(1, opts.roster_replicas));
-    for (const char* app_name :
-         {app::kAtlasGce, app::kCmsMop, app::kSdssCoadd, app::kLigoPulsar,
-          app::kBtevSim, app::kSnb, app::kGadu, app::kExerciser,
-          app::kEntrada, app::kNetloggerFtp}) {
-      for (const std::string& site_name :
-           application_sites(app_name, roster, replicas)) {
-        if (Site* s = grid.site(site_name)) {
-          s->install_application(grid.igoc().pacman_cache(), app_name);
-        }
+  const auto replicas =
+      static_cast<std::size_t>(std::max(1, opts.roster_replicas));
+  for (const char* app_name :
+       {app::kAtlasGce, app::kCmsMop, app::kSdssCoadd, app::kLigoPulsar,
+        app::kBtevSim, app::kSnb, app::kGadu, app::kExerciser,
+        app::kEntrada, app::kNetloggerFtp}) {
+    for (const std::string& site_name :
+         application_sites(app_name, roster, replicas)) {
+      if (Site* s = grid.site(site_name)) {
+        s->install_application(grid.igoc().pacman_cache(), app_name);
       }
     }
   }

@@ -46,10 +46,6 @@ struct AssembleOptions {
   /// Sites flakier than nominal by this reliability factor band.
   double min_reliability = 0.7;
   double max_reliability = 2.0;
-  /// Register the Table 1 user population (102 authorized users).
-  bool add_users = true;
-  /// Install application packages on site subsets sized per Table 1.
-  bool install_applications = true;
 };
 
 /// User credentials grouped by VO, as returned from assembly.
@@ -65,9 +61,10 @@ struct Assembled {
   ExternalHost* ligo_hanford = nullptr;
 };
 
-/// Build the production fabric: six VOs, external archives, the full
-/// roster (installed + certified + monitored + failure-injected), user
-/// population, application installs, and central operations loops.
+/// Build the production fabric: six VOs, external archives, the Table 1
+/// user population (102 authorized users), the full roster (installed +
+/// certified + monitored + failure-injected), application installs on
+/// site subsets sized per Table 1, and central operations loops.
 Assembled assemble_grid3(Grid3& grid, const AssembleOptions& opts = {});
 
 /// Sites (by roster position) hosting a given application, sized to the

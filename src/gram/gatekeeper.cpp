@@ -5,6 +5,16 @@
 
 namespace grid3::gram {
 
+namespace {
+
+/// Sustained per-job load coefficient from the paper (225/1000).
+constexpr double kPerJobLoad = 0.225;
+/// Seed of every gatekeeper's RNG (flake, environment and application
+/// draws).  The same at every site and for every scenario seed.
+constexpr std::uint64_t kRngSeed = 0x6a0b5;
+
+}  // namespace
+
 const char* to_string(GramStatus s) {
   switch (s) {
     case GramStatus::kCompleted: return "completed";
@@ -66,7 +76,7 @@ Gatekeeper::Gatekeeper(sim::Simulation& sim, GatekeeperConfig cfg,
       ftp_{ftp_client},
       local_ftp_{local_ftp},
       scratch_{scratch},
-      rng_{cfg_.rng_seed} {}
+      rng_{kRngSeed} {}
 
 void Gatekeeper::record_burst() {
   recent_submissions_.push_back(sim_.now());
@@ -83,14 +93,14 @@ std::size_t Gatekeeper::arrivals_last_minute() const {
 }
 
 double Gatekeeper::burst_load() const {
-  // Submissions within the last minute each add burst_weight.
-  return cfg_.burst_weight * static_cast<double>(arrivals_last_minute());
+  // Submissions within the last minute each add kBurstWeight.
+  return kBurstWeight * static_cast<double>(arrivals_last_minute());
 }
 
 double Gatekeeper::one_minute_load() const {
   double sustained = 0.0;
   for (const auto& [id, m] : managed_) {
-    sustained += cfg_.per_job_load * m.staging_factor;
+    sustained += kPerJobLoad * m.staging_factor;
   }
   return sustained + burst_load();
 }

@@ -96,11 +96,6 @@ struct GatekeeperConfig {
   std::string site;
   /// Load above which new submissions start failing.
   double overload_threshold = 400.0;
-  /// Load contribution of one submission burst unit (decays over a
-  /// minute).
-  double burst_weight = 0.4;
-  /// Sustained per-job coefficient from the paper (225/1000).
-  double per_job_load = 0.225;
   /// Probability a submission bounces off a flaky jobmanager (transient
   /// GRAM errors; a site problem, retried by DAGMan and visible in the
   /// accounting, as on the real grid).
@@ -112,12 +107,15 @@ struct GatekeeperConfig {
   /// (latent install misconfigurations; a site problem).  Sites set this
   /// from their install reports.
   double environment_error_rate = 0.0;
-  std::uint64_t rng_seed = 0x6a0b5;
 };
 
 /// The gatekeeper service at one site.
 class Gatekeeper {
  public:
+  /// Load contribution of one submission burst unit (decays over a
+  /// minute).
+  static constexpr double kBurstWeight = 0.4;
+
   Gatekeeper(sim::Simulation& sim, GatekeeperConfig cfg,
              batch::BatchScheduler& lrms, const vo::GridMapFile& gridmap,
              const vo::CertificateAuthority& ca,
@@ -139,10 +137,10 @@ class Gatekeeper {
   [[nodiscard]] double peak_one_minute_load() const { return peak_load_; }
 
   /// Burst arrival accounting: submissions that landed within the last
-  /// minute (each contributes `burst_weight` to the section 6.4 load),
+  /// minute (each contributes kBurstWeight to the section 6.4 load),
   /// and the lifetime peak of that count.  Gang matching predicts its
   /// burst impact from exactly this term: submitting a whole DAG level
-  /// at once adds width * burst_weight in one minute, which the broker
+  /// at once adds width * kBurstWeight in one minute, which the broker
   /// caps against its load ceiling before binding the gang.
   [[nodiscard]] std::size_t arrivals_last_minute() const;
   [[nodiscard]] std::size_t peak_one_minute_arrivals() const {

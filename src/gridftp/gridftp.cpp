@@ -81,8 +81,6 @@ void GridFtpClient::finish(Attempt att, const net::FlowResult& flow) {
           return;
         }
       }
-      req.src->count_transfer(req.size, /*inbound=*/false);
-      req.dst->count_transfer(req.size, /*inbound=*/true);
       report(att, TransferStatus::kCompleted, req.size, att.first_started);
       return;
     }

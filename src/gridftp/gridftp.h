@@ -46,25 +46,10 @@ class GridFtpServer {
   void set_available(bool up) { up_ = up; }
   [[nodiscard]] bool available() const { return up_; }
 
-  void count_transfer(Bytes b, bool inbound) {
-    if (inbound) {
-      bytes_in_ += b;
-      ++transfers_in_;
-    } else {
-      bytes_out_ += b;
-    }
-  }
-  [[nodiscard]] Bytes bytes_in() const { return bytes_in_; }
-  [[nodiscard]] Bytes bytes_out() const { return bytes_out_; }
-  [[nodiscard]] std::uint64_t transfers_in() const { return transfers_in_; }
-
  private:
   std::string site_;
   net::NodeId node_;
   bool up_ = true;
-  Bytes bytes_in_;
-  Bytes bytes_out_;
-  std::uint64_t transfers_in_ = 0;
 };
 
 struct TransferRequest {

@@ -1,7 +1,7 @@
 // NetLogger-style instrumentation (paper section 4.7): events are
-// generated at program start, end, and on errors, and optionally for all
-// significant I/O requests.  The data-transfer study benches read these
-// events back to report reliability.
+// generated at program start, end, and on errors.  (The paper's optional
+// per-I/O events are not modelled.)  The data-transfer study benches read
+// these events back to report reliability.
 #pragma once
 
 #include <cstdint>
@@ -23,14 +23,9 @@ struct NetLogEvent {
 
 class NetLogger {
  public:
-  /// When verbose, callers also log per-I/O events ("by request" in the
-  /// paper); default logs start/end/error only.
-  explicit NetLogger(bool verbose = false) : verbose_{verbose} {}
-
   void log(Time t, std::string program, std::string event,
            std::string detail = {}, double value = 0.0);
 
-  [[nodiscard]] bool verbose() const { return verbose_; }
   [[nodiscard]] const std::vector<NetLogEvent>& events() const {
     return events_;
   }
@@ -40,7 +35,6 @@ class NetLogger {
   void clear() { events_.clear(); }
 
  private:
-  bool verbose_;
   std::vector<NetLogEvent> events_;
 };
 

@@ -5,6 +5,17 @@
 
 namespace grid3::health {
 
+namespace {
+
+/// A failed job that died within this fraction of its requested
+/// walltime counts as a batch fast-fail -- the black-hole signature.
+constexpr double kFastFailFraction = 0.25;
+/// Each consecutive trip multiplies the quarantine by this, up to the cap.
+constexpr double kQuarantineEscalation = 2.0;
+constexpr Time kQuarantineCap = Time::hours(8);
+
+}  // namespace
+
 const char* to_string(Service s) {
   switch (s) {
     case Service::kSubmit: return "submit";
@@ -85,7 +96,7 @@ void SiteHealthMonitor::report_batch(const std::string& site, bool ok,
   }
   const double lived = (finished - submitted).to_seconds();
   const double requested = requested_walltime.to_seconds();
-  if (requested <= 0.0 || lived < cfg_.fast_fail_fraction * requested) {
+  if (requested <= 0.0 || lived < kFastFailFraction * requested) {
     report(site, Service::kBatch, false, now);
   }
 }
@@ -113,8 +124,8 @@ void SiteHealthMonitor::trip(const std::string& site, Breaker& b,
   }
   // Escalating quarantine: base * escalation^(streak-1), capped.
   double q = cfg_.quarantine_base.to_seconds();
-  for (int i = 1; i < b.streak; ++i) q *= cfg_.quarantine_escalation;
-  q = std::min(q, cfg_.quarantine_cap.to_seconds());
+  for (int i = 1; i < b.streak; ++i) q *= kQuarantineEscalation;
+  q = std::min(q, kQuarantineCap.to_seconds());
   const std::uint64_t epoch = b.epoch;
   sim_.schedule_in(Time::seconds(q),
                    [this, site, epoch] { enter_half_open(site, epoch); });

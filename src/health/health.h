@@ -76,13 +76,8 @@ struct HealthConfig {
   /// Events a (site, service) score needs before it may trip (a single
   /// unlucky submission must not quarantine a site).
   int min_samples = 6;
-  /// A failed job that died within this fraction of its requested
-  /// walltime counts as a batch fast-fail -- the black-hole signature.
-  double fast_fail_fraction = 0.25;
-  /// First quarantine length; escalates per consecutive trip.
+  /// First quarantine length; doubles per consecutive trip, up to 8 h.
   Time quarantine_base = Time::minutes(30);
-  double quarantine_escalation = 2.0;
-  Time quarantine_cap = Time::hours(8);
   /// Consecutive probe successes required to re-admit a site.
   int probes_required = 3;
   /// Spacing between probation probes (the exerciser's cadence).
@@ -164,7 +159,7 @@ class SiteHealthMonitor {
   void report(const std::string& site, Service service, bool ok, Time now);
 
   /// Batch-layer feedback with fast-fail classification: a failed job
-  /// that died within fast_fail_fraction of its requested walltime is
+  /// that died within a quarter of its requested walltime is
   /// the black-hole signature and scores as a kBatch failure; successes
   /// decay the score; slow failures (e.g. a genuine walltime kill) are
   /// not a batch-health signal.

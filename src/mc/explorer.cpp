@@ -8,6 +8,11 @@
 namespace grid3::mc {
 namespace {
 
+/// Hard cap on steps within one run (runaway-event-loop backstop).
+constexpr std::uint64_t kMaxStepsPerRun = 500'000;
+/// Stop after this many distinct violations.
+constexpr std::size_t kMaxViolations = 8;
+
 std::vector<std::string> split_tag(const std::string& tag) {
   std::vector<std::string> parts;
   std::size_t start = 0;
@@ -171,7 +176,7 @@ Explorer::RunEnd Explorer::run_once() {
 
   for (;;) {
     if (stats_.transitions >= cfg_.max_transitions ||
-        steps >= cfg_.max_steps_per_run) {
+        steps >= kMaxStepsPerRun) {
       return RunEnd::kBudget;
     }
     const auto front = sim.next_time();
@@ -269,18 +274,18 @@ Explorer::RunEnd Explorer::run_once() {
   }
 
   ++stats_.terminals;
-  if (cfg_.check_determinism) {
-    const std::uint64_t cls = foata_hash(trace);
-    const std::string digest = run->digest();
-    auto [it, inserted] = classes_.try_emplace(cls, digest, render_trace());
-    if (!inserted && it->second.first != digest) {
-      record_violation(
-          "determinism",
-          "two interleavings of commuting events reached different end "
-          "states -- the independence relation over-approximates: first "
-          "path {" +
-              it->second.second + "} vs this path {" + render_trace() + "}");
-    }
+  // Invariant 4, byte-identical determinism: interleavings in the same
+  // commutation (Foata) class must reach the same end-state digest.
+  const std::uint64_t cls = foata_hash(trace);
+  const std::string digest = run->digest();
+  auto [it, inserted] = classes_.try_emplace(cls, digest, render_trace());
+  if (!inserted && it->second.first != digest) {
+    record_violation(
+        "determinism",
+        "two interleavings of commuting events reached different end "
+        "states -- the independence relation over-approximates: first "
+        "path {" +
+            it->second.second + "} vs this path {" + render_trace() + "}");
   }
   return RunEnd::kTerminal;
 }
@@ -308,7 +313,7 @@ const std::vector<Violation>& Explorer::explore() {
       stats_.budget_exhausted = true;
       break;
     }
-    if (violations_.size() >= cfg_.max_violations) break;
+    if (violations_.size() >= kMaxViolations) break;
     if (!backtrack()) break;
   }
   stats_.foata_classes = classes_.size();
@@ -332,7 +337,7 @@ std::vector<Violation> Explorer::check_canonical() {
   for (;;) {
     const auto front = sim.next_time();
     if (!front.has_value() || *front > cfg_.horizon ||
-        steps >= cfg_.max_steps_per_run) {
+        steps >= kMaxStepsPerRun) {
       break;
     }
     // Canonical = lowest id among all ready events, exactly what a plain

@@ -84,13 +84,6 @@ struct McConfig {
   /// Total transition budget across all replays; exceeding it marks the
   /// exploration incomplete instead of running forever.
   std::uint64_t max_transitions = 2'000'000;
-  /// Hard cap on steps within one run (runaway-event-loop backstop).
-  std::uint64_t max_steps_per_run = 500'000;
-  /// Stop after this many distinct violations.
-  std::size_t max_violations = 8;
-  /// Compare end-state digests of interleavings in the same commutation
-  /// (Foata) class -- invariant 4, byte-identical determinism.
-  bool check_determinism = true;
   /// Sleep-set pruning.  Turn OFF to validate the independence relation
   /// itself: with pruning on, redundant linearizations of a commutation
   /// class are exactly the runs that get skipped, so the determinism

@@ -34,7 +34,6 @@ class BreakerRun final : public ExploredRun {
     cfg.trip_threshold = 0.5;
     cfg.min_samples = 2;
     cfg.quarantine_base = Time::seconds(60);
-    cfg.quarantine_escalation = 2.0;
     cfg.probes_required = 2;
     cfg.probe_interval = Time::seconds(30);
     monitor_ = std::make_unique<health::SiteHealthMonitor>(sim_, cfg);

@@ -12,31 +12,14 @@ void JobDatabase::insert_transfer(TransferEntry entry) {
   transfers_.push_back(std::move(entry));
 }
 
-void JobDatabase::insert_match(MatchRecord match) {
-  matches_.push_back(std::move(match));
-}
-
 void JobDatabase::insert_lease(LeaseRecord lease) {
   leases_.push_back(std::move(lease));
 }
 
-std::map<std::string, std::size_t> JobDatabase::lease_events(
-    Time from, Time to, const std::string& vo) const {
-  std::map<std::string, std::size_t> out;
-  for (const LeaseRecord& l : leases_) {
-    if (l.at < from || l.at >= to) continue;
-    if (!vo.empty() && l.vo != vo) continue;
-    ++out[l.event];
-  }
-  return out;
-}
-
-std::size_t JobDatabase::lease_fallthrough_hops(Time from, Time to,
-                                                const std::string& vo) const {
+std::size_t JobDatabase::lease_fallthrough_hops(Time from, Time to) const {
   std::size_t hops = 0;
   for (const LeaseRecord& l : leases_) {
     if (l.at < from || l.at >= to) continue;
-    if (!vo.empty() && l.vo != vo) continue;
     if (l.event == "acquire") hops += static_cast<std::size_t>(l.hop);
   }
   return hops;
@@ -46,12 +29,10 @@ void JobDatabase::insert_gang(GangRecord gang) {
   gangs_.push_back(std::move(gang));
 }
 
-JobDatabase::GangSummary JobDatabase::gang_events(
-    Time from, Time to, const std::string& vo) const {
+JobDatabase::GangSummary JobDatabase::gang_events(Time from, Time to) const {
   GangSummary out;
   for (const GangRecord& g : gangs_) {
     if (g.at < from || g.at >= to) continue;
-    if (!vo.empty() && g.vo != vo) continue;
     ++out.gangs;
     out.members += g.width;
     if (!g.placed) {
@@ -76,17 +57,6 @@ std::map<std::string, std::size_t> JobDatabase::breaker_events(
     if (b.at < from || b.at >= to) continue;
     if (!site.empty() && b.site != site) continue;
     ++out[b.event];
-  }
-  return out;
-}
-
-std::map<std::string, std::size_t> JobDatabase::placements_by_site(
-    Time from, Time to, const std::string& vo) const {
-  std::map<std::string, std::size_t> out;
-  for (const MatchRecord& m : matches_) {
-    if (m.at < from || m.at >= to) continue;
-    if (!vo.empty() && m.vo != vo) continue;
-    ++out[m.site];
   }
   return out;
 }

@@ -40,21 +40,6 @@ struct JobRecord {
   [[nodiscard]] Time runtime() const { return finished - started; }
 };
 
-/// One resource-broker match decision (which site a job was bound to,
-/// under which ranking policy).  The broker mirrors its match log here so
-/// placement distributions can be queried next to the job records.
-struct MatchRecord {
-  std::uint64_t seq = 0;
-  Time at;
-  std::string vo;
-  std::string app;
-  std::string policy;  ///< ranking policy that made the decision
-  std::string site;    ///< chosen execution site
-  std::size_t candidates = 0;  ///< admissible sites at decision time
-  int rebind = 0;      ///< 0 = initial match, n = nth late-binding re-match
-  double score = 0.0;  ///< the chosen site's policy score
-};
-
 /// One stage-out lease lifecycle event, mirrored from the placement
 /// ledger: how often output space was secured at match time, archived,
 /// given back on failure paths, or refused because the destination SE
@@ -135,7 +120,6 @@ class JobDatabase {
  public:
   void insert(JobRecord record);
   void insert_transfer(TransferEntry entry);
-  void insert_match(MatchRecord match);
   void insert_lease(LeaseRecord lease);
   void insert_gang(GangRecord gang);
   void insert_breaker(BreakerRecord breaker);
@@ -147,9 +131,6 @@ class JobDatabase {
   [[nodiscard]] const std::vector<TransferEntry>& transfers() const {
     return transfers_;
   }
-  [[nodiscard]] const std::vector<MatchRecord>& matches() const {
-    return matches_;
-  }
   [[nodiscard]] const std::vector<LeaseRecord>& leases() const {
     return leases_;
   }
@@ -160,19 +141,13 @@ class JobDatabase {
     return breakers_;
   }
 
-  /// Lease lifecycle counts by event over a window (empty vo = all VOs):
-  /// the placement layer's acquire/consume/release/reject balance.
-  [[nodiscard]] std::map<std::string, std::size_t> lease_events(
-      Time from, Time to, const std::string& vo = {}) const;
-
   /// Total failover-chain hops across "acquire" lease events in the
-  /// window (empty vo = all VOs): how often placement had to route
-  /// around a full/quarantined/unreachable SE to land a lease.
-  [[nodiscard]] std::size_t lease_fallthrough_hops(
-      Time from, Time to, const std::string& vo = {}) const;
+  /// window, all VOs: how often placement had to route around a
+  /// full/quarantined/unreachable SE to land a lease.
+  [[nodiscard]] std::size_t lease_fallthrough_hops(Time from, Time to) const;
 
-  /// Gang-matching balance over a window (empty vo = all VOs): how many
-  /// levels were placed whole, split, or left unplaced.
+  /// Gang-matching balance over a window, all VOs: how many levels were
+  /// placed whole, split, or left unplaced.
   struct GangSummary {
     std::size_t gangs = 0;
     std::size_t whole = 0;
@@ -180,18 +155,12 @@ class JobDatabase {
     std::size_t unplaced = 0;
     std::size_t members = 0;  ///< total member jobs across gangs
   };
-  [[nodiscard]] GangSummary gang_events(Time from, Time to,
-                                        const std::string& vo = {}) const;
+  [[nodiscard]] GangSummary gang_events(Time from, Time to) const;
 
   /// Circuit-breaker activity over a window (empty site = all sites):
   /// event -> count (trip, half-open, probe-ok, probe-fail, readmit).
   [[nodiscard]] std::map<std::string, std::size_t> breaker_events(
       Time from, Time to, const std::string& site = {}) const;
-
-  /// Broker placement distribution: match decisions per chosen site over
-  /// a window (empty vo = all VOs).
-  [[nodiscard]] std::map<std::string, std::size_t> placements_by_site(
-      Time from, Time to, const std::string& vo = {}) const;
 
   /// Completed production jobs for one VO in [from, to): the Table 1
   /// population ("based on completed production jobs").
@@ -241,7 +210,6 @@ class JobDatabase {
  private:
   std::vector<JobRecord> records_;
   std::vector<TransferEntry> transfers_;
-  std::vector<MatchRecord> matches_;
   std::vector<LeaseRecord> leases_;
   std::vector<GangRecord> gangs_;
   std::vector<BreakerRecord> breakers_;

@@ -72,24 +72,12 @@ class MdViewer {
   [[nodiscard]] LatencyBreakdown latency_breakdown(const std::string& vo,
                                                    Time from, Time to) const;
 
-  /// Lease lifecycle histogram from the ACDC mirror: event -> count over
-  /// a window (events: acquire, consume, release, reject).
-  [[nodiscard]] std::map<std::string, std::size_t> lease_events(
-      Time from, Time to, const std::string& vo = {}) const {
-    return jobs_.lease_events(from, to, vo);
-  }
   /// Failover-chain hops summed over acquired leases in the window,
   /// from the ACDC mirror (the ledger also streams them on the bus as
   /// `placement.fallthroughs`).
-  [[nodiscard]] std::size_t lease_fallthrough_hops(
-      Time from, Time to, const std::string& vo = {}) const {
-    return jobs_.lease_fallthrough_hops(from, to, vo);
-  }
-  /// Gang-matching balance from the ACDC mirror: levels placed whole,
-  /// split, or left unplaced over a window.
-  [[nodiscard]] JobDatabase::GangSummary gang_events(
-      Time from, Time to, const std::string& vo = {}) const {
-    return jobs_.gang_events(from, to, vo);
+  [[nodiscard]] std::size_t lease_fallthrough_hops(Time from,
+                                                   Time to) const {
+    return jobs_.lease_fallthrough_hops(from, to);
   }
   /// Site-health breaker activity from the ACDC mirror: event -> count
   /// over a window (trip, half-open, probe-ok, probe-fail, readmit).

@@ -5,6 +5,16 @@
 
 namespace grid3::monitoring {
 
+namespace {
+
+/// Longest gap between consecutive failures inside one burst.
+constexpr Time kMaxBurstGap = Time::hours(6);
+/// How far an incident window is widened on both ends when matching it
+/// to a burst.
+constexpr Time kCorrelationSlack = Time::hours(2);
+
+}  // namespace
+
 const JobRecord* Troubleshooter::find_by_submit_id(
     const std::string& submit_id) const {
   for (const JobRecord& r : db_.records()) {
@@ -39,7 +49,7 @@ std::vector<const JobRecord*> Troubleshooter::failures_at(
 }
 
 std::vector<FailureBurst> Troubleshooter::find_bursts(
-    Time from, Time to, std::size_t min_failures, Time max_gap) const {
+    Time from, Time to, std::size_t min_failures) const {
   // Group failures per site, sort by time, then split on gaps.
   std::map<std::string, std::vector<const JobRecord*>> by_site;
   for (const JobRecord& r : db_.records()) {
@@ -57,7 +67,7 @@ std::vector<FailureBurst> Troubleshooter::find_bursts(
     for (std::size_t i = 1; i <= failures.size(); ++i) {
       const bool split =
           i == failures.size() ||
-          failures[i]->finished - failures[i - 1]->finished > max_gap;
+          failures[i]->finished - failures[i - 1]->finished > kMaxBurstGap;
       if (!split) continue;
       const std::size_t count = i - start;
       if (count >= min_failures) {
@@ -91,13 +101,14 @@ std::vector<FailureBurst> Troubleshooter::find_bursts(
 
 std::vector<FailureBurst> Troubleshooter::correlate(
     std::vector<FailureBurst> bursts,
-    const std::vector<IncidentWindow>& incidents, Time slack) {
+    const std::vector<IncidentWindow>& incidents) {
   for (FailureBurst& burst : bursts) {
     for (const IncidentWindow& inc : incidents) {
       if (inc.site != burst.site) continue;
-      const Time inc_from = inc.opened - slack;
+      const Time inc_from = inc.opened - kCorrelationSlack;
       const Time inc_to =
-          (inc.closed == Time::max() ? burst.to : inc.closed) + slack;
+          (inc.closed == Time::max() ? burst.to : inc.closed) +
+          kCorrelationSlack;
       const bool overlaps = burst.from <= inc_to && burst.to >= inc_from;
       if (overlaps) {
         burst.ticket = inc.id;

@@ -59,19 +59,17 @@ class Troubleshooter {
       const std::string& site, Time from, Time to) const;
 
   /// Detect failure bursts: >= `min_failures` failures at one site with
-  /// gaps of at most `max_gap` between consecutive failures.
+  /// gaps of at most 6 hours between consecutive failures.
   [[nodiscard]] std::vector<FailureBurst> find_bursts(
-      Time from, Time to, std::size_t min_failures = 5,
-      Time max_gap = Time::hours(6)) const;
+      Time from, Time to, std::size_t min_failures = 5) const;
 
   /// Attribute bursts to incidents: a burst is explained by a ticket at
-  /// the same site whose [opened, closed] window overlaps the burst
-  /// (with `slack` tolerance on both ends).  Returns bursts with their
-  /// `ticket` field filled where a match exists.
+  /// the same site whose [opened, closed] window, widened by 2 hours on
+  /// both ends, overlaps the burst.  Returns bursts with their `ticket`
+  /// field filled where a match exists.
   [[nodiscard]] static std::vector<FailureBurst> correlate(
       std::vector<FailureBurst> bursts,
-      const std::vector<IncidentWindow>& incidents,
-      Time slack = Time::hours(2));
+      const std::vector<IncidentWindow>& incidents);
 
   /// Failure-class leaderboard over a window (the "direct information
   /// without parsing log files" query).

@@ -4,6 +4,13 @@
 
 namespace grid3::pacman {
 
+namespace {
+
+/// Validation-triggered reinstalls of one package before giving up.
+constexpr int kMaxReinstalls = 2;
+
+}  // namespace
+
 InstallReport SiteInstaller::install(const std::string& root, util::Rng& rng,
                                      const InstallOptions& opts) const {
   InstallReport report;
@@ -39,7 +46,7 @@ InstallReport SiteInstaller::install(const std::string& root, util::Rng& rng,
         break;
       }
       report.caught_defects.push_back(pkg->name);
-      if (++attempts > opts.max_reinstalls) {
+      if (++attempts > kMaxReinstalls) {
         report.failed_package = pkg->name;
         return report;
       }

@@ -21,8 +21,6 @@ struct InstallOptions {
   /// Multiplier on every package's misconfig probability (a careful admin
   /// reduces it; a rushed install raises it).
   double misconfig_scale = 1.0;
-  /// How many validation-triggered reinstall attempts before giving up.
-  int max_reinstalls = 2;
 };
 
 struct InstallReport {

@@ -6,6 +6,13 @@
 
 namespace grid3::rls {
 
+namespace {
+
+/// An RLI entry not refreshed within this long is stale (soft state).
+constexpr Time kSoftStateTtl = Time::minutes(30);
+
+}  // namespace
+
 void LocalReplicaCatalog::touch() {
   static std::atomic<std::uint64_t> last_version{0};
   version_ = ++last_version;
@@ -122,7 +129,7 @@ std::vector<std::string> ReplicaLocationIndex::sites_with(
   auto it = index_.find(lfn);
   if (it == index_.end()) return out;
   for (const SiteDigest* d : it->second) {
-    if (now - d->refreshed <= ttl_) out.push_back(d->site);
+    if (now - d->refreshed <= kSoftStateTtl) out.push_back(d->site);
   }
   return out;
 }
@@ -134,7 +141,8 @@ bool ReplicaLocationIndex::knows(const std::string& lfn,
   if (it == index_.end()) return false;
   return std::any_of(it->second.begin(), it->second.end(),
                      [&](const SiteDigest* d) {
-                       return d->site == site && now - d->refreshed <= ttl_;
+                       return d->site == site &&
+                              now - d->refreshed <= kSoftStateTtl;
                      });
 }
 

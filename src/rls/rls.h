@@ -98,7 +98,8 @@ class ReplicaLocationIndex {
   [[nodiscard]] const std::string& name() const { return name_; }
 
   /// Accept a full-state digest from one LRC (replaces that site's
-  /// previous contribution).  Entries expire after `ttl` without refresh.
+  /// previous contribution).  Entries expire after 30 minutes without
+  /// refresh (soft state).
   /// A digest of an LRC unchanged since the site's last digest only
   /// re-stamps the site; any other costs O(the site's LFNs).
   void update_from(const LocalReplicaCatalog& lrc, Time now);
@@ -120,8 +121,6 @@ class ReplicaLocationIndex {
   /// that test one site (rank policies probing data locality).
   [[nodiscard]] bool knows(const std::string& lfn, const std::string& site,
                            Time now) const;
-
-  void set_ttl(Time ttl) { ttl_ = ttl; }
 
   /// A down index answers nothing and drops incoming digests (soft
   /// state heals itself: the next refresh after recovery re-pushes the
@@ -151,7 +150,6 @@ class ReplicaLocationIndex {
 
   std::string name_;
   bool up_ = true;
-  Time ttl_ = Time::minutes(30);
   Index index_;
   std::map<std::string, SiteDigest> sites_;
 };

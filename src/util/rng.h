@@ -17,7 +17,7 @@ class Rng {
  public:
   using result_type = std::uint64_t;
 
-  explicit Rng(std::uint64_t seed = 0x9e3779b97f4a7c15ULL);
+  explicit Rng(std::uint64_t seed);
 
   [[nodiscard]] static constexpr result_type min() { return 0; }
   [[nodiscard]] static constexpr result_type max() { return ~result_type{0}; }

@@ -49,19 +49,19 @@ Histogram::Histogram(double lo, double hi, std::size_t bins)
   assert(hi > lo && bins > 0);
 }
 
-void Histogram::add(double x, double weight) {
+void Histogram::add(double x) {
   if (x < lo_) {
-    underflow_ += weight;
+    underflow_ += 1.0;
     return;
   }
   if (x >= hi_) {
-    overflow_ += weight;
+    overflow_ += 1.0;
     return;
   }
   const double frac = (x - lo_) / (hi_ - lo_);
   auto idx = static_cast<std::size_t>(frac * static_cast<double>(counts_.size()));
   idx = std::min(idx, counts_.size() - 1);
-  counts_[idx] += weight;
+  counts_[idx] += 1.0;
 }
 
 double Histogram::bin_lo(std::size_t i) const {

@@ -40,7 +40,7 @@ class Histogram {
  public:
   Histogram(double lo, double hi, std::size_t bins);
 
-  void add(double x, double weight = 1.0);
+  void add(double x);
 
   [[nodiscard]] std::size_t bins() const { return counts_.size(); }
   [[nodiscard]] double bin_lo(std::size_t i) const;

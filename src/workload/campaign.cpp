@@ -48,6 +48,11 @@ double ArrivalSpec::base_rate_per_day(Time t) const {
 
 namespace {
 
+/// Assignment chains: validate/merge runtimes as fractions of the
+/// workflow's mean production-job runtime.
+constexpr double kValidateFraction = 0.08;
+constexpr double kMergeFraction = 0.25;
+
 /// Diurnal factor at t: 1 + A * cos(2pi * (hour - peak) / 24).
 double diurnal_factor(const ArrivalSpec& spec, Time t) {
   if (spec.diurnal_amplitude <= 0.0) return 1.0;
@@ -189,7 +194,7 @@ std::optional<WorkflowBlueprint> CampaignGenerator::next() {
       validate.transformation = spec_.app + "-validate";
       validate.inputs = prod_outputs;
       validate.outputs = {tag + "/validated"};
-      validate.runtime_hours = mean_runtime * sh.validate_fraction;
+      validate.runtime_hours = mean_runtime * kValidateFraction;
       validate.output_gb = 0.01;
       validate.scratch_gb = sh.scratch_gb;
       wf.jobs.push_back(validate);
@@ -200,7 +205,7 @@ std::optional<WorkflowBlueprint> CampaignGenerator::next() {
       merge.inputs = prod_outputs;
       merge.inputs.push_back(validate.outputs.front());
       merge.outputs = {tag + "/merged"};
-      merge.runtime_hours = mean_runtime * sh.merge_fraction;
+      merge.runtime_hours = mean_runtime * kMergeFraction;
       merge.output_gb = output_sum * 0.8;
       merge.scratch_gb = sh.scratch_gb + output_sum;
       wf.targets = merge.outputs;
@@ -297,8 +302,6 @@ void CampaignDriver::launch_blueprint(const WorkflowBlueprint& wf) {
   cfg.vo = spec_.vo;
   cfg.archive_site = spec_.archive_site;
   cfg.archive_fallbacks = spec_.archive_fallbacks;
-  cfg.archive_all = spec_.archive_all;
-  cfg.walltime_slack = spec_.walltime_slack;
   cfg.site_preference = spec_.site_preference;
   if (launch(*dag, cfg)) ++launched_;
 }

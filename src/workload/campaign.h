@@ -115,10 +115,6 @@ struct ShapeSpec {
   util::Distribution runtime_hours = util::Distribution::constant(1.0);
   util::Distribution output_gb = util::Distribution::constant(1.0);
   double scratch_gb = 2.0;
-  /// Assignment chains: validate/merge runtimes as fractions of the
-  /// workflow's mean production-job runtime.
-  double validate_fraction = 0.08;
-  double merge_fraction = 0.25;
 };
 
 /// One per-VO production campaign.
@@ -136,8 +132,6 @@ struct CampaignSpec {
   std::string archive_site;
   std::vector<std::string> archive_fallbacks;
   std::map<std::string, double> site_preference;
-  double walltime_slack = 1.5;
-  bool archive_all = false;
 
   /// Canonical one-line rendering (determinism probe + catalog docs).
   [[nodiscard]] std::string serialize() const;

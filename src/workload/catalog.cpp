@@ -463,14 +463,14 @@ CatalogRun::CatalogRun(const ScenarioSpec& spec, bool quick,
 
   if (stack.health_breakers) grid.attach_health();
 
-  // Arm collective bundles the calendar targets.  All-zero rates, so
-  // arming adds no random outages -- only the scheduled windows fire.
+  // Name the collective bundles the calendar targets; only the
+  // scheduled windows take them down.
   for (const std::string& bundle : spec_.collective_bundles) {
     if (bundle == "igoc-collective") {
-      grid.arm_igoc_collective_failures({});
+      grid.arm_igoc_collective_failures();
     } else if (const auto pos = bundle.rfind("-collective");
                pos != std::string::npos && pos > 0) {
-      grid.arm_vo_collective_failures(bundle.substr(0, pos), {});
+      grid.arm_vo_collective_failures(bundle.substr(0, pos));
     }
   }
 

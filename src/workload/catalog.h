@@ -53,8 +53,8 @@ struct ScenarioSpec {
   /// application demonstrators (paper section 4) drive the run.
   std::vector<CampaignSpec> campaigns;
   OpsCalendar calendar;
-  /// Collective bundles the runner arms (zero rates -- inert without
-  /// calendar windows): "igoc-collective" or "<vo>-collective".
+  /// Collective bundles the runner names as downtime targets (inert
+  /// without calendar windows): "igoc-collective" or "<vo>-collective".
   std::vector<std::string> collective_bundles;
 
   /// Canonical multi-line rendering (determinism probe for tests).

@@ -254,8 +254,9 @@ TEST(Pbs, ClosedSharesRejectForeignVo) {
 
 TEST(Lsf, LongQueueCappedShortJobsFlow) {
   sim::Simulation sim;
-  // 4 slots, long threshold 12 h, cap 0.5 -> at most 2 long jobs run.
-  LsfScheduler sched{sim, config(4, 100.0), Time::hours(12), 0.5};
+  // 4 slots, long threshold 12 h, cap 0.6 -> at most floor(2.4) = 2 long
+  // jobs run.
+  LsfScheduler sched{sim, config(4, 100.0)};
   for (int i = 0; i < 4; ++i) {
     sched.submit(job("a", 50.0, 60.0), {});
   }

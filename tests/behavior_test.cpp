@@ -154,13 +154,13 @@ TEST(Operations, GridmapCronPicksUpLateUsers) {
   cfg.owner_vo = "vo";
   cfg.cpus = 4;
   core::Site& site = grid.add_site(cfg, 1000.0);
-  grid.start_operations(/*gridmap_period=*/Time::hours(1));
+  grid.start_operations();  // cron at +1 min, then every kGridmapPeriod
   sim.run_until(Time::hours(2));
   // A user joins after the site came online...
   const auto cert = grid.add_user("vo", "latecomer");
   EXPECT_FALSE(site.gridmap().map(cert.subject_dn).has_value());
   // ...and appears after the next cron tick.
-  sim.run_until(Time::hours(4));
+  sim.run_until(core::Grid3::kGridmapPeriod + Time::minutes(2));
   EXPECT_TRUE(site.gridmap().map(cert.subject_dn).has_value());
 }
 

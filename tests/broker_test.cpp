@@ -11,7 +11,6 @@
 #include "broker/broker.h"
 #include "broker/job_spec.h"
 #include "broker/rank_policy.h"
-#include "bus_probe.h"
 #include "core/grid3.h"
 #include "core/site.h"
 #include "mds/schema.h"
@@ -80,14 +79,15 @@ TEST(RankPolicy, DataLocalityBoostsSitesHoldingReplicas) {
 }
 
 TEST(RankPolicy, LoadSheddingZeroesOutHotGatekeepers) {
-  LoadSheddingPolicy policy{300.0};
+  LoadSheddingPolicy policy;
+  constexpr double kShed = LoadSheddingPolicy::kShedThreshold;
   JobSpec job;
   const double cold =
       policy.score(job, make_view("COLD", 8, 0, 0.0), Time::zero());
   const double warm =
-      policy.score(job, make_view("WARM", 8, 0, 150.0), Time::zero());
+      policy.score(job, make_view("WARM", 8, 0, kShed / 2), Time::zero());
   const double hot =
-      policy.score(job, make_view("HOT", 8, 0, 300.0), Time::zero());
+      policy.score(job, make_view("HOT", 8, 0, kShed), Time::zero());
   EXPECT_GT(cold, warm);
   EXPECT_GT(warm, hot);
   EXPECT_DOUBLE_EQ(hot, 0.0);
@@ -203,9 +203,7 @@ TEST_F(BrokerFixture, SubmitRunsJobAndLogsMatch) {
   EXPECT_FALSE(result->site.empty());
   ASSERT_EQ(broker().match_log().size(), 1u);
   EXPECT_EQ(broker().match_log()[0].site, result->site);
-  // The decision is mirrored into the iGOC accounting database.
-  ASSERT_EQ(grid.igoc().job_db().matches().size(), 1u);
-  EXPECT_EQ(grid.igoc().job_db().matches()[0].site, result->site);
+  EXPECT_EQ(broker().matches(), 1u);
 }
 
 TEST_F(BrokerFixture, NoEligibleSiteFailsWithoutMatching) {
@@ -250,7 +248,7 @@ TEST_F(BrokerFixture, RebindExhaustionReportsLastFailure) {
   ASSERT_TRUE(result.has_value());
   EXPECT_FALSE(result->ok());
   EXPECT_TRUE(result->matched);
-  EXPECT_EQ(result->rebinds, broker().config().rebind.max_retries);
+  EXPECT_EQ(result->rebinds, ResourceBroker::kRebind.max_retries);
   EXPECT_EQ(result->gram.status, gram::GramStatus::kGatekeeperDown);
 }
 
@@ -509,33 +507,31 @@ TEST_F(BrokerFixture, DagManLateBindsThroughBroker) {
   EXPECT_TRUE(stats->success);
   // Both compute nodes were matched by the broker...
   EXPECT_GE(broker().matches(), 2u);
-  // ...and the placement query sees them.
-  const auto placements = grid.igoc().job_db().placements_by_site(
-      Time::zero(), sim.now(), "usatlas");
+  // ...and the match log records a site for each usatlas decision.
   std::size_t placed = 0;
-  for (const auto& [site, n] : placements) placed += n;
+  for (const MatchDecision& d : broker().match_log()) {
+    if (d.vo == "usatlas" && !d.site.empty()) ++placed;
+  }
   EXPECT_GE(placed, 2u);
 }
 
 // --- stale-view brokering through an index outage ----------------------
 
 TEST_F(BrokerFixture, StaleViewServesMatchesThroughAnIndexOutage) {
-  testutil::BusProbe stale_matches{grid.igoc().bus(), "usatlas",
-                                   metric::kStaleMatches};
   // Prime the last-known-good view.
   ASSERT_EQ(broker().view(sim.now()).size(), 2u);
   EXPECT_FALSE(broker().view_stale());
   grid.igoc().top_giis().set_available(false);
   // Outlive the view TTL so the next view() actually consults the
   // (down) index, but stay inside the staleness bound.
-  sim.run_until(sim.now() + broker().config().view_ttl + Time::minutes(1));
+  sim.run_until(sim.now() + ResourceBroker::kViewTtl + Time::minutes(1));
 
   // Within the staleness bound the frozen view keeps serving...
   const auto& view = broker().view(sim.now());
   ASSERT_EQ(view.size(), 2u);
   EXPECT_TRUE(broker().view_stale());
 
-  // ...and matches keep landing, flagged and published.
+  // ...and matches keep landing, counted as stale.
   std::optional<BrokeredResult> result;
   broker().submit(short_job(), gram_job(),
                   [&](const BrokeredResult& r) { result = r; });
@@ -543,13 +539,12 @@ TEST_F(BrokerFixture, StaleViewServesMatchesThroughAnIndexOutage) {
   ASSERT_TRUE(result.has_value());
   EXPECT_TRUE(result->ok());
   EXPECT_GE(broker().stale_matches(), 1u);
-  EXPECT_GT(stale_matches.samples(), 0u);
 }
 
 TEST_F(BrokerFixture, StaleViewRecoversWhenTheIndexReturns) {
   ASSERT_EQ(broker().view(sim.now()).size(), 2u);
   grid.igoc().top_giis().set_available(false);
-  sim.run_until(sim.now() + broker().config().view_ttl + Time::minutes(1));
+  sim.run_until(sim.now() + ResourceBroker::kViewTtl + Time::minutes(1));
   EXPECT_EQ(broker().view(sim.now()).size(), 2u);  // frozen
   EXPECT_TRUE(broker().view_stale());
   grid.igoc().top_giis().set_available(true);
@@ -615,7 +610,7 @@ TEST_F(BrokerFixture, ZeroStalenessBoundKeepsLegacyRejectSemantics) {
 
   ASSERT_EQ(b.view(sim2.now()).size(), 1u);
   g.igoc().top_giis().set_available(false);
-  sim2.run_until(sim2.now() + cfg.view_ttl + Time::minutes(1));
+  sim2.run_until(sim2.now() + ResourceBroker::kViewTtl + Time::minutes(1));
   EXPECT_TRUE(b.view(sim2.now()).empty());
   EXPECT_FALSE(b.view_outage());  // the degraded machinery stays off
 

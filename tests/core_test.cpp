@@ -384,50 +384,38 @@ TEST(FailureInjection, RolloverKillsRunningJobs) {
   EXPECT_GT(killed, 0);
 }
 
-TEST(CollectiveFailures, OutagesOpenTicketsAndRepairsCloseThem) {
-  sim::Simulation sim;
-  Grid3 grid{sim, 11};
-  grid.add_vo("usatlas");
-  CollectiveFailureRates rates;
-  rates.giis_outage_mtbf = Time::hours(12);
-  rates.giis_repair_mean = Time::hours(1);
-  rates.rls_outage_mtbf = Time::hours(12);
-  rates.rls_repair_mean = Time::hours(1);
-  grid.arm_vo_collective_failures("usatlas", rates);
-  sim.run_until(Time::days(14));
-  EXPECT_GT(grid.failures().incidents(Incident::kGiisOutage), 0u);
-  EXPECT_GT(grid.failures().incidents(Incident::kRlsOutage), 0u);
-  EXPECT_GT(grid.igoc().tickets().total(), 0u);
-  // Repairs close the tickets (at most the currently-open outages stay).
-  EXPECT_LT(grid.igoc().tickets().open_count(), 3u);
-}
-
-TEST(CollectiveFailures, ZeroRatesDrawNothing) {
-  // Arming with all-zero MTBFs is inert: no incidents, no RNG draws, so
-  // existing seeds stay byte-identical.
+TEST(CollectiveFailures, AttachingABundleFiresNothing) {
+  // Attaching a bundle fires nothing by itself: no incidents, no
+  // tickets, no RNG draws; only calendar windows take it down.
   sim::Simulation sim;
   Grid3 grid{sim, 12};
   grid.add_vo("usatlas");
-  grid.arm_vo_collective_failures("usatlas", {});
-  grid.arm_igoc_collective_failures({});
+  grid.arm_vo_collective_failures("usatlas");
+  grid.arm_igoc_collective_failures();
   sim.run_until(Time::days(30));
   EXPECT_EQ(grid.failures().total_incidents(), 0u);
   EXPECT_EQ(grid.igoc().tickets().total(), 0u);
+  EXPECT_TRUE(grid.vo_giis("usatlas")->available());
+  EXPECT_TRUE(grid.rls("usatlas")->available());
 }
 
 TEST(CollectiveFailures, ScheduledRlsDowntimeJournalsAndReplays) {
   sim::Simulation sim;
   Grid3 grid{sim, 13};
   grid.add_vo("usatlas");
-  grid.arm_vo_collective_failures("usatlas", {});  // attach, no Poisson
+  grid.arm_vo_collective_failures("usatlas");
   grid.failures().schedule_downtime(
       {"usatlas-collective", Time::hours(1), Time::hours(2)});
   rls::ReplicaLocationService* rls = grid.rls("usatlas");
+  mds::Giis* giis = grid.vo_giis("usatlas");
 
   sim.run_until(Time::hours(1) + Time::minutes(30));  // inside the window
+  // The window takes the whole bundle down: VO GIIS, RLS and its RLI.
+  EXPECT_FALSE(giis->available());
   EXPECT_FALSE(rls->available());
   EXPECT_FALSE(rls->rli().available());
   EXPECT_EQ(grid.failures().incidents(Incident::kScheduledDowntime), 1u);
+  EXPECT_EQ(grid.igoc().tickets().total(), 1u);
   EXPECT_EQ(grid.igoc().tickets().open_count(), 1u);
   rls->register_replica("BNL", "aod",
                         {"gsiftp://BNL/aod", Bytes::gb(1), sim.now()},
@@ -437,7 +425,9 @@ TEST(CollectiveFailures, ScheduledRlsDowntimeJournalsAndReplays) {
   // Just past the window (inside the RLI's 30-min soft-state TTL; no
   // ops refresh loop runs in this test to keep the entry alive).
   sim.run_until(Time::hours(3) + Time::minutes(5));
+  EXPECT_TRUE(giis->available());
   EXPECT_TRUE(rls->available());
+  EXPECT_TRUE(rls->rli().available());
   // The restore replayed the journal; the maintenance ticket is closed.
   EXPECT_EQ(rls->journal().pending(), 0u);
   EXPECT_EQ(rls->journal().replayed(), 1u);
@@ -474,10 +464,14 @@ TEST(CollectiveFailures, TicketQueueDowntimeDropsOpens) {
   sim::Simulation sim;
   Grid3 grid{sim, 15};
   grid.add_vo("usatlas");
-  grid.arm_igoc_collective_failures({});
+  grid.arm_igoc_collective_failures();
   grid.failures().schedule_downtime(
       {"igoc-collective", Time::hours(1), Time::hours(1)});
   sim.run_until(Time::hours(1) + Time::minutes(30));
+  // The window takes the whole bundle down: top GIIS, MonALISA
+  // repository and ticket queue.
+  EXPECT_FALSE(grid.igoc().top_giis().available());
+  EXPECT_EQ(grid.failures().incidents(Incident::kScheduledDowntime), 1u);
   // The queue is down -- even the maintenance ticket for this very
   // window was dropped (nobody tickets the ticket system).
   EXPECT_FALSE(grid.igoc().tickets().available());
@@ -492,8 +486,11 @@ TEST(CollectiveFailures, TicketQueueDowntimeDropsOpens) {
                          sim.now())
                    .has_value());
   sim.run_until(Time::hours(3));
+  EXPECT_TRUE(grid.igoc().top_giis().available());
   EXPECT_TRUE(grid.igoc().tickets().available());
   EXPECT_TRUE(grid.igoc().ml_repository().available());
+  // Closing the dropped maintenance ticket left nothing open.
+  EXPECT_EQ(grid.igoc().tickets().open_count(), 0u);
   EXPECT_GT(grid.igoc().tickets().open("BNL", "disk", sim.now()), 0u);
 }
 

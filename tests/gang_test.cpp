@@ -10,7 +10,6 @@
 
 #include "broker/broker.h"
 #include "broker/rank_policy.h"
-#include "bus_probe.h"
 #include "core/grid3.h"
 #include "core/site.h"
 #include "pacman/vdt.h"
@@ -190,8 +189,6 @@ TEST(GangMatch, WholeLevelBindsToOneSiteAndReleasesLease) {
   auto plan = f.plan(level_dag(4), {}, 5);
   ASSERT_TRUE(plan.has_value());
   const ConcreteDag original = *plan;
-  testutil::BusProbe gang_matches{f.grid.igoc().bus(), "usatlas",
-                                  broker::metric::kGangMatches};
 
   std::optional<DagRunStats> stats;
   f.grid.dagman("usatlas").run(std::move(*plan), f.proxy,
@@ -219,14 +216,14 @@ TEST(GangMatch, WholeLevelBindsToOneSiteAndReleasesLease) {
   EXPECT_EQ(ledger->released(), 1u);
   EXPECT_EQ(ledger->active(), 0u);
 
-  // The decision reached the accounting mirror and the metric bus.
+  // The decision reached the accounting mirror and the broker's count.
   const auto summary =
       f.grid.igoc().job_db().gang_events(Time::zero(), f.sim.now());
   EXPECT_EQ(summary.gangs, 1u);
   EXPECT_EQ(summary.whole, 1u);
   EXPECT_EQ(summary.split, 0u);
   EXPECT_EQ(summary.members, 4u);
-  EXPECT_GT(gang_matches.samples(), 0u);
+  EXPECT_GT(b.gang_matches(), 0u);
 }
 
 TEST(GangMatch, SplitFallbackPropagatesActualMemberSites) {
@@ -249,8 +246,6 @@ TEST(GangMatch, SplitFallbackPropagatesActualMemberSites) {
   ASSERT_EQ(plan->nodes[child].source_parent, last_sim);
   ASSERT_EQ(plan->nodes[child].source_site, "ALPHA");
   const ConcreteDag original = *plan;
-  testutil::BusProbe gang_splits{f.grid.igoc().bus(), "usatlas",
-                                 broker::metric::kGangSplits};
 
   std::optional<DagRunStats> stats;
   f.grid.dagman("usatlas").run(std::move(*plan), f.proxy,
@@ -272,7 +267,7 @@ TEST(GangMatch, SplitFallbackPropagatesActualMemberSites) {
   const auto summary =
       f.grid.igoc().job_db().gang_events(Time::zero(), f.sim.now());
   EXPECT_EQ(summary.split, 1u);
-  EXPECT_GT(gang_splits.samples(), 0u);
+  EXPECT_GT(b.gang_splits(), 0u);
 }
 
 /// Half-finished-gang scenario: a two-member gang whose only common site

@@ -8,6 +8,7 @@
 #include "gram/condor_g.h"
 #include "gram/gatekeeper.h"
 #include "gridftp/gridftp.h"
+#include "gridftp/netlogger.h"
 #include "net/network.h"
 #include "sim/simulation.h"
 #include "srm/disk.h"
@@ -21,7 +22,8 @@ class GramTest : public ::testing::Test {
  protected:
   sim::Simulation sim;
   net::Network net{sim};
-  gridftp::GridFtpClient ftp_client{sim, net};
+  gridftp::NetLogger netlog;
+  gridftp::GridFtpClient ftp_client{sim, net, &netlog};
   vo::CertificateAuthority ca{"TestCA"};
   vo::VomsServer voms{"usatlas"};
   vo::GridMapFile gridmap;
@@ -125,19 +127,28 @@ TEST_F(GramTest, StageInRunsBeforeJob) {
   EXPECT_TRUE(result->ok());
   // 4 GB at 155 Mbps ~= 206 s; the batch start reflects the staging wait.
   EXPECT_GT(result->outcome.started.to_seconds(), 150.0);
-  EXPECT_EQ(site_ftp.bytes_in(), Bytes::gb(4));
+  // The one completed transfer moved all 4 GB into the site.
+  ASSERT_EQ(netlog.count("transfer.end"), 1u);
+  for (const gridftp::NetLogEvent& e : netlog.events()) {
+    if (e.event == "transfer.end") {
+      EXPECT_EQ(e.value, static_cast<double>(Bytes::gb(4).count()));
+      EXPECT_EQ(e.detail.rfind("stage-in/SITE/", 0), 0u);
+    }
+  }
 }
 
 TEST_F(GramTest, StageOutAfterCompletion) {
+  srm::DiskVolume data_disk{"DATA:/archive", Bytes::tb(1)};
   GramJob job = simple_job(1.0);
   job.stage_out = Bytes::gb(2);
   job.stage_out_dest = &data_ftp;
+  job.stage_out_volume = &data_disk;
   std::optional<GramResult> result;
   gk.submit(std::move(job), [&](const GramResult& r) { result = r; });
   sim.run();
   ASSERT_TRUE(result.has_value());
   EXPECT_TRUE(result->ok());
-  EXPECT_EQ(data_ftp.bytes_in(), Bytes::gb(2));
+  EXPECT_EQ(data_disk.used(), Bytes::gb(2));
 }
 
 TEST_F(GramTest, ProxyExpiryBeforeStageOutFails) {

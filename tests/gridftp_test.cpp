@@ -8,6 +8,7 @@
 #include "gridftp/netlogger.h"
 #include "net/network.h"
 #include "sim/simulation.h"
+#include "srm/disk.h"
 
 namespace grid3::gridftp {
 namespace {
@@ -28,21 +29,28 @@ class GridFtpTest : public ::testing::Test {
 };
 
 TEST_F(GridFtpTest, SuccessfulTransferAccountsBytes) {
+  srm::DiskVolume disk_b{"b:/data", Bytes::gb(1)};
   std::optional<TransferRecord> rec;
+  int callbacks = 0;
   TransferRequest req;
   req.src = &ftp_a;
   req.dst = &ftp_b;
   req.size = Bytes::mb(100);
   req.lfn = "test/file";
-  client.transfer(std::move(req),
-                  [&](const TransferRecord& r) { rec = r; });
+  req.dest_volume = &disk_b;
+  client.transfer(std::move(req), [&](const TransferRecord& r) {
+    rec = r;
+    ++callbacks;
+  });
   sim.run();
   ASSERT_TRUE(rec.has_value());
   EXPECT_TRUE(rec->ok());
   EXPECT_EQ(rec->transferred, Bytes::mb(100));
-  EXPECT_EQ(ftp_a.bytes_out(), Bytes::mb(100));
-  EXPECT_EQ(ftp_b.bytes_in(), Bytes::mb(100));
-  EXPECT_EQ(ftp_b.transfers_in(), 1u);
+  // The same transfer from both ends: a sent the whole request, b's
+  // volume holds it, and it was one transfer.
+  EXPECT_EQ(rec->requested, rec->transferred);
+  EXPECT_EQ(disk_b.used(), Bytes::mb(100));
+  EXPECT_EQ(callbacks, 1);
   EXPECT_GT(rec->throughput().bps(), 0.0);
   EXPECT_EQ(client.completed(), 1u);
 }

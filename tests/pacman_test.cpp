@@ -146,11 +146,10 @@ TEST(Installer, GivesUpAfterMaxReinstalls) {
   cache.add(std::move(cursed));
   SiteInstaller installer{cache};
   util::Rng rng{4};
-  InstallOptions opts;
-  opts.max_reinstalls = 2;
-  const auto report = installer.install("cursed", rng, opts);
+  const auto report = installer.install("cursed", rng);
   EXPECT_FALSE(report.success);
   EXPECT_EQ(report.failed_package, "cursed");
+  EXPECT_EQ(report.reinstalls, 2);  // two reinstalls, then it gives up
 }
 
 TEST(Installer, PublishWritesVdtAndAppAttributes) {

@@ -366,8 +366,6 @@ class PlacementFixture : public ::testing::Test {
 TEST_F(PlacementFixture, LeaseConsumedOnSuccessAndOutputRegistered) {
   testutil::BusProbe leases{grid.igoc().bus(), "usatlas",
                            metric::kLeasesAcquired};
-  testutil::BusProbe matches{grid.igoc().bus(), "usatlas",
-                            broker::metric::kMatches};
   auto plan = plan_one();
   ASSERT_TRUE(plan.has_value());
   // The intent rides the compute node; no stage-out/register nodes.
@@ -392,9 +390,9 @@ TEST_F(PlacementFixture, LeaseConsumedOnSuccessAndOutputRegistered) {
   EXPECT_GE(grid.site("ARCHIVE")->disk().used(), Bytes::gb(1));
   // DAGMan executed the registration intent.
   EXPECT_FALSE(grid.rls("usatlas")->locate("out0", sim.now()).empty());
-  // Both the broker and the ledger published their counters.
+  // The ledger published its counter; the broker counted the match.
   EXPECT_GT(leases.samples(), 0u);
-  EXPECT_GT(matches.samples(), 0u);
+  EXPECT_GT(grid.broker("usatlas")->matches(), 0u);
 }
 
 TEST_F(PlacementFixture, LeasesReleasedWhenSubmissionsFail) {

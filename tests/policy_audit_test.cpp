@@ -87,8 +87,8 @@ TEST_F(AuditTest, FairShareSkewFlagged) {
   // Equal shares configured, but ATLAS took 10x the CPU.
   for (int i = 0; i < 10; ++i) record_job("SKEWED", "usatlas", 24.0);
   record_job("SKEWED", "uscms", 24.0);
-  const auto findings = PolicyAuditor{grid}.check_fair_share(
-      Time::zero(), Time::days(30), /*tolerance=*/3.0);
+  const auto findings =
+      PolicyAuditor{grid}.check_fair_share(Time::zero(), Time::days(30));
   ASSERT_EQ(findings.size(), 1u);
   EXPECT_EQ(findings[0].check, "fair-share");
 }

@@ -40,8 +40,7 @@ TEST(Lrc, DownCatalogAnswersNothing) {
 TEST(Rli, SoftStateExpiry) {
   LocalReplicaCatalog lrc{"BNL"};
   lrc.add("lfn", {"pfn", Bytes::gb(1), Time::zero()});
-  ReplicaLocationIndex rli{"rli"};
-  rli.set_ttl(Time::minutes(30));
+  ReplicaLocationIndex rli{"rli"};  // 30-minute soft-state TTL
   rli.update_from(lrc, Time::zero());
   EXPECT_EQ(rli.sites_with("lfn", Time::minutes(10)).size(), 1u);
   // Without refresh the entry lapses.
@@ -78,7 +77,6 @@ TEST(Rls, RegisterAndLocateAcrossSites) {
 
 TEST(Rls, StaleIndexHidesUnrefreshedSites) {
   ReplicaLocationService rls{"uscms"};
-  rls.rli().set_ttl(Time::minutes(20));
   rls.register_replica("FNAL", "pileup",
                        {"gsiftp://FNAL/p", Bytes::gb(1), Time::zero()},
                        Time::zero());

@@ -62,12 +62,11 @@ TEST(Troubleshooter, DetectsBurstAndDominantClass) {
   db.insert(record("Y", 11.0, false, "network"));            // other site
   Troubleshooter ts{db};
   const auto bursts = ts.find_bursts(Time::zero(), Time::days(5),
-                                     /*min_failures=*/5,
-                                     /*max_gap=*/Time::hours(6));
+                                     /*min_failures=*/5);
   ASSERT_EQ(bursts.size(), 1u);
   EXPECT_EQ(bursts[0].site, "X");
   // The isolated failure at t=40h is more than 6h after the burst, but
-  // within max_gap of nothing -- excluded.
+  // within the 6 h burst gap of nothing -- excluded.
   EXPECT_EQ(bursts[0].failures, 6u);
   EXPECT_EQ(bursts[0].dominant_class, "disk-full");
 }
@@ -77,8 +76,7 @@ TEST(Troubleshooter, GapSplitsBursts) {
   for (int i = 0; i < 5; ++i) db.insert(record("X", 1.0 + 0.1 * i, false));
   for (int i = 0; i < 5; ++i) db.insert(record("X", 30.0 + 0.1 * i, false));
   Troubleshooter ts{db};
-  const auto bursts =
-      ts.find_bursts(Time::zero(), Time::days(5), 5, Time::hours(6));
+  const auto bursts = ts.find_bursts(Time::zero(), Time::days(5), 5);
   EXPECT_EQ(bursts.size(), 2u);
 }
 
