@@ -20,16 +20,6 @@ std::optional<std::size_t> LsfScheduler::pick_next() {
   // and the short queue is preferred when both have candidates and the
   // long queue is at its cap.
   const auto& q = queue();
-  // At least one slot can always take long work (real LSF queues never
-  // starve a class outright).
-  const int long_cap = std::max(
-      1, static_cast<int>(
-             std::floor(kLongQueueCap * static_cast<double>(total_slots()))));
-  const int long_now = count_running([](const JobRequest& r) {
-    return r.requested_walltime > kLongQueueThreshold;
-  });
-  const bool long_allowed = long_now < long_cap;
-
   std::optional<std::size_t> best;
   auto better = [&](std::size_t i) {
     if (!best.has_value()) return true;
@@ -47,8 +37,16 @@ std::optional<std::size_t> LsfScheduler::pick_next() {
     if (better(i)) best = i;
   }
   if (best.has_value()) return best;
-  // Pass 2: long-queue candidates, capacity permitting.
-  if (long_allowed) {
+  // Pass 2: long-queue candidates, capacity permitting.  At least one
+  // slot can always take long work (real LSF queues never starve a class
+  // outright).
+  const int long_cap = std::max(
+      1, static_cast<int>(
+             std::floor(kLongQueueCap * static_cast<double>(total_slots()))));
+  const int long_now = count_running([](const JobRequest& r) {
+    return r.requested_walltime > kLongQueueThreshold;
+  });
+  if (long_now < long_cap) {
     for (std::size_t i = 0; i < q.size(); ++i) {
       if (q[i].req.priority < 0) continue;
       if (q[i].req.requested_walltime <= kLongQueueThreshold) continue;

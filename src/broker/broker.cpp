@@ -56,6 +56,7 @@ void ResourceBroker::set_id_registry(std::shared_ptr<core::IdRegistry> ids) {
   // Site numbering changed: drop every id-keyed cache.
   view_valid_ = false;
   view_index_.clear();
+  gatekeeper_load_ids_.clear();
   inflight_.clear();
   inflight_staging_.clear();
 }
@@ -99,33 +100,34 @@ void ResourceBroker::refresh_view(Time now) {
     v.id = ids_->sites.intern(snap.site);
     v.gk = gatekeepers_.gatekeeper(snap.site);
     v.fresh = snap.fresh;
+    using mds::DynamicAttr;
     v.total_cpus = static_cast<int>(
-        snap.get_int(mds::glue::kTotalCpus).value_or(0));
+        snap.get_int(DynamicAttr::kTotalCpus).value_or(0));
     v.free_cpus = static_cast<int>(
-        snap.get_int(mds::glue::kFreeCpus).value_or(0));
+        snap.get_int(DynamicAttr::kFreeCpus).value_or(0));
     v.running_jobs = static_cast<int>(
-        snap.get_int(mds::glue::kRunningJobs).value_or(0));
+        snap.get_int(DynamicAttr::kRunningJobs).value_or(0));
     v.waiting_jobs = static_cast<int>(
-        snap.get_int(mds::glue::kWaitingJobs).value_or(0));
+        snap.get_int(DynamicAttr::kWaitingJobs).value_or(0));
     if (auto limit = snap.get_int(mds::glue::kMaxWallClockMinutes);
         limit.has_value()) {
       v.max_walltime = Time::minutes(static_cast<double>(*limit));
     }
     v.outbound =
         snap.get_bool(mds::grid3ext::kOutboundConnectivity).value_or(false);
-    if (auto se = snap.get(mds::glue::kSeAvailableGb); se.has_value()) {
-      if (const double* gb = std::get_if<double>(&*se)) v.se_free_gb = *gb;
+    if (auto gb = snap.get_double(DynamicAttr::kSeAvailableGb)) {
+      v.se_free_gb = *gb;
     }
-    if (auto drain = snap.get(mds::grid3ext::kSeDrainGbPerHour);
-        drain.has_value()) {
-      if (const double* gbh = std::get_if<double>(&*drain)) {
-        v.se_drain_gb_per_hour = *gbh;
-      }
+    if (auto gbh = snap.get_double(DynamicAttr::kSeDrainGbPerHour)) {
+      v.se_drain_gb_per_hour = *gbh;
     }
     if (monitor_ != nullptr) {
-      v.gatekeeper_load =
-          monitor_->read(v.site, monitoring::mlmetric::kGatekeeperLoad, now)
-              .value_or(0.0);
+      // A site's gauge id is known once its agent first reported.
+      monitoring::MetricId& load = gatekeeper_load_ids_.at_or_grow(v.id);
+      if (!load.valid()) {
+        load = monitor_->find(v.site, monitoring::mlmetric::kGatekeeperLoad);
+      }
+      v.gatekeeper_load = monitor_->read(load, now).value_or(0.0);
     }
     v.snapshot = std::move(snap);
     view_.push_back(std::move(v));
@@ -143,10 +145,10 @@ void ResourceBroker::refresh_view(Time now) {
 bool ResourceBroker::meets_requirements(const JobSpec& spec,
                                         std::string_view app_key,
                                         const SiteView& site) const {
-  if (!spec.required_app.empty() && !site.snapshot.get(app_key).has_value()) {
+  if (!spec.required_app.empty() && !site.snapshot.has(app_key)) {
     return false;
   }
-  if (site.snapshot.get(mds::glue::kFreeCpus).has_value() &&
+  if (site.snapshot.has(mds::DynamicAttr::kFreeCpus) &&
       site.free_cpus < spec.min_free_cpus) {
     return false;
   }

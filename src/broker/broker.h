@@ -454,6 +454,9 @@ class ResourceBroker {
   std::vector<SiteView> view_;
   /// Interned id -> index into the name-sorted view_ (-1 = absent).
   core::IdMap<core::SiteId, std::int32_t> view_index_;
+  /// Interned id -> the site's MonALISA gatekeeper-load key (invalid
+  /// until the site's agent first reports).
+  core::IdMap<core::SiteId, monitoring::MetricId> gatekeeper_load_ids_;
   Time view_refreshed_;
   bool view_valid_ = false;
   /// The current view_ is a frozen last-known-good copy served while

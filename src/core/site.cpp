@@ -157,17 +157,18 @@ void Site::publish_static() {
 }
 
 void Site::publish_dynamic() {
+  using mds::DynamicAttr;
   const Time now = sim_.now();
-  gris_.publish(mds::glue::kTotalCpus,
+  gris_.publish(DynamicAttr::kTotalCpus,
                 static_cast<std::int64_t>(scheduler_->total_slots()), now);
-  gris_.publish(mds::glue::kFreeCpus,
+  gris_.publish(DynamicAttr::kFreeCpus,
                 static_cast<std::int64_t>(scheduler_->free_slots()), now);
-  gris_.publish(mds::glue::kRunningJobs,
+  gris_.publish(DynamicAttr::kRunningJobs,
                 static_cast<std::int64_t>(scheduler_->busy_slots()), now);
-  gris_.publish(mds::glue::kWaitingJobs,
+  gris_.publish(DynamicAttr::kWaitingJobs,
                 static_cast<std::int64_t>(scheduler_->queued_count()), now);
-  gris_.publish(mds::glue::kSeAvailableGb, disk_.free().to_gb(), now);
-  gris_.publish(mds::glue::kSeTotalGb, disk_.capacity().to_gb(), now);
+  gris_.publish(DynamicAttr::kSeAvailableGb, disk_.free().to_gb(), now);
+  gris_.publish(DynamicAttr::kSeTotalGb, disk_.capacity().to_gb(), now);
   // SE drain rate: GB released (tape migration, cleanup) per hour since
   // the last sample.  First sample publishes 0 (no baseline interval).
   double drain_gb_per_hour = 0.0;
@@ -178,7 +179,7 @@ void Site::publish_dynamic() {
           (disk_.released_total() - last_released_).to_gb() / dt_hours;
     }
   }
-  gris_.publish(mds::grid3ext::kSeDrainGbPerHour, drain_gb_per_hour, now);
+  gris_.publish(DynamicAttr::kSeDrainGbPerHour, drain_gb_per_hour, now);
   last_released_ = disk_.released_total();
   last_drain_sample_ = now;
   drain_sampled_ = true;

@@ -4,35 +4,59 @@
 
 namespace grid3::mds {
 
-std::optional<AttrValue> SiteSnapshot::get(std::string_view key) const {
-  if (attrs == nullptr) return std::nullopt;
-  auto it = attrs->find(key);
-  if (it == attrs->end()) return std::nullopt;
-  return it->second.value;
-}
+namespace {
 
-std::optional<std::int64_t> SiteSnapshot::get_int(std::string_view key) const {
-  auto v = get(key);
-  if (!v) return std::nullopt;
-  if (const auto* p = std::get_if<std::int64_t>(&*v)) return *p;
-  if (const auto* d = std::get_if<double>(&*v)) {
+std::optional<std::int64_t> as_int(const Attribute* attr) {
+  if (attr == nullptr) return std::nullopt;
+  if (const auto* p = std::get_if<std::int64_t>(&attr->value)) return *p;
+  if (const auto* d = std::get_if<double>(&attr->value)) {
     return static_cast<std::int64_t>(*d);
   }
   return std::nullopt;
 }
 
+}  // namespace
+
+const Attribute* SiteSnapshot::find(std::string_view key) const {
+  if (const auto slot = dynamic_attr(key)) return dynamic.find(*slot);
+  if (attrs == nullptr) return nullptr;
+  auto it = attrs->find(key);
+  return it == attrs->end() ? nullptr : &it->second;
+}
+
+std::optional<AttrValue> SiteSnapshot::get(std::string_view key) const {
+  const Attribute* attr = find(key);
+  if (attr == nullptr) return std::nullopt;
+  return attr->value;
+}
+
+std::optional<std::int64_t> SiteSnapshot::get_int(std::string_view key) const {
+  return as_int(find(key));
+}
+
+std::optional<std::int64_t> SiteSnapshot::get_int(DynamicAttr attr) const {
+  return as_int(dynamic.find(attr));
+}
+
+std::optional<double> SiteSnapshot::get_double(DynamicAttr attr) const {
+  const Attribute* a = dynamic.find(attr);
+  if (a == nullptr) return std::nullopt;
+  if (const auto* d = std::get_if<double>(&a->value)) return *d;
+  return std::nullopt;
+}
+
 std::optional<std::string> SiteSnapshot::get_string(
     std::string_view key) const {
-  auto v = get(key);
-  if (!v) return std::nullopt;
-  if (const auto* p = std::get_if<std::string>(&*v)) return *p;
-  return to_string(*v);
+  const Attribute* attr = find(key);
+  if (attr == nullptr) return std::nullopt;
+  if (const auto* p = std::get_if<std::string>(&attr->value)) return *p;
+  return to_string(attr->value);
 }
 
 std::optional<bool> SiteSnapshot::get_bool(std::string_view key) const {
-  auto v = get(key);
-  if (!v) return std::nullopt;
-  if (const auto* p = std::get_if<bool>(&*v)) return *p;
+  const Attribute* attr = find(key);
+  if (attr == nullptr) return std::nullopt;
+  if (const auto* p = std::get_if<bool>(&attr->value)) return *p;
   return std::nullopt;
 }
 
@@ -109,7 +133,8 @@ const SiteSnapshot* Giis::fetch(Slot& slot, Time now) {
   if (slot.gris->available()) {
     snap.fetched = now;
     snap.fresh = true;
-    snap.attrs = std::make_shared<const AttributeMap>(slot.gris->attributes());
+    snap.attrs = slot.gris->static_attributes();
+    snap.dynamic = slot.gris->dynamic_attributes();
     return &snap;
   }
   // GRIS down: serve the stale snapshot within a grace period of one
@@ -146,6 +171,7 @@ std::vector<SiteSnapshot> Giis::find(
     const std::function<bool(const SiteSnapshot&)>& pred, Time now) const {
   std::vector<SiteSnapshot> out;
   if (!up_) return out;
+  out.reserve(directory_.size());
   for (const auto& [site, e] : directory_) {
     const SiteSnapshot* snap = serve(e, now);
     if (snap != nullptr && pred(*snap)) out.push_back(*snap);

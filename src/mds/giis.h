@@ -12,9 +12,14 @@
 // route (child indices passed through, then the cache entry) that
 // answers first for each site name.  Registration at any tier updates
 // the directory of that index and of every index above it, so a find is
-// one pass over the directory and a lookup one ordered search.  A cached
-// snapshot's attribute map is immutable and shared: a cache hit, a stale
-// serve and a find result each copy a pointer, not the map.
+// one pass over the directory and a lookup one ordered search.
+//
+// A fetch copies the GRIS's dynamic slots by value and shares its map of
+// the other attributes by pointer: the GRIS clones that map before its
+// next change while a snapshot holds it, so a refetch with no such change
+// between shares the very same map, and a cache hit, a stale serve and a
+// find result each copy the slots and a pointer, never a string of the
+// attributes.
 #pragma once
 
 #include <functional>
@@ -33,12 +38,28 @@ struct SiteSnapshot {
   std::string site;
   Time fetched;
   bool fresh = false;  ///< false when served past-TTL or never fetched
-  /// The GRIS attributes as of `fetched`, shared by every copy of this
-  /// snapshot; null reads as no attributes.
+  /// The GRIS's attributes outside the slots as of `fetched`, shared by
+  /// every copy of this snapshot (and by the GRIS until it next changes
+  /// one); null until the first fetch, and reads as no attributes.
   std::shared_ptr<const AttributeMap> attrs;
+  /// The GRIS's dynamic slots as of `fetched`.
+  DynamicAttrs dynamic;
+
+  /// The attribute under `key`, or null; a slot key reads its slot.
+  [[nodiscard]] const Attribute* find(std::string_view key) const;
+  [[nodiscard]] bool has(std::string_view key) const {
+    return find(key) != nullptr;
+  }
+  [[nodiscard]] bool has(DynamicAttr attr) const {
+    return dynamic.find(attr) != nullptr;
+  }
 
   [[nodiscard]] std::optional<AttrValue> get(std::string_view key) const;
+  /// An int64 value, or a double one truncated.
   [[nodiscard]] std::optional<std::int64_t> get_int(std::string_view key) const;
+  [[nodiscard]] std::optional<std::int64_t> get_int(DynamicAttr attr) const;
+  /// A double value; nullopt for every other type.
+  [[nodiscard]] std::optional<double> get_double(DynamicAttr attr) const;
   [[nodiscard]] std::optional<std::string> get_string(std::string_view key) const;
   [[nodiscard]] std::optional<bool> get_bool(std::string_view key) const;
 };

@@ -70,11 +70,9 @@ void MonalisaRepository::ingest(MetricId id, Time t, double value) {
   ++updates_;
 }
 
-std::optional<double> MonalisaRepository::read(const std::string& site,
-                                               const std::string& metric,
-                                               Time t) const {
+std::optional<double> MonalisaRepository::read(MetricId metric, Time t) const {
   if (!up_) return std::nullopt;
-  const SlotAverage* slot = slots_.find(bus_.find(site, metric));
+  const SlotAverage* slot = slots_.find(metric);
   return slot == nullptr ? std::nullopt : slot->at(t);
 }
 

@@ -70,12 +70,19 @@ class MonalisaRepository {
   MonalisaRepository(const MonalisaRepository&) = delete;
   MonalisaRepository& operator=(const MonalisaRepository&) = delete;
 
-  /// Average of the (site, metric) samples in the 5-minute slot holding
-  /// t.  Only the key's latest slot with samples is kept: nullopt when t
-  /// falls in any other slot (a past one, or one with no samples yet).
-  [[nodiscard]] std::optional<double> read(const std::string& site,
-                                           const std::string& metric,
-                                           Time t) const;
+  /// Id of a site's metric, for read(); invalid until the key is first
+  /// resolved on the bus (a site agent resolves its keys on its first
+  /// sweep).
+  [[nodiscard]] MetricId find(const std::string& site,
+                              const std::string& metric) const {
+    return bus_.find(site, metric);
+  }
+
+  /// Average of the key's samples in the 5-minute slot holding t.  Only
+  /// the key's latest slot with samples is kept: nullopt when t falls in
+  /// any other slot (a past one, or one with no samples yet), or when
+  /// `metric` is invalid.
+  [[nodiscard]] std::optional<double> read(MetricId metric, Time t) const;
 
   /// Sum over the keys whose name matches `pattern` (see name_matches)
   /// of each series' time average over [from, to].

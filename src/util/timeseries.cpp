@@ -77,49 +77,4 @@ std::vector<double> TimeSeries::binned_average(Time from, Time to,
   return out;
 }
 
-void EventSeries::record(Time t, double weight) {
-  assert(events_.empty() || t >= events_.back().t);
-  events_.push_back({t, weight});
-}
-
-double EventSeries::total(Time from, Time to) const {
-  double acc = 0.0;
-  for (const auto& e : events_) {
-    if (e.t >= from && e.t < to) acc += e.value;
-  }
-  return acc;
-}
-
-double EventSeries::total() const {
-  double acc = 0.0;
-  for (const auto& e : events_) acc += e.value;
-  return acc;
-}
-
-std::vector<double> EventSeries::binned(Time from, Time to,
-                                        std::size_t bins) const {
-  assert(bins > 0 && to > from);
-  std::vector<double> out(bins, 0.0);
-  const double span = (to - from).to_seconds();
-  for (const auto& e : events_) {
-    if (e.t < from || e.t >= to) continue;
-    auto idx = static_cast<std::size_t>((e.t - from).to_seconds() / span *
-                                        static_cast<double>(bins));
-    idx = std::min(idx, bins - 1);
-    out[idx] += e.value;
-  }
-  return out;
-}
-
-std::vector<double> EventSeries::cumulative(Time from, Time to,
-                                            std::size_t bins) const {
-  auto per_bin = binned(from, to, bins);
-  double acc = total(Time::zero(), from);
-  for (auto& v : per_bin) {
-    acc += v;
-    v = acc;
-  }
-  return per_bin;
-}
-
 }  // namespace grid3::util

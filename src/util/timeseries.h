@@ -1,6 +1,6 @@
 // Append-only (time, value) series plus the analyses the paper's figures
-// need: integration (CPU-days), time-averages (differential CPU usage),
-// binning by interval, and cumulative views.
+// need: integration (CPU-days), time-averages (differential CPU usage)
+// and binning by interval.
 #pragma once
 
 #include <cstddef>
@@ -60,31 +60,6 @@ class TimeSeries {
  private:
   std::vector<TimePoint> points_;
   TimePoint latest_;
-};
-
-/// A counter series for discrete events (jobs completed, bytes moved):
-/// each event adds a weight at a timestamp; queries aggregate by window.
-class EventSeries {
- public:
-  void record(Time t, double weight = 1.0);
-
-  [[nodiscard]] std::size_t size() const { return events_.size(); }
-  [[nodiscard]] const std::vector<TimePoint>& events() const { return events_; }
-
-  /// Total weight in [from, to).
-  [[nodiscard]] double total(Time from, Time to) const;
-  [[nodiscard]] double total() const;
-
-  /// Weight per equal-width bin over [from, to).
-  [[nodiscard]] std::vector<double> binned(Time from, Time to,
-                                           std::size_t bins) const;
-
-  /// Cumulative weight sampled at each bin edge (for "integrated" plots).
-  [[nodiscard]] std::vector<double> cumulative(Time from, Time to,
-                                               std::size_t bins) const;
-
- private:
-  std::vector<TimePoint> events_;  // kept sorted by construction
 };
 
 }  // namespace grid3::util

@@ -38,10 +38,8 @@ std::vector<std::string> PegasusPlanner::eligible_sites(
   const std::string app_key = mds::app_attribute(required_app);
   auto snaps = giis_.find(
       [&](const mds::SiteSnapshot& s) {
-        if (!required_app.empty() && !s.get(app_key).has_value()) {
-          return false;
-        }
-        if (auto free = s.get_int(mds::glue::kFreeCpus);
+        if (!required_app.empty() && !s.has(app_key)) return false;
+        if (auto free = s.get_int(mds::DynamicAttr::kFreeCpus);
             free.has_value() && *free < cfg.min_free_cpus) {
           return false;
         }

@@ -482,7 +482,8 @@ TEST(CollectiveFailures, TicketQueueDowntimeDropsOpens) {
   EXPECT_FALSE(grid.igoc().ml_repository().available());
   EXPECT_FALSE(grid.igoc()
                    .ml_repository()
-                   .read("BNL", monitoring::mlmetric::kGatekeeperLoad,
+                   .read(grid.igoc().bus().find(
+                             "BNL", monitoring::mlmetric::kGatekeeperLoad),
                          sim.now())
                    .has_value());
   sim.run_until(Time::hours(3));

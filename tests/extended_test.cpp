@@ -242,8 +242,10 @@ TEST_F(ExtendedFixture, MonalisaRepositoryArchivesGatekeeperLoad) {
   auto& repo = grid.igoc().ml_repository();
   EXPECT_GT(repo.updates(), 0u);
   // The repository serves the site's gatekeeper load for the current slot.
-  const auto v = repo.read("BNL_ATLAS",
-                           monitoring::mlmetric::kGatekeeperLoad, sim.now());
+  const auto v = repo.read(
+      grid.igoc().bus().find("BNL_ATLAS",
+                             monitoring::mlmetric::kGatekeeperLoad),
+      sim.now());
   EXPECT_TRUE(v.has_value());
 }
 

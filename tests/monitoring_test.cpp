@@ -163,7 +163,8 @@ TEST(Monalisa, RepositoryArchivesPrefixMetrics) {
   bus.publish("BNL", "ganglia.load_one", Time::minutes(1), 1.0);  // ignored
   EXPECT_EQ(repo.archived_keys(), 2u);
   const auto v = repo.read(
-      "BNL", vo_metric(mlmetric::kVoJobsRunning, "usatlas"), Time::minutes(2));
+      bus.find("BNL", vo_metric(mlmetric::kVoJobsRunning, "usatlas")),
+      Time::minutes(2));
   ASSERT_TRUE(v.has_value());
   EXPECT_DOUBLE_EQ(*v, 42.0);
 }
@@ -172,28 +173,33 @@ TEST(Monalisa, ReadServesTheSlotAverageTheBrokerRanksOn) {
   MetricBus bus;
   MonalisaRepository repo{bus};
   MonalisaAgent agent{"BNL", bus};
-  const std::string load = mlmetric::kGatekeeperLoad;
-  agent.report(load, Time::minutes(1), 100.0);
-  EXPECT_EQ(repo.read("BNL", load, Time::minutes(1)), 100.0);
+  const std::string name = mlmetric::kGatekeeperLoad;
+  // Before the first report the key has no id, and reads answer nothing.
+  EXPECT_FALSE(bus.find("BNL", name).valid());
+  EXPECT_FALSE(repo.read(bus.find("BNL", name), Time::minutes(1)).has_value());
+  agent.report(name, Time::minutes(1), 100.0);
+  const MetricId load = bus.find("BNL", name);
+  EXPECT_EQ(repo.find("BNL", name), load);
+  EXPECT_EQ(repo.read(load, Time::minutes(1)), 100.0);
   // A new 5-minute slot answers nothing before its first sample...
-  EXPECT_FALSE(repo.read("BNL", load, Time::minutes(6)).has_value());
+  EXPECT_FALSE(repo.read(load, Time::minutes(6)).has_value());
   // ...then the running average of the samples it holds.
-  agent.report(load, Time::minutes(7), 40.0);
-  EXPECT_EQ(repo.read("BNL", load, Time::minutes(7)), 40.0);
-  agent.report(load, Time::minutes(8), 60.0);
-  EXPECT_EQ(repo.read("BNL", load, Time::minutes(8)), 50.0);
+  agent.report(name, Time::minutes(7), 40.0);
+  EXPECT_EQ(repo.read(load, Time::minutes(7)), 40.0);
+  agent.report(name, Time::minutes(8), 60.0);
+  EXPECT_EQ(repo.read(load, Time::minutes(8)), 50.0);
   // Only the latest slot with samples is kept: a past slot answers
   // nothing.
-  EXPECT_FALSE(repo.read("BNL", load, Time::minutes(2)).has_value());
+  EXPECT_FALSE(repo.read(load, Time::minutes(2)).has_value());
   // A down repository answers nothing.
   repo.set_available(false);
-  EXPECT_FALSE(repo.read("BNL", load, Time::minutes(9)).has_value());
+  EXPECT_FALSE(repo.read(load, Time::minutes(9)).has_value());
   // A sample dropped while down is not served after a recovery later in
   // the same slot.
-  agent.report(load, Time::minutes(11), 70.0);
+  agent.report(name, Time::minutes(11), 70.0);
   repo.set_available(true);
   EXPECT_EQ(repo.dropped_updates(), 1u);
-  EXPECT_FALSE(repo.read("BNL", load, Time::minutes(13)).has_value());
+  EXPECT_FALSE(repo.read(load, Time::minutes(13)).has_value());
 }
 
 TEST(Monalisa, SameInstantSampleReplacesTheFirstInTheSlotAverage) {
@@ -203,21 +209,17 @@ TEST(Monalisa, SameInstantSampleReplacesTheFirstInTheSlotAverage) {
   const MetricId load = agent.resolve(mlmetric::kGatekeeperLoad);
   agent.report(load, Time::minutes(1), 10.0);
   agent.report(load, Time::minutes(2), 20.0);
-  EXPECT_EQ(repo.read("BNL", mlmetric::kGatekeeperLoad, Time::minutes(2)),
-            15.0);
+  EXPECT_EQ(repo.read(load, Time::minutes(2)), 15.0);
   // A second sample at minute 2 replaces the first: (10 + 40) / 2.
   agent.report(load, Time::minutes(2), 40.0);
-  EXPECT_EQ(repo.read("BNL", mlmetric::kGatekeeperLoad, Time::minutes(2)),
-            25.0);
+  EXPECT_EQ(repo.read(load, Time::minutes(2)), 25.0);
   // So does a third, and later samples average with the survivor.
   agent.report(load, Time::minutes(2), 10.0);
   agent.report(load, Time::minutes(3), 40.0);
-  EXPECT_EQ(repo.read("BNL", mlmetric::kGatekeeperLoad, Time::minutes(3)),
-            20.0);
+  EXPECT_EQ(repo.read(load, Time::minutes(3)), 20.0);
   // The first sample of a slot replaces nothing from the slot before.
   agent.report(load, Time::minutes(5), 7.0);
-  EXPECT_EQ(repo.read("BNL", mlmetric::kGatekeeperLoad, Time::minutes(5)),
-            7.0);
+  EXPECT_EQ(repo.read(load, Time::minutes(5)), 7.0);
   EXPECT_EQ(agent.reports(), 6u);
   EXPECT_EQ(repo.updates(), 6u);
 }

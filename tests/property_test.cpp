@@ -322,7 +322,8 @@ TEST_P(RrdConsistency, ConsolidatedAverageTracksExactSeries) {
     if (i % 5 != 4) continue;
     // Each 5-minute slot equals the average of its 5 samples.
     const int slot = i / 5;
-    const auto got = repo.read("BNL", metric, Time::minutes(slot * 5 + 2));
+    const auto got =
+        repo.read(bus.find("BNL", metric), Time::minutes(slot * 5 + 2));
     ASSERT_TRUE(got.has_value()) << slot;
     double expect = 0.0;
     for (int k = 0; k < 5; ++k) {
@@ -493,6 +494,14 @@ INSTANTIATE_TEST_SUITE_P(Seeds, SeriesAdditivity,
 // The walk is kept here as the reference.
 // ---------------------------------------------------------------------
 
+/// The reference GRIS: every attribute, slot keys included, in one map
+/// held by value, changed by the same publishes and retracts as the real
+/// GRIS it shadows (which answers for its name and availability).
+struct WalkGris {
+  const mds::Gris* real;
+  mds::AttributeMap attrs;
+};
+
 /// A snapshot as the walk served it: the attribute map held by value.
 struct WalkSnapshot {
   std::string site;
@@ -509,18 +518,18 @@ class WalkGiis {
  public:
   explicit WalkGiis(Time ttl) : ttl_{ttl} {}
 
-  void register_gris(const mds::Gris* g) { direct_.push_back(g); }
+  void register_gris(const WalkGris* g) { direct_.push_back(g); }
   void register_child(const WalkGiis* c) { children_.push_back(c); }
   void deregister_gris(const std::string& site) {
     std::erase_if(direct_,
-                  [&](const mds::Gris* g) { return g->site() == site; });
+                  [&](const WalkGris* g) { return g->real->site() == site; });
     cache_.erase(site);
   }
   void set_available(bool up) { up_ = up; }
 
   [[nodiscard]] std::vector<std::string> sites() const {
     std::vector<std::string> out;
-    for (const mds::Gris* g : direct_) out.push_back(g->site());
+    for (const WalkGris* g : direct_) out.push_back(g->real->site());
     for (const WalkGiis* c : children_) {
       for (auto& s : c->sites()) out.push_back(std::move(s));
     }
@@ -532,8 +541,8 @@ class WalkGiis {
   [[nodiscard]] std::optional<WalkSnapshot> lookup(const std::string& site,
                                                    Time now) const {
     if (!up_) return std::nullopt;
-    for (const mds::Gris* g : direct_) {
-      if (g->site() == site) return fetch(*g, now);
+    for (const WalkGris* g : direct_) {
+      if (g->real->site() == site) return fetch(*g, now);
     }
     for (const WalkGiis* c : children_) {
       if (auto snap = c->lookup(site, now)) return snap;
@@ -553,15 +562,15 @@ class WalkGiis {
   }
 
  private:
-  [[nodiscard]] std::optional<WalkSnapshot> fetch(const mds::Gris& gris,
+  [[nodiscard]] std::optional<WalkSnapshot> fetch(const WalkGris& gris,
                                                   Time now) const {
-    auto cached = cache_.find(gris.site());
+    auto cached = cache_.find(gris.real->site());
     const bool have_cache = cached != cache_.end();
     if (have_cache && now - cached->second.fetched < ttl_) {
       return cached->second;
     }
-    if (gris.available()) {
-      WalkSnapshot snap{gris.site(), now, true, gris.attributes()};
+    if (gris.real->available()) {
+      WalkSnapshot snap{gris.real->site(), now, true, gris.attrs};
       cache_[snap.site] = snap;
       return snap;
     }
@@ -575,7 +584,7 @@ class WalkGiis {
 
   Time ttl_;
   bool up_ = true;
-  std::vector<const mds::Gris*> direct_;
+  std::vector<const WalkGris*> direct_;
   std::vector<const WalkGiis*> children_;
   mutable std::map<std::string, WalkSnapshot> cache_;
 };
@@ -586,12 +595,29 @@ void expect_same_snapshot(const mds::SiteSnapshot& got,
   EXPECT_EQ(got.fetched.ticks(), want.fetched.ticks()) << at;
   EXPECT_EQ(got.fresh, want.fresh) << at;
   ASSERT_NE(got.attrs, nullptr) << at;
-  ASSERT_EQ(got.attrs->size(), want.attrs.size()) << at;
-  auto w = want.attrs.begin();
+  // Both stores merged by key: the shared map holds no slot key.
+  mds::AttributeMap all;
   for (const auto& [key, attr] : *got.attrs) {
+    EXPECT_FALSE(mds::dynamic_attr(key).has_value()) << at << " " << key;
+    all.emplace(key, attr);
+  }
+  for (std::size_t i = 0; i < mds::kDynamicAttrCount; ++i) {
+    const auto slot = static_cast<mds::DynamicAttr>(i);
+    if (const mds::Attribute* attr = got.dynamic.find(slot)) {
+      all.emplace(std::string{mds::key_of(slot)}, *attr);
+    }
+  }
+  ASSERT_EQ(all.size(), want.attrs.size()) << at;
+  auto w = want.attrs.begin();
+  for (const auto& [key, attr] : all) {
     EXPECT_EQ(key, w->first) << at;
     EXPECT_TRUE(attr.value == w->second.value) << at << " " << key;
-    EXPECT_EQ(attr.updated.ticks(), w->second.updated.ticks()) << at;
+    EXPECT_EQ(attr.updated.ticks(), w->second.updated.ticks())
+        << at << " " << key;
+    // Every getter reads what the merged view holds.
+    const mds::Attribute* by_key = got.find(key);
+    ASSERT_NE(by_key, nullptr) << at << " " << key;
+    EXPECT_TRUE(by_key->value == w->second.value) << at << " " << key;
     ++w;
   }
 }
@@ -652,20 +678,50 @@ TEST_P(GiisDirectory, MatchesTheRecursiveWalkAfterEveryStep) {
     if (rng.uniform() < 0.5) link(i);
   }
 
-  // Seven GRISes over five names: two names are published twice.
+  // Seven GRISes over five names: two names are published twice.  Each
+  // real GRIS has a shadow; every publish and retract goes to both.
   const std::vector<std::string> names{"ALPHA", "BETA", "DELTA", "EPSILON",
                                        "GAMMA"};
   std::vector<std::unique_ptr<mds::Gris>> gris;
+  std::vector<std::unique_ptr<WalkGris>> shadow;
+  Time now;
+  const auto publish = [&](std::size_t g, std::string_view key,
+                           const mds::AttrValue& value) {
+    gris[g]->publish(key, value, now);
+    shadow[g]->attrs[std::string{key}] = {value, now};
+  };
+  // The sweep's path: a slot by index.
+  const auto publish_slot = [&](std::size_t g, mds::DynamicAttr slot,
+                                std::string_view key,
+                                const mds::AttrValue& value) {
+    gris[g]->publish(slot, value, now);
+    shadow[g]->attrs[std::string{key}] = {value, now};
+  };
+  const auto retract = [&](std::size_t g, std::string_view key) {
+    auto it = shadow[g]->attrs.find(key);
+    const bool had = it != shadow[g]->attrs.end();
+    if (had) shadow[g]->attrs.erase(it);
+    EXPECT_EQ(gris[g]->retract(key), had) << key;
+  };
   for (std::size_t i = 0; i < 7; ++i) {
     gris.push_back(std::make_unique<mds::Gris>(names[i % names.size()]));
-    gris.back()->publish("n", std::int64_t{0}, Time::zero());
-    gris.back()->publish("tag", std::string{"g" + std::to_string(i)},
-                         Time::zero());
+    shadow.push_back(
+        std::make_unique<WalkGris>(WalkGris{gris.back().get(), {}}));
+    publish(i, "n", std::int64_t{0});
+    publish(i, "tag", std::string{"g" + std::to_string(i)});
+    if (i % 2 == 0) {
+      publish(i, mds::glue::kTotalCpus, std::int64_t{64});
+    }
   }
 
-  Time now;
   const auto even_n = [](std::optional<std::int64_t> n) {
     return n.has_value() && *n % 2 == 0;
+  };
+  const auto walk_int = [](const WalkSnapshot& s, std::string_view key) {
+    auto it = s.attrs.find(key);
+    if (it == s.attrs.end()) return std::optional<std::int64_t>{};
+    const auto* v = std::get_if<std::int64_t>(&it->second.value);
+    return v == nullptr ? std::optional<std::int64_t>{} : *v;
   };
   const auto check = [&](int step) {
     for (std::size_t i = 0; i < real.size(); ++i) {
@@ -683,13 +739,21 @@ TEST_P(GiisDirectory, MatchesTheRecursiveWalkAfterEveryStep) {
               },
               now),
           walk[i]->find(
-              [&](const WalkSnapshot& s) {
-                auto it = s.attrs.find("n");
-                return it != s.attrs.end() &&
-                       even_n(std::get<std::int64_t>(it->second.value));
-              },
+              [&](const WalkSnapshot& s) { return even_n(walk_int(s, "n")); },
               now),
           at + " find(even n)");
+      expect_same_snapshots(
+          real[i]->find(
+              [&](const mds::SiteSnapshot& s) {
+                return even_n(s.get_int(mds::DynamicAttr::kFreeCpus));
+              },
+              now),
+          walk[i]->find(
+              [&](const WalkSnapshot& s) {
+                return even_n(walk_int(s, mds::glue::kFreeCpus));
+              },
+              now),
+          at + " find(even free CPUs)");
       for (const std::string& name : {names[0], names[1], names[2], names[3],
                                       names[4], std::string{"UNKNOWN"}}) {
         const auto got = real[i]->lookup(name, now);
@@ -704,9 +768,9 @@ TEST_P(GiisDirectory, MatchesTheRecursiveWalkAfterEveryStep) {
     const double op = rng.uniform();
     if (op < 0.22) {
       const std::size_t i = pick(real.size());
-      const mds::Gris* g = gris[pick(gris.size())].get();
-      real[i]->register_gris(g);
-      walk[i]->register_gris(g);
+      const std::size_t g = pick(gris.size());
+      real[i]->register_gris(gris[g].get());
+      walk[i]->register_gris(shadow[g].get());
     } else if (op < 0.30) {
       const std::size_t i = pick(real.size());
       const std::string& name = names[pick(names.size())];
@@ -724,12 +788,34 @@ TEST_P(GiisDirectory, MatchesTheRecursiveWalkAfterEveryStep) {
       walk[i]->set_available(up);
     } else if (op < 0.72) {
       // Publishes land in the GRIS, and show only once a cache refetches.
-      mds::Gris& g = *gris[pick(gris.size())];
-      g.publish("n", std::int64_t{step}, now);
+      const std::size_t g = pick(gris.size());
+      publish(g, "n", std::int64_t{step});
       if (rng.uniform() < 0.3) {
-        g.retract("tag");
+        retract(g, "tag");
       } else {
-        g.publish("tag", std::string{"s" + std::to_string(step)}, now);
+        publish(g, "tag", std::string{"s" + std::to_string(step)});
+      }
+      // A slot key: by name or by index, now and then retracted, and
+      // once in a while holding a string.
+      static const std::pair<mds::DynamicAttr, std::string_view> kSlots[] = {
+          {mds::DynamicAttr::kFreeCpus, mds::glue::kFreeCpus},
+          {mds::DynamicAttr::kSeAvailableGb, mds::glue::kSeAvailableGb},
+          {mds::DynamicAttr::kWaitingJobs, mds::glue::kWaitingJobs},
+      };
+      const auto& [slot, key] = kSlots[pick(std::size(kSlots))];
+      mds::AttrValue value = std::int64_t{step % 5};
+      if (slot == mds::DynamicAttr::kSeAvailableGb) {
+        value = 0.5 * step;
+      } else if (rng.uniform() < 0.1) {
+        value = std::string{"n/a"};
+      }
+      const double how = rng.uniform();
+      if (how < 0.2) {
+        retract(g, key);
+      } else if (how < 0.55) {
+        publish(g, key, value);
+      } else {
+        publish_slot(g, slot, key, value);
       }
     } else {
       // Cross the 5- and 10-minute TTLs and their grace periods, landing

@@ -206,19 +206,6 @@ TEST(TimeSeries, BinnedAverageUnderReportsPeaks) {
   EXPECT_DOUBLE_EQ(ts.max_over(Time::zero(), Time::seconds(1000)), 100.0);
 }
 
-TEST(EventSeries, TotalsAndCumulative) {
-  EventSeries es;
-  es.record(Time::seconds(1), 2.0);
-  es.record(Time::seconds(5), 3.0);
-  es.record(Time::seconds(9), 1.0);
-  EXPECT_DOUBLE_EQ(es.total(), 6.0);
-  EXPECT_DOUBLE_EQ(es.total(Time::seconds(2), Time::seconds(8)), 3.0);
-  // Bin edges at t=5: the event AT t=5 falls into the second bin.
-  const auto cum = es.cumulative(Time::zero(), Time::seconds(10), 2);
-  EXPECT_DOUBLE_EQ(cum[0], 2.0);
-  EXPECT_DOUBLE_EQ(cum[1], 6.0);
-}
-
 TEST(Calendar, EpochAndMonthLabels) {
   EXPECT_EQ(month_label_at(Time::zero()), "10-2003");
   EXPECT_EQ(month_label_at(Time::days(31)), "11-2003");
