@@ -35,8 +35,7 @@ ResourceBroker::ResourceBroker(sim::Simulation& sim, BrokerConfig cfg,
                                const mds::Giis& giis,
                                const monitoring::MonalisaRepository* monitor,
                                GatekeeperDirectory& gatekeepers,
-                               gram::CondorG& condor_g,
-                               monitoring::JobDatabase* accounting)
+                               gram::CondorG& condor_g)
     : sim_{sim},
       cfg_{cfg},
       policy_{std::move(policy)},
@@ -44,7 +43,6 @@ ResourceBroker::ResourceBroker(sim::Simulation& sim, BrokerConfig cfg,
       monitor_{monitor},
       gatekeepers_{gatekeepers},
       condor_g_{condor_g},
-      accounting_{accounting},
       rng_{cfg.rng_seed},
       ids_{std::make_shared<core::IdRegistry>()} {}
 
@@ -473,12 +471,6 @@ void ResourceBroker::submit_gang(GangSpec gang,
   const GangPlacement placement = match_gang(gang, now);
   ++gang_matches_;
   if (placement.split) ++gang_splits_;
-  if (accounting_ != nullptr && !gang.members.empty()) {
-    accounting_->insert_gang({gang_matches_, now, gang.members.front().vo,
-                              gang.gang_id, placement.primary,
-                              gang.members.size(), placement.placed,
-                              placement.split, gang.intermediates});
-  }
 
   auto state = std::make_shared<GangState>();
   state->id = gang.gang_id;
@@ -905,7 +897,7 @@ void ResourceBroker::retry_held(const std::shared_ptr<Pending>& p) {
     // so the canonical event order never trips this -- but when a
     // completion kick re-matched the job earlier in the same tick, this
     // releases the lease its in-flight submission depends on.
-    ledger_->release(p->lease, sim_.now());
+    ledger_->release(p->lease);
   }
   // A completion kick may have drained it already.
   auto it = std::find(waiting_.begin(), waiting_.end(), p);
@@ -936,7 +928,7 @@ void ResourceBroker::on_site_quarantined(const std::string& site) {
     if (it->first == site && gang->lease != 0) {
       const placement::LeaseId lease = gang->lease;
       gang->lease = 0;
-      if (ledger_ != nullptr) ledger_->release(lease, sim_.now());
+      if (ledger_ != nullptr) ledger_->release(lease);
       it = live_gangs_.erase(it);
       continue;
     }
@@ -973,7 +965,7 @@ void ResourceBroker::leave_gang(Pending& p) {
   // rescue all drain through finish -> leave_gang).
   if (const placement::LeaseId lease = gang->lease; lease != 0) {
     gang->lease = 0;
-    if (ledger_ != nullptr) ledger_->release(lease, sim_.now());
+    if (ledger_ != nullptr) ledger_->release(lease);
   }
 }
 
@@ -1038,9 +1030,9 @@ void ResourceBroker::drop_lease(Pending& p, bool consumed) {
   if (p.lease == 0) return;
   if (ledger_ != nullptr) {
     if (consumed) {
-      ledger_->consume(p.lease, p.bound_site, sim_.now());
+      ledger_->consume(p.lease);
     } else {
-      ledger_->release(p.lease, sim_.now());
+      ledger_->release(p.lease);
     }
   }
   p.lease = 0;

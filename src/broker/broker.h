@@ -2,7 +2,7 @@
 //
 // Sits between the Pegasus planner / Condor-G submitters and the GRAM
 // gatekeepers (the role the EU DataGrid Resource Broker played for the
-// CMS testbeds).  Three responsibilities:
+// CMS testbeds).  Four responsibilities:
 //
 //  1. View: a TTL-cached picture of every site, assembled from the MDS
 //     GIIS (GLUE attributes: free CPUs, queue depth, walltime limits,
@@ -45,7 +45,6 @@
 #include "gram/condor_g.h"
 #include "health/health.h"
 #include "mds/giis.h"
-#include "monitoring/acdc.h"
 #include "monitoring/monalisa.h"
 #include "placement/ledger.h"
 #include "sim/simulation.h"
@@ -167,8 +166,7 @@ class ResourceBroker {
   ResourceBroker(sim::Simulation& sim, BrokerConfig cfg,
                  std::unique_ptr<RankPolicy> policy, const mds::Giis& giis,
                  const monitoring::MonalisaRepository* monitor,
-                 GatekeeperDirectory& gatekeepers, gram::CondorG& condor_g,
-                 monitoring::JobDatabase* accounting);
+                 GatekeeperDirectory& gatekeepers, gram::CondorG& condor_g);
   ResourceBroker(const ResourceBroker&) = delete;
   ResourceBroker& operator=(const ResourceBroker&) = delete;
 
@@ -443,7 +441,6 @@ class ResourceBroker {
   const monitoring::MonalisaRepository* monitor_;
   GatekeeperDirectory& gatekeepers_;
   gram::CondorG& condor_g_;
-  monitoring::JobDatabase* accounting_;
   health::SiteHealthMonitor* health_ = nullptr;
   placement::PlacementLedger* ledger_ = nullptr;
   util::Rng rng_;

@@ -124,13 +124,13 @@ broker::ResourceBroker& Grid3::attach_broker(const std::string& vo_name,
   cfg.rng_seed ^= std::hash<std::string>{}(vo_name);
   svc.broker = std::make_unique<broker::ResourceBroker>(
       sim_, cfg, std::move(policy), igoc_.top_giis(), &igoc_.ml_repository(),
-      *this, condor_g_, &igoc_.job_db());
+      *this, condor_g_);
   // Every VO broker shares the fabric's interners, so site ids agree
   // across brokers, health, and the fabric's own site index.
   svc.broker->set_id_registry(ids_);
   if (cfg.placement_leases) {
-    svc.placement = std::make_unique<placement::PlacementLedger>(
-        vo_name, *this, &igoc_.bus(), &igoc_.job_db());
+    svc.placement =
+        std::make_unique<placement::PlacementLedger>(vo_name, *this);
     // Chain acquires skip quarantined SEs (one fallthrough hop each).
     // The filter dereferences the monitor at call time, so it is safe
     // to wire before attach_health and picks the monitor up when it
@@ -151,8 +151,6 @@ health::SiteHealthMonitor& Grid3::attach_health() {
   if (health_) return *health_;
   health_ = std::make_unique<health::SiteHealthMonitor>(sim_);
   health_->set_id_registry(ids_);
-  health_->set_metric_bus(&igoc_.bus());
-  health_->set_accounting(&igoc_.job_db());
   health_->set_tickets(
       [this](const std::string& site, const std::string& issue, Time now) {
         return igoc_.tickets().open(site, issue, now);

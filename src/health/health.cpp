@@ -107,20 +107,13 @@ void SiteHealthMonitor::trip(const std::string& site, Breaker& b,
   b.state = BreakerState::kOpen;
   ++b.epoch;
   ++b.streak;
-  ++b.trips;
   ++trips_;
   b.probe_successes = 0;
   record(site, "trip", service, score, now);
-  publish(site, metric::kTrips, b.trips, now);
   if (b.ticket == 0 && ticket_open_) {
     b.ticket = ticket_open_(site, "quarantined: " + service +
                                       " failure rate tripped breaker",
                             now);
-  }
-  if (b.window == kNoWindow) {
-    b.window = windows_.size();
-    windows_.push_back({b.ticket != 0 ? b.ticket : trips_, site,
-                        "site-quarantined", now, Time::max()});
   }
   // Escalating quarantine: base * escalation^(streak-1), capped.
   double q = cfg_.quarantine_base.to_seconds();
@@ -158,9 +151,7 @@ void SiteHealthMonitor::on_probe(const std::string& site, std::uint64_t epoch,
   Breaker& b = *found;
   if (b.state != BreakerState::kHalfOpen || b.epoch != epoch) return;
   const Time now = sim_.now();
-  ++b.probes;
   ++probes_;
-  publish(site, metric::kProbes, b.probes, now);
   record(site, ok ? "probe-ok" : "probe-fail", "", 0.0, now);
   if (!ok) {
     // Probation failed: back to quarantine, escalated.
@@ -190,18 +181,12 @@ void SiteHealthMonitor::readmit(const std::string& site, Breaker& b,
   // Fresh start: the repaired site must not re-trip on pre-repair
   // history the EWMA still remembers.
   for (ServiceScore& s : b.scores) s = {};
-  ++b.readmissions;
   ++readmissions_;
   record(site, "readmit", "", 0.0, now);
-  publish(site, metric::kReadmissions, b.readmissions, now);
   if (b.ticket != 0 && ticket_close_) {
     ticket_close_(b.ticket, now);
   }
   b.ticket = 0;
-  if (b.window != kNoWindow) {
-    windows_[b.window].closed = now;
-    b.window = kNoWindow;
-  }
 }
 
 BreakerState SiteHealthMonitor::state(const std::string& site) const {
@@ -268,17 +253,7 @@ void SiteHealthMonitor::record(const std::string& site,
   e.event = event;
   e.service = service;
   e.score = score;
-  if (accounting_ != nullptr) {
-    accounting_->insert_breaker(
-        {e.seq, e.at, e.site, e.event, e.service, e.score});
-  }
   events_.push_back(std::move(e));
-}
-
-void SiteHealthMonitor::publish(const std::string& site, const char* name,
-                                std::uint64_t value, Time now) {
-  if (bus_ == nullptr) return;
-  bus_->publish(site, name, now, static_cast<double>(value));
 }
 
 std::string SiteHealthMonitor::serialize_events() const {

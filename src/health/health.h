@@ -31,7 +31,10 @@
 // The module sits below broker/core in the layering: feedback arrives
 // through a neutral report() API and side effects leave through
 // callbacks (ticket open/close, probe submission, trip observers), so
-// health depends only on sim/monitoring/util.
+// health depends only on sim/util.  The monitor keeps each decision
+// once: the event log and three grid-wide counters here, and the
+// quarantine interval in the iGOC ticket a trip opens and a
+// re-admission closes.
 #pragma once
 
 #include <array>
@@ -44,9 +47,6 @@
 #include <vector>
 
 #include "core/ids.h"
-#include "monitoring/acdc.h"
-#include "monitoring/bus.h"
-#include "monitoring/troubleshoot.h"
 #include "sim/simulation.h"
 #include "util/units.h"
 
@@ -95,13 +95,6 @@ struct BreakerEvent {
   double score = 0.0;   ///< EWMA at the event
 };
 
-/// Counter metric names published per site on the MetricBus.
-namespace metric {
-inline constexpr const char* kTrips = "health.trips";
-inline constexpr const char* kProbes = "health.probes";
-inline constexpr const char* kReadmissions = "health.readmissions";
-}  // namespace metric
-
 class SiteHealthMonitor {
  public:
   /// Submits one probe job at `site`; `done(ok)` must fire exactly once.
@@ -120,11 +113,6 @@ class SiteHealthMonitor {
   [[nodiscard]] const HealthConfig& config() const { return cfg_; }
 
   // --- wiring ---------------------------------------------------------
-  /// Publish per-site trip/probe/readmission counters as bus streams
-  /// (the site name is the bus key).
-  void set_metric_bus(monitoring::MetricBus* bus) { bus_ = bus; }
-  /// Mirror breaker events into the ACDC database.
-  void set_accounting(monitoring::JobDatabase* db) { accounting_ = db; }
   /// iGOC trouble-ticket hooks: a trip opens a ticket, re-admission
   /// closes it.
   void set_tickets(TicketOpenFn open, TicketCloseFn close) {
@@ -196,20 +184,11 @@ class SiteHealthMonitor {
   /// with the same seed -- the determinism test diffs this).
   [[nodiscard]] std::string serialize_events() const;
 
-  /// Quarantine intervals as Troubleshooter incident windows (closed ==
-  /// Time::max() while still quarantined), so failure bursts correlate
-  /// against breaker trips exactly like iGOC tickets.
-  [[nodiscard]] std::vector<monitoring::IncidentWindow> quarantine_windows()
-      const {
-    return windows_;
-  }
-
  private:
   struct ServiceScore {
     double ewma = 0.0;
     std::uint64_t samples = 0;
   };
-  static constexpr std::size_t kNoWindow = static_cast<std::size_t>(-1);
   struct Breaker {
     BreakerState state = BreakerState::kClosed;
     std::array<ServiceScore, kServiceCount> scores;
@@ -219,9 +198,7 @@ class SiteHealthMonitor {
     /// timers carry the epoch they were armed under and no-op on
     /// mismatch.
     std::uint64_t epoch = 0;
-    std::uint64_t ticket = 0;             ///< open iGOC ticket (0 = none)
-    std::size_t window = kNoWindow;       ///< open quarantine interval
-    std::uint64_t trips = 0, probes = 0, readmissions = 0;
+    std::uint64_t ticket = 0;  ///< open iGOC ticket (0 = none)
     bool live = false;  ///< a report has touched this site
   };
 
@@ -239,13 +216,9 @@ class SiteHealthMonitor {
   void readmit(const std::string& site, Breaker& b, Time now);
   void record(const std::string& site, const std::string& event,
               const std::string& service, double score, Time now);
-  void publish(const std::string& site, const char* name,
-               std::uint64_t value, Time now);
 
   sim::Simulation& sim_;
   HealthConfig cfg_;
-  monitoring::MetricBus* bus_ = nullptr;
-  monitoring::JobDatabase* accounting_ = nullptr;
   TicketOpenFn ticket_open_;
   TicketCloseFn ticket_close_;
   ProbeSubmitter probe_submitter_;
@@ -259,7 +232,6 @@ class SiteHealthMonitor {
   /// observer callback) never invalidates the Breaker& a caller holds.
   std::deque<Breaker> breakers_;
   std::vector<BreakerEvent> events_;
-  std::vector<monitoring::IncidentWindow> windows_;
   std::uint64_t trips_ = 0;
   std::uint64_t probes_ = 0;
   std::uint64_t readmissions_ = 0;

@@ -12,55 +12,6 @@ void JobDatabase::insert_transfer(TransferEntry entry) {
   transfers_.push_back(std::move(entry));
 }
 
-void JobDatabase::insert_lease(LeaseRecord lease) {
-  leases_.push_back(std::move(lease));
-}
-
-std::size_t JobDatabase::lease_fallthrough_hops(Time from, Time to) const {
-  std::size_t hops = 0;
-  for (const LeaseRecord& l : leases_) {
-    if (l.at < from || l.at >= to) continue;
-    if (l.event == "acquire") hops += static_cast<std::size_t>(l.hop);
-  }
-  return hops;
-}
-
-void JobDatabase::insert_gang(GangRecord gang) {
-  gangs_.push_back(std::move(gang));
-}
-
-JobDatabase::GangSummary JobDatabase::gang_events(Time from, Time to) const {
-  GangSummary out;
-  for (const GangRecord& g : gangs_) {
-    if (g.at < from || g.at >= to) continue;
-    ++out.gangs;
-    out.members += g.width;
-    if (!g.placed) {
-      ++out.unplaced;
-    } else if (g.split) {
-      ++out.split;
-    } else {
-      ++out.whole;
-    }
-  }
-  return out;
-}
-
-void JobDatabase::insert_breaker(BreakerRecord breaker) {
-  breakers_.push_back(std::move(breaker));
-}
-
-std::map<std::string, std::size_t> JobDatabase::breaker_events(
-    Time from, Time to, const std::string& site) const {
-  std::map<std::string, std::size_t> out;
-  for (const BreakerRecord& b : breakers_) {
-    if (b.at < from || b.at >= to) continue;
-    if (!site.empty() && b.site != site) continue;
-    ++out[b.event];
-  }
-  return out;
-}
-
 std::vector<const JobRecord*> JobDatabase::completed(const std::string& vo,
                                                      Time from,
                                                      Time to) const {

@@ -4,12 +4,14 @@
 // pull-based model.  Statistics and job metrics are collected and stored
 // in a web-visible database, available for aggregated queries and
 // browsing."  Table 1 is computed from exactly this database, so its
-// query surface mirrors the table's columns.
+// query surface mirrors the table's columns.  It holds what the paper's
+// ACDC held: job records and the transfers Figure 5 reads.  Placement
+// leases, breaker trips and gang matches are kept by the layers that
+// decide them (placement::PlacementLedger, health::SiteHealthMonitor,
+// broker::ResourceBroker).
 #pragma once
 
-#include <cstdint>
 #include <map>
-#include <optional>
 #include <set>
 #include <string>
 #include <vector>
@@ -38,55 +40,6 @@ struct JobRecord {
   std::string gram_contact;
 
   [[nodiscard]] Time runtime() const { return finished - started; }
-};
-
-/// One stage-out lease lifecycle event, mirrored from the placement
-/// ledger: how often output space was secured at match time, archived,
-/// given back on failure paths, or refused because the destination SE
-/// was full (the disk-full failure that never reached a gatekeeper).
-struct LeaseRecord {
-  std::uint64_t lease = 0;
-  Time at;
-  std::string vo;
-  std::string app;
-  std::string dest_site;
-  std::string event;  ///< "acquire" | "consume" | "release" | "reject"
-  Bytes size;
-  std::string completion_site;  ///< set on "consume"
-  /// Failover-chain hops taken before `dest_site` accepted (0 = the
-  /// primary SE took the lease; on "reject", hops burned before the
-  /// whole chain refused).
-  int hop = 0;
-};
-
-/// One gang-matching decision, mirrored from the broker: a whole DAG
-/// level bound as a unit (or split across sites when nothing could host
-/// it whole).  Lets placement analysis separate level-co-location from
-/// per-job scatter.
-struct GangRecord {
-  std::uint64_t seq = 0;
-  Time at;
-  std::string vo;
-  std::string gang_id;
-  std::string primary;  ///< site hosting the largest member share
-  std::size_t width = 0;  ///< gang member count
-  bool placed = false;    ///< at least one member got a site
-  bool split = false;     ///< the gang did not fit whole
-  Bytes intermediates;    ///< level-aggregate intermediate bytes
-};
-
-/// One site-health circuit-breaker event, mirrored from the health
-/// monitor: trips into quarantine, probation probes, and re-admissions.
-/// Lets operations queries line breaker activity up against the job and
-/// ticket records it reacted to.
-struct BreakerRecord {
-  std::uint64_t seq = 0;
-  Time at;
-  std::string site;
-  std::string event;    ///< "trip" | "half-open" | "probe-ok" |
-                        ///< "probe-fail" | "readmit"
-  std::string service;  ///< service class that tripped it ("" otherwise)
-  double score = 0.0;   ///< EWMA failure score at the event
 };
 
 /// Per-site transfer accounting feeding Figure 5.
@@ -120,9 +73,6 @@ class JobDatabase {
  public:
   void insert(JobRecord record);
   void insert_transfer(TransferEntry entry);
-  void insert_lease(LeaseRecord lease);
-  void insert_gang(GangRecord gang);
-  void insert_breaker(BreakerRecord breaker);
 
   [[nodiscard]] std::size_t size() const { return records_.size(); }
   [[nodiscard]] const std::vector<JobRecord>& records() const {
@@ -131,36 +81,6 @@ class JobDatabase {
   [[nodiscard]] const std::vector<TransferEntry>& transfers() const {
     return transfers_;
   }
-  [[nodiscard]] const std::vector<LeaseRecord>& leases() const {
-    return leases_;
-  }
-  [[nodiscard]] const std::vector<GangRecord>& gangs() const {
-    return gangs_;
-  }
-  [[nodiscard]] const std::vector<BreakerRecord>& breakers() const {
-    return breakers_;
-  }
-
-  /// Total failover-chain hops across "acquire" lease events in the
-  /// window, all VOs: how often placement had to route around a
-  /// full/quarantined/unreachable SE to land a lease.
-  [[nodiscard]] std::size_t lease_fallthrough_hops(Time from, Time to) const;
-
-  /// Gang-matching balance over a window, all VOs: how many levels were
-  /// placed whole, split, or left unplaced.
-  struct GangSummary {
-    std::size_t gangs = 0;
-    std::size_t whole = 0;
-    std::size_t split = 0;
-    std::size_t unplaced = 0;
-    std::size_t members = 0;  ///< total member jobs across gangs
-  };
-  [[nodiscard]] GangSummary gang_events(Time from, Time to) const;
-
-  /// Circuit-breaker activity over a window (empty site = all sites):
-  /// event -> count (trip, half-open, probe-ok, probe-fail, readmit).
-  [[nodiscard]] std::map<std::string, std::size_t> breaker_events(
-      Time from, Time to, const std::string& site = {}) const;
 
   /// Completed production jobs for one VO in [from, to): the Table 1
   /// population ("based on completed production jobs").
@@ -210,9 +130,6 @@ class JobDatabase {
  private:
   std::vector<JobRecord> records_;
   std::vector<TransferEntry> transfers_;
-  std::vector<LeaseRecord> leases_;
-  std::vector<GangRecord> gangs_;
-  std::vector<BreakerRecord> breakers_;
 };
 
 }  // namespace grid3::monitoring

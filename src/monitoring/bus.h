@@ -8,10 +8,12 @@
 // samples; the consumers that serve reads (gmetad, the MonALISA
 // repository) each keep the series they collect.
 //
-// Every (site, name) key has a dense MetricId.  Periodic producers
-// resolve their keys once and publish by id, so a sample costs an index
-// plus the cached fan-out; the string publish resolves first and serves
-// the rare counter producers.
+// The producers are Figure 1's: Ganglia's gmond and the MonALISA
+// agents, each publishing under its own "ganglia." or "monalisa." name.
+// Every (site, name) key has a dense MetricId.  The producers resolve
+// their keys once and publish by id, so a sample costs an index plus the
+// cached fan-out; the string publish resolves first, for callers that
+// hold only a key's name.
 #pragma once
 
 #include <cassert>
@@ -61,7 +63,7 @@ class MetricBus {
 
   /// Publish a sample.  Fans out to matching subscribers synchronously.
   void publish(MetricId id, Time t, double value);
-  /// Resolve-then-publish, for producers that publish a key rarely.
+  /// Resolve-then-publish, for callers that hold only the key's name.
   void publish(const std::string& site, const std::string& name, Time t,
                double value);
 

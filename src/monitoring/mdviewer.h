@@ -72,20 +72,6 @@ class MdViewer {
   [[nodiscard]] LatencyBreakdown latency_breakdown(const std::string& vo,
                                                    Time from, Time to) const;
 
-  /// Failover-chain hops summed over acquired leases in the window,
-  /// from the ACDC mirror (the ledger also streams them on the bus as
-  /// `placement.fallthroughs`).
-  [[nodiscard]] std::size_t lease_fallthrough_hops(Time from,
-                                                   Time to) const {
-    return jobs_.lease_fallthrough_hops(from, to);
-  }
-  /// Site-health breaker activity from the ACDC mirror: event -> count
-  /// over a window (trip, half-open, probe-ok, probe-fail, readmit).
-  [[nodiscard]] std::map<std::string, std::size_t> breaker_events(
-      Time from, Time to, const std::string& site = {}) const {
-    return jobs_.breaker_events(from, to, site);
-  }
-
   /// Redundant-path crosscheck (section 5.2): relative divergence between
   /// the ACDC-derived average grid-job concurrency and the MonALISA
   /// VO-activity path (sum of the per-site per-VO running-job gauges the

@@ -1,28 +1,9 @@
 #include "placement/ledger.h"
 
-#include "monitoring/acdc.h"
-#include "monitoring/bus.h"
-
 namespace grid3::placement {
 
-PlacementLedger::PlacementLedger(std::string vo, StorageDirectory& storage,
-                                 monitoring::MetricBus* bus,
-                                 monitoring::JobDatabase* accounting)
-    : vo_{std::move(vo)}, storage_{storage}, bus_{bus},
-      accounting_{accounting} {}
-
-void PlacementLedger::record(const StageOutLease& lease, const char* event,
-                             Time now, const char* counter,
-                             std::uint64_t value) {
-  if (bus_ != nullptr) {
-    bus_->publish(vo_, counter, now, static_cast<double>(value));
-  }
-  if (accounting_ != nullptr) {
-    accounting_->insert_lease({lease.id, now, vo_, lease.app,
-                               lease.dest_site, event, lease.size,
-                               lease.completion_site, lease.hops});
-  }
-}
+PlacementLedger::PlacementLedger(std::string vo, StorageDirectory& storage)
+    : vo_{std::move(vo)}, storage_{storage} {}
 
 AcquireResult PlacementLedger::acquire(const std::string& dest_site,
                                        Bytes size, const std::string& app,
@@ -89,7 +70,6 @@ AcquireResult PlacementLedger::acquire(const std::vector<std::string>& chain,
     if (known && !refused_here) {
       lease.id = next_id_++;
       ++acquired_;
-      record(lease, "acquire", now, metric::kLeasesAcquired, acquired_);
       const LeaseId id = lease.id;
       leases_.emplace(id, std::move(lease));
       if (audit_ != nullptr) audit_(id, "acquire");
@@ -100,26 +80,13 @@ AcquireResult PlacementLedger::acquire(const std::vector<std::string>& chain,
     if (has_next) {
       ++hops;
       ++fallthroughs_;
-      if (bus_ != nullptr) {
-        bus_->publish(vo_, metric::kLeaseFallthroughs, now,
-                      static_cast<double>(fallthroughs_));
-      }
     }
   }
 
   if (any_refusal) {
     // The whole chain actively refused: surface kDiskFull so the match
     // becomes a hold, not a doomed binding.
-    StageOutLease lease;
-    lease.vo = vo_;
-    lease.app = app;
-    lease.dest_site = chain.empty() ? std::string{} : chain.front();
-    lease.primary_site = lease.dest_site;
-    lease.hops = hops;
-    lease.size = size;
-    lease.acquired = now;
     ++rejected_;
-    record(lease, "reject", now, metric::kLeasesRejected, rejected_);
     if (audit_ != nullptr) audit_(0, "reject");
     return {AcquireStatus::kDiskFull, 0, {}, hops, std::move(refused)};
   }
@@ -128,36 +95,32 @@ AcquireResult PlacementLedger::acquire(const std::vector<std::string>& chain,
   return {AcquireStatus::kNoStorage, 0, {}, hops, std::move(refused)};
 }
 
-bool PlacementLedger::release(LeaseId id, Time now) {
+bool PlacementLedger::release(LeaseId id) {
   auto it = leases_.find(id);
   if (it == leases_.end()) {
     if (audit_ != nullptr) audit_(id, "release-stale");
     return false;
   }
-  StageOutLease lease = std::move(it->second);
+  const StageOutLease lease = std::move(it->second);
   leases_.erase(it);
   if (lease.reservation != 0) {
     if (srm::StorageResourceManager* srm = storage_.storage(lease.dest_site)) {
       srm->release(lease.reservation);
     }
   }
-  lease.state = LeaseState::kReleased;
   ++released_;
-  record(lease, "release", now, metric::kLeasesReleased, released_);
   if (audit_ != nullptr) audit_(id, "release");
   return true;
 }
 
-bool PlacementLedger::consume(LeaseId id, const std::string& completion_site,
-                              Time now) {
+bool PlacementLedger::consume(LeaseId id) {
   auto it = leases_.find(id);
   if (it == leases_.end()) {
     if (audit_ != nullptr) audit_(id, "consume-stale");
     return false;
   }
-  StageOutLease lease = std::move(it->second);
+  const StageOutLease lease = std::move(it->second);
   leases_.erase(it);
-  lease.completion_site = completion_site;
   if (lease.reservation != 0) {
     // The archived file outlives the reservation: convert the reserved
     // space into a plain volume allocation, then drop the reservation.
@@ -169,9 +132,7 @@ bool PlacementLedger::consume(LeaseId id, const std::string& completion_site,
       }
     }
   }
-  lease.state = LeaseState::kConsumed;
   ++consumed_;
-  record(lease, "consume", now, metric::kLeasesConsumed, consumed_);
   if (audit_ != nullptr) audit_(id, "consume");
   return true;
 }

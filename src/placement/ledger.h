@@ -21,14 +21,13 @@
 //   * the gatekeeper's stage-out lands inside the lease's reservation,
 //     closing the bare-GridFTP TOCTOU window;
 //   * on success the lease is CONSUMED: the reservation converts into a
-//     durable file allocation and the actual completion site is
-//     recorded for downstream transfer pricing;
+//     durable file allocation on the destination volume;
 //   * on every failure, hold, and rescue path the lease is RELEASED so
 //     reserved space never leaks (reserved_total() drains to zero once
 //     a scenario is fully drained).
 //
-// Every lifecycle event is published on the monitoring MetricBus and
-// mirrored into the ACDC job database.
+// The ledger is the one record of its decisions: its lifetime counters
+// and, for the model checker, an audit tap on every transition.
 #pragma once
 
 #include <cstdint>
@@ -44,11 +43,6 @@
 namespace grid3::gridftp {
 class GridFtpServer;
 }  // namespace grid3::gridftp
-
-namespace grid3::monitoring {
-class MetricBus;
-class JobDatabase;
-}  // namespace grid3::monitoring
 
 namespace grid3::placement {
 
@@ -72,8 +66,6 @@ class StorageDirectory {
 };
 
 using LeaseId = std::uint64_t;
-
-enum class LeaseState { kActive, kConsumed, kReleased };
 
 /// One job's stage-out claim: destination SE + SRM reservation + RLS
 /// registration intent.
@@ -110,8 +102,6 @@ struct StageOutLease {
   srm::ReservationId reservation = 0;
   std::vector<std::string> lfns;  ///< outputs to register on consume
   Time acquired;
-  LeaseState state = LeaseState::kActive;
-  std::string completion_site;  ///< where the job really ran (on consume)
 };
 
 enum class AcquireStatus {
@@ -139,23 +129,9 @@ struct AcquireResult {
   }
 };
 
-/// Metric names the ledger publishes per VO (site key = VO name), so
-/// MDViewer can plot lease churn alongside gatekeeper load.
-namespace metric {
-inline constexpr const char* kLeasesAcquired = "placement.leases_acquired";
-inline constexpr const char* kLeasesConsumed = "placement.leases_consumed";
-inline constexpr const char* kLeasesReleased = "placement.leases_released";
-inline constexpr const char* kLeasesRejected = "placement.leases_rejected";
-/// Chain entries skipped during acquisition (full/quarantined/unknown).
-inline constexpr const char* kLeaseFallthroughs = "placement.fallthroughs";
-}  // namespace metric
-
 class PlacementLedger {
  public:
-  /// `bus` and `accounting` may be null (no monitoring mirror).
-  PlacementLedger(std::string vo, StorageDirectory& storage,
-                  monitoring::MetricBus* bus = nullptr,
-                  monitoring::JobDatabase* accounting = nullptr);
+  PlacementLedger(std::string vo, StorageDirectory& storage);
   PlacementLedger(const PlacementLedger&) = delete;
   PlacementLedger& operator=(const PlacementLedger&) = delete;
 
@@ -171,8 +147,8 @@ class PlacementLedger {
   /// the first SE that is admissible (not filtered out) and has room.
   /// Every rejected entry -- reservation denied, probe found the volume
   /// full, site quarantined by the admissibility filter, or site
-  /// unknown to the directory -- is one fallthrough hop, published as
-  /// `placement.fallthroughs` and recorded in the lease.  When the
+  /// unknown to the directory -- is one fallthrough hop, counted in
+  /// fallthroughs() and recorded in the lease.  When the
   /// whole chain rejects: kDiskFull if at least one SE actively refused
   /// (full or quarantined), kNoStorage when every entry was unknown to
   /// the directory (matching the single-SE contract: no managed storage
@@ -199,13 +175,12 @@ class PlacementLedger {
 
   /// Give the space back (job failed, was held too long, or entered a
   /// rescue DAG).  Idempotent; false when the lease is unknown.
-  bool release(LeaseId id, Time now);
+  bool release(LeaseId id);
 
   /// The job archived its output: convert the reservation into a
   /// durable file allocation on the destination volume (the SE keeps
-  /// the bytes; the reservation itself drains) and record where the job
-  /// actually ran.
-  bool consume(LeaseId id, const std::string& completion_site, Time now);
+  /// the bytes; the reservation itself drains).
+  bool consume(LeaseId id);
 
   [[nodiscard]] const StageOutLease* find(LeaseId id) const;
   /// SRM backing an active lease's reservation (null in probe mode).
@@ -230,7 +205,7 @@ class PlacementLedger {
   /// Bytes currently secured by active leases.
   [[nodiscard]] Bytes leased_bytes() const;
 
-  // Lifetime counters (monotonic; also published on the bus).
+  // Lifetime counters (monotonic).
   [[nodiscard]] std::uint64_t acquired() const { return acquired_; }
   [[nodiscard]] std::uint64_t consumed() const { return consumed_; }
   [[nodiscard]] std::uint64_t released() const { return released_; }
@@ -240,13 +215,8 @@ class PlacementLedger {
   [[nodiscard]] std::uint64_t fallthroughs() const { return fallthroughs_; }
 
  private:
-  void record(const StageOutLease& lease, const char* event, Time now,
-              const char* counter, std::uint64_t value);
-
   std::string vo_;
   StorageDirectory& storage_;
-  monitoring::MetricBus* bus_;
-  monitoring::JobDatabase* accounting_;
   SiteFilter admissible_;
   AuditFn audit_;
   LeaseId next_id_ = 1;

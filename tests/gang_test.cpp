@@ -215,15 +215,6 @@ TEST(GangMatch, WholeLevelBindsToOneSiteAndReleasesLease) {
   EXPECT_EQ(ledger->acquired(), 1u);
   EXPECT_EQ(ledger->released(), 1u);
   EXPECT_EQ(ledger->active(), 0u);
-
-  // The decision reached the accounting mirror and the broker's count.
-  const auto summary =
-      f.grid.igoc().job_db().gang_events(Time::zero(), f.sim.now());
-  EXPECT_EQ(summary.gangs, 1u);
-  EXPECT_EQ(summary.whole, 1u);
-  EXPECT_EQ(summary.split, 0u);
-  EXPECT_EQ(summary.members, 4u);
-  EXPECT_GT(b.gang_matches(), 0u);
 }
 
 TEST(GangMatch, SplitFallbackPropagatesActualMemberSites) {
@@ -263,11 +254,6 @@ TEST(GangMatch, SplitFallbackPropagatesActualMemberSites) {
   // Regression: the feedback carried sim2's own completion site, not the
   // primary ALPHA hosts the larger share on.
   EXPECT_EQ(stats->node_results[child].source_site, "BETA");
-
-  const auto summary =
-      f.grid.igoc().job_db().gang_events(Time::zero(), f.sim.now());
-  EXPECT_EQ(summary.split, 1u);
-  EXPECT_GT(b.gang_splits(), 0u);
 }
 
 /// Half-finished-gang scenario: a two-member gang whose only common site
@@ -279,8 +265,33 @@ struct GangRescueRun {
   DagRunStats stats;
   ConcreteDag original;
   ConcreteDag rescue;
+  /// Gang-scoped lease transitions (app label "gang:<id>"), counted
+  /// through the ledger's audit tap.  A lease's label is read at
+  /// acquire, while the ledger still holds it.
+  std::set<placement::LeaseId> gang_leases;
+  std::size_t gang_acquires = 0;
+  std::size_t gang_releases = 0;
+  std::size_t gang_consumes = 0;
 
   GangRescueRun() {
+    placement::PlacementLedger* ledger = fabric.grid.placement("usatlas");
+    EXPECT_NE(ledger, nullptr);
+    if (ledger != nullptr) {
+      ledger->set_audit([this, ledger](placement::LeaseId id,
+                                       const char* event) {
+        const std::string e = event;
+        if (e == "acquire") {
+          const placement::StageOutLease* l = ledger->find(id);
+          if (l != nullptr && l->app.rfind("gang:", 0) == 0) {
+            gang_leases.insert(id);
+            ++gang_acquires;
+          }
+        } else if (gang_leases.count(id) != 0) {
+          gang_releases += e == "release";
+          gang_consumes += e == "consume";
+        }
+      });
+    }
     VirtualDataCatalog vdc;
     vdc.add_transformation({"tf", "1", "app"});
     vdc.add_transformation({"tfB", "1", "appB"});
@@ -315,16 +326,11 @@ TEST(GangRescue, LeaseReleasedExactlyOnceAndCandidatesRederived) {
   EXPECT_FALSE(run.stats.node_results[index_of(run.original, "simB")].ok);
 
   // The gang-scoped lease (app label "gang:<id>") was acquired once and
-  // released exactly once -- when simB, the last member, resolved.
-  std::size_t gang_acquires = 0;
-  std::size_t gang_releases = 0;
-  for (const auto& l : run.fabric.grid.igoc().job_db().leases()) {
-    if (l.app.rfind("gang:", 0) != 0) continue;
-    if (l.event == "acquire") ++gang_acquires;
-    if (l.event == "release") ++gang_releases;
-  }
-  EXPECT_EQ(gang_acquires, 1u);
-  EXPECT_EQ(gang_releases, 1u);
+  // released exactly once -- when simB, the last member, resolved -- and
+  // never consumed.
+  EXPECT_EQ(run.gang_acquires, 1u);
+  EXPECT_EQ(run.gang_releases, 1u);
+  EXPECT_EQ(run.gang_consumes, 0u);
   placement::PlacementLedger* ledger = run.fabric.grid.placement("usatlas");
   ASSERT_NE(ledger, nullptr);
   EXPECT_EQ(ledger->active(), 0u);

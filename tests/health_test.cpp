@@ -1,23 +1,25 @@
 // Site-health circuit breakers: EWMA trip mechanics, ticket lifecycle,
 // quarantine exclusion from broker matching, gang-lease return on trip,
-// probed re-admission after repair, rebind-budget exemption, monitoring
-// visibility (bus / ACDC / MDViewer / Troubleshooter), and determinism.
+// probed re-admission after repair, rebind-budget exemption, the
+// monitor's event log and iGOC tickets as the one record of each trip
+// (Troubleshooter-correlatable), a bus that carries only Ganglia and
+// MonALISA, and determinism.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <optional>
+#include <set>
 #include <string>
 #include <vector>
 
 #include "broker/broker.h"
 #include "broker/rank_policy.h"
-#include "bus_probe.h"
 #include "core/grid3.h"
 #include "core/site.h"
 #include "gram/gatekeeper.h"
 #include "health/health.h"
 #include "monitoring/acdc.h"
-#include "monitoring/mdviewer.h"
+#include "monitoring/bus.h"
 #include "monitoring/troubleshoot.h"
 #include "pacman/vdt.h"
 #include "placement/ledger.h"
@@ -55,11 +57,11 @@ TEST(Monitor, TripsAfterEwmaThresholdWithTicket) {
   EXPECT_NE(opened[0].find("bh"), std::string::npos);
   EXPECT_NE(opened[0].find("submit"), std::string::npos);
 
-  // The quarantine interval is queryable and still open.
-  const auto windows = mon.quarantine_windows();
-  ASSERT_EQ(windows.size(), 1u);
-  EXPECT_EQ(windows[0].site, "bh");
-  EXPECT_EQ(windows[0].closed, Time::max());
+  // The monitor's event log holds the trip once.
+  ASSERT_EQ(mon.events().size(), 1u);
+  EXPECT_EQ(mon.events()[0].site, "bh");
+  EXPECT_EQ(mon.events()[0].event, "trip");
+  EXPECT_EQ(mon.events()[0].service, "submit");
 }
 
 TEST(Monitor, MinSamplesGateBlocksEarlyTrip) {
@@ -116,8 +118,8 @@ TEST(Monitor, TrialTrafficReadmitsWithoutProbeSubmitter) {
   EXPECT_EQ(closed[0], 42u);
   // Re-admission resets the score: pre-repair history is forgotten.
   EXPECT_EQ(mon.score("s", Service::kBatch), 0.0);
-  ASSERT_EQ(mon.quarantine_windows().size(), 1u);
-  EXPECT_NE(mon.quarantine_windows()[0].closed, Time::max());
+  ASSERT_FALSE(mon.events().empty());
+  EXPECT_EQ(mon.events().back().event, "readmit");
 }
 
 TEST(Monitor, ProbeFailureReopensWithEscalatedQuarantine) {
@@ -278,7 +280,6 @@ TEST(HealthIntegration, QuarantinedSiteExcludedFromMatching) {
 TEST(HealthIntegration, BlackHoleTripsAndWorkCompletesElsewhere) {
   HealthFabric f;
   f.grid.site("blackhole")->gatekeeper().set_environment_error_rate(1.0);
-  testutil::BusProbe trips{f.grid.igoc().bus(), "blackhole", metric::kTrips};
 
   int ok = 0, failed = 0;
   auto* b = f.grid.broker("usatlas");
@@ -299,18 +300,22 @@ TEST(HealthIntegration, BlackHoleTripsAndWorkCompletesElsewhere) {
   EXPECT_LE(failed, 5);
   EXPECT_GE(ok, 35);
 
-  // Trip streamed on the bus, in ACDC, and through MDViewer.
-  EXPECT_GT(trips.samples(), 0u);
-  EXPECT_GE(trips.last(), 1.0);
-  const auto acdc =
-      f.grid.igoc().job_db().breaker_events(Time::zero(), Time::max());
-  EXPECT_GE(acdc.at("trip"), 1u);
-  const monitoring::MdViewer viewer = f.grid.igoc().viewer();
-  EXPECT_GE(viewer.breaker_events(Time::zero(), Time::max(),
-                                  "blackhole")["trip"],
-            1u);
-  // An iGOC ticket is open for the quarantine.
+  // The trip is in the monitor's event log, one record per trip, and an
+  // iGOC ticket is open at the black hole for the quarantine.
+  std::size_t logged_trips = 0;
+  for (const BreakerEvent& e : f.grid.health()->events()) {
+    if (e.event == "trip") {
+      EXPECT_EQ(e.site, "blackhole");
+      ++logged_trips;
+    }
+  }
+  EXPECT_EQ(logged_trips, f.grid.health()->trips());
   EXPECT_GE(f.grid.igoc().tickets().open_count(), 1u);
+  bool ticket_at_hole = false;
+  for (const core::TroubleTicket& t : f.grid.igoc().tickets().tickets()) {
+    ticket_at_hole = ticket_at_hole || (t.site == "blackhole" && t.open());
+  }
+  EXPECT_TRUE(ticket_at_hole);
 }
 
 TEST(HealthIntegration, ProbedReadmissionAfterRepairClosesTicket) {
@@ -351,10 +356,16 @@ TEST(HealthIntegration, ProbedReadmissionAfterRepairClosesTicket) {
   EXPECT_EQ(f.grid.igoc().tickets().open_count(), 0u);
   EXPECT_GE(ok, 15);  // at most the EWMA-feeding five are lost
 
-  // The quarantine interval closed and is Troubleshooter-correlatable:
-  // the failure burst at the black hole matches the breaker's window.
-  const auto windows = f.grid.health()->quarantine_windows();
+  // The quarantine interval is the trip's iGOC ticket: it closed, and it
+  // is Troubleshooter-correlatable -- the failure burst at the black
+  // hole matches it.
+  std::vector<monitoring::IncidentWindow> windows;
+  for (const core::TroubleTicket& t : f.grid.igoc().tickets().tickets()) {
+    windows.push_back(
+        {t.id, t.site, t.issue, t.opened, t.closed.value_or(Time::max())});
+  }
   ASSERT_GE(windows.size(), 1u);
+  EXPECT_EQ(windows[0].site, "blackhole");
   EXPECT_NE(windows[0].closed, Time::max());
   monitoring::Troubleshooter shooter{f.grid.igoc().job_db()};
   auto bursts = monitoring::Troubleshooter::correlate(
@@ -373,6 +384,20 @@ TEST(HealthIntegration, TripReturnsGangLeaseAtQuarantinedPrimary) {
   auto* b = f.grid.broker("usatlas");
   auto* ledger = f.grid.placement("usatlas");
   ASSERT_NE(ledger, nullptr);
+  // The bus carries only Figure 1's producers: the gang's lease and the
+  // trip below stay in the ledger and the monitor that decide them.
+  monitoring::MetricBus& bus = f.grid.igoc().bus();
+  std::size_t samples = 0;
+  std::set<std::string> foreign;
+  const monitoring::SubscriptionId watch = bus.subscribe(
+      "*", "*", [&](monitoring::MetricId id, Time, double) {
+        ++samples;
+        const std::string& name = bus.key(id).name;
+        if (name.rfind("ganglia.", 0) != 0 &&
+            name.rfind("monalisa.", 0) != 0) {
+          foreign.insert(name);
+        }
+      });
 
   broker::GangSpec gang;
   gang.gang_id = "level-1";
@@ -399,6 +424,13 @@ TEST(HealthIntegration, TripReturnsGangLeaseAtQuarantinedPrimary) {
   }
   EXPECT_EQ(ledger->active(), 0u);
   EXPECT_GE(ledger->released(), 1u);
+  EXPECT_EQ(f.grid.health()->trips(), 1u);
+
+  bus.unsubscribe(watch);
+  EXPECT_GT(samples, 0u);
+  std::string listed;
+  for (const std::string& name : foreign) listed += " " + name;
+  EXPECT_TRUE(foreign.empty()) << "non-producer keys on the bus:" << listed;
 }
 
 // --- integration: health-aware planning -------------------------------------
