@@ -33,9 +33,10 @@ pinned digest; a mismatch prints the first differing line.
 campaign_bench from perfbench/CMakeLists.txt into <build-dir>/perfbench,
 runs one campaign per (workload, seed) in CAMPAIGN_RUNS, and compares the
 digest, the job counts, the checks and every layer count with the
-committed bench/CAMPAIGN_MANIFEST.json; the first difference fails the
-gate.  Host timings and RSS are never compared.  --write-campaign
-rewrites the manifest from the build instead.
+committed bench/CAMPAIGN_MANIFEST.json.  It lists every differing
+(workload, seed, field) and fails the gate on any of them.  Host timings
+and RSS are never compared.  --write-campaign rewrites the manifest from
+the build instead.
 """
 from __future__ import annotations
 
@@ -485,18 +486,19 @@ def run_campaign(binary: pathlib.Path, workload: str, seed: int) -> dict:
     return entry
 
 
-def campaign_difference(want: dict, got: dict) -> str | None:
-    """The first pinned field where two campaigns differ, or None."""
+def campaign_differences(want: dict, got: dict) -> list[str]:
+    """Every pinned field where two campaigns differ."""
+    diffs = []
     for field in CAMPAIGN_FIELDS:
         a, b = want.get(field), got.get(field)
         if isinstance(a, dict) and isinstance(b, dict):
             for key in sorted(a.keys() | b.keys()):
                 if a.get(key) != b.get(key):
-                    return (f"{field}.{key}: pinned {a.get(key)}, "
-                            f"got {b.get(key)}")
+                    diffs.append(f"{field}.{key}: pinned {a.get(key)}, "
+                                 f"got {b.get(key)}")
         elif a != b:
-            return f"{field}: pinned {a}, got {b}"
-    return None
+            diffs.append(f"{field}: pinned {a}, got {b}")
+    return diffs
 
 
 def check_campaign(build_dir: pathlib.Path, repo_root: pathlib.Path,
@@ -534,11 +536,11 @@ def check_campaign(build_dir: pathlib.Path, repo_root: pathlib.Path,
         key = (e["workload"], e["seed"])
         want = pinned.get(key)
         if want is None:
-            return problems + [f"{key[0]} seed={key[1]}: not in "
-                               f"{CAMPAIGN_MANIFEST}"]
-        diff = campaign_difference(want, e)
-        if diff is not None:
-            return problems + [f"{key[0]} seed={key[1]}: {diff}"]
+            problems.append(f"{key[0]} seed={key[1]}: not in "
+                            f"{CAMPAIGN_MANIFEST}")
+            continue
+        problems.extend(f"{key[0]} seed={key[1]}: {diff}"
+                        for diff in campaign_differences(want, e))
     for key in sorted(pinned.keys() - set(CAMPAIGN_RUNS)):
         problems.append(f"{key[0]} seed={key[1]}: in {CAMPAIGN_MANIFEST} "
                         "but not run")

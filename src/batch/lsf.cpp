@@ -43,8 +43,8 @@ std::optional<std::size_t> LsfScheduler::pick_next() {
   const int long_cap = std::max(
       1, static_cast<int>(
              std::floor(kLongQueueCap * static_cast<double>(total_slots()))));
-  const int long_now = count_running([](const JobRequest& r) {
-    return r.requested_walltime > kLongQueueThreshold;
+  const int long_now = count_running([](const RunningJob& j) {
+    return j.requested_walltime > kLongQueueThreshold;
   });
   if (long_now < long_cap) {
     for (std::size_t i = 0; i < q.size(); ++i) {

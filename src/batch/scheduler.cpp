@@ -24,8 +24,8 @@ BatchScheduler::BatchScheduler(sim::Simulation& sim, SchedulerConfig cfg)
 }
 
 BatchScheduler::~BatchScheduler() {
-  for (auto& [id, job] : running_) {
-    if (job.completion != 0) sim_.cancel(job.completion);
+  for (const RunningJob& job : running_) {
+    if (job.id != 0 && job.completion != 0) sim_.cancel(job.completion);
   }
 }
 
@@ -47,7 +47,7 @@ SubmitResult BatchScheduler::submit(const JobRequest& req, CompletionFn done) {
     if (done) {
       JobOutcome out;
       out.state = JobState::kRejected;
-      out.vo = req.vo;
+      out.vo = req.vo_index.valid() ? vo_names_.name(req.vo_index) : req.vo;
       out.submitted = sim_.now();
       done(out);
     }
@@ -60,7 +60,8 @@ SubmitResult BatchScheduler::submit(const JobRequest& req, CompletionFn done) {
     return reject("requested walltime exceeds queue limit");
   }
   // Policy gate 2: closed share lists refuse foreign VOs.
-  const VoIndex vo = vo_index(req.vo);
+  assert(!req.vo_index.valid() || req.vo_index.value() < vos_.size());
+  const VoIndex vo = req.vo_index.valid() ? req.vo_index : vo_index(req.vo);
   if (!vos_[vo.value()].authorized) {
     return reject("VO not authorized on this resource");
   }
@@ -77,34 +78,56 @@ bool BatchScheduler::cancel(LocalJobId id) {
   auto qit = std::find_if(queue_.begin(), queue_.end(),
                           [&](const QueuedJob& j) { return j.id == id; });
   if (qit != queue_.end()) {
-    JobOutcome out;
-    out.id = id;
-    out.state = JobState::kKilledAdmin;
-    out.vo = qit->req.vo;
-    out.submitted = qit->submitted;
-    out.started = out.finished = sim_.now();
+    const VoIndex vo = qit->vo;
+    const Time submitted = qit->submitted;
     CompletionFn cb = std::move(qit->done);
-    int& outstanding = vos_[qit->vo.value()].outstanding;
+    int& outstanding = vos_[vo.value()].outstanding;
     assert(outstanding > 0);
     --outstanding;
     queue_.erase(qit);
-    if (cb) cb(out);
+    if (cb) {
+      JobOutcome out;
+      out.id = id;
+      out.state = JobState::kKilledAdmin;
+      out.vo = vo_names_.name(vo);
+      out.submitted = submitted;
+      out.started = out.finished = sim_.now();
+      cb(out);
+    }
     return true;
   }
-  if (auto it = running_.find(id); it != running_.end()) {
-    finish(it, JobState::kKilledAdmin);
-    return true;
+  for (std::uint32_t slot = 0; slot < running_.size(); ++slot) {
+    if (running_[slot].id == id) {
+      finish(slot, JobState::kKilledAdmin);
+      return true;
+    }
   }
   return false;
 }
 
-std::size_t BatchScheduler::kill_running(double fraction, util::Rng& rng) {
-  std::vector<LocalJobId> victims;
-  for (const auto& [id, job] : running_) {
-    if (rng.chance(fraction)) victims.push_back(id);
+std::vector<BatchScheduler::Placed> BatchScheduler::running_by_id() const {
+  std::vector<Placed> jobs;
+  jobs.reserve(static_cast<std::size_t>(busy_));
+  for (std::uint32_t slot = 0; slot < running_.size(); ++slot) {
+    if (running_[slot].id != 0) jobs.push_back({running_[slot].id, slot});
   }
-  std::sort(victims.begin(), victims.end());  // deterministic order
-  for (LocalJobId id : victims) finish(id, JobState::kKilledNodeFailure);
+  std::sort(jobs.begin(), jobs.end(),
+            [](const Placed& a, const Placed& b) { return a.id < b.id; });
+  return jobs;
+}
+
+void BatchScheduler::kill(const Placed& victim) {
+  if (running_[victim.slot].id == victim.id) {
+    finish(victim.slot, JobState::kKilledNodeFailure);
+  }
+}
+
+std::size_t BatchScheduler::kill_running(double fraction, util::Rng& rng) {
+  std::vector<Placed> victims;
+  for (const Placed& job : running_by_id()) {
+    if (rng.chance(fraction)) victims.push_back(job);
+  }
+  for (const Placed& victim : victims) kill(victim);
   return victims.size();
 }
 
@@ -114,15 +137,10 @@ void BatchScheduler::resize(int new_slots, util::Rng& rng) {
   cfg_.slots = new_slots;
   if (removed > 0 && busy_slots() > new_slots) {
     // Kill enough randomly chosen running jobs to fit.
-    std::vector<LocalJobId> ids;
-    ids.reserve(running_.size());
-    for (const auto& [id, job] : running_) ids.push_back(id);
-    std::sort(ids.begin(), ids.end());
-    rng.shuffle(ids);
+    std::vector<Placed> jobs = running_by_id();
+    rng.shuffle(jobs);
     const int excess = busy_slots() - new_slots;
-    for (int i = 0; i < excess; ++i) {
-      finish(ids[static_cast<std::size_t>(i)], JobState::kKilledNodeFailure);
-    }
+    for (int i = 0; i < excess; ++i) kill(jobs[static_cast<std::size_t>(i)]);
   }
   dispatch();
 }
@@ -147,10 +165,10 @@ double BatchScheduler::fair_share_rank(VoIndex vo) const {
 }
 
 int BatchScheduler::count_running(
-    const std::function<bool(const JobRequest&)>& pred) const {
+    const std::function<bool(const RunningJob&)>& pred) const {
   int n = 0;
-  for (const auto& [id, job] : running_) {
-    if (pred(job.req)) ++n;
+  for (const RunningJob& job : running_) {
+    if (job.id != 0 && pred(job)) ++n;
   }
   return n;
 }
@@ -166,55 +184,73 @@ void BatchScheduler::dispatch() {
     queue_.erase(queue_.begin() + static_cast<std::ptrdiff_t>(*idx));
     ++vos_[qj.vo.value()].running;
 
-    RunningJob run;
+    std::uint32_t slot;
+    if (free_list_.empty()) {
+      slot = static_cast<std::uint32_t>(running_.size());
+      running_.emplace_back();
+    } else {
+      slot = free_list_.back();
+      free_list_.pop_back();
+    }
+    ++busy_;
+    RunningJob& run = running_[slot];
     run.id = qj.id;
-    run.req = std::move(qj.req);
     run.vo = qj.vo;
+    run.requested_walltime = qj.req.requested_walltime;
     run.submitted = qj.submitted;
     run.started = sim_.now();
     run.done = std::move(qj.done);
 
     // Completion: either natural end or the walltime killer, whichever is
     // sooner on an enforcing LRMS.
-    Time end_after = run.req.actual_runtime;
-    if (enforces_walltime() && run.req.actual_runtime > run.req.requested_walltime) {
-      end_after = run.req.requested_walltime;
+    Time end_after = qj.req.actual_runtime;
+    run.end_state = JobState::kCompleted;
+    if (enforces_walltime() && qj.req.actual_runtime > qj.req.requested_walltime) {
+      end_after = qj.req.requested_walltime;
       run.end_state = JobState::kKilledWalltime;
     }
-    // [this, id] fits std::function's inline buffer: no allocation.
-    const LocalJobId id = qj.id;
-    run.completion = sim_.schedule_in(end_after, [this, id] {
-      auto it = running_.find(id);
-      assert(it != running_.end());
-      finish(it, it->second.end_state);
+    // [this, slot] fits std::function's inline buffer: no allocation.
+    // A job that ends early cancels this event, so it fires only for the
+    // job that still holds the slot.
+    run.completion = sim_.schedule_in(end_after, [this, slot] {
+      RunningJob& job = running_[slot];
+      assert(job.id != 0);
+      job.completion = 0;  // firing: nothing left to cancel
+      finish(slot, job.end_state);
     });
-    running_.emplace(id, std::move(run));
   }
   dispatching_ = false;
 }
 
-void BatchScheduler::finish(LocalJobId id, JobState state) {
-  if (auto it = running_.find(id); it != running_.end()) finish(it, state);
-}
+void BatchScheduler::finish(std::uint32_t slot, JobState state) {
+  RunningJob& job = running_[slot];
+  const LocalJobId id = job.id;
+  const VoIndex vo = job.vo;
+  const Time submitted = job.submitted;
+  const Time started = job.started;
+  CompletionFn done = std::move(job.done);
+  if (job.completion != 0) sim_.cancel(job.completion);
+  job.id = 0;
+  free_list_.push_back(slot);
+  --busy_;
 
-void BatchScheduler::finish(RunningMap::iterator it, JobState state) {
-  RunningJob job = std::move(it->second);
-  running_.erase(it);
-  VoRow& row = vos_[job.vo.value()];
+  VoRow& row = vos_[vo.value()];
   assert(row.running > 0 && row.outstanding > 0);
   --row.running;
   --row.outstanding;
-  if (job.completion != 0) sim_.cancel(job.completion);
-
-  JobOutcome out;
-  out.id = job.id;
-  out.state = state;
-  out.vo = job.req.vo;
-  out.submitted = job.submitted;
-  out.started = job.started;
-  out.finished = sim_.now();
-  row.usage += out.cpu_used();
-  if (job.done) job.done(out);
+  const Time now = sim_.now();
+  row.usage += now - started;
+  // Only a callback reads the outcome; local load has none.
+  if (done) {
+    JobOutcome out;
+    out.id = id;
+    out.state = state;
+    out.vo = vo_names_.name(vo);
+    out.submitted = submitted;
+    out.started = started;
+    out.finished = now;
+    done(out);
+  }
   dispatch();
 }
 

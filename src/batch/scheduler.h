@@ -14,7 +14,6 @@
 #include <map>
 #include <optional>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "core/ids.h"
@@ -45,6 +44,10 @@ enum class JobState {
 
 struct JobRequest {
   std::string vo;            ///< group account the job maps to
+  /// This scheduler's index of the account (BatchScheduler::vo_index).
+  /// A submitter that holds it sets it instead of `vo` and spares submit
+  /// the name lookup; when set it wins over `vo`.
+  VoIndex vo_index;
   Time requested_walltime;   ///< queue-managed sites require this (§6.4)
   Time actual_runtime;       ///< true demand, unknown to the scheduler
   int priority = 0;          ///< < 0 marks backfill (the Condor exerciser)
@@ -101,7 +104,8 @@ class BatchScheduler {
 
   /// Kill each running job independently with probability `fraction`
   /// (ACDC's nightly worker rollover, section 6.1): they end in
-  /// kKilledNodeFailure.
+  /// kKilledNodeFailure.  One `chance()` per running job, drawn in
+  /// ascending job-id order.
   std::size_t kill_running(double fraction, util::Rng& rng);
 
   /// Remove `n` slots (node withdrawal); running jobs on removed slots are
@@ -113,7 +117,7 @@ class BatchScheduler {
   void resume();
 
   [[nodiscard]] int total_slots() const { return cfg_.slots; }
-  [[nodiscard]] int busy_slots() const { return static_cast<int>(running_.size()); }
+  [[nodiscard]] int busy_slots() const { return busy_; }
   [[nodiscard]] int free_slots() const { return cfg_.slots - busy_slots(); }
   [[nodiscard]] std::size_t queued_count() const { return queue_.size(); }
   [[nodiscard]] const SchedulerConfig& config() const { return cfg_; }
@@ -149,6 +153,20 @@ class BatchScheduler {
   /// to leave remaining slots idle this round.
   [[nodiscard]] virtual std::optional<std::size_t> pick_next() = 0;
 
+  /// One slot of the running-job slab; id 0 marks a free slot.
+  struct RunningJob {
+    LocalJobId id = 0;
+    VoIndex vo;
+    /// How the completion event ends the job: kCompleted, or
+    /// kKilledWalltime when an enforcing LRMS stops it at its request.
+    JobState end_state = JobState::kCompleted;
+    Time requested_walltime;
+    Time submitted;
+    Time started;
+    sim::EventId completion = 0;
+    CompletionFn done;
+  };
+
   [[nodiscard]] const std::deque<QueuedJob>& queue() const { return queue_; }
   [[nodiscard]] sim::Simulation& sim() { return sim_; }
 
@@ -156,24 +174,12 @@ class BatchScheduler {
   /// usage / share_weight, lower runs first.
   [[nodiscard]] double fair_share_rank(VoIndex vo) const;
 
-  /// Number of running jobs whose request satisfies `pred` (policy
-  /// bookkeeping, e.g. LSF's long-queue cap).
+  /// Number of running jobs that satisfy `pred` (policy bookkeeping,
+  /// e.g. LSF's long-queue cap).
   [[nodiscard]] int count_running(
-      const std::function<bool(const JobRequest&)>& pred) const;
+      const std::function<bool(const RunningJob&)>& pred) const;
 
  private:
-  struct RunningJob {
-    LocalJobId id;
-    JobRequest req;
-    VoIndex vo;
-    Time submitted;
-    Time started;
-    sim::EventId completion = 0;
-    /// How the completion event ends the job: kCompleted, or
-    /// kKilledWalltime when an enforcing LRMS stops it at its request.
-    JobState end_state = JobState::kCompleted;
-    CompletionFn done;
-  };
   /// One VO's row, indexed by VoIndex.
   struct VoRow {
     double share = 1.0;       ///< fair-share weight, floored at 1e-9
@@ -182,11 +188,20 @@ class BatchScheduler {
     int outstanding = 0;      ///< queued + running
     Time usage;
   };
-  using RunningMap = std::unordered_map<LocalJobId, RunningJob>;
+  /// A running job's id and the slab slot it occupies.
+  struct Placed {
+    LocalJobId id;
+    std::uint32_t slot;
+  };
 
   void dispatch();
-  void finish(LocalJobId id, JobState state);
-  void finish(RunningMap::iterator it, JobState state);
+  /// Running jobs in ascending id order: the order every random draw
+  /// over them uses, whichever slots they occupy.
+  [[nodiscard]] std::vector<Placed> running_by_id() const;
+  /// End `victim` unless it already left its slot: a kill's callback
+  /// may end other jobs and refill their slots.
+  void kill(const Placed& victim);
+  void finish(std::uint32_t slot, JobState state);
 
   sim::Simulation& sim_;
   SchedulerConfig cfg_;
@@ -194,9 +209,12 @@ class BatchScheduler {
   bool dispatching_ = false;
   LocalJobId next_id_ = 1;
   std::deque<QueuedJob> queue_;
-  /// Stays a hash map: kill_running draws one chance() per running job
-  /// in this map's iteration order, and the pinned digests depend on it.
-  RunningMap running_;
+  /// Slab of running jobs: a job keeps its slot from dispatch to finish,
+  /// and its completion event names the slot.  Freed slots are reused
+  /// last-freed first.
+  std::vector<RunningJob> running_;
+  std::vector<std::uint32_t> free_list_;
+  int busy_ = 0;  ///< occupied slots of `running_`
   core::Interner<VoIndex> vo_names_;
   /// Every change to `queue_` or `running_` moves these counts in step.
   std::vector<VoRow> vos_;

@@ -247,7 +247,7 @@ void Site::sample_local_load() {
   const int deficit = target - scheduler_->outstanding_for_vo(local_vo_);
   for (int i = 0; i < deficit; ++i) {
     batch::JobRequest req;
-    req.vo = kLocalVo;
+    req.vo_index = local_vo_;
     const Time runtime = Time::hours(rng_.exponential(2.0));
     req.requested_walltime = runtime + Time::hours(1);
     req.actual_runtime = runtime;

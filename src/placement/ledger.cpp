@@ -14,7 +14,7 @@ AcquireResult PlacementLedger::acquire(const std::string& dest_site,
 
 AcquireResult PlacementLedger::acquire(const std::vector<std::string>& chain,
                                        Bytes size, const std::string& app,
-                                       const std::vector<std::string>& lfns,
+                                       const std::vector<std::string>& /*lfns*/,
                                        Time now) {
   // One verdict per chain entry: lease it, or classify the refusal.  A
   // "fallthrough hop" is the act of moving past a rejected entry to try
@@ -27,16 +27,7 @@ AcquireResult PlacementLedger::acquire(const std::vector<std::string>& chain,
     const std::string& dest_site = chain[i];
     const bool has_next = i + 1 < chain.size();
 
-    StageOutLease lease;
-    lease.vo = vo_;
-    lease.app = app;
-    lease.dest_site = dest_site;
-    lease.primary_site = chain.front();
-    lease.hops = hops;
-    lease.size = size;
-    lease.lfns = lfns;
-    lease.acquired = now;
-
+    srm::ReservationId reservation = 0;
     bool refused_here = false;
     bool known = true;
     if (admissible_ != nullptr && !admissible_(dest_site)) {
@@ -49,7 +40,7 @@ AcquireResult PlacementLedger::acquire(const std::vector<std::string>& chain,
       // job is still computing toward its stage-out.
       const auto rid = srm->reserve(vo_, size, srm::SpaceType::kDurable, now);
       if (rid.has_value()) {
-        lease.reservation = *rid;
+        reservation = *rid;
       } else {
         refused_here = true;
         refused.push_back(dest_site);
@@ -68,10 +59,16 @@ AcquireResult PlacementLedger::acquire(const std::vector<std::string>& chain,
     }
 
     if (known && !refused_here) {
-      lease.id = next_id_++;
+      const LeaseId id = next_id_++;
       ++acquired_;
-      const LeaseId id = lease.id;
-      leases_.emplace(id, std::move(lease));
+      StageOutLease& lease = leases_[id];
+      lease.id = id;
+      lease.app = app;
+      lease.dest_site = dest_site;
+      lease.primary_site = chain.front();
+      lease.hops = hops;
+      lease.size = size;
+      lease.reservation = reservation;
       if (audit_ != nullptr) audit_(id, "acquire");
       return {AcquireStatus::kLeased, id, dest_site, hops,
               std::move(refused)};

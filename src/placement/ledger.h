@@ -11,9 +11,9 @@
 // full disks after the compute cycles were already spent.
 //
 // A StageOutLease is one job's claim on its data destiny: the resolved
-// destination SE, an SRM space reservation covering the output volume
-// (when the SE runs an SRM), and the RLS registration intent.  The
-// per-VO PlacementLedger owns every lease:
+// destination SE and an SRM space reservation covering the output volume
+// (when the SE runs an SRM).  The job's own stage-out registers its
+// outputs in RLS.  The per-VO PlacementLedger owns every lease:
 //
 //   * the broker ACQUIRES a lease at match time -- a full destination
 //     becomes a match-time rejection (the job waits in the broker)
@@ -67,8 +67,7 @@ class StorageDirectory {
 
 using LeaseId = std::uint64_t;
 
-/// One job's stage-out claim: destination SE + SRM reservation + RLS
-/// registration intent.
+/// One job's stage-out claim: destination SE + SRM reservation.
 ///
 /// Two acquirers exist.  Per-job: the broker leases a spec's stage-out
 /// intent before binding, and the lease is consumed (archive succeeded)
@@ -76,13 +75,12 @@ using LeaseId = std::uint64_t;
 /// co-located DAG level, ResourceBroker::submit_gang acquires ONE lease
 /// covering the level's aggregate intermediate-product bytes at the
 /// gang's primary site (pro-rated to the primary's member share when
-/// the gang had to split; app label "gang:<gang_id>", no LFNs).  A gang
+/// the gang had to split; app label "gang:<gang_id>").  A gang
 /// lease is never consumed -- the members' own stage-outs account the
 /// durable bytes -- it is released exactly once, when the last member
 /// resolves, on every path: success, failure, hold-expiry, and rescue.
 struct StageOutLease {
   LeaseId id = 0;
-  std::string vo;
   std::string app;
   /// SE the lease actually resolved to (the chain's first admissible SE
   /// with room).  All space accounting -- consume, release, srm_for --
@@ -100,8 +98,6 @@ struct StageOutLease {
   /// time -- the TOCTOU window stays open but hopeless matches are
   /// still rejected up front).
   srm::ReservationId reservation = 0;
-  std::vector<std::string> lfns;  ///< outputs to register on consume
-  Time acquired;
 };
 
 enum class AcquireStatus {
@@ -137,7 +133,8 @@ class PlacementLedger {
 
   /// Secure stage-out space at `dest_site` for `size` bytes.  Durable
   /// SRM reservation when the SE runs one (sweeps cannot reclaim it
-  /// mid-job); free-space probe otherwise.
+  /// mid-job); free-space probe otherwise.  The lease keeps `app`, not
+  /// `lfns`: the job's stage-out registers its outputs itself.
   [[nodiscard]] AcquireResult acquire(const std::string& dest_site,
                                       Bytes size, const std::string& app,
                                       const std::vector<std::string>& lfns,

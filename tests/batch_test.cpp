@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <map>
+#include <vector>
 
 #include "batch/scheduler.h"
 #include "sim/simulation.h"
@@ -129,6 +130,87 @@ TEST(SlotEngine, UsageChargedPerVo) {
   EXPECT_EQ(sched.vo_usage("atlas"), Time::hours(2));
   EXPECT_EQ(sched.vo_usage("cms"), Time::hours(3));
   EXPECT_EQ(sched.vo_usage("ligo"), Time::zero());
+}
+
+TEST(SlotEngine, KillRunningDrawsInJobIdOrder) {
+  sim::Simulation sim;
+  CondorScheduler sched{sim, config(6)};
+  std::vector<LocalJobId> killed;
+  const auto record = [&](const JobOutcome& o) {
+    if (o.state == JobState::kKilledNodeFailure) killed.push_back(o.id);
+  };
+  // Jobs 2, 4 and 5 end at 1 h and jobs 7-9 take their slots, so the
+  // running jobs no longer sit in id order.
+  for (double hours : {10.0, 1.0, 10.0, 1.0, 1.0, 10.0, 10.0, 10.0, 10.0}) {
+    sched.submit(job("a", hours), record);
+  }
+  sim.run_until(Time::hours(2));
+  ASSERT_EQ(sched.busy_slots(), 6);
+
+  util::Rng rng{2003};
+  util::Rng replay = rng;
+  std::vector<LocalJobId> expected;
+  for (LocalJobId id : {1, 3, 6, 7, 8, 9}) {
+    if (replay.chance(0.5)) expected.push_back(id);
+  }
+  ASSERT_FALSE(expected.empty());
+  ASSERT_LT(expected.size(), 6u);
+  EXPECT_EQ(sched.kill_running(0.5, rng), expected.size());
+  EXPECT_EQ(killed, expected);
+  // One draw per running job, no more.
+  EXPECT_EQ(rng.next_u64(), replay.next_u64());
+}
+
+TEST(SlotEngine, RefilledSlotKeepsItsOwnCompletion) {
+  sim::Simulation sim;
+  PbsScheduler sched{sim, config(1)};
+  std::vector<JobOutcome> outs;
+  const auto record = [&](const JobOutcome& o) { outs.push_back(o); };
+  // The first job would hit its 2 h walltime; it is killed at 1 h and
+  // the queued job takes its slot.
+  const auto first = sched.submit(job("a", 3.0, 2.0), record);
+  const auto second = sched.submit(job("b", 5.0, 6.0), record);
+  sim.run_until(Time::hours(1));
+  util::Rng rng{1};
+  ASSERT_EQ(sched.kill_running(1.0, rng), 1u);
+  ASSERT_EQ(outs.size(), 1u);
+  EXPECT_EQ(outs[0].id, first.id);
+  EXPECT_EQ(outs[0].state, JobState::kKilledNodeFailure);
+  EXPECT_EQ(sched.busy_slots(), 1);
+
+  sim.run_until(Time::hours(3));
+  EXPECT_EQ(outs.size(), 1u);  // nothing ended at the killed job's 2 h
+  EXPECT_EQ(sched.busy_slots(), 1);
+  sim.run();
+  ASSERT_EQ(outs.size(), 2u);
+  EXPECT_EQ(outs[1].id, second.id);
+  EXPECT_EQ(outs[1].state, JobState::kCompleted);
+  EXPECT_EQ(outs[1].vo, "b");
+  EXPECT_EQ(outs[1].started, Time::hours(1));
+  EXPECT_EQ(outs[1].finished, Time::hours(6));
+}
+
+TEST(SlotEngine, VoIndexRequestLandsOnTheNamedRow) {
+  sim::Simulation sim;
+  CondorScheduler sched{sim, config(2)};
+  const VoIndex cms = sched.vo_index("cms");
+  JobRequest by_index = job("", 2.0);
+  by_index.vo_index = cms;
+  JobOutcome out;
+  sched.submit(job("cms", 1.0), {});
+  sched.submit(by_index, [&](const JobOutcome& o) { out = o; });
+  sched.submit(by_index, {});  // queued behind both
+  EXPECT_EQ(sched.running_for_vo(cms), 2);
+  EXPECT_EQ(sched.outstanding_for_vo(cms), 3);
+  sim.run_until(Time::hours(1));
+  EXPECT_EQ(sched.running_for_vo(cms), 2);
+  EXPECT_EQ(sched.outstanding_for_vo(cms), 2);
+  sim.run();
+  EXPECT_EQ(sched.running_for_vo(cms), 0);
+  EXPECT_EQ(sched.outstanding_for_vo(cms), 0);
+  EXPECT_EQ(sched.vo_usage("cms"), Time::hours(5));
+  EXPECT_EQ(out.vo, "cms");
+  EXPECT_EQ(out.state, JobState::kCompleted);
 }
 
 TEST(Condor, DoesNotEnforceWalltime) {

@@ -118,12 +118,13 @@ class Recounted : public Policy {
  public:
   using Policy::Policy;
 
-  [[nodiscard]] int recount_running(const std::string& vo) const {
+  [[nodiscard]] int recount_running(const std::string& vo) {
+    const batch::VoIndex v = this->vo_index(vo);
     return this->count_running(
-        [&](const batch::JobRequest& r) { return r.vo == vo; });
+        [&](const auto& job) { return job.vo == v; });
   }
 
-  [[nodiscard]] int recount_outstanding(const std::string& vo) const {
+  [[nodiscard]] int recount_outstanding(const std::string& vo) {
     int queued = 0;
     for (const auto& job : this->queue()) {
       if (job.req.vo == vo) ++queued;
