@@ -30,6 +30,49 @@ constexpr double kStaleRankPenalty = 0.5;
 
 }  // namespace
 
+void report_gram_outcome(health::SiteHealthMonitor& health,
+                         const std::string& site,
+                         const std::string& storage_site,
+                         const gram::GramResult& r, Time requested_walltime,
+                         Time now) {
+  switch (r.status) {
+    case gram::GramStatus::kCompleted:
+      health.report(site, health::Service::kSubmit, true, now);
+      health.report_batch(site, true, r.submitted, r.finished,
+                          requested_walltime, now);
+      break;
+    case gram::GramStatus::kGatekeeperDown:
+    case gram::GramStatus::kGatekeeperOverloaded:
+      health.report(site, health::Service::kSubmit, false, now);
+      break;
+    case gram::GramStatus::kStageInFailed:
+    case gram::GramStatus::kStageOutFailed:
+      health.report(site, health::Service::kTransfer, false, now);
+      break;
+    case gram::GramStatus::kDiskFull:
+      health.report(storage_site, health::Service::kStorage, false, now);
+      break;
+    case gram::GramStatus::kEnvironmentError:
+      // The black-hole signature: the site accepts the job, then the
+      // environment kills it.  Unconditionally a batch-service failure
+      // (the job may run its full slot before dying, so the fast-fail
+      // test would miss it).
+      health.report(site, health::Service::kBatch, false, now);
+      break;
+    case gram::GramStatus::kJobKilled:
+      health.report_batch(site, false, r.submitted, r.finished,
+                          requested_walltime, now);
+      break;
+    case gram::GramStatus::kAuthenticationFailed:
+    case gram::GramStatus::kSubmitRejected:
+    case gram::GramStatus::kProxyExpired:
+    case gram::GramStatus::kApplicationError:
+      // Application bugs, auth/proxy problems, and submit-side rejections
+      // say nothing about the site's health.
+      break;
+  }
+}
+
 ResourceBroker::ResourceBroker(sim::Simulation& sim, BrokerConfig cfg,
                                std::unique_ptr<RankPolicy> policy,
                                const mds::Giis& giis,
@@ -482,7 +525,7 @@ void ResourceBroker::submit_gang(GangSpec gang,
   // WAN regardless, so holding primary disk for them would just starve
   // other gangs.  kNoStorage (unmanaged SE) and kDiskFull both degrade
   // to an unleased gang rather than blocking the level.
-  if (placement.placed && ledger_ != nullptr && cfg_.placement_leases &&
+  if (placement.placed && ledger_ != nullptr &&
       gang.intermediates > Bytes::zero()) {
     Bytes share = gang.intermediates;
     if (placement.split) {
@@ -657,35 +700,21 @@ void ResourceBroker::try_match(const std::shared_ptr<Pending>& p) {
       if (cfg_.hold.budget_exhausted(now - p->created)) {
         // Saturated too long: surface as an overload, the failure class
         // the broker exists to prevent (or as disk-full when the last
-        // defer was a full destination SE).
-        BrokeredResult r;
-        // Storage-blocked jobs were matchable; the placement layer is
-        // what refused them, so the failure attributes as a site
-        // (storage) problem, not as "no eligible site".
-        r.matched = p->storage_blocked || p->rebinds > 0;
-        r.rebinds = p->rebinds;
-        r.holds = p->holds;
-        r.gram = p->last;
-        r.gram.status = p->storage_blocked
-                            ? gram::GramStatus::kDiskFull
-                            : gram::GramStatus::kGatekeeperOverloaded;
-        r.gram.submitted = p->created;
-        r.gram.finished = now;
-        finish(p, std::move(r));
+        // defer was a full destination SE).  Storage-blocked jobs were
+        // matchable; the placement layer is what refused them, so the
+        // failure attributes as a site (storage) problem, not as "no
+        // eligible site".
+        give_up(p, p->last,
+                p->storage_blocked ? gram::GramStatus::kDiskFull
+                                   : gram::GramStatus::kGatekeeperOverloaded,
+                p->storage_blocked || p->rebinds > 0);
         return;
       }
       hold(p);
       return;
     }
     // No eligible site at all: permanent, the kNoEligibleSite analogue.
-    BrokeredResult r;
-    r.matched = false;
-    r.rebinds = p->rebinds;
-    r.holds = p->holds;
-    r.gram.status = gram::GramStatus::kSubmitRejected;
-    r.gram.submitted = p->created;
-    r.gram.finished = now;
-    finish(p, std::move(r));
+    give_up(p, gram::GramResult{}, gram::GramStatus::kSubmitRejected, false);
     return;
   }
 
@@ -696,15 +725,8 @@ void ResourceBroker::try_match(const std::shared_ptr<Pending>& p) {
     ++storage_holds_;
     p->storage_blocked = true;
     if (cfg_.hold.budget_exhausted(now - p->created)) {
-      BrokeredResult r;
-      r.matched = true;  // matchable; storage refused it (see above)
-      r.rebinds = p->rebinds;
-      r.holds = p->holds;
-      r.gram = p->last;
-      r.gram.status = gram::GramStatus::kDiskFull;
-      r.gram.submitted = p->created;
-      r.gram.finished = now;
-      finish(p, std::move(r));
+      // Matchable; storage refused it (see above).
+      give_up(p, p->last, gram::GramStatus::kDiskFull, true);
       return;
     }
     hold(p);
@@ -774,12 +796,22 @@ void ResourceBroker::on_result(const std::shared_ptr<Pending>& p,
   // across rebinds.
   drop_lease(*p, r.ok());
 
-  report_health(*p, r);
+  if (health_ != nullptr) {
+    // A full disk is the archive SE's, not the execution site's: score
+    // the SE the stage-out targeted (the resolved chain SE, or the
+    // primary when unleased).
+    const std::string& se = !p->resolved_se.empty() ? p->resolved_se
+                            : !p->spec.stage_out_site.empty()
+                                ? p->spec.stage_out_site
+                                : p->bound_site;
+    report_gram_outcome(*health_, p->bound_site, se, r,
+                        p->job.request.requested_walltime, sim_.now());
+  }
 
   // Once the breaker has condemned the site, an environment kill or a
   // stage-out failure there is the site's fault, not the job's: treat it
   // as retryable even though the status is normally terminal.  Note the
-  // ordering above -- report_health runs first, so the very failure that
+  // ordering above -- health is scored first, so the very failure that
   // trips the breaker already re-matches instead of dying.
   const bool site_fault_at_quarantined =
       health_ != nullptr && health_->quarantined(p->bound_site) &&
@@ -788,16 +820,7 @@ void ResourceBroker::on_result(const std::shared_ptr<Pending>& p,
        r.status == gram::GramStatus::kJobKilled);
   if (r.ok() ||
       (!gram::is_transient(r.status) && !site_fault_at_quarantined)) {
-    BrokeredResult out;
-    out.gram = r;
-    out.site = p->bound_site;
-    // Where the lease (and hence the archived output) actually landed:
-    // RLS registration must follow this, not the spec's primary SE.
-    if (r.ok()) out.archive_site = p->resolved_se;
-    out.rebinds = p->rebinds;
-    out.holds = p->holds;
-    out.matched = true;
-    finish(p, std::move(out));
+    resolve(p, r);
     return;
   }
 
@@ -810,13 +833,7 @@ void ResourceBroker::on_result(const std::shared_ptr<Pending>& p,
   p->last = r;
   p->excluded_until[p->bound_site] = sim_.now() + kFailedSiteCooloff;
   if (!free_rebind && !kRebind.allows(p->rebinds)) {
-    BrokeredResult out;
-    out.gram = r;
-    out.site = p->bound_site;
-    out.rebinds = p->rebinds;
-    out.holds = p->holds;
-    out.matched = true;
-    finish(p, std::move(out));
+    resolve(p, r);
     return;
   }
   if (!free_rebind) ++p->rebinds;
@@ -826,54 +843,6 @@ void ResourceBroker::on_result(const std::shared_ptr<Pending>& p,
   sim::Simulation::ScopedTag tag{sim_, "rb",
                                  sim::Simulation::ScopedTag::kAppend};
   sim_.schedule_in(Time::seconds(backoff), [this, self] { try_match(self); });
-}
-
-void ResourceBroker::report_health(const Pending& p,
-                                   const gram::GramResult& r) {
-  if (health_ == nullptr) return;
-  const Time now = sim_.now();
-  const std::string& site = p.bound_site;
-  const Time requested = p.job.request.requested_walltime;
-  switch (r.status) {
-    case gram::GramStatus::kCompleted:
-      health_->report(site, health::Service::kSubmit, true, now);
-      health_->report_batch(site, true, r.submitted, r.finished, requested,
-                            now);
-      break;
-    case gram::GramStatus::kGatekeeperDown:
-    case gram::GramStatus::kGatekeeperOverloaded:
-      health_->report(site, health::Service::kSubmit, false, now);
-      break;
-    case gram::GramStatus::kStageInFailed:
-    case gram::GramStatus::kStageOutFailed:
-      health_->report(site, health::Service::kTransfer, false, now);
-      break;
-    case gram::GramStatus::kDiskFull:
-      // The full disk is the archive SE's, not the execution site's:
-      // attribute the failure to the SE the stage-out actually targeted
-      // (the resolved chain SE, or the primary when unleased).
-      health_->report(!p.resolved_se.empty() ? p.resolved_se
-                      : !p.spec.stage_out_site.empty()
-                          ? p.spec.stage_out_site
-                          : site,
-                      health::Service::kStorage, false, now);
-      break;
-    case gram::GramStatus::kEnvironmentError:
-      // The black-hole signature: the site accepts the job, then the
-      // environment kills it.  Unconditionally a batch-service failure
-      // (the job may run its full slot before dying, so the fast-fail
-      // test would miss it).
-      health_->report(site, health::Service::kBatch, false, now);
-      break;
-    case gram::GramStatus::kJobKilled:
-      health_->report_batch(site, false, r.submitted, r.finished, requested,
-                            now);
-      break;
-    default:
-      // Application bugs, auth/proxy problems, and submit-side rejections
-      // say nothing about the site's health.
-      break;
-  }
 }
 
 void ResourceBroker::hold(const std::shared_ptr<Pending>& p) {
@@ -943,6 +912,34 @@ void ResourceBroker::kick_waiting() {
   for (auto& p : batch) try_match(p);
 }
 
+void ResourceBroker::give_up(const std::shared_ptr<Pending>& p,
+                             gram::GramResult gram, gram::GramStatus status,
+                             bool matched) {
+  BrokeredResult r;
+  r.gram = std::move(gram);
+  r.gram.status = status;
+  r.gram.submitted = p->created;
+  r.gram.finished = sim_.now();
+  r.rebinds = p->rebinds;
+  r.holds = p->holds;
+  r.matched = matched;
+  finish(p, std::move(r));
+}
+
+void ResourceBroker::resolve(const std::shared_ptr<Pending>& p,
+                             const gram::GramResult& r) {
+  BrokeredResult out;
+  out.gram = r;
+  out.site = p->bound_site;
+  // Where the lease (and hence the archived output) actually landed:
+  // RLS registration must follow this, not the spec's primary SE.
+  if (r.ok()) out.archive_site = p->resolved_se;
+  out.rebinds = p->rebinds;
+  out.holds = p->holds;
+  out.matched = true;
+  finish(p, std::move(out));
+}
+
 void ResourceBroker::finish(const std::shared_ptr<Pending>& p,
                             BrokeredResult result) {
   drop_lease(*p, false);  // no-op unless a path left one behind
@@ -973,7 +970,7 @@ bool ResourceBroker::ensure_lease(Pending& p, Time now) {
   p.job.stage_out_srm = nullptr;
   p.job.stage_out_reservation = 0;
   p.resolved_se.clear();
-  if (ledger_ == nullptr || !cfg_.placement_leases) return true;
+  if (ledger_ == nullptr) return true;
   if (p.spec.stage_out_site.empty() || p.spec.stage_out == Bytes::zero()) {
     return true;  // no placement intent
   }

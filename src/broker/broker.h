@@ -76,10 +76,11 @@ struct BrokerConfig {
   util::RetryPolicy hold{.base = Time::minutes(5),
                          .jitter = 0.25,
                          .deadline = Time::hours(12)};
-  /// Acquire a stage-out lease (SRM space at the destination SE) before
-  /// binding jobs that carry a placement intent; false = the no-lease
-  /// baseline (disk-full discovered at stage-out time).  Only effective
-  /// when a PlacementLedger is attached.
+  /// Whether core::Grid3::attach_broker attaches a PlacementLedger: with
+  /// one, jobs that carry a placement intent acquire a stage-out lease
+  /// (SRM space at the destination SE) before binding; false = the
+  /// no-lease baseline (disk-full discovered at stage-out time).  The
+  /// broker itself only asks whether a ledger is attached.
   bool placement_leases = true;
   /// Graceful degradation under a GIIS outage: when the index answers
   /// nothing (down, or every snapshot aged out), keep matching against
@@ -155,6 +156,19 @@ struct BrokeredResult {
 };
 
 using BrokeredCallback = std::function<void(const BrokeredResult&)>;
+
+/// The one classification of a GRAM outcome into site-health feedback,
+/// for the broker's late-bound submissions and DAGMan's direct-submit
+/// compute nodes alike.  Submit, transfer and batch outcomes score the
+/// execution `site` (kJobKilled through the monitor's fast-fail test);
+/// kDiskFull scores `storage_site`, the SE the stage-out targeted.
+/// Application, authentication, proxy and submit-rejection outcomes say
+/// nothing about a site and report nothing.
+void report_gram_outcome(health::SiteHealthMonitor& health,
+                         const std::string& site,
+                         const std::string& storage_site,
+                         const gram::GramResult& r, Time requested_walltime,
+                         Time now);
 
 /// Per-member completion callback for submit_gang: fires exactly once
 /// per member with the member's index in the GangSpec.
@@ -393,8 +407,6 @@ class ResourceBroker {
   void try_match(const std::shared_ptr<Pending>& p);
   void on_result(const std::shared_ptr<Pending>& p,
                  const gram::GramResult& r);
-  /// Classify a submission outcome into per-service health feedback.
-  void report_health(const Pending& p, const gram::GramResult& r);
   void hold(const std::shared_ptr<Pending>& p);
   /// Per-hold jittered re-check: no-op when a kick already drained the
   /// job from the waiting queue.
@@ -402,6 +414,14 @@ class ResourceBroker {
   void kick_waiting();
   void record_match(const Pending& p, const SiteView& site, double score,
                     std::size_t pool_size);
+  /// Fail a job the broker gives up on before a submission resolves it
+  /// (hold budget spent, no eligible site): `gram` (the last transient
+  /// failure, or a fresh result) restamped with `status` and the time
+  /// the job spent in the broker.
+  void give_up(const std::shared_ptr<Pending>& p, gram::GramResult gram,
+               gram::GramStatus status, bool matched);
+  /// Finish a bound job with its submission's result.
+  void resolve(const std::shared_ptr<Pending>& p, const gram::GramResult& r);
   void finish(const std::shared_ptr<Pending>& p, BrokeredResult result);
   /// Acquire (or re-acquire) the stage-out lease for a spec carrying a
   /// placement intent and thread it into the GramJob.  False = the

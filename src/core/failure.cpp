@@ -48,129 +48,49 @@ void FailureInjector::attach(Site& site, FailureRates rates) {
   a->rates = rates;
   Attached* ap = a.get();
   attached_[site.name()] = std::move(a);
+  const std::string& name = site.name();
 
-  const std::string name = site.name();
-  auto alive = [this, name]() -> Attached* {
-    auto it = attached_.find(name);
-    return it != attached_.end() && it->second->active ? it->second.get()
-                                                       : nullptr;
-  };
-
-  // Disk-fill incidents.
-  auto schedule_disk = [this, alive](auto&& self) -> void {
-    Attached* a = alive();
-    if (a == nullptr) return;
-    const Time gap = Time::hours(
-        rng_.exponential(a->rates.disk_fill_mtbf.to_hours()));
-    sim_.schedule_in(gap, [this, alive, self] {
-      Attached* a = alive();
-      if (a == nullptr) return;
-      record(Incident::kDiskFill);
-      const Bytes eaten = a->site->disk().capacity() * kDiskFillFraction;
-      a->site->disk().consume_unmanaged(eaten);
-      const auto ticket =
-          igoc_.tickets().open(a->site->name(), "disk-fill", sim_.now());
-      sim_.schedule_in(kDiskCleanupAfter, [this, alive, ticket, eaten] {
-        if (Attached* a2 = alive()) a2->site->disk().cleanup(eaten);
-        igoc_.tickets().close(ticket, sim_.now());
+  arm(name, &FailureRates::disk_fill_mtbf, Incident::kDiskFill,
+      [this](Site& s) {
+        const Bytes eaten = s.disk().capacity() * kDiskFillFraction;
+        s.disk().consume_unmanaged(eaten);
+        const auto ticket =
+            igoc_.tickets().open(s.name(), "disk-fill", sim_.now());
+        sim_.schedule_in(kDiskCleanupAfter,
+                         [this, name = s.name(), ticket, eaten] {
+                           if (Attached* a2 = live(name)) {
+                             a2->site->disk().cleanup(eaten);
+                           }
+                           igoc_.tickets().close(ticket, sim_.now());
+                         });
       });
-      self(self);
-    });
-  };
-  schedule_disk(schedule_disk);
-
-  // Gatekeeper crashes.
-  auto schedule_gk = [this, alive](auto&& self) -> void {
-    Attached* a = alive();
-    if (a == nullptr) return;
-    const Time gap = Time::hours(
-        rng_.exponential(a->rates.gatekeeper_crash_mtbf.to_hours()));
-    sim_.schedule_in(gap, [this, alive, self] {
-      Attached* a = alive();
-      if (a == nullptr) return;
-      record(Incident::kGatekeeperCrash);
-      a->site->gatekeeper().set_available(false);
-      const auto ticket = igoc_.tickets().open(a->site->name(),
-                                               "gatekeeper-crash", sim_.now());
-      const Time repair = Time::hours(
-          rng_.exponential(kGatekeeperRepairMean.to_hours()));
-      sim_.schedule_in(repair, [this, alive, ticket] {
-        if (Attached* a2 = alive()) {
-          a2->site->gatekeeper().set_available(true);
-        }
-        igoc_.tickets().close(ticket, sim_.now());
+  arm(name, &FailureRates::gatekeeper_crash_mtbf, Incident::kGatekeeperCrash,
+      [this](Site& s) {
+        outage(s, "gatekeeper-crash", kGatekeeperRepairMean,
+               [](Site& t, bool up) { t.gatekeeper().set_available(up); });
       });
-      self(self);
-    });
-  };
-  schedule_gk(schedule_gk);
-
-  // Network interruptions.
-  auto schedule_net = [this, alive](auto&& self) -> void {
-    Attached* a = alive();
-    if (a == nullptr) return;
-    const Time gap =
-        Time::hours(rng_.exponential(a->rates.network_cut_mtbf.to_hours()));
-    sim_.schedule_in(gap, [this, alive, self] {
-      Attached* a = alive();
-      if (a == nullptr) return;
-      record(Incident::kNetworkCut);
-      net_.set_node_up(a->site->node(), false);
-      const auto ticket =
-          igoc_.tickets().open(a->site->name(), "network-cut", sim_.now());
-      const Time repair = Time::hours(
-          rng_.exponential(kNetworkRepairMean.to_hours()));
-      sim_.schedule_in(repair, [this, alive, ticket] {
-        if (Attached* a2 = alive()) {
-          net_.set_node_up(a2->site->node(), true);
-        }
-        igoc_.tickets().close(ticket, sim_.now());
+  arm(name, &FailureRates::network_cut_mtbf, Incident::kNetworkCut,
+      [this](Site& s) {
+        outage(s, "network-cut", kNetworkRepairMean,
+               [this](Site& t, bool up) { net_.set_node_up(t.node(), up); });
       });
-      self(self);
-    });
-  };
-  schedule_net(schedule_net);
-
   // Service crashes (GridFTP or GRIS, alternating randomly).
-  auto schedule_svc = [this, alive](auto&& self) -> void {
-    Attached* a = alive();
-    if (a == nullptr) return;
-    const Time gap = Time::hours(
-        rng_.exponential(a->rates.service_crash_mtbf.to_hours()));
-    sim_.schedule_in(gap, [this, alive, self] {
-      Attached* a = alive();
-      if (a == nullptr) return;
-      record(Incident::kServiceCrash);
-      const bool ftp = rng_.chance(0.6);
-      if (ftp) {
-        a->site->ftp().set_available(false);
-      } else {
-        a->site->gris().set_available(false);
-      }
-      const auto ticket = igoc_.tickets().open(
-          a->site->name(), ftp ? "gridftp-crash" : "gris-crash", sim_.now());
-      const Time repair = Time::hours(
-          rng_.exponential(kServiceRepairMean.to_hours()));
-      sim_.schedule_in(repair, [this, alive, ticket, ftp] {
-        if (Attached* a2 = alive()) {
-          if (ftp) {
-            a2->site->ftp().set_available(true);
-          } else {
-            a2->site->gris().set_available(true);
-          }
+  arm(name, &FailureRates::service_crash_mtbf, Incident::kServiceCrash,
+      [this](Site& s) {
+        if (rng_.chance(0.6)) {
+          outage(s, "gridftp-crash", kServiceRepairMean,
+                 [](Site& t, bool up) { t.ftp().set_available(up); });
+        } else {
+          outage(s, "gris-crash", kServiceRepairMean,
+                 [](Site& t, bool up) { t.gris().set_available(up); });
         }
-        igoc_.tickets().close(ticket, sim_.now());
       });
-      self(self);
-    });
-  };
-  schedule_svc(schedule_svc);
 
   // Nightly worker rollover.
   if (rates.nightly_rollover) {
     auto loop = std::make_unique<sim::PeriodicProcess>(
-        sim_, Time::days(1), [this, alive] {
-          Attached* a = alive();
+        sim_, Time::days(1), [this, name] {
+          Attached* a = live(name);
           if (a == nullptr) return false;
           record(Incident::kRollover);
           a->site->scheduler().kill_running(kRolloverKillFraction, rng_);
@@ -183,6 +103,38 @@ void FailureInjector::attach(Site& site, FailureRates rates) {
     loop->start(Time::days(1.0 - day_frac));
     ap->loops.push_back(std::move(loop));
   }
+}
+
+FailureInjector::Attached* FailureInjector::live(const std::string& site) {
+  auto it = attached_.find(site);
+  return it != attached_.end() && it->second->active ? it->second.get()
+                                                     : nullptr;
+}
+
+void FailureInjector::arm(const std::string& site, Time FailureRates::*mtbf,
+                          Incident kind, std::function<void(Site&)> act) {
+  Attached* a = live(site);
+  if (a == nullptr) return;
+  const Time gap = Time::hours(rng_.exponential((a->rates.*mtbf).to_hours()));
+  sim_.schedule_in(gap, [this, site, mtbf, kind, act = std::move(act)] {
+    Attached* a = live(site);
+    if (a == nullptr) return;
+    record(kind);
+    act(*a->site);
+    arm(site, mtbf, kind, act);
+  });
+}
+
+void FailureInjector::outage(Site& site, const char* issue, Time repair_mean,
+                             std::function<void(Site&, bool up)> set_up) {
+  set_up(site, false);
+  const auto ticket = igoc_.tickets().open(site.name(), issue, sim_.now());
+  const Time repair = Time::hours(rng_.exponential(repair_mean.to_hours()));
+  sim_.schedule_in(repair, [this, name = site.name(), ticket,
+                            set_up = std::move(set_up)] {
+    if (Attached* a = live(name)) set_up(*a->site, true);
+    igoc_.tickets().close(ticket, sim_.now());
+  });
 }
 
 void FailureInjector::detach(const std::string& site_name) {

@@ -19,6 +19,7 @@
 // window.
 #pragma once
 
+#include <functional>
 #include <map>
 #include <memory>
 #include <string>
@@ -122,6 +123,18 @@ class FailureInjector {
     bool active = true;
   };
 
+  /// The attached, still-active entry for `site` (null once detached).
+  [[nodiscard]] Attached* live(const std::string& site);
+  /// One Poisson incident class at `site`: after an exponential gap of
+  /// mean `rates.*mtbf`, count a `kind` incident, `act` on the site, and
+  /// re-arm -- so each class's own draws come before its next gap.
+  void arm(const std::string& site, Time FailureRates::*mtbf, Incident kind,
+           std::function<void(Site&)> act);
+  /// A service outage: take it down with `set_up(site, false)`, open a
+  /// ticket, draw an exponential repair time of mean `repair_mean`, then
+  /// bring it back (if the site is still attached) and close the ticket.
+  void outage(Site& site, const char* issue, Time repair_mean,
+              std::function<void(Site&, bool up)> set_up);
   /// Take a downtime target (site or collective bundle) down or up.
   /// Returns false when the name resolves to nothing attached.  The only
   /// code that flips a collective service.

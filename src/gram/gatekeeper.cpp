@@ -112,17 +112,13 @@ std::string Gatekeeper::contact_for(std::uint64_t id) const {
 void Gatekeeper::submit(GramJob job, GramCallback done) {
   ++submissions_;
   const Time now = sim_.now();
-
-  auto reject = [&](GramStatus status) {
-    ++failures_;
-    GramResult r;
-    r.status = status;
-    r.submitted = r.finished = now;
-    if (done) done(r);
-  };
+  // Refusals before a jobmanager exists end with no contact (id 0).
+  Managed m;
+  m.done = std::move(done);
+  m.submitted = now;
 
   if (!up_) {
-    reject(GramStatus::kGatekeeperDown);
+    end(std::move(m), GramStatus::kGatekeeperDown);
     return;
   }
   // Trim the burst window lazily, then check overload *including* this
@@ -136,43 +132,35 @@ void Gatekeeper::submit(GramJob job, GramCallback done) {
   peak_arrivals_ = std::max(peak_arrivals_, arrivals_last_minute());
   if (one_minute_load() > cfg_.overload_threshold) {
     ++overload_rejections_;
-    reject(GramStatus::kGatekeeperOverloaded);
+    end(std::move(m), GramStatus::kGatekeeperOverloaded);
     return;
   }
   // Flaky jobmanagers bounce a fraction of submissions outright (the
   // transient GRAM errors every Grid3 operator chased).
   if (rng_.chance(cfg_.submission_flake_rate)) {
-    reject(GramStatus::kGatekeeperDown);
+    end(std::move(m), GramStatus::kGatekeeperDown);
     return;
   }
   // GSI: proxy validity, CA chain on the identity, grid-map entry.
   if (!job.proxy.valid(now) || !ca_.verify(job.proxy.identity, now)) {
-    reject(GramStatus::kAuthenticationFailed);
+    end(std::move(m), GramStatus::kAuthenticationFailed);
     return;
   }
   const auto account = gridmap_.map(job.proxy.identity.subject_dn);
   if (!account.has_value() || account->vo != job.proxy.vo) {
-    reject(GramStatus::kAuthenticationFailed);
+    end(std::move(m), GramStatus::kAuthenticationFailed);
     return;
   }
 
   const std::uint64_t id = next_id_++;
-  Managed m;
   m.id = id;
   m.staging_factor = staging_load_factor(job.stage_in, job.stage_out);
   m.job = std::move(job);
-  m.done = std::move(done);
-  m.submitted = now;
   // Claim scratch space for the working directory + staged input.
   const Bytes footprint = m.job.scratch + m.job.stage_in;
   if (footprint > Bytes::zero()) {
     if (!scratch_.allocate(footprint)) {
-      ++failures_;
-      GramResult r;
-      r.status = GramStatus::kDiskFull;
-      r.gram_contact = contact_for(id);
-      r.submitted = r.finished = now;
-      if (m.done) m.done(r);
+      end(std::move(m), GramStatus::kDiskFull);
       return;
     }
     m.scratch_held = true;
@@ -197,7 +185,7 @@ void Gatekeeper::stage_in(std::uint64_t id) {
     auto it = managed_.find(id);
     if (it == managed_.end()) return;
     if (!t.ok()) {
-      fail(id, GramStatus::kStageInFailed, t.attempts);
+      end(take(id), GramStatus::kStageInFailed, nullptr, t.attempts);
       return;
     }
     to_lrms(id);
@@ -206,7 +194,8 @@ void Gatekeeper::stage_in(std::uint64_t id) {
 
 void Gatekeeper::to_lrms(std::uint64_t id) {
   Managed& m = managed_.at(id);
-  const auto res = lrms_.submit(
+  // A refusal fires the callback with kRejected before submit returns.
+  lrms_.submit(
       m.job.request, [this, id](const batch::JobOutcome& outcome) {
         auto it = managed_.find(id);
         if (it == managed_.end()) return;
@@ -216,39 +205,35 @@ void Gatekeeper::to_lrms(std::uint64_t id) {
             // spoiled the output: broken site environments (latent
             // misconfigurations) and plain application crashes.
             if (rng_.chance(cfg_.environment_error_rate)) {
-              fail(id, GramStatus::kEnvironmentError);
+              end(take(id), GramStatus::kEnvironmentError);
               return;
             }
             if (rng_.chance(cfg_.app_error_rate)) {
-              fail(id, GramStatus::kApplicationError);
+              end(take(id), GramStatus::kApplicationError);
               return;
             }
             stage_out(id, outcome);
             return;
           }
           case batch::JobState::kRejected:
-            fail(id, GramStatus::kSubmitRejected);
+            end(take(id), GramStatus::kSubmitRejected);
             return;
           default:
-            killed(id, outcome);
+            end(take(id), GramStatus::kJobKilled, &outcome);
             return;
         }
       });
-  if (!res.accepted) {
-    // The LRMS callback already fired with kRejected; nothing to do here.
-    (void)res;
-  }
 }
 
 void Gatekeeper::stage_out(std::uint64_t id, const batch::JobOutcome& outcome) {
   Managed& m = managed_.at(id);
   if (m.job.stage_out == Bytes::zero() || m.job.stage_out_dest == nullptr) {
-    complete(id, outcome);
+    end(take(id), GramStatus::kCompleted, &outcome);
     return;
   }
   // Credential check: long jobs outlive default proxies.
   if (!m.job.proxy.valid(sim_.now())) {
-    fail(id, GramStatus::kProxyExpired);
+    end(take(id), GramStatus::kProxyExpired);
     return;
   }
   gridftp::TransferRequest req;
@@ -266,72 +251,36 @@ void Gatekeeper::stage_out(std::uint64_t id, const batch::JobOutcome& outcome) {
                   auto it = managed_.find(id);
                   if (it == managed_.end()) return;
                   if (!t.ok()) {
-                    if (t.status ==
-                        gridftp::TransferStatus::kFailedNoSpace) {
-                      ++stage_out_no_space_;
-                      fail(id, GramStatus::kDiskFull, t.attempts);
-                      return;
-                    }
-                    fail(id, GramStatus::kStageOutFailed, t.attempts);
+                    const bool no_space =
+                        t.status == gridftp::TransferStatus::kFailedNoSpace;
+                    if (no_space) ++stage_out_no_space_;
+                    end(take(id),
+                        no_space ? GramStatus::kDiskFull
+                                 : GramStatus::kStageOutFailed,
+                        nullptr, t.attempts);
                     return;
                   }
-                  complete(id, outcome);
+                  end(take(id), GramStatus::kCompleted, &outcome);
                 });
 }
 
-void Gatekeeper::release_scratch(Managed& m) {
-  if (m.scratch_held) {
-    scratch_.release(m.job.scratch + m.job.stage_in);
-    m.scratch_held = false;
-  }
+Gatekeeper::Managed Gatekeeper::take(std::uint64_t id) {
+  auto node = managed_.extract(id);
+  assert(!node.empty());
+  return std::move(node.mapped());
 }
 
-void Gatekeeper::fail(std::uint64_t id, GramStatus status,
-                      int stage_attempts) {
-  auto it = managed_.find(id);
-  assert(it != managed_.end());
-  Managed m = std::move(it->second);
-  managed_.erase(it);
-  release_scratch(m);
-  ++failures_;
+void Gatekeeper::end(Managed m, GramStatus status,
+                     const batch::JobOutcome* outcome, int stage_attempts) {
+  if (m.scratch_held) scratch_.release(m.job.scratch + m.job.stage_in);
+  ++(status == GramStatus::kCompleted ? completions_ : failures_);
   GramResult r;
   r.status = status;
-  r.gram_contact = contact_for(id);
+  if (m.id != 0) r.gram_contact = contact_for(m.id);
+  if (outcome != nullptr) r.outcome = *outcome;
   r.submitted = m.submitted;
   r.finished = sim_.now();
   r.stage_attempts = stage_attempts;
-  if (m.done) m.done(r);
-}
-
-void Gatekeeper::killed(std::uint64_t id, const batch::JobOutcome& outcome) {
-  auto it = managed_.find(id);
-  assert(it != managed_.end());
-  Managed m = std::move(it->second);
-  managed_.erase(it);
-  release_scratch(m);
-  ++failures_;
-  GramResult r;
-  r.status = GramStatus::kJobKilled;
-  r.gram_contact = contact_for(id);
-  r.outcome = outcome;
-  r.submitted = m.submitted;
-  r.finished = sim_.now();
-  if (m.done) m.done(r);
-}
-
-void Gatekeeper::complete(std::uint64_t id, const batch::JobOutcome& outcome) {
-  auto it = managed_.find(id);
-  assert(it != managed_.end());
-  Managed m = std::move(it->second);
-  managed_.erase(it);
-  release_scratch(m);
-  ++completions_;
-  GramResult r;
-  r.status = GramStatus::kCompleted;
-  r.gram_contact = contact_for(id);
-  r.outcome = outcome;
-  r.submitted = m.submitted;
-  r.finished = sim_.now();
   if (m.done) m.done(r);
 }
 

@@ -179,7 +179,7 @@ class Gatekeeper {
 
  private:
   struct Managed {
-    std::uint64_t id;
+    std::uint64_t id = 0;  ///< 0 = refused before a jobmanager existed
     GramJob job;
     GramCallback done;
     Time submitted;
@@ -189,13 +189,18 @@ class Gatekeeper {
 
   void record_burst();
   [[nodiscard]] double burst_load() const;
-  void fail(std::uint64_t id, GramStatus status, int stage_attempts = 0);
-  void complete(std::uint64_t id, const batch::JobOutcome& outcome);
-  void killed(std::uint64_t id, const batch::JobOutcome& outcome);
+  /// Remove a managed job from the table for end().
+  [[nodiscard]] Managed take(std::uint64_t id);
+  /// The one exit of every submission: releases the job's scratch,
+  /// counts a completion or a failure, and fires the callback with
+  /// `status`, the batch outcome when the job ended in the LRMS, and the
+  /// stage-in/out transfer attempts.
+  void end(Managed m, GramStatus status,
+           const batch::JobOutcome* outcome = nullptr,
+           int stage_attempts = 0);
   void stage_in(std::uint64_t id);
   void to_lrms(std::uint64_t id);
   void stage_out(std::uint64_t id, const batch::JobOutcome& outcome);
-  void release_scratch(Managed& m);
   [[nodiscard]] std::string contact_for(std::uint64_t id) const;
 
   sim::Simulation& sim_;

@@ -9,6 +9,7 @@
 #include "core/ids.h"
 #include "health/health.h"
 #include "util/retry.h"
+#include "workflow/planner.h"
 
 namespace grid3::workflow {
 
@@ -17,42 +18,6 @@ namespace {
 /// A failed node retries twice, ten minutes apart (DAGMan's RETRY).
 constexpr util::RetryPolicy kNodeRetry{.base = Time::minutes(10),
                                        .max_retries = 2};
-
-/// Health feedback for direct-submit (non-brokered) compute nodes; the
-/// broker classifies its own submissions, so this covers only jobs the
-/// broker never saw.  Mirrors ResourceBroker::report_health.
-void report_gram_health(health::SiteHealthMonitor* health,
-                        const std::string& site, const gram::GramResult& r,
-                        Time requested_walltime, Time now) {
-  if (health == nullptr) return;
-  switch (r.status) {
-    case gram::GramStatus::kCompleted:
-      health->report(site, health::Service::kSubmit, true, now);
-      health->report_batch(site, true, r.submitted, r.finished,
-                           requested_walltime, now);
-      break;
-    case gram::GramStatus::kGatekeeperDown:
-    case gram::GramStatus::kGatekeeperOverloaded:
-      health->report(site, health::Service::kSubmit, false, now);
-      break;
-    case gram::GramStatus::kStageInFailed:
-    case gram::GramStatus::kStageOutFailed:
-      health->report(site, health::Service::kTransfer, false, now);
-      break;
-    case gram::GramStatus::kDiskFull:
-      health->report(site, health::Service::kStorage, false, now);
-      break;
-    case gram::GramStatus::kEnvironmentError:
-      health->report(site, health::Service::kBatch, false, now);
-      break;
-    case gram::GramStatus::kJobKilled:
-      health->report_batch(site, false, r.submitted, r.finished,
-                           requested_walltime, now);
-      break;
-    default:
-      break;
-  }
-}
 
 }  // namespace
 
@@ -135,22 +100,8 @@ ConcreteDag DagMan::rescue_dag_refreshed(const ConcreteDag& dag,
     // park in deferred_candidates exactly as at plan time.
     broker::JobSpec probe = spec;
     probe.candidates.clear();
-    std::vector<std::string> eligible = broker_->eligible(probe, now);
-    spec.candidates.clear();
-    spec.deferred_candidates.clear();
-    for (std::string& site : eligible) {
-      if (health == nullptr || !health->quarantined(site)) {
-        spec.candidates.push_back(std::move(site));
-      } else {
-        spec.deferred_candidates.push_back(std::move(site));
-      }
-    }
-    if (spec.candidates.empty()) {
-      // Everything quarantined: keep the full set and let the broker's
-      // defer-not-disqualify hold wait out the outage (see planner).
-      spec.candidates = std::move(spec.deferred_candidates);
-      spec.deferred_candidates.clear();
-    }
+    spec.candidates = broker_->eligible(probe, now);
+    spec.deferred_candidates = split_quarantined(health, spec.candidates);
     // Refresh the SE preference chain too: a rescue that keeps a dead
     // or quarantined SE at the head would spend its first acquire hop
     // rediscovering what the view already knows.  Live SEs keep their
@@ -214,8 +165,12 @@ void DagMan::launch_ready(const std::shared_ptr<Run>& run) {
   }
 }
 
-gram::GramJob DagMan::build_brokered_job(const Run& run,
-                                         const ConcreteNode& node) {
+bool DagMan::brokered(const ConcreteNode& node) const {
+  return broker_ != nullptr && node.broker_spec.has_value();
+}
+
+gram::GramJob DagMan::compute_job(const Run& run,
+                                  const ConcreteNode& node) {
   gram::GramJob job;
   job.proxy = run.proxy;
   job.request.vo = run.proxy.vo;
@@ -227,6 +182,7 @@ gram::GramJob DagMan::build_brokered_job(const Run& run,
     job.stage_in = node.bytes;
     job.stage_in_source = services_.ftp(node.source_site);
   }
+  if (!brokered(node)) return job;
   // Placement intent: the gatekeeper archives the output itself (no
   // planned stage-out node), accounted against the archive SE's volume
   // -- or inside the lease's SRM reservation once the broker acquires
@@ -238,6 +194,59 @@ gram::GramJob DagMan::build_brokered_job(const Run& run,
     job.stage_out_volume = services_.volume(spec.stage_out_site);
   }
   return job;
+}
+
+NodeResult DagMan::compute_result(const Run& run, std::size_t idx,
+                                  const std::string& site,
+                                  const gram::GramResult& g) const {
+  const ConcreteNode& n = run.dag.nodes[idx];
+  NodeResult r;
+  r.index = idx;
+  r.type = n.type;
+  r.site = site;
+  r.source_site = n.source_site;
+  r.bytes = n.bytes;  // jobmanager staging volume
+  r.ok = g.ok();
+  r.attempts = run.attempts[idx];
+  r.submitted = g.submitted;
+  r.started = g.ok() ? g.outcome.started : g.submitted;
+  r.finished = g.finished;
+  r.gram_status = g.status;
+  r.gram_contact = g.gram_contact;
+  if (!g.ok()) {
+    r.site_problem = gram::is_site_problem(g.status);
+    r.failure_class = gram::to_string(g.status);
+  }
+  return r;
+}
+
+NodeResult DagMan::unsubmitted(const Run& run, std::size_t idx,
+                               const char* failure_class) const {
+  const ConcreteNode& n = run.dag.nodes[idx];
+  NodeResult r;
+  r.index = idx;
+  r.type = n.type;
+  r.site = n.site;
+  r.ok = false;
+  r.attempts = run.attempts[idx];
+  r.submitted = r.started = r.finished = sim_.now();
+  r.site_problem = true;
+  r.failure_class = failure_class;
+  return r;
+}
+
+void DagMan::register_outputs(const std::string& se,
+                              const std::vector<std::string>& lfns,
+                              Bytes total) {
+  if (rls_ == nullptr || lfns.empty()) return;
+  // The node's volume splits evenly across its files.
+  const Bytes per_file =
+      Bytes::of(total.count() / static_cast<std::int64_t>(lfns.size()));
+  for (const std::string& lfn : lfns) {
+    rls_->register_replica(
+        se, lfn, {"gsiftp://" + se + "/" + lfn, per_file, sim_.now()},
+        sim_.now());
+  }
 }
 
 void DagMan::start_gang(const std::shared_ptr<Run>& run,
@@ -255,7 +264,7 @@ void DagMan::start_gang(const std::shared_ptr<Run>& run,
     ++run->attempts[idx];
     const ConcreteNode& node = run->dag.nodes[idx];
     gang.members.push_back(*node.broker_spec);
-    jobs.push_back(build_brokered_job(*run, node));
+    jobs.push_back(compute_job(*run, node));
   }
   broker_->submit_gang(
       std::move(gang), std::move(jobs),
@@ -268,28 +277,14 @@ void DagMan::start_gang(const std::shared_ptr<Run>& run,
 void DagMan::brokered_done(const std::shared_ptr<Run>& run, std::size_t idx,
                            const broker::BrokeredResult& br) {
   const ConcreteNode& n = run->dag.nodes[idx];
-  NodeResult r;
-  r.index = idx;
-  r.type = n.type;
-  r.site = br.site.empty() ? n.site : br.site;
-  r.source_site = n.source_site;
-  r.bytes = n.bytes;
-  r.ok = br.ok();
-  r.attempts = run->attempts[idx];
-  r.submitted = br.gram.submitted;
-  r.started = br.gram.ok() ? br.gram.outcome.started : br.gram.submitted;
-  r.finished = br.gram.finished;
-  r.gram_status = br.gram.status;
-  r.gram_contact = br.gram.gram_contact;
-  if (!br.ok()) {
-    if (!br.matched) {
-      // Never bound: the broker's kNoEligibleSite analogue.
-      r.site_problem = false;
-      r.failure_class = "no-eligible-site";
-    } else {
-      r.site_problem = gram::is_site_problem(br.gram.status);
-      r.failure_class = gram::to_string(br.gram.status);
-    }
+  // An unmatched job never carries a completed GRAM result, so r.ok is
+  // br.ok().
+  NodeResult r =
+      compute_result(*run, idx, br.site.empty() ? n.site : br.site, br.gram);
+  if (!br.matched) {
+    // Never bound: the broker's kNoEligibleSite analogue.
+    r.site_problem = false;
+    r.failure_class = "no-eligible-site";
   }
   if (br.ok()) {
     // Completion-site feedback: late binding may have moved the job off
@@ -327,18 +322,9 @@ void DagMan::brokered_done(const std::shared_ptr<Run>& run, std::size_t idx,
     const broker::JobSpec& spec = *executed.broker_spec;
     const std::string& archive_se =
         br.archive_site.empty() ? spec.stage_out_site : br.archive_site;
-    if (rls_ != nullptr && !archive_se.empty() &&
-        spec.stage_out > Bytes::zero() && !spec.output_lfns.empty() &&
+    if (!archive_se.empty() && spec.stage_out > Bytes::zero() &&
         services_.ftp(archive_se) != nullptr) {
-      const Bytes per_file =
-          Bytes::of(spec.stage_out.count() /
-                    static_cast<std::int64_t>(spec.output_lfns.size()));
-      for (const std::string& lfn : spec.output_lfns) {
-        rls_->register_replica(
-            archive_se, lfn,
-            {"gsiftp://" + archive_se + "/" + lfn, per_file, sim_.now()},
-            sim_.now());
-      }
+      register_outputs(archive_se, spec.output_lfns, spec.stage_out);
     }
   }
   node_done(run, idx, std::move(r));
@@ -349,12 +335,11 @@ void DagMan::start_node(const std::shared_ptr<Run>& run, std::size_t idx) {
   ++run->outstanding;
   ++run->attempts[idx];
   const ConcreteNode& node = run->dag.nodes[idx];
-  const Time now = sim_.now();
 
   switch (node.type) {
     case NodeType::kCompute: {
-      if (broker_ != nullptr && node.broker_spec.has_value()) {
-        broker_->submit(*node.broker_spec, build_brokered_job(*run, node),
+      if (brokered(node)) {
+        broker_->submit(*node.broker_spec, compute_job(*run, node),
                         [this, run, idx](const broker::BrokeredResult& br) {
                           brokered_done(run, idx, br);
                         });
@@ -362,56 +347,24 @@ void DagMan::start_node(const std::shared_ptr<Run>& run, std::size_t idx) {
       }
       gram::Gatekeeper* gk = services_.gatekeeper(node.site);
       if (gk == nullptr) {
-        NodeResult r;
-        r.index = idx;
-        r.type = node.type;
-        r.site = node.site;
-        r.ok = false;
-        r.attempts = run->attempts[idx];
-        r.submitted = r.started = r.finished = now;
+        NodeResult r = unsubmitted(*run, idx, "site-unknown");
         r.gram_status = gram::GramStatus::kGatekeeperDown;
-        r.site_problem = true;
-        r.failure_class = "site-unknown";
         node_done(run, idx, std::move(r));
         return;
       }
-      gram::GramJob job;
-      job.proxy = run->proxy;
-      job.request.vo = run->proxy.vo;
-      job.request.requested_walltime = node.requested_walltime;
-      job.request.actual_runtime = node.runtime;
-      job.request.priority = node.priority;
-      job.scratch = node.scratch;
-      if (node.bytes > Bytes::zero() && !node.source_site.empty()) {
-        job.stage_in = node.bytes;
-        job.stage_in_source = services_.ftp(node.source_site);
-      }
-      condor_g_.submit_to(*gk, std::move(job),
+      condor_g_.submit_to(*gk, compute_job(*run, node),
                           [this, run, idx](const gram::GramResult& res) {
                             const ConcreteNode& n = run->dag.nodes[idx];
-                            report_gram_health(health_, n.site, res,
-                                               n.requested_walltime,
-                                               sim_.now());
-                            NodeResult r;
-                            r.index = idx;
-                            r.type = n.type;
-                            r.site = n.site;
-                            r.source_site = n.source_site;
-                            r.bytes = n.bytes;  // jobmanager staging volume
-                            r.ok = res.ok();
-                            r.attempts = run->attempts[idx];
-                            r.submitted = res.submitted;
-                            r.started = res.ok() ? res.outcome.started
-                                                 : res.submitted;
-                            r.finished = res.finished;
-                            r.gram_status = res.status;
-                            r.gram_contact = res.gram_contact;
-                            if (!res.ok()) {
-                              r.site_problem =
-                                  gram::is_site_problem(res.status);
-                              r.failure_class = gram::to_string(res.status);
+                            // The broker never saw this job: score it
+                            // here, a full disk against the execution
+                            // site.
+                            if (health_ != nullptr) {
+                              broker::report_gram_outcome(
+                                  *health_, n.site, n.site, res,
+                                  n.requested_walltime, sim_.now());
                             }
-                            node_done(run, idx, std::move(r));
+                            node_done(run, idx,
+                                      compute_result(*run, idx, n.site, res));
                           });
       return;
     }
@@ -420,16 +373,8 @@ void DagMan::start_node(const std::shared_ptr<Run>& run, std::size_t idx) {
       gridftp::GridFtpServer* src = services_.ftp(node.source_site);
       gridftp::GridFtpServer* dst = services_.ftp(node.site);
       if (src == nullptr || dst == nullptr) {
-        NodeResult r;
-        r.index = idx;
-        r.type = node.type;
-        r.site = node.site;
-        r.ok = false;
-        r.attempts = run->attempts[idx];
-        r.submitted = r.started = r.finished = now;
+        NodeResult r = unsubmitted(*run, idx, "ftp-endpoint-missing");
         r.transfer_status = gridftp::TransferStatus::kFailedServerDown;
-        r.site_problem = true;
-        r.failure_class = "ftp-endpoint-missing";
         node_done(run, idx, std::move(r));
         return;
       }
@@ -472,19 +417,7 @@ void DagMan::start_node(const std::shared_ptr<Run>& run, std::size_t idx) {
       // Catalog writes are cheap; model a short service round-trip.
       sim_.schedule_in(Time::seconds(2), [this, run, idx] {
         const ConcreteNode& n = run->dag.nodes[idx];
-        if (rls_ != nullptr) {
-          const Bytes per_file =
-              n.lfns.empty() ? Bytes::zero()
-                             : Bytes::of(n.bytes.count() /
-                                         static_cast<std::int64_t>(
-                                             n.lfns.size()));
-          for (const std::string& lfn : n.lfns) {
-            rls_->register_replica(
-                n.site, lfn,
-                {"gsiftp://" + n.site + "/" + lfn, per_file, sim_.now()},
-                sim_.now());
-          }
-        }
+        register_outputs(n.site, n.lfns, n.bytes);
         NodeResult r;
         r.index = idx;
         r.type = n.type;
@@ -521,8 +454,8 @@ void DagMan::node_done(const std::shared_ptr<Run>& run, std::size_t idx,
   // attempt re-matches elsewhere, whereas a fixed-site node would just
   // pound the quarantined site forever.
   if (health_ != nullptr && !result.site.empty() &&
-      run->dag.nodes[idx].broker_spec.has_value() && broker_ != nullptr &&
-      health_->quarantined(result.site) && run->attempts[idx] > 0) {
+      brokered(run->dag.nodes[idx]) && health_->quarantined(result.site) &&
+      run->attempts[idx] > 0) {
     --run->attempts[idx];
   }
 

@@ -147,10 +147,26 @@ class DagMan {
   /// broker sizes the placement from the members actually given).
   void start_gang(const std::shared_ptr<Run>& run,
                   std::vector<std::size_t> members);
-  /// GRAM job for a brokered compute node (stage-in from the node's
-  /// source, stage-out per the spec's placement intent).
-  [[nodiscard]] gram::GramJob build_brokered_job(const Run& run,
-                                                 const ConcreteNode& node);
+  /// True when the node's compute job goes through the broker (late
+  /// binding) rather than straight to its planned site's gatekeeper.
+  [[nodiscard]] bool brokered(const ConcreteNode& node) const;
+  /// GRAM job for a compute node: stage-in from the node's source, and
+  /// for a brokered node the stage-out of the spec's placement intent.
+  [[nodiscard]] gram::GramJob compute_job(const Run& run,
+                                          const ConcreteNode& node);
+  /// A compute node's result from its GRAM result, run at `site`.
+  [[nodiscard]] NodeResult compute_result(const Run& run, std::size_t idx,
+                                          const std::string& site,
+                                          const gram::GramResult& g) const;
+  /// A node that failed before any submission (its site has no
+  /// gatekeeper or GridFTP endpoint): a site problem, ended at once.
+  [[nodiscard]] NodeResult unsubmitted(const Run& run, std::size_t idx,
+                                       const char* failure_class) const;
+  /// Register `lfns` at `se` in RLS, `total` bytes split evenly across
+  /// them (a register node's outputs, or a brokered node's archived
+  /// ones).
+  void register_outputs(const std::string& se,
+                        const std::vector<std::string>& lfns, Bytes total);
   /// Shared terminal handler for brokered compute nodes (per-job and
   /// gang paths): records the result, feeds the *actual* completion
   /// site back into children whose staging follows this node's output

@@ -1,6 +1,7 @@
 #include "workflow/planner.h"
 
 #include <algorithm>
+#include <iterator>
 #include <set>
 
 #include "broker/broker.h"
@@ -8,6 +9,23 @@
 #include "mds/schema.h"
 
 namespace grid3::workflow {
+
+std::vector<std::string> split_quarantined(
+    const health::SiteHealthMonitor* health,
+    std::vector<std::string>& candidates) {
+  std::vector<std::string> deferred;
+  if (health == nullptr) return deferred;
+  const auto healthy_end =
+      std::stable_partition(candidates.begin(), candidates.end(),
+                            [health](const std::string& site) {
+                              return !health->quarantined(site);
+                            });
+  if (healthy_end == candidates.begin()) return deferred;
+  deferred.assign(std::make_move_iterator(healthy_end),
+                  std::make_move_iterator(candidates.end()));
+  candidates.erase(healthy_end, candidates.end());
+  return deferred;
+}
 
 bool PegasusPlanner::site_admissible(const std::string& site) const {
   return health_ == nullptr || !health_->quarantined(site);
@@ -183,21 +201,8 @@ std::optional<ConcreteDag> PegasusPlanner::plan(const AbstractDag& dag,
     // at plan time, so fixed-site nodes stop burning DAGMan retries on
     // condemned sites.  Brokered nodes keep them as deferred
     // candidates (re-admitted at match time when the breaker closes).
-    // When *every* eligible site is quarantined, keep the full set:
-    // the broker's defer-not-disqualify hold is strictly better than
-    // failing the plan outright.
-    std::vector<std::string> quarantined_now;
-    if (health_ != nullptr) {
-      std::vector<std::string> healthy;
-      for (const std::string& s : candidates) {
-        (site_admissible(s) ? healthy : quarantined_now).push_back(s);
-      }
-      if (!healthy.empty()) {
-        candidates = std::move(healthy);
-      } else {
-        quarantined_now.clear();
-      }
-    }
+    std::vector<std::string> quarantined_now =
+        split_quarantined(health_, candidates);
 
     std::string site;
     std::optional<broker::JobSpec> spec;

@@ -67,6 +67,16 @@ struct PlannerConfig {
 /// Why a plan failed.
 enum class PlanError { kNoEligibleSite, kEmptyDag };
 
+/// Take the sites `health` quarantines out of `candidates` and return
+/// them (the JobSpec::deferred_candidates of a brokered node), both in
+/// their original order.  When every candidate is quarantined nothing
+/// moves: the broker's defer-not-disqualify hold beats failing the node
+/// outright.  A null monitor quarantines nothing.  The planner and
+/// DagMan::rescue_dag_refreshed split the same way.
+[[nodiscard]] std::vector<std::string> split_quarantined(
+    const health::SiteHealthMonitor* health,
+    std::vector<std::string>& candidates);
+
 class PegasusPlanner {
  public:
   PegasusPlanner(const mds::Giis& giis, const rls::ReplicaLocationService& rls)

@@ -2,7 +2,10 @@
 // section 6.4 load model, overload behaviour, and Condor-G retries.
 #include <gtest/gtest.h>
 
+#include <map>
 #include <optional>
+#include <string>
+#include <vector>
 
 #include "batch/scheduler.h"
 #include "gram/condor_g.h"
@@ -249,6 +252,103 @@ TEST_F(GramTest, CondorGRetriesTransientOverload) {
   sim.run();
   EXPECT_GT(condor_g.retries(), 0u);
   EXPECT_EQ(completed, 40);
+}
+
+TEST_F(GramTest, EveryTerminalPathEndsTheJobOnce) {
+  // Scratch starts 100 GB short of empty, so one job's footprint cannot
+  // fit; every other job holds 1 GB of it until it ends.
+  scratch.consume_unmanaged(Bytes::tb(1) - Bytes::gb(100));
+  const Bytes free_at_start = scratch.free();
+  gridftp::GridFtpServer dead_ftp{"DEAD", data_node};
+  dead_ftp.set_available(false);
+  srm::DiskVolume full_se{"DATA:/full", Bytes::gb(1)};
+  // The application-error rate has no setter: a second gatekeeper on the
+  // same LRMS and scratch spoils every job that completes there, and its
+  // tight load threshold refuses its second submission as overloaded.
+  Gatekeeper spoiler{sim,
+                     {.site = "SITE",
+                      .overload_threshold = 0.5,
+                      .submission_flake_rate = 0.0,
+                      .app_error_rate = 1.0},
+                     lrms, gridmap, ca, ftp_client, site_ftp, scratch};
+
+  std::map<std::string, std::vector<GramStatus>> ended;
+  auto submit = [&](Gatekeeper& g, const std::string& path, GramJob job) {
+    if (job.scratch == Bytes::zero()) job.scratch = Bytes::gb(1);
+    g.submit(std::move(job), [&ended, path](const GramResult& r) {
+      ended[path].push_back(r.status);
+    });
+  };
+
+  submit(gk, "completed", simple_job(1.0));
+  gk.set_available(false);
+  submit(gk, "down", simple_job(1.0));
+  gk.set_available(true);
+  gk.set_submission_flake_rate(1.0);
+  submit(gk, "flaked", simple_job(1.0));
+  gk.set_submission_flake_rate(0.0);
+  GramJob stranger = simple_job(1.0);
+  stranger.proxy.identity.subject_dn = "/CN=mallory";
+  submit(gk, "authentication", std::move(stranger));
+  GramJob huge = simple_job(1.0);
+  huge.scratch = Bytes::gb(200);
+  submit(gk, "scratch-full", std::move(huge));
+  GramJob unstaged = simple_job(1.0);
+  unstaged.stage_in = Bytes::gb(1);
+  unstaged.stage_in_source = &dead_ftp;
+  submit(gk, "stage-in", std::move(unstaged));
+  submit(gk, "lrms-rejected", simple_job(1.0, 100.0));  // over the 48 h limit
+  submit(gk, "walltime-kill", simple_job(10.0, 2.0));
+  // The only job that leaves the LRMS between 4.5 h and 5.5 h, while the
+  // site environment is broken.
+  submit(gk, "environment", simple_job(5.0));
+  sim.schedule_at(Time::hours(4.5),
+                  [this] { gk.set_environment_error_rate(1.0); });
+  sim.schedule_at(Time::hours(5.5),
+                  [this] { gk.set_environment_error_rate(0.0); });
+  GramJob lapsing = simple_job(1.0);
+  lapsing.proxy = *vo::issue_proxy(voms, alice_cert, sim.now(),
+                                   Time::minutes(30));
+  lapsing.stage_out = Bytes::gb(1);
+  lapsing.stage_out_dest = &data_ftp;
+  submit(gk, "proxy-expired", std::move(lapsing));
+  GramJob archiving = simple_job(1.0);
+  archiving.stage_out = Bytes::gb(2);
+  archiving.stage_out_dest = &data_ftp;
+  archiving.stage_out_volume = &full_se;
+  submit(gk, "stage-out-full-se", std::move(archiving));
+  submit(spoiler, "application", simple_job(1.0));
+  submit(spoiler, "overloaded", simple_job(1.0));
+  sim.run();
+
+  const std::map<std::string, GramStatus> want = {
+      {"completed", GramStatus::kCompleted},
+      {"down", GramStatus::kGatekeeperDown},
+      {"flaked", GramStatus::kGatekeeperDown},
+      {"authentication", GramStatus::kAuthenticationFailed},
+      {"scratch-full", GramStatus::kDiskFull},
+      {"stage-in", GramStatus::kStageInFailed},
+      {"lrms-rejected", GramStatus::kSubmitRejected},
+      {"walltime-kill", GramStatus::kJobKilled},
+      {"environment", GramStatus::kEnvironmentError},
+      {"proxy-expired", GramStatus::kProxyExpired},
+      {"stage-out-full-se", GramStatus::kDiskFull},
+      {"application", GramStatus::kApplicationError},
+      {"overloaded", GramStatus::kGatekeeperOverloaded},
+  };
+  EXPECT_EQ(ended.size(), want.size());
+  for (const auto& [path, status] : want) {
+    SCOPED_TRACE(path);
+    ASSERT_EQ(ended[path].size(), 1u);  // the callback fired exactly once
+    EXPECT_EQ(ended[path].front(), status) << to_string(ended[path].front());
+  }
+  for (const Gatekeeper* g : {&gk, &spoiler}) {
+    EXPECT_EQ(g->submissions(), g->completions() + g->failures());
+    EXPECT_EQ(g->managed_jobs(), 0u);
+  }
+  EXPECT_EQ(gk.completions(), 1u);
+  EXPECT_EQ(gk.stage_out_no_space(), 1u);
+  EXPECT_EQ(scratch.free(), free_at_start);
 }
 
 TEST_F(GramTest, TransientClassification) {

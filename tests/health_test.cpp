@@ -192,6 +192,82 @@ TEST(Monitor, ReportBatchClassifiesFastFails) {
   EXPECT_LT(mon.score("s", Service::kBatch), after_fast);
 }
 
+// --- unit: the one GRAM-outcome classifier ---------------------------------
+
+TEST(GramOutcomeClassifier, ReportsPerStatusTable) {
+  using gram::GramStatus;
+  struct Report {
+    const char* site;
+    Service service;
+    bool ok;
+  };
+  struct Row {
+    GramStatus status;
+    Time lived;  ///< submitted -> finished; the walltime request is 4 h
+    std::vector<Report> reports;
+  };
+  // Every status, with the (site, service, ok) reports it must make.
+  const std::vector<Row> table = {
+      {GramStatus::kCompleted, Time::hours(3),
+       {{"exec", Service::kSubmit, true}, {"exec", Service::kBatch, true}}},
+      {GramStatus::kAuthenticationFailed, Time::zero(), {}},
+      {GramStatus::kGatekeeperDown, Time::zero(),
+       {{"exec", Service::kSubmit, false}}},
+      {GramStatus::kGatekeeperOverloaded, Time::zero(),
+       {{"exec", Service::kSubmit, false}}},
+      {GramStatus::kStageInFailed, Time::minutes(5),
+       {{"exec", Service::kTransfer, false}}},
+      {GramStatus::kSubmitRejected, Time::zero(), {}},
+      // Under a quarter of the request: the fast-fail signature.
+      {GramStatus::kJobKilled, Time::minutes(30),
+       {{"exec", Service::kBatch, false}}},
+      // A genuine walltime kill says nothing about the site.
+      {GramStatus::kJobKilled, Time::hours(3), {}},
+      {GramStatus::kStageOutFailed, Time::hours(3),
+       {{"exec", Service::kTransfer, false}}},
+      {GramStatus::kProxyExpired, Time::hours(3), {}},
+      // A full disk scores the storage site it is given.
+      {GramStatus::kDiskFull, Time::hours(3),
+       {{"se", Service::kStorage, false}}},
+      {GramStatus::kApplicationError, Time::hours(3), {}},
+      {GramStatus::kEnvironmentError, Time::hours(3),
+       {{"exec", Service::kBatch, false}}},
+  };
+  const std::vector<Service> services = {Service::kSubmit, Service::kBatch,
+                                         Service::kTransfer,
+                                         Service::kStorage};
+  for (const Row& row : table) {
+    SCOPED_TRACE(std::string(gram::to_string(row.status)) + " after " +
+                 std::to_string(row.lived.to_minutes()) + " min");
+    sim::Simulation sim;
+    SiteHealthMonitor mon{sim};
+    const double a = mon.config().ewma_alpha;
+    // One failure on every (site, service) first, so a success report
+    // shows as a decay and a failure as a rise.
+    for (const char* site : {"exec", "se"}) {
+      for (Service svc : services) mon.report(site, svc, false, sim.now());
+    }
+    gram::GramResult r;
+    r.status = row.status;
+    r.submitted = Time::hours(1);
+    r.finished = r.submitted + row.lived;
+    broker::report_gram_outcome(mon, "exec", "se", r, Time::hours(4),
+                                sim.now());
+    for (const char* site : {"exec", "se"}) {
+      for (Service svc : services) {
+        double want = a;
+        for (const Report& rep : row.reports) {
+          if (std::string(rep.site) == site && rep.service == svc) {
+            want = (1.0 - a) * a + (rep.ok ? 0.0 : a);
+          }
+        }
+        EXPECT_DOUBLE_EQ(mon.score(site, svc), want)
+            << site << "/" << to_string(svc);
+      }
+    }
+  }
+}
+
 // --- integration: the brokered fabric --------------------------------------
 
 /// Two-plus-site fabric with a health monitor attached; `bh_cpus` sizes
