@@ -62,8 +62,11 @@ int main() {
   table.print(std::cout);
   std::cout << "\nreading: with all paths healthy the two estimates track "
                "(divergence stays within sampling tolerance).  As site "
-               "monitors die the MonALISA view silently undercounts -- "
-               "only the crosscheck against the redundant ACDC path "
-               "exposes it, which is why Grid3 kept both.\n";
+               "monitors die the MonALISA view goes wrong without any "
+               "error: a dead site's gauges freeze at their last values, "
+               "so the view under- or over-counts by however far the load "
+               "has moved since they froze -- only the crosscheck against "
+               "the redundant ACDC path exposes it, which is why Grid3 "
+               "kept both.\n";
   return 0;
 }

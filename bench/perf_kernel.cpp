@@ -248,7 +248,7 @@ double measure_events_per_sec() {
 }
 
 /// Queue-op workload: schedule/cancel churn with periodic drains, the
-/// pattern timers and rescue paths put on the cancel bookkeeping.
+/// pattern timers and retry paths put on the cancel bookkeeping.
 double measure_queue_ops_per_sec() {
   constexpr int kRounds = 2'000;
   constexpr int kPerRound = 50;

@@ -290,6 +290,7 @@ REGISTRY: dict[str, Gate] = {
     "ablation_broker": Gate(),
     "ablation_placement": Gate(),
     "ablation_blackhole": Gate(),
+    "ablation_gang": Gate(),
     "ablation_multise": Gate(checker=check_multise),
     "ablation_outage": Gate(checker=check_outage),
     "grid30": Gate(checker=check_grid30, artifact="bench/BENCH_grid30.json"),

@@ -200,16 +200,6 @@ bool ResourceBroker::meets_requirements(const JobSpec& spec,
   return true;
 }
 
-std::vector<std::string> ResourceBroker::eligible(const JobSpec& spec,
-                                                  Time now) {
-  const std::string key = mds::app_attribute(spec.required_app);
-  std::vector<std::string> out;
-  for (const SiteView& v : view(now)) {
-    if (meets_requirements(spec, key, v)) out.push_back(v.site);
-  }
-  return out;  // the view is name-sorted
-}
-
 namespace {
 
 /// How far ahead the broker credits a draining SE's tape-migration
@@ -431,10 +421,7 @@ GangPlacement ResourceBroker::match_gang(const GangSpec& gang, Time now) {
   };
   std::vector<Candidate> pool;
   for (const SiteView& v : sites) {
-    if ((v.gk != nullptr ? v.gk : gatekeepers_.gatekeeper(v.site)) ==
-        nullptr) {
-      continue;
-    }
+    if (v.gk == nullptr) continue;
     // Quarantine beats any rank score: a black hole's deceptively empty
     // queue must not win the whole level.
     if (health_ != nullptr && health_->quarantined(v.site)) continue;
@@ -595,21 +582,6 @@ std::vector<placement::LeaseId> ResourceBroker::live_gang_leases() const {
   return out;
 }
 
-void ResourceBroker::build_candidate_bits(Pending& p) {
-  // Intern (not find): a candidate the GIIS has not shown yet must still
-  // get a bit, so it is recognised when a later refresh brings it into
-  // the view.  Registration order stays deterministic -- the planner
-  // emits candidate lists in the same order every run.
-  for (const std::string& c : p.spec.candidates) {
-    p.candidate_bits.set(ids_->sites.intern(c));
-  }
-  p.candidate_distinct = p.candidate_bits.count();
-  for (const std::string& c : p.spec.deferred_candidates) {
-    p.deferred_bits.set(ids_->sites.intern(c));
-  }
-  p.bits_built = true;
-}
-
 std::vector<const SiteView*> ResourceBroker::admissible(
     Pending& p, Time now, bool* any_deferred) {
   const std::vector<SiteView>& sites = view(now);
@@ -636,10 +608,7 @@ std::vector<const SiteView*> ResourceBroker::admissible(
       *any_deferred = true;
       return;
     }
-    if ((v.gk != nullptr ? v.gk : gatekeepers_.gatekeeper(v.site)) ==
-        nullptr) {
-      return;
-    }
+    if (v.gk == nullptr) return;
     out.push_back(&v);
   };
   if (p.spec.candidates.empty()) {
@@ -648,22 +617,22 @@ std::vector<const SiteView*> ResourceBroker::admissible(
       if (meets_requirements(p.spec, key, v)) consider(v);
     }
   } else {
-    if (!p.bits_built) build_candidate_bits(p);
+    if (!p.bits_built) {
+      // Intern (not find): a candidate the GIIS has not shown yet must
+      // still get a bit, so it is recognised when a later refresh brings
+      // it into the view.  Registration order stays deterministic -- the
+      // planner emits candidate lists in the same order every run.
+      for (const std::string& c : p.spec.candidates) {
+        p.candidate_bits.set(ids_->sites.intern(c));
+      }
+      p.candidate_distinct = p.candidate_bits.count();
+      p.bits_built = true;
+    }
     std::size_t found = 0;
     for (const SiteView& v : sites) {
       if (p.candidate_bits.test(v.id)) {
         ++found;
         consider(v);
-      } else if (p.deferred_bits.test(v.id)) {
-        // The planner parked this site because it was quarantined at
-        // plan time.  Re-admission is deterministic: the first match
-        // attempt after the breaker closes sees it as a full candidate
-        // again; until then it only keeps the job deferring.
-        if (health_ != nullptr && health_->quarantined(v.site)) {
-          *any_deferred = true;
-        } else {
-          consider(v);
-        }
       }
     }
     // Candidates missing from the view (GRIS outage past TTL) may return;
@@ -762,12 +731,11 @@ void ResourceBroker::try_match(const std::shared_ptr<Pending>& p) {
   ++inflight_.at_or_grow(picked->id);
   inflight_staging_.at_or_grow(picked->id) +=
       gram::staging_load_factor(p->spec.stage_in, p->spec.stage_out);
-  gram::Gatekeeper* gk =
-      picked->gk != nullptr ? picked->gk : gatekeepers_.gatekeeper(picked->site);
   auto self = p;
-  condor_g_.submit_to(*gk, p->job, [this, self](const gram::GramResult& r) {
-    on_result(self, r);
-  });
+  condor_g_.submit_to(*picked->gk, p->job,
+                      [this, self](const gram::GramResult& r) {
+                        on_result(self, r);
+                      });
 }
 
 void ResourceBroker::on_result(const std::shared_ptr<Pending>& p,
@@ -958,8 +926,8 @@ void ResourceBroker::leave_gang(Pending& p) {
   if (--gang->outstanding > 0) return;
   // Last member out: release the gang-scoped intermediates reservation.
   // Clearing `lease` first makes the release single-shot even if a
-  // future path ever re-enters (success, failure, hold-expiry, and
-  // rescue all drain through finish -> leave_gang).
+  // future path ever re-enters (success, failure and hold-expiry all
+  // drain through finish -> leave_gang).
   if (const placement::LeaseId lease = gang->lease; lease != 0) {
     gang->lease = 0;
     if (ledger_ != nullptr) ledger_->release(lease);

@@ -198,11 +198,6 @@ class ResourceBroker {
   /// The cached site view, refreshed when older than the TTL.
   [[nodiscard]] const std::vector<SiteView>& view(Time now);
 
-  /// Sites satisfying the spec's eligibility requirements (app installed,
-  /// free CPUs, walltime limit, outbound), sorted by name.
-  [[nodiscard]] std::vector<std::string> eligible(const JobSpec& spec,
-                                                  Time now);
-
   /// Rank `candidates` (or the eligible set when empty) and pick a site
   /// without submitting or logging -- the planner's provisional-placement
   /// path.  Returns nullopt when nothing is eligible.
@@ -236,9 +231,9 @@ class ResourceBroker {
   /// Members keep their individual re-match/backoff behaviour afterwards
   /// -- a transient failure already broke the gang, so survivors are not
   /// dragged along.  The gang lease is released exactly once, when the
-  /// last member resolves (success, failure, hold-expiry, or rescue --
-  /// every path drains through the same release).  `done` fires exactly
-  /// once per member, with the member's index.
+  /// last member resolves (success, failure or hold-expiry -- every path
+  /// drains through the same release).  `done` fires exactly once per
+  /// member, with the member's index.
   void submit_gang(GangSpec gang, std::vector<gram::GramJob> jobs,
                    GangMemberCallback done);
 
@@ -249,9 +244,6 @@ class ResourceBroker {
   void set_placement(placement::PlacementLedger* ledger) {
     ledger_ = ledger;
   }
-  [[nodiscard]] placement::PlacementLedger* placement() const {
-    return ledger_;
-  }
 
   /// Attach the grid's site-health monitor: quarantined sites drop out
   /// of match and gang candidate sets (quarantine beats any rank score),
@@ -259,7 +251,6 @@ class ResourceBroker {
   /// failures at a quarantined site do not consume the job's rebind
   /// budget (the trip is the grid's fault, not the job's).
   void set_health(health::SiteHealthMonitor* monitor) { health_ = monitor; }
-  [[nodiscard]] health::SiteHealthMonitor* health() const { return health_; }
 
   /// A site just tripped into quarantine: held jobs get a prompt
   /// re-match away from it, and gang leases whose primary is the
@@ -273,9 +264,6 @@ class ResourceBroker {
   /// agrees on one site numbering).  Must be called before the first
   /// view refresh; by default the broker owns a private registry.
   void set_id_registry(std::shared_ptr<core::IdRegistry> ids);
-  [[nodiscard]] const std::shared_ptr<core::IdRegistry>& id_registry() const {
-    return ids_;
-  }
   /// Interned id of a site name (invalid = never seen by this registry).
   [[nodiscard]] core::SiteId site_id(const std::string& site) const {
     return ids_->sites.find(site);
@@ -337,8 +325,8 @@ class ResourceBroker {
  private:
   /// Shared state of one submitted gang.  Members hold a reference; the
   /// last member to resolve releases the gang lease (exactly once --
-  /// release() clears `lease`, so failure, rescue, and success paths all
-  /// drain through the same guard).
+  /// release() clears `lease`, so failure and success paths all drain
+  /// through the same guard).
   struct GangState {
     std::string id;
     placement::LeaseId lease = 0;  ///< gang-scoped intermediates lease
@@ -368,12 +356,10 @@ class ResourceBroker {
     /// Site the gang placement assigned: the first match is pinned here
     /// when the site is still admissible; later re-matches rank freely.
     std::string gang_site;
-    /// Interned membership sets for spec.candidates /
-    /// spec.deferred_candidates, built on the first match attempt: the
-    /// per-view-site `std::find` over the name lists becomes an O(1)
-    /// bitset test.
+    /// Interned membership set of spec.candidates, built on the first
+    /// match attempt: the per-view-site `std::find` over the name list
+    /// becomes an O(1) bitset test.
     core::IdBitset candidate_bits;
-    core::IdBitset deferred_bits;
     std::size_t candidate_distinct = 0;  ///< distinct candidate names
     bool bits_built = false;
   };
@@ -402,8 +388,6 @@ class ResourceBroker {
   /// rank evaluation.
   [[nodiscard]] double policy_term(const JobSpec& spec, const SiteView& site,
                                    Time now);
-  /// Build a Pending's candidate/deferred bitsets once.
-  void build_candidate_bits(Pending& p);
   void try_match(const std::shared_ptr<Pending>& p);
   void on_result(const std::shared_ptr<Pending>& p,
                  const gram::GramResult& r);

@@ -55,13 +55,9 @@ struct JobSpec {
   std::vector<std::string> stage_out_fallbacks;
   /// Plan-time eligible sites.  Non-empty = the broker late-binds within
   /// this set; empty = the broker computes eligibility from its own view.
+  /// Quarantined sites stay in the set: the broker defers them on every
+  /// match attempt until their breakers re-admit them.
   std::vector<std::string> candidates;
-  /// Sites that were eligible at plan time but quarantined by the site
-  /// health monitor when the plan was derived.  The broker re-admits
-  /// one into `candidates` the moment its quarantine lifts (checked
-  /// deterministically on every match attempt), so a plan made during
-  /// an incident heals itself without a rescue DAG.
-  std::vector<std::string> deferred_candidates;
   /// Where this job's staged input currently sits (the site holding the
   /// producing sibling's output, or the replica chosen at plan time).
   /// The broker boosts this site when ranking so consumers chase their
@@ -76,8 +72,6 @@ struct JobSpec {
   /// All members of one level carry the same id; DAGMan submits a ready
   /// gang as one unit instead of job-by-job.
   std::string gang_id;
-  /// Number of sibling members in the gang (the level's width).
-  int gang_width = 1;
   /// Aggregate intermediate-product bytes the whole level parks on the
   /// execution site's disk for its consumers (each member carries the
   /// level total).  Sized into the gang-scoped placement lease.

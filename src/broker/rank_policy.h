@@ -35,9 +35,10 @@ struct SiteView {
   /// order across view refreshes; hot paths index by this, never by
   /// the name).
   core::SiteId id;
-  /// Gatekeeper resolved at view-refresh time.  Null means the site had
-  /// no gatekeeper when the view was built; the broker re-checks null
-  /// entries live, so a gatekeeper arriving mid-TTL is still found.
+  /// Gatekeeper resolved at view-refresh time.  A site's gatekeeper is
+  /// built before its GRIS is registered, so every site the GIIS shows
+  /// has one; null (a GRIS with no gatekeeper behind it) is never
+  /// matched.
   gram::Gatekeeper* gk = nullptr;
   bool fresh = false;        ///< GIIS snapshot within TTL
   int total_cpus = 0;

@@ -136,9 +136,6 @@ class SiteHealthMonitor {
            "share the registry before breakers exist");
     ids_ = std::move(ids);
   }
-  [[nodiscard]] const std::shared_ptr<core::IdRegistry>& id_registry() const {
-    return ids_;
-  }
 
   // --- feedback -------------------------------------------------------
   /// One service outcome at a site.  Failures push the (site, service)

@@ -2,7 +2,7 @@
 // simulation kernel's event queue.
 //
 // Grid2003's hard-won lessons are protocol edge cases -- leases leaked
-// on rescue paths, black-holed sites re-admitted wrongly, stage-out
+// on failure paths, black-holed sites re-admitted wrongly, stage-out
 // racing failure handling (sections 6, 7).  The test suite spot-checks
 // them on ONE event ordering: the kernel fires same-timestamp events in
 // scheduling order.  In the real grid those events are unordered -- a

@@ -2,7 +2,7 @@
 // state (no shadow models):
 //
 //   1. LeaseAuditInvariant   -- every PlacementLedger lease is released
-//      or consumed exactly once across fallthrough/hold/rescue/failure
+//      or consumed exactly once across fallthrough/hold/failure
 //      paths.  Taps the ledger's audit hook: a "release-stale" or
 //      "consume-stale" event IS a double-release/use-after-release, and
 //      at quiescence no lease may still be active (reserved space would

@@ -350,7 +350,6 @@ std::unique_ptr<GridRun> make_gang_run(std::optional<Time> trip_at) {
       for (int i = 0; i < 2; ++i) {
         broker::JobSpec spec = r->job_spec();
         spec.gang_id = "g1";
-        spec.gang_width = 2;
         spec.gang_intermediates = gang.intermediates;
         gang.members.push_back(spec);
       }

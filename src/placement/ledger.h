@@ -22,8 +22,8 @@
 //     closing the bare-GridFTP TOCTOU window;
 //   * on success the lease is CONSUMED: the reservation converts into a
 //     durable file allocation on the destination volume;
-//   * on every failure, hold, and rescue path the lease is RELEASED so
-//     reserved space never leaks (reserved_total() drains to zero once
+//   * on every failure, hold, and re-match path the lease is RELEASED
+//     so reserved space never leaks (reserved_total() drains to zero once
 //     a scenario is fully drained).
 //
 // The ledger is the one record of its decisions: its lifetime counters
@@ -78,7 +78,7 @@ using LeaseId = std::uint64_t;
 /// the gang had to split; app label "gang:<gang_id>").  A gang
 /// lease is never consumed -- the members' own stage-outs account the
 /// durable bytes -- it is released exactly once, when the last member
-/// resolves, on every path: success, failure, hold-expiry, and rescue.
+/// resolves, on every path: success, failure, and hold-expiry.
 struct StageOutLease {
   LeaseId id = 0;
   std::string app;
@@ -170,8 +170,8 @@ class PlacementLedger {
   [[nodiscard]] gridftp::GridFtpServer* ftp_for(LeaseId id);
   [[nodiscard]] srm::DiskVolume* volume_for(LeaseId id);
 
-  /// Give the space back (job failed, was held too long, or entered a
-  /// rescue DAG).  Idempotent; false when the lease is unknown.
+  /// Give the space back (job failed, was held too long, or is being
+  /// re-matched).  Idempotent; false when the lease is unknown.
   bool release(LeaseId id);
 
   /// The job archived its output: convert the reservation into a

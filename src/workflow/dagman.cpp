@@ -1,15 +1,11 @@
 #include "workflow/dagman.h"
 
-#include <algorithm>
 #include <cassert>
-#include <iterator>
 #include <map>
 
 #include "broker/broker.h"
-#include "core/ids.h"
 #include "health/health.h"
 #include "util/retry.h"
-#include "workflow/planner.h"
 
 namespace grid3::workflow {
 
@@ -53,77 +49,6 @@ void DagMan::run(ConcreteDag dag, vo::VomsProxy proxy, DoneFn done,
   maybe_finish(run);
 }
 
-ConcreteDag DagMan::rescue_dag(const ConcreteDag& dag,
-                               const DagRunStats& stats) {
-  ConcreteDag rescue;
-  // Map old index -> new index for unfinished nodes.
-  std::vector<std::size_t> remap(dag.nodes.size(),
-                                 static_cast<std::size_t>(-1));
-  for (std::size_t idx : stats.rescue) {
-    if (idx >= dag.nodes.size()) continue;
-    remap[idx] = rescue.nodes.size();
-    rescue.nodes.push_back(dag.nodes[idx]);
-  }
-  for (const auto& [parent, child] : dag.edges) {
-    // Edges from completed parents vanish (the dependency is satisfied);
-    // edges between two unfinished nodes carry over.
-    if (remap[parent] == static_cast<std::size_t>(-1)) continue;
-    if (remap[child] == static_cast<std::size_t>(-1)) continue;
-    rescue.edges.emplace_back(remap[parent], remap[child]);
-  }
-  return rescue;
-}
-
-ConcreteDag DagMan::rescue_dag_refreshed(const ConcreteDag& dag,
-                                         const DagRunStats& stats,
-                                         Time now) const {
-  ConcreteDag rescue = rescue_dag(dag, stats);
-  if (broker_ == nullptr) return rescue;
-  // Sites the live GIIS view still advertises, for pruning dead SEs out
-  // of the archive chains alongside the candidate refresh.  Membership
-  // over interned ids: an SE the registry never saw cannot be in the
-  // view, so find() (not intern) suffices on the probe side.
-  core::IdBitset live;
-  for (const broker::SiteView& v : broker_->view(now)) live.set(v.id);
-  const core::Interner<core::SiteId>& site_ids = broker_->id_registry()->sites;
-  const health::SiteHealthMonitor* health = broker_->health();
-  const auto se_alive = [&](const std::string& se) {
-    const core::SiteId id = site_ids.find(se);
-    return id.valid() && live.test(id) &&
-           (health == nullptr || !health->quarantined(se));
-  };
-  for (ConcreteNode& node : rescue.nodes) {
-    if (!node.broker_spec.has_value()) continue;
-    broker::JobSpec& spec = *node.broker_spec;
-    // Re-derive the eligible set from the broker's live view instead of
-    // resubmitting against the plan-time snapshot -- quarantined sites
-    // park in deferred_candidates exactly as at plan time.
-    broker::JobSpec probe = spec;
-    probe.candidates.clear();
-    spec.candidates = broker_->eligible(probe, now);
-    spec.deferred_candidates = split_quarantined(health, spec.candidates);
-    // Refresh the SE preference chain too: a rescue that keeps a dead
-    // or quarantined SE at the head would spend its first acquire hop
-    // rediscovering what the view already knows.  Live SEs keep their
-    // relative order at the head; dead ones sink to the tail (kept, in
-    // case they return before this lease is ever acquired).
-    if (!spec.stage_out_site.empty()) {
-      std::vector<std::string> chain;
-      chain.reserve(1 + spec.stage_out_fallbacks.size());
-      chain.push_back(std::move(spec.stage_out_site));
-      for (std::string& se : spec.stage_out_fallbacks) {
-        chain.push_back(std::move(se));
-      }
-      std::stable_partition(chain.begin(), chain.end(), se_alive);
-      spec.stage_out_site = std::move(chain.front());
-      spec.stage_out_fallbacks.assign(
-          std::make_move_iterator(chain.begin() + 1),
-          std::make_move_iterator(chain.end()));
-    }
-  }
-  return rescue;
-}
-
 void DagMan::launch_ready(const std::shared_ptr<Run>& run) {
   std::vector<std::size_t> ready;
   for (std::size_t i = 0; i < run->dag.nodes.size(); ++i) {
@@ -140,8 +65,8 @@ void DagMan::launch_ready(const std::shared_ptr<Run>& run) {
 
   // Gang grouping: ready brokered compute nodes sharing a gang_id go to
   // the broker as one unit so the whole level can be co-located.  A
-  // gang with a single ready member (staggered readiness, rescue of a
-  // partly finished level) takes the ordinary per-job path.
+  // gang with a single ready member (staggered readiness) takes the
+  // ordinary per-job path.
   if (broker_ != nullptr) {
     std::map<std::string, std::vector<std::size_t>> gangs;
     for (std::size_t i : ready) {
@@ -514,9 +439,6 @@ void DagMan::maybe_finish(const std::shared_ptr<Run>& run) {
   run->finished = true;
   run->stats.finished = sim_.now();
   run->stats.success = run->stats.failed == 0 && run->stats.skipped == 0;
-  for (std::size_t i = 0; i < run->states.size(); ++i) {
-    if (run->states[i] != NodeState::kDone) run->stats.rescue.push_back(i);
-  }
   if (run->done) run->done(run->stats);
 }
 

@@ -4,9 +4,7 @@
 // through Condor-G to the bound site's gatekeeper, data nodes run as
 // GridFTP third-party transfers, register nodes write RLS entries.
 // Failed nodes retry with a delay; a permanently failed node skips its
-// descendants, and the run report carries the rescue list (unfinished
-// node indices) so a caller can resubmit -- DAGMan's rescue-DAG
-// behaviour.
+// descendants.
 #pragma once
 
 #include <functional>
@@ -74,7 +72,6 @@ struct DagRunStats {
   Time started;
   Time finished;
   std::vector<NodeResult> node_results;
-  std::vector<std::size_t> rescue;  ///< indices needing a rescue run
 };
 
 class DagMan {
@@ -96,29 +93,12 @@ class DagMan {
   /// Optional resource broker: compute nodes carrying a JobSpec are
   /// late-bound through it instead of submitted to their planned site.
   void set_broker(broker::ResourceBroker* broker) { broker_ = broker; }
-  [[nodiscard]] broker::ResourceBroker* broker() const { return broker_; }
 
   /// Optional site-health monitor: DAGMan feeds it the outcomes the
   /// broker never sees (direct-submit compute nodes, GridFTP transfer
   /// nodes) and refunds retry budget for failures at sites the monitor
   /// has since quarantined.
   void set_health(health::SiteHealthMonitor* monitor) { health_ = monitor; }
-  [[nodiscard]] health::SiteHealthMonitor* health() const { return health_; }
-
-  /// Build the rescue DAG for a failed run: the sub-DAG of nodes that
-  /// did not complete, with edges restricted to survivors -- resubmit it
-  /// to continue where the run stopped (completed work is not redone).
-  [[nodiscard]] static ConcreteDag rescue_dag(const ConcreteDag& dag,
-                                              const DagRunStats& stats);
-
-  /// Rescue DAG with each node's late-binding candidate set refreshed
-  /// against the broker's live GIIS view: sites that left the view since
-  /// planning drop out, newly arrived sites join (name-sorted, so the
-  /// refresh is deterministic).  Identical to the static rescue_dag when
-  /// no broker is attached.
-  [[nodiscard]] ConcreteDag rescue_dag_refreshed(const ConcreteDag& dag,
-                                                 const DagRunStats& stats,
-                                                 Time now) const;
 
  private:
   enum class NodeState { kPending, kRunning, kDone, kFailed, kSkipped };
@@ -142,9 +122,10 @@ class DagMan {
   void launch_ready(const std::shared_ptr<Run>& run);
   void start_node(const std::shared_ptr<Run>& run, std::size_t idx);
   /// Submit the ready members of one gang as a unit through
-  /// ResourceBroker::submit_gang (a partially ready gang -- e.g. a
-  /// rescue of a half-finished level -- submits whatever is ready; the
-  /// broker sizes the placement from the members actually given).
+  /// ResourceBroker::submit_gang (a partially ready gang -- members
+  /// whose parents finish at different times -- submits whatever is
+  /// ready; the broker sizes the placement from the members actually
+  /// given).
   void start_gang(const std::shared_ptr<Run>& run,
                   std::vector<std::size_t> members);
   /// True when the node's compute job goes through the broker (late

@@ -1,52 +1,12 @@
 #include "workflow/planner.h"
 
 #include <algorithm>
-#include <iterator>
 #include <set>
 
 #include "broker/broker.h"
-#include "health/health.h"
 #include "mds/schema.h"
 
 namespace grid3::workflow {
-
-std::vector<std::string> split_quarantined(
-    const health::SiteHealthMonitor* health,
-    std::vector<std::string>& candidates) {
-  std::vector<std::string> deferred;
-  if (health == nullptr) return deferred;
-  const auto healthy_end =
-      std::stable_partition(candidates.begin(), candidates.end(),
-                            [health](const std::string& site) {
-                              return !health->quarantined(site);
-                            });
-  if (healthy_end == candidates.begin()) return deferred;
-  deferred.assign(std::make_move_iterator(healthy_end),
-                  std::make_move_iterator(candidates.end()));
-  candidates.erase(healthy_end, candidates.end());
-  return deferred;
-}
-
-bool PegasusPlanner::site_admissible(const std::string& site) const {
-  return health_ == nullptr || !health_->quarantined(site);
-}
-
-std::vector<std::string> PegasusPlanner::archive_chain(
-    const PlannerConfig& cfg) const {
-  std::vector<std::string> chain;
-  chain.reserve(1 + cfg.archive_fallbacks.size());
-  chain.push_back(cfg.archive_site);
-  for (const std::string& se : cfg.archive_fallbacks) chain.push_back(se);
-  // Demote quarantined SEs to the tail instead of dropping them: the
-  // ledger still reaches them if every healthy SE is full, and a
-  // quarantine that lifts before launch needs no re-plan.  The stable
-  // partition keeps the derivation deterministic.
-  std::stable_partition(chain.begin(), chain.end(),
-                        [this](const std::string& se) {
-                          return site_admissible(se);
-                        });
-  return chain;
-}
 
 std::vector<std::string> PegasusPlanner::eligible_sites(
     const std::string& required_app, Time max_runtime,
@@ -197,13 +157,6 @@ std::optional<ConcreteDag> PegasusPlanner::plan(const AbstractDag& dag,
       return std::nullopt;
     }
 
-    // Health-aware planning: quarantined sites leave the candidate set
-    // at plan time, so fixed-site nodes stop burning DAGMan retries on
-    // condemned sites.  Brokered nodes keep them as deferred
-    // candidates (re-admitted at match time when the breaker closes).
-    std::vector<std::string> quarantined_now =
-        split_quarantined(health_, candidates);
-
     std::string site;
     std::optional<broker::JobSpec> spec;
     if (broker_ != nullptr) {
@@ -223,7 +176,6 @@ std::optional<ConcreteDag> PegasusPlanner::plan(const AbstractDag& dag,
       s.rls = &rls_;
       s.scratch = job.scratch;
       s.candidates = candidates;
-      s.deferred_candidates = quarantined_now;
       site = broker_->choose(s, now).value_or(candidates.front());
       spec = std::move(s);
     } else {
@@ -334,12 +286,7 @@ std::optional<ConcreteDag> PegasusPlanner::plan(const AbstractDag& dag,
     }
   }
 
-  // Stage-out + register for final (or all) outputs.  The archive
-  // target is a failover chain ([archive_site] + archive_fallbacks),
-  // reordered healthy-first when a health monitor is attached.
-  const std::vector<std::string> chain =
-      cfg.archive_site.empty() ? std::vector<std::string>{}
-                               : archive_chain(cfg);
+  // Stage-out + register for final (or all) outputs.
   for (std::size_t i = 0; i < dag.jobs.size(); ++i) {
     if (compute_index[i] == kPruned) continue;
     const AbstractJob& job = dag.jobs[i];
@@ -362,18 +309,18 @@ std::optional<ConcreteDag> PegasusPlanner::plan(const AbstractDag& dag,
       // gatekeeper's stage-out lands inside the lease, and DAGMan
       // registers the outputs in RLS on success.
       broker::JobSpec& bs = *out.nodes[ci].broker_spec;
-      bs.stage_out_site = chain.front();
-      bs.stage_out_fallbacks.assign(chain.begin() + 1, chain.end());
+      bs.stage_out_site = cfg.archive_site;
+      bs.stage_out_fallbacks = cfg.archive_fallbacks;
       bs.stage_out = job.output_size;
       bs.output_lfns = job.outputs;
       continue;
     }
-    // Fixed-site plans cannot fall through at stage-out time, so the
-    // chain's healthy head is the whole decision.
+    // Fixed-site plans cannot fall through at stage-out time: they
+    // archive to `archive_site`.
     ConcreteNode so;
     so.type = NodeType::kStageOut;
     so.name = "archive:" + job.derivation_id;
-    so.site = chain.front();
+    so.site = cfg.archive_site;
     so.source_site = out.nodes[ci].site;
     so.bytes = job.output_size;
     so.lfns = job.outputs;
@@ -384,7 +331,7 @@ std::optional<ConcreteDag> PegasusPlanner::plan(const AbstractDag& dag,
     ConcreteNode reg;
     reg.type = NodeType::kRegister;
     reg.name = "register:" + job.derivation_id;
-    reg.site = chain.front();
+    reg.site = cfg.archive_site;
     reg.bytes = job.output_size;
     reg.lfns = job.outputs;
     const std::size_t ri = out.nodes.size();
@@ -460,7 +407,6 @@ std::optional<ConcreteDag> PegasusPlanner::plan(const AbstractDag& dag,
       for (std::size_t m : members) {
         broker::JobSpec& bs = *out.nodes[compute_index[m]].broker_spec;
         bs.gang_id = gang_id;
-        bs.gang_width = static_cast<int>(members.size());
         bs.gang_intermediates = intermediates;
       }
     }

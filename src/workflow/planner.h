@@ -28,20 +28,16 @@ namespace grid3::broker {
 class ResourceBroker;
 }  // namespace grid3::broker
 
-namespace grid3::health {
-class SiteHealthMonitor;
-}  // namespace grid3::health
-
 namespace grid3::workflow {
 
 struct PlannerConfig {
   std::string vo;
   std::string archive_site;  ///< Tier1 SE for final outputs (BNL, FNAL)
-  /// Ordered archive failover chain behind `archive_site`: when the
+  /// Ordered archive failover chain behind `archive_site`: brokered
+  /// plans thread it into JobSpec::stage_out_fallbacks, and when the
   /// primary refuses the stage-out lease, placement falls through these
-  /// in order (brokered plans thread them into
-  /// JobSpec::stage_out_fallbacks; non-brokered plans archive to the
-  /// first health-admissible chain SE).
+  /// in order.  Non-brokered plans cannot fall through and archive to
+  /// `archive_site`.
   std::vector<std::string> archive_fallbacks;
   /// Requested walltime = runtime * slack (queue padding).
   double walltime_slack = 1.5;
@@ -67,16 +63,6 @@ struct PlannerConfig {
 /// Why a plan failed.
 enum class PlanError { kNoEligibleSite, kEmptyDag };
 
-/// Take the sites `health` quarantines out of `candidates` and return
-/// them (the JobSpec::deferred_candidates of a brokered node), both in
-/// their original order.  When every candidate is quarantined nothing
-/// moves: the broker's defer-not-disqualify hold beats failing the node
-/// outright.  A null monitor quarantines nothing.  The planner and
-/// DagMan::rescue_dag_refreshed split the same way.
-[[nodiscard]] std::vector<std::string> split_quarantined(
-    const health::SiteHealthMonitor* health,
-    std::vector<std::string>& candidates);
-
 class PegasusPlanner {
  public:
   PegasusPlanner(const mds::Giis& giis, const rls::ReplicaLocationService& rls)
@@ -87,27 +73,11 @@ class PegasusPlanner {
   /// binding, the provisional placement comes from the broker's ranked
   /// view, and cross-site parent->child data folds into jobmanager
   /// staging instead of pre-planned stage-in nodes (mover destinations
-  /// cannot be known before dispatch-time matching).
+  /// cannot be known before dispatch-time matching).  The planner does
+  /// not judge quarantine: candidate sets keep quarantined sites, which
+  /// the broker skips for the provisional placement and defers at match
+  /// time until their breakers re-admit them.
   void set_broker(broker::ResourceBroker* broker) { broker_ = broker; }
-  [[nodiscard]] broker::ResourceBroker* broker() const { return broker_; }
-
-  /// Optional site-health monitor (core::Grid3::attach_health wires it).
-  /// With a monitor attached the plan is health-aware: quarantined sites
-  /// drop out of every node's candidate set at plan time (fixed-site
-  /// nodes stop burning DAGMan retries on condemned sites) and the
-  /// archive chain is reordered healthy-first.  Brokered plans keep the
-  /// quarantined sites as JobSpec::deferred_candidates, so a quarantine
-  /// that lifts before launch re-admits them deterministically at match
-  /// time; quarantined archive SEs are demoted to the chain's tail, not
-  /// dropped, for the same reason.  The derivation stays deterministic:
-  /// it depends only on the breaker states at `now`, never on an RNG
-  /// draw.
-  void set_health(const health::SiteHealthMonitor* health) {
-    health_ = health;
-  }
-  [[nodiscard]] const health::SiteHealthMonitor* health() const {
-    return health_;
-  }
 
   /// Sites currently eligible to run a job needing `app`.
   [[nodiscard]] std::vector<std::string> eligible_sites(
@@ -126,17 +96,9 @@ class PegasusPlanner {
       const std::vector<std::string>& candidates, const PlannerConfig& cfg,
       util::Rng& rng) const;
 
-  /// True when `site` is not quarantined (or no monitor is attached).
-  [[nodiscard]] bool site_admissible(const std::string& site) const;
-  /// The archive chain ([archive_site] + archive_fallbacks) reordered
-  /// healthy-first with relative order preserved in both groups.
-  [[nodiscard]] std::vector<std::string> archive_chain(
-      const PlannerConfig& cfg) const;
-
   const mds::Giis& giis_;
   const rls::ReplicaLocationService& rls_;
   broker::ResourceBroker* broker_ = nullptr;
-  const health::SiteHealthMonitor* health_ = nullptr;
   mutable PlanError last_error_ = PlanError::kEmptyDag;
 };
 

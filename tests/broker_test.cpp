@@ -182,15 +182,17 @@ TEST_F(BrokerFixture, ViewJoinsGiisAndMonalisa) {
 }
 
 TEST_F(BrokerFixture, EligibilityMirrorsPlannerRules) {
+  // Queue depth ranks ALPHA (16 free) over BETA (8 free), but the data
+  // affinity boost (4x) on BETA outweighs that, so choose() picks BETA
+  // exactly when BETA is eligible.
   JobSpec spec = short_job();
-  EXPECT_EQ(broker().eligible(spec, sim.now()).size(), 2u);
+  spec.source_site = "BETA";
+  EXPECT_EQ(broker().choose(spec, sim.now()), "BETA");
   // 20 h * 1.5 slack exceeds BETA's 6-hour queue.
   spec.runtime = Time::hours(20);
-  const auto sites = broker().eligible(spec, sim.now());
-  ASSERT_EQ(sites.size(), 1u);
-  EXPECT_EQ(sites[0], "ALPHA");
+  EXPECT_EQ(broker().choose(spec, sim.now()), "ALPHA");
   spec.required_app = "ghost";
-  EXPECT_TRUE(broker().eligible(spec, sim.now()).empty());
+  EXPECT_EQ(broker().choose(spec, sim.now()), std::nullopt);
 }
 
 TEST_F(BrokerFixture, SubmitRunsJobAndLogsMatch) {

@@ -481,7 +481,6 @@ TEST(HealthIntegration, TripReturnsGangLeaseAtQuarantinedPrimary) {
   for (int i = 0; i < 2; ++i) {
     JobSpec m = f.spec(Time::hours(4));
     m.gang_id = "level-1";
-    m.gang_width = 2;
     m.gang_intermediates = gang.intermediates;
     gang.members.push_back(m);
   }
@@ -509,10 +508,11 @@ TEST(HealthIntegration, TripReturnsGangLeaseAtQuarantinedPrimary) {
   EXPECT_TRUE(foreign.empty()) << "non-producer keys on the bus:" << listed;
 }
 
-// --- integration: health-aware planning -------------------------------------
+// --- integration: planning during a quarantine -----------------------------
 
-/// Three-job workflow planned against the fabric's GIIS + broker, with
-/// the planner consulting the health monitor.
+/// Three-job workflow planned against the fabric's GIIS + broker.  The
+/// planner itself never consults the health monitor; quarantine reaches
+/// the plan only through the broker's provisional placement.
 std::optional<workflow::ConcreteDag> plan_workflow(HealthFabric& f) {
   workflow::VirtualDataCatalog vdc;
   vdc.add_transformation({"tf", "1", "app"});
@@ -530,7 +530,6 @@ std::optional<workflow::ConcreteDag> plan_workflow(HealthFabric& f) {
   workflow::PegasusPlanner planner{f.grid.igoc().top_giis(),
                                    *f.grid.rls("usatlas")};
   planner.set_broker(f.grid.broker("usatlas"));
-  planner.set_health(f.grid.health());
   workflow::PlannerConfig cfg;
   cfg.vo = "usatlas";
   util::Rng rng{123};
@@ -545,8 +544,6 @@ std::string dump_plan(const workflow::ConcreteDag& dag) {
     if (n.broker_spec.has_value()) {
       out += "|c:";
       for (const auto& c : n.broker_spec->candidates) out += c + ",";
-      out += "|d:";
-      for (const auto& c : n.broker_spec->deferred_candidates) out += c + ",";
       out += "|se:" + n.broker_spec->stage_out_site;
       for (const auto& c : n.broker_spec->stage_out_fallbacks) {
         out += "," + c;
@@ -560,7 +557,7 @@ std::string dump_plan(const workflow::ConcreteDag& dag) {
   return out;
 }
 
-TEST(HealthIntegration, PlannerCandidatesExcludeQuarantinedSites) {
+TEST(HealthIntegration, ProvisionalPlacementAvoidsQuarantinedSite) {
   HealthFabric f;
   for (int i = 0; i < 6; ++i) {
     f.grid.health()->report("blackhole", Service::kSubmit, false,
@@ -574,33 +571,32 @@ TEST(HealthIntegration, PlannerCandidatesExcludeQuarantinedSites) {
   for (const auto& n : plan->nodes) {
     if (n.type != workflow::NodeType::kCompute) continue;
     ++computes;
-    // The quarantined site is out of the plan: never the provisional
-    // placement, never a live candidate -- parked as deferred so the
-    // broker can re-admit it if the quarantine lifts before launch.
+    // The broker's provisional placement skips the quarantined site,
+    // but the candidates keep it: the broker defers it at match time
+    // and re-admits it if the quarantine lifts before launch.
     EXPECT_NE(n.site, "blackhole");
     ASSERT_TRUE(n.broker_spec.has_value());
     const auto& c = n.broker_spec->candidates;
-    EXPECT_EQ(std::count(c.begin(), c.end(), "blackhole"), 0);
-    EXPECT_FALSE(c.empty());
-    const auto& d = n.broker_spec->deferred_candidates;
-    EXPECT_EQ(std::count(d.begin(), d.end(), "blackhole"), 1);
+    EXPECT_EQ(std::count(c.begin(), c.end(), "blackhole"), 1);
   }
   EXPECT_EQ(computes, 3u);
 }
 
 TEST(HealthIntegration, HealthAwarePlanIsByteIdentical) {
-  HealthFabric f;
-  for (int i = 0; i < 6; ++i) {
-    f.grid.health()->report("blackhole", Service::kSubmit, false,
-                            f.sim.now());
-  }
-  const auto a = plan_workflow(f);
-  const auto b = plan_workflow(f);
-  ASSERT_TRUE(a.has_value());
-  ASSERT_TRUE(b.has_value());
-  const std::string dump_a = dump_plan(*a);
-  EXPECT_FALSE(dump_a.empty());
-  EXPECT_EQ(dump_a, dump_plan(*b));
+  // Two independent runs, each planning while blackhole is quarantined.
+  auto run = []() -> std::string {
+    HealthFabric f;
+    for (int i = 0; i < 6; ++i) {
+      f.grid.health()->report("blackhole", Service::kSubmit, false,
+                              f.sim.now());
+    }
+    EXPECT_TRUE(f.grid.health()->quarantined("blackhole"));
+    const auto plan = plan_workflow(f);
+    return plan.has_value() ? dump_plan(*plan) : std::string{};
+  };
+  const std::string a = run();
+  EXPECT_NE(a.find("blackhole"), std::string::npos);  // kept as candidate
+  EXPECT_EQ(a, run());
 }
 
 TEST(HealthIntegration, DeferredCandidateReadmittedWhenQuarantineLifts) {
@@ -611,11 +607,10 @@ TEST(HealthIntegration, DeferredCandidateReadmittedWhenQuarantineLifts) {
   }
   ASSERT_TRUE(f.grid.health()->quarantined("blackhole"));
 
-  // A job whose only viable site is the deferred one: "offline" is not
+  // A job whose only viable candidate is quarantined: "offline" is not
   // on the grid, so the match must wait for blackhole's re-admission.
   JobSpec s = f.spec();
-  s.candidates = {"offline"};
-  s.deferred_candidates = {"blackhole"};
+  s.candidates = {"offline", "blackhole"};
   std::vector<std::string> sites;
   f.grid.broker("usatlas")->submit(
       s, f.job(),

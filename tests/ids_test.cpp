@@ -29,8 +29,8 @@ TEST(Interner, ReinterningIsIdempotent) {
   Interner<SiteId> sites;
   const SiteId first = sites.intern("BNL_ATLAS");
   (void)sites.intern("FNAL_CMS");
-  // Interning again -- e.g. a rescue-DAG refresh re-walking its
-  // candidate lists -- must return the original id, never renumber.
+  // Interning again -- e.g. a second job naming the same candidate
+  // sites -- must return the original id, never renumber.
   EXPECT_EQ(sites.intern("BNL_ATLAS"), first);
   EXPECT_EQ(sites.size(), 2u);
   EXPECT_EQ(sites.name(first), "BNL_ATLAS");

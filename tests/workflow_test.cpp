@@ -241,7 +241,7 @@ TEST_F(WorkflowFixture, EmptyDagSucceedsImmediately) {
   EXPECT_EQ(stats->nodes_total, 0u);
 }
 
-TEST_F(WorkflowFixture, FailedNodeSkipsDescendantsAndBuildsRescue) {
+TEST_F(WorkflowFixture, FailedNodeSkipsDescendants) {
   // Bind a compute node to a nonexistent site: permanent failure.
   ConcreteDag dag;
   ConcreteNode bad;
@@ -264,46 +264,6 @@ TEST_F(WorkflowFixture, FailedNodeSkipsDescendantsAndBuildsRescue) {
   EXPECT_FALSE(stats->success);
   EXPECT_EQ(stats->failed, 1u);
   EXPECT_EQ(stats->skipped, 1u);
-  EXPECT_EQ(stats->rescue.size(), 2u);
-}
-
-TEST_F(WorkflowFixture, RescueDagResumesWhereRunStopped) {
-  // A three-node chain whose middle node is bound to a nonexistent site:
-  // node 0 completes, 1 fails, 2 is skipped.  The rescue DAG holds only
-  // the unfinished tail; re-binding and resubmitting it finishes the work
-  // without redoing node 0.
-  ConcreteDag dag;
-  for (int i = 0; i < 3; ++i) {
-    ConcreteNode n;
-    n.type = NodeType::kCompute;
-    n.name = "n" + std::to_string(i);
-    n.site = i == 1 ? "GHOST" : "ALPHA";
-    n.runtime = Time::hours(1);
-    n.requested_walltime = Time::hours(2);
-    dag.nodes.push_back(n);
-  }
-  dag.edges = {{0, 1}, {1, 2}};
-
-  std::optional<DagRunStats> stats;
-  grid.dagman("usatlas").run(dag, proxy,
-                             [&](const DagRunStats& s) { stats = s; });
-  sim.run_until(sim.now() + Time::days(1));
-  ASSERT_TRUE(stats.has_value());
-  ASSERT_FALSE(stats->success);
-  ASSERT_EQ(stats->rescue.size(), 2u);
-
-  ConcreteDag rescue = DagMan::rescue_dag(dag, *stats);
-  ASSERT_EQ(rescue.nodes.size(), 2u);
-  EXPECT_EQ(rescue.edges.size(), 1u);  // only the 1->2 edge survives
-  EXPECT_TRUE(rescue.acyclic());
-  // Fix the bad binding and resubmit.
-  for (auto& n : rescue.nodes) n.site = "ALPHA";
-  std::optional<DagRunStats> second;
-  grid.dagman("usatlas").run(std::move(rescue), proxy,
-                             [&](const DagRunStats& s) { second = s; });
-  sim.run_until(sim.now() + Time::days(1));
-  ASSERT_TRUE(second.has_value());
-  EXPECT_TRUE(second->success);
 }
 
 TEST_F(WorkflowFixture, RetryRecoversFromTransientOutage) {
@@ -439,149 +399,6 @@ TEST_F(BrokeredWorkflowFixture, CompletionSiteFeedsBackIntoChildren) {
   // followed the data to the actual completion site.
   EXPECT_EQ(stats->node_results[pi].site, "BETA");
   EXPECT_EQ(stats->node_results[ci].source_site, "BETA");
-}
-
-TEST_F(BrokeredWorkflowFixture, RescueRefreshDropsDepartedSites) {
-  auto planner = make_planner();
-  PlannerConfig cfg;
-  cfg.vo = "usatlas";
-  util::Rng rng{8};
-  auto plan = planner.plan(two_step(), cfg, rng, sim.now());
-  ASSERT_TRUE(plan.has_value());
-  for (const auto& n : plan->nodes) {
-    ASSERT_TRUE(n.broker_spec.has_value());
-    ASSERT_EQ(n.broker_spec->candidates.size(), 2u);
-  }
-  const ConcreteDag original = *plan;  // run() consumes the plan
-
-  grid.site("ALPHA")->gatekeeper().set_available(false);
-  grid.site("BETA")->gatekeeper().set_available(false);
-  std::optional<DagRunStats> stats;
-  grid.dagman("usatlas").run(std::move(*plan), proxy,
-                             [&](const DagRunStats& s) { stats = s; });
-  sim.run_until(sim.now() + Time::days(2));
-  ASSERT_TRUE(stats.has_value());
-  ASSERT_FALSE(stats->success);
-  ASSERT_FALSE(stats->rescue.empty());
-
-  // ALPHA recovers, but BETA leaves the grid entirely: its GRIS drops
-  // out of the VO index.  Wait past the view TTLs so the broker's live
-  // view notices before the rescue DAG is rebuilt.
-  grid.site("ALPHA")->gatekeeper().set_available(true);
-  grid.vo_giis("usatlas")->deregister_gris("BETA");
-  sim.run_until(sim.now() + Time::minutes(6));
-
-  const ConcreteDag rescue = grid.dagman("usatlas").rescue_dag_refreshed(
-      original, *stats, sim.now());
-  ASSERT_FALSE(rescue.nodes.empty());
-  for (const auto& n : rescue.nodes) {
-    ASSERT_TRUE(n.broker_spec.has_value());
-    EXPECT_EQ(n.broker_spec->candidates, (std::vector<std::string>{"ALPHA"}));
-  }
-}
-
-/// Self-contained brokered two-site fabric, constructible twice in one
-/// test body for determinism comparisons (a fixture instance cannot be).
-struct BrokeredFabric {
-  sim::Simulation sim;
-  core::Grid3 grid{sim, 77};
-  vo::VomsProxy proxy;
-
-  BrokeredFabric() {
-    grid.add_vo("usatlas");
-    pacman::add_application_package(grid.igoc().pacman_cache(), "app",
-                                    Time::minutes(5));
-    core::SiteConfig a;
-    a.name = "ALPHA";
-    a.owner_vo = "usatlas";
-    a.cpus = 16;
-    a.policy.max_walltime = Time::hours(48);
-    a.policy.dedicated = true;
-    core::SiteConfig b = a;
-    b.name = "BETA";
-    b.cpus = 8;
-    grid.add_site(a, /*reliability=*/1000.0);
-    grid.add_site(b, /*reliability=*/1000.0);
-    grid.site("ALPHA")->install_application(grid.igoc().pacman_cache(),
-                                            "app");
-    grid.site("BETA")->install_application(grid.igoc().pacman_cache(),
-                                           "app");
-    const vo::Certificate cert =
-        grid.add_user("usatlas", "tester", vo::Role::kAppAdmin);
-    proxy = *grid.make_proxy(cert, "usatlas", Time::hours(200));
-    const std::vector<const vo::VomsServer*> servers{grid.voms("usatlas")};
-    grid.site("ALPHA")->refresh_gridmap(servers);
-    grid.site("BETA")->refresh_gridmap(servers);
-    for (const char* site : {"ALPHA", "BETA"}) {
-      grid.site(site)->gatekeeper().set_submission_flake_rate(0.0);
-      grid.site(site)->gatekeeper().set_environment_error_rate(0.0);
-    }
-    grid.attach_broker("usatlas", broker::PolicyKind::kQueueDepth);
-    grid.start_operations();
-    sim.run_until(Time::minutes(1));
-  }
-
-  /// Plan the two-step chain, run it with both gatekeepers down (every
-  /// node fails after rebind exhaustion), then refresh the rescue DAG
-  /// from the recovered live view.
-  ConcreteDag failed_run_and_refresh() {
-    VirtualDataCatalog vdc;
-    vdc.add_transformation({"tf", "1", "app"});
-    vdc.add_derivation(make_derivation("s1", {}, {"mid"}));
-    vdc.add_derivation(make_derivation("s2", {"mid"}, {"out"}));
-    PegasusPlanner planner{grid.igoc().top_giis(), *grid.rls("usatlas")};
-    planner.set_broker(grid.broker("usatlas"));
-    PlannerConfig cfg;
-    cfg.vo = "usatlas";
-    cfg.archive_site = "ALPHA";
-    util::Rng rng{11};
-    auto plan = planner.plan(*vdc.request({"out"}), cfg, rng, sim.now());
-    if (!plan.has_value()) {
-      ADD_FAILURE() << "plan failed";
-      return {};
-    }
-    const ConcreteDag original = *plan;
-    grid.site("ALPHA")->gatekeeper().set_available(false);
-    grid.site("BETA")->gatekeeper().set_available(false);
-    std::optional<DagRunStats> stats;
-    grid.dagman("usatlas").run(std::move(*plan), proxy,
-                               [&](const DagRunStats& s) { stats = s; });
-    sim.run_until(sim.now() + Time::days(2));
-    if (!stats.has_value() || stats->success) {
-      ADD_FAILURE() << "expected a failed run";
-      return {};
-    }
-    grid.site("ALPHA")->gatekeeper().set_available(true);
-    grid.site("BETA")->gatekeeper().set_available(true);
-    sim.run_until(sim.now() + Time::minutes(6));
-    return grid.dagman("usatlas").rescue_dag_refreshed(original, *stats,
-                                                       sim.now());
-  }
-};
-
-TEST(BrokeredDeterminism, RescueRefreshIsReproducible) {
-  BrokeredFabric f1;
-  BrokeredFabric f2;
-  const ConcreteDag r1 = f1.failed_run_and_refresh();
-  const ConcreteDag r2 = f2.failed_run_and_refresh();
-  // The failed runs made identical match decisions...
-  EXPECT_EQ(f1.grid.broker("usatlas")->serialize_match_log(),
-            f2.grid.broker("usatlas")->serialize_match_log());
-  EXPECT_FALSE(f1.grid.broker("usatlas")->serialize_match_log().empty());
-  // ...and the refreshed rescue plans are structurally identical.
-  ASSERT_EQ(r1.nodes.size(), r2.nodes.size());
-  ASSERT_FALSE(r1.nodes.empty());
-  for (std::size_t i = 0; i < r1.nodes.size(); ++i) {
-    EXPECT_EQ(r1.nodes[i].name, r2.nodes[i].name);
-    EXPECT_EQ(r1.nodes[i].site, r2.nodes[i].site);
-    ASSERT_EQ(r1.nodes[i].broker_spec.has_value(),
-              r2.nodes[i].broker_spec.has_value());
-    if (r1.nodes[i].broker_spec.has_value()) {
-      EXPECT_EQ(r1.nodes[i].broker_spec->candidates,
-                r2.nodes[i].broker_spec->candidates);
-      EXPECT_FALSE(r1.nodes[i].broker_spec->candidates.empty());
-    }
-  }
 }
 
 }  // namespace
