@@ -61,7 +61,7 @@ int main() {
   }
 
   // --- Policy audit ----------------------------------------------------
-  const auto report = core::PolicyAuditor{grid}.audit(w.from, w.to);
+  const auto report = core::PolicyAuditor{grid}.audit();
   std::cout << "\npolicy audit over " << report.sites_audited
             << " sites: " << report.count(core::AuditSeverity::kViolation)
             << " violations, " << report.count(core::AuditSeverity::kWarning)

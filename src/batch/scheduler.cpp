@@ -12,7 +12,6 @@ const char* to_string(JobState s) {
     case JobState::kCompleted: return "completed";
     case JobState::kKilledWalltime: return "killed-walltime";
     case JobState::kKilledNodeFailure: return "killed-node-failure";
-    case JobState::kKilledAdmin: return "killed-admin";
     case JobState::kRejected: return "rejected";
   }
   return "?";
@@ -31,19 +30,17 @@ BatchScheduler::~BatchScheduler() {
 
 VoIndex BatchScheduler::vo_index(const std::string& vo) {
   const VoIndex v = vo_names_.intern(vo);
-  if (v.value() == vos_.size()) {
-    VoRow& row = vos_.emplace_back();
-    if (auto it = cfg_.vo_shares.find(vo); it != cfg_.vo_shares.end()) {
-      row.share = std::max(it->second, 1e-9);
-    } else {
-      row.authorized = !cfg_.closed_shares;
-    }
-  }
+  if (v.value() == vos_.size()) vos_.emplace_back();
   return v;
 }
 
 SubmitResult BatchScheduler::submit(const JobRequest& req, CompletionFn done) {
-  const auto reject = [&](const char* reason) -> SubmitResult {
+  // The one policy gate: the queue walltime limit (section 6.4,
+  // requirement 3 -- "queue managed Grid3 resources required every
+  // computational job to specify the runtime requested").  Which VOs may
+  // submit at all is the grid-map file's decision, made at the
+  // gatekeeper.
+  if (enforces_walltime() && req.requested_walltime > cfg_.max_walltime) {
     if (done) {
       JobOutcome out;
       out.state = JobState::kRejected;
@@ -51,58 +48,16 @@ SubmitResult BatchScheduler::submit(const JobRequest& req, CompletionFn done) {
       out.submitted = sim_.now();
       done(out);
     }
-    return {false, 0, reason};
-  };
-  // Policy gate 1: queue walltime limit (section 6.4, requirement 3 --
-  // "queue managed Grid3 resources required every computational job to
-  // specify the runtime requested").
-  if (enforces_walltime() && req.requested_walltime > cfg_.max_walltime) {
-    return reject("requested walltime exceeds queue limit");
+    return {false, 0, "requested walltime exceeds queue limit"};
   }
-  // Policy gate 2: closed share lists refuse foreign VOs.
   assert(!req.vo_index.valid() || req.vo_index.value() < vos_.size());
   const VoIndex vo = req.vo_index.valid() ? req.vo_index : vo_index(req.vo);
-  if (!vos_[vo.value()].authorized) {
-    return reject("VO not authorized on this resource");
-  }
 
   const LocalJobId id = next_id_++;
   queue_.push_back({id, req, vo, sim_.now(), std::move(done)});
   ++vos_[vo.value()].outstanding;
   dispatch();
   return {true, id, {}};
-}
-
-bool BatchScheduler::cancel(LocalJobId id) {
-  // Queued?
-  auto qit = std::find_if(queue_.begin(), queue_.end(),
-                          [&](const QueuedJob& j) { return j.id == id; });
-  if (qit != queue_.end()) {
-    const VoIndex vo = qit->vo;
-    const Time submitted = qit->submitted;
-    CompletionFn cb = std::move(qit->done);
-    int& outstanding = vos_[vo.value()].outstanding;
-    assert(outstanding > 0);
-    --outstanding;
-    queue_.erase(qit);
-    if (cb) {
-      JobOutcome out;
-      out.id = id;
-      out.state = JobState::kKilledAdmin;
-      out.vo = vo_names_.name(vo);
-      out.submitted = submitted;
-      out.started = out.finished = sim_.now();
-      cb(out);
-    }
-    return true;
-  }
-  for (std::uint32_t slot = 0; slot < running_.size(); ++slot) {
-    if (running_[slot].id == id) {
-      finish(slot, JobState::kKilledAdmin);
-      return true;
-    }
-  }
-  return false;
 }
 
 std::vector<BatchScheduler::Placed> BatchScheduler::running_by_id() const {
@@ -145,11 +100,6 @@ void BatchScheduler::resize(int new_slots, util::Rng& rng) {
   dispatch();
 }
 
-void BatchScheduler::resume() {
-  draining_ = false;
-  dispatch();
-}
-
 Time BatchScheduler::vo_usage(const std::string& vo) const {
   const VoIndex v = vo_names_.find(vo);
   return v.valid() ? vos_[v.value()].usage : Time::zero();
@@ -159,9 +109,7 @@ double BatchScheduler::fair_share_rank(VoIndex vo) const {
   const VoRow& row = vos_[vo.value()];
   // Include currently-running occupancy so a burst from one VO does not
   // monopolize the next free slots.
-  const double used =
-      row.usage.to_hours() + static_cast<double>(row.running);
-  return used / row.share;
+  return row.usage.to_hours() + static_cast<double>(row.running);
 }
 
 int BatchScheduler::count_running(
@@ -174,7 +122,7 @@ int BatchScheduler::count_running(
 }
 
 void BatchScheduler::dispatch() {
-  if (dispatching_ || draining_) return;
+  if (dispatching_) return;
   dispatching_ = true;
   while (free_slots() > 0 && !queue_.empty()) {
     auto idx = pick_next();

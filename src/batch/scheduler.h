@@ -5,13 +5,14 @@
 // provides the shared slot engine plus the three policy implementations;
 // policy differences (fair share vs FIFO vs multi-queue, walltime
 // enforcement) are the behavioural knobs the scheduler ablation bench
-// sweeps.
+// sweeps.  An LRMS accounts per VO but admits every VO alike: which VOs
+// may submit is the gatekeeper's grid-map decision, and the queue
+// walltime limit is the one refusal made here.
 #pragma once
 
 #include <cstdint>
 #include <deque>
 #include <functional>
-#include <map>
 #include <optional>
 #include <string>
 #include <vector>
@@ -36,7 +37,6 @@ enum class JobState {
   kCompleted,
   kKilledWalltime,    ///< exceeded its requested walltime on an enforcing LRMS
   kKilledNodeFailure, ///< worker died (rollover, hardware)
-  kKilledAdmin,       ///< drained / cancelled
   kRejected,          ///< refused at submission (policy)
 };
 
@@ -80,10 +80,6 @@ struct SchedulerConfig {
   std::string site_name;
   int slots = 64;                       ///< worker CPUs
   Time max_walltime = Time::hours(72);  ///< published queue limit
-  /// Relative fair-share weight per VO; VOs absent from the map may still
-  /// run (weight 1) unless `closed_shares` is set.
-  std::map<std::string, double> vo_shares = {};
-  bool closed_shares = false;
 };
 
 /// Shared engine; subclasses supply the dispatch-order policy.
@@ -100,7 +96,6 @@ class BatchScheduler {
   [[nodiscard]] virtual bool enforces_walltime() const = 0;
 
   SubmitResult submit(const JobRequest& req, CompletionFn done);
-  bool cancel(LocalJobId id);
 
   /// Kill each running job independently with probability `fraction`
   /// (ACDC's nightly worker rollover, section 6.1): they end in
@@ -112,15 +107,10 @@ class BatchScheduler {
   /// killed.  Adding slots triggers a dispatch round.
   void resize(int new_slots, util::Rng& rng);
 
-  /// Drain: stop dispatching; running jobs finish.  resume() re-opens.
-  void drain() { draining_ = true; }
-  void resume();
-
   [[nodiscard]] int total_slots() const { return cfg_.slots; }
   [[nodiscard]] int busy_slots() const { return busy_; }
   [[nodiscard]] int free_slots() const { return cfg_.slots - busy_slots(); }
   [[nodiscard]] std::size_t queued_count() const { return queue_.size(); }
-  [[nodiscard]] const SchedulerConfig& config() const { return cfg_; }
   [[nodiscard]] Time max_walltime() const { return cfg_.max_walltime; }
   void set_max_walltime(Time t) { cfg_.max_walltime = t; }
 
@@ -170,8 +160,8 @@ class BatchScheduler {
   [[nodiscard]] const std::deque<QueuedJob>& queue() const { return queue_; }
   [[nodiscard]] sim::Simulation& sim() { return sim_; }
 
-  /// Decayed usage ratio used by fair-share policies:
-  /// usage / share_weight, lower runs first.
+  /// Fair-share rank: the VO's charged CPU hours plus its running jobs,
+  /// lower runs first.
   [[nodiscard]] double fair_share_rank(VoIndex vo) const;
 
   /// Number of running jobs that satisfy `pred` (policy bookkeeping,
@@ -182,8 +172,6 @@ class BatchScheduler {
  private:
   /// One VO's row, indexed by VoIndex.
   struct VoRow {
-    double share = 1.0;       ///< fair-share weight, floored at 1e-9
-    bool authorized = true;   ///< false: closed shares refuse the VO
     int running = 0;
     int outstanding = 0;      ///< queued + running
     Time usage;
@@ -205,7 +193,6 @@ class BatchScheduler {
 
   sim::Simulation& sim_;
   SchedulerConfig cfg_;
-  bool draining_ = false;
   bool dispatching_ = false;
   LocalJobId next_id_ = 1;
   std::deque<QueuedJob> queue_;

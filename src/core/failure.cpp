@@ -56,13 +56,10 @@ void FailureInjector::attach(Site& site, FailureRates rates) {
         s.disk().consume_unmanaged(eaten);
         const auto ticket =
             igoc_.tickets().open(s.name(), "disk-fill", sim_.now());
-        sim_.schedule_in(kDiskCleanupAfter,
-                         [this, name = s.name(), ticket, eaten] {
-                           if (Attached* a2 = live(name)) {
-                             a2->site->disk().cleanup(eaten);
-                           }
-                           igoc_.tickets().close(ticket, sim_.now());
-                         });
+        sim_.schedule_in(kDiskCleanupAfter, [this, &s, ticket, eaten] {
+          s.disk().cleanup(eaten);
+          igoc_.tickets().close(ticket, sim_.now());
+        });
       });
   arm(name, &FailureRates::gatekeeper_crash_mtbf, Incident::kGatekeeperCrash,
       [this](Site& s) {
@@ -89,11 +86,9 @@ void FailureInjector::attach(Site& site, FailureRates rates) {
   // Nightly worker rollover.
   if (rates.nightly_rollover) {
     auto loop = std::make_unique<sim::PeriodicProcess>(
-        sim_, Time::days(1), [this, name] {
-          Attached* a = live(name);
-          if (a == nullptr) return false;
+        sim_, Time::days(1), [this, &site] {
           record(Incident::kRollover);
-          a->site->scheduler().kill_running(kRolloverKillFraction, rng_);
+          site.scheduler().kill_running(kRolloverKillFraction, rng_);
           return true;
         });
     // First rollover at the next "midnight" (whole day boundary).
@@ -105,22 +100,14 @@ void FailureInjector::attach(Site& site, FailureRates rates) {
   }
 }
 
-FailureInjector::Attached* FailureInjector::live(const std::string& site) {
-  auto it = attached_.find(site);
-  return it != attached_.end() && it->second->active ? it->second.get()
-                                                     : nullptr;
-}
-
 void FailureInjector::arm(const std::string& site, Time FailureRates::*mtbf,
                           Incident kind, std::function<void(Site&)> act) {
-  Attached* a = live(site);
-  if (a == nullptr) return;
-  const Time gap = Time::hours(rng_.exponential((a->rates.*mtbf).to_hours()));
+  // By name, so a re-attached site's chains draw the new rates.
+  const Attached& a = *attached_.at(site);
+  const Time gap = Time::hours(rng_.exponential((a.rates.*mtbf).to_hours()));
   sim_.schedule_in(gap, [this, site, mtbf, kind, act = std::move(act)] {
-    Attached* a = live(site);
-    if (a == nullptr) return;
     record(kind);
-    act(*a->site);
+    act(*attached_.at(site)->site);
     arm(site, mtbf, kind, act);
   });
 }
@@ -130,19 +117,10 @@ void FailureInjector::outage(Site& site, const char* issue, Time repair_mean,
   set_up(site, false);
   const auto ticket = igoc_.tickets().open(site.name(), issue, sim_.now());
   const Time repair = Time::hours(rng_.exponential(repair_mean.to_hours()));
-  sim_.schedule_in(repair, [this, name = site.name(), ticket,
-                            set_up = std::move(set_up)] {
-    if (Attached* a = live(name)) set_up(*a->site, true);
+  sim_.schedule_in(repair, [this, &site, ticket, set_up = std::move(set_up)] {
+    set_up(site, true);
     igoc_.tickets().close(ticket, sim_.now());
   });
-}
-
-void FailureInjector::detach(const std::string& site_name) {
-  auto it = attached_.find(site_name);
-  if (it == attached_.end()) return;
-  it->second->active = false;
-  for (auto& loop : it->second->loops) loop->stop();
-  // Keep the entry (inactive) so in-flight lambdas resolve to nullptr.
 }
 
 void FailureInjector::attach_collective(const std::string& name,
@@ -151,8 +129,7 @@ void FailureInjector::attach_collective(const std::string& name,
 }
 
 bool FailureInjector::set_target_up(const std::string& target, bool up) {
-  if (auto it = attached_.find(target);
-      it != attached_.end() && it->second->active) {
+  if (auto it = attached_.find(target); it != attached_.end()) {
     Site& site = *it->second->site;
     site.gatekeeper().set_available(up);
     site.gris().set_available(up);
@@ -175,7 +152,7 @@ bool FailureInjector::set_target_up(const std::string& target, bool up) {
 
 bool FailureInjector::set_site_wan_up(const std::string& target, bool up) {
   auto it = attached_.find(target);
-  if (it == attached_.end() || !it->second->active) return false;
+  if (it == attached_.end()) return false;
   net_.set_node_up(it->second->site->node(), up);
   return true;
 }

@@ -97,8 +97,6 @@ class FailureInjector {
 
   /// Attach a site; failures start flowing immediately.
   void attach(Site& site, FailureRates rates);
-  /// Stop injecting for a site (e.g. it stabilized / was withdrawn).
-  void detach(const std::string& site_name);
 
   /// Name a collective-service bundle as a downtime target.  Attaching
   /// draws nothing and takes nothing down by itself; re-attaching a name
@@ -120,11 +118,8 @@ class FailureInjector {
     Site* site;
     FailureRates rates;
     std::vector<std::unique_ptr<sim::PeriodicProcess>> loops;
-    bool active = true;
   };
 
-  /// The attached, still-active entry for `site` (null once detached).
-  [[nodiscard]] Attached* live(const std::string& site);
   /// One Poisson incident class at `site`: after an exponential gap of
   /// mean `rates.*mtbf`, count a `kind` incident, `act` on the site, and
   /// re-arm -- so each class's own draws come before its next gap.
@@ -132,7 +127,7 @@ class FailureInjector {
            std::function<void(Site&)> act);
   /// A service outage: take it down with `set_up(site, false)`, open a
   /// ticket, draw an exponential repair time of mean `repair_mean`, then
-  /// bring it back (if the site is still attached) and close the ticket.
+  /// bring it back and close the ticket.
   void outage(Site& site, const char* issue, Time repair_mean,
               std::function<void(Site&, bool up)> set_up);
   /// Take a downtime target (site or collective bundle) down or up.

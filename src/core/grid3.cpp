@@ -149,14 +149,6 @@ broker::ResourceBroker& Grid3::attach_broker(const std::string& vo_name,
 
 health::SiteHealthMonitor& Grid3::attach_health() {
   if (health_) return *health_;
-  health_ = std::make_unique<health::SiteHealthMonitor>(sim_);
-  health_->set_id_registry(ids_);
-  health_->set_tickets(
-      [this](const std::string& site, const std::string& issue, Time now) {
-        return igoc_.tickets().open(site, issue, now);
-      },
-      [this](std::uint64_t id, Time now) { igoc_.tickets().close(id, now); });
-
   // Probation probes run as site-verify jobs under the iGOC's operations
   // identity (ivdgl VO), submitted straight to the gatekeeper so they
   // bypass the very quarantine they are re-certifying.  Backfill
@@ -168,7 +160,8 @@ health::SiteHealthMonitor& Grid3::attach_health() {
     s->support_vo("ivdgl");
     s->refresh_gridmap(servers);
   }
-  health_->set_probe_submitter(
+  health_ = std::make_unique<health::SiteHealthMonitor>(
+      sim_,
       [this](const std::string& site, std::function<void(bool)> done) {
         gram::Gatekeeper* gk = gatekeeper(site);
         auto proxy = make_proxy(*probe_cert_, "ivdgl", Time::hours(2));
@@ -188,6 +181,12 @@ health::SiteHealthMonitor& Grid3::attach_health() {
               done(r.ok());
             });
       });
+  health_->set_id_registry(ids_);
+  health_->set_tickets(
+      [this](const std::string& site, const std::string& issue, Time now) {
+        return igoc_.tickets().open(site, issue, now);
+      },
+      [this](std::uint64_t id, Time now) { igoc_.tickets().close(id, now); });
 
   // A trip fans out to every VO broker: drop the site from candidate
   // sets, re-match held jobs, return gang leases parked there.

@@ -8,17 +8,16 @@
 //    CPU time allowed."
 //
 // The auditor checks, per site: (a) that the published GLUE walltime
-// limit matches the scheduler's enforced limit; (b) that closed-share
-// sites only ran authorized VOs; (c) that the fair-share outcome is
-// within tolerance of the configured weights; and (d) that every policy
-// attribute applications rely on is actually published.
+// limit matches the scheduler's enforced limit; and (b) that every
+// policy attribute applications rely on is actually published.  Which
+// VOs a site admits is its grid-map file's, built from VOMS, so there is
+// no per-VO share to audit.
 #pragma once
 
 #include <string>
 #include <vector>
 
 #include "core/grid3.h"
-#include "monitoring/acdc.h"
 
 namespace grid3::core {
 
@@ -47,18 +46,11 @@ class PolicyAuditor {
  public:
   explicit PolicyAuditor(Grid3& grid) : grid_{grid} {}
 
-  /// Run every check over all online sites; usage checks consider jobs
-  /// finished in [from, to).
-  [[nodiscard]] AuditReport audit(Time from, Time to) const;
+  /// Run every check over all sites.
+  [[nodiscard]] AuditReport audit() const;
 
   // Individual checks, exposed for targeted use and tests.
   [[nodiscard]] std::vector<AuditFinding> check_published_walltime() const;
-  [[nodiscard]] std::vector<AuditFinding> check_closed_shares(
-      Time from, Time to) const;
-  /// Flags a VO whose CPU share strays more than 3x from its configured
-  /// fair share, either way.
-  [[nodiscard]] std::vector<AuditFinding> check_fair_share(Time from,
-                                                           Time to) const;
   [[nodiscard]] std::vector<AuditFinding> check_required_attributes() const;
 
  private:

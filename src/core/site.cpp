@@ -31,8 +31,6 @@ std::unique_ptr<batch::BatchScheduler> make_scheduler(sim::Simulation& sim,
   sc.site_name = cfg.name;
   sc.slots = cfg.cpus;
   sc.max_walltime = cfg.policy.max_walltime;
-  sc.vo_shares = cfg.policy.vo_shares;
-  sc.closed_shares = cfg.policy.closed_shares;
   switch (cfg.lrms) {
     case LrmsType::kCondor:
       return std::make_unique<batch::CondorScheduler>(sim, sc);

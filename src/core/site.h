@@ -3,8 +3,9 @@
 // Each site owns its worker cluster (batch scheduler), shared disk,
 // GridFTP server, GRAM gatekeeper, grid-map file, GRIS, Ganglia gmond
 // and MonALISA agent, wired to the site's WAN access link.  Sites are
-// autonomous: local policy (walltime limits, VO shares, shared local
-// load) lives here, not at the grid level.
+// autonomous: local policy (walltime limits, shared local load) lives
+// here, not at the grid level; which VOs may submit is the grid-map
+// file's, built from VOMS.
 #pragma once
 
 #include <memory>
@@ -42,8 +43,6 @@ struct SitePolicy {
   bool dedicated = false;
   /// Fraction of slots local users occupy on average at a shared site.
   double local_load = 0.2;
-  std::map<std::string, double> vo_shares;
-  bool closed_shares = false;
 };
 
 struct SiteConfig {

@@ -13,7 +13,6 @@ const char* to_string(TransferStatus s) {
     case TransferStatus::kFailedNoSpace: return "failed-no-space";
     case TransferStatus::kFailedServerDown: return "failed-server-down";
     case TransferStatus::kFailedNoRoute: return "failed-no-route";
-    case TransferStatus::kCancelled: return "cancelled";
   }
   return "?";
 }
@@ -103,10 +102,6 @@ void GridFtpClient::finish(Attempt att, const net::FlowResult& flow) {
     }
     case net::FlowStatus::kFailedNoRoute:
       report(att, TransferStatus::kFailedNoRoute, Bytes::zero(),
-             att.first_started);
-      return;
-    case net::FlowStatus::kCancelled:
-      report(att, TransferStatus::kCancelled, flow.transferred,
              att.first_started);
       return;
   }

@@ -29,7 +29,6 @@ enum class TransferStatus {
   kFailedNoSpace,     ///< destination disk filled
   kFailedServerDown,  ///< src or dst GridFTP server unavailable
   kFailedNoRoute,     ///< firewall / connectivity refused
-  kCancelled,
 };
 
 [[nodiscard]] const char* to_string(TransferStatus s);
@@ -69,7 +68,7 @@ struct TransferRequest {
 };
 
 struct TransferRecord {
-  TransferStatus status = TransferStatus::kCancelled;
+  TransferStatus status = TransferStatus::kCompleted;
   Bytes requested;
   Bytes transferred;
   Time started;

@@ -72,18 +72,11 @@ void SiteHealthMonitor::report(const std::string& site, Service service,
         trip(site, b, to_string(service), s.ewma, now);
       }
       break;
-    case BreakerState::kHalfOpen:
-      // With a probe submitter, probes own re-certification; stray
-      // in-flight results from before the trip only update the scores.
-      if (probe_submitter_) break;
-      if (!ok) {
-        trip(site, b, to_string(service), s.ewma, now);
-      } else if (++b.probe_successes >= cfg_.probes_required) {
-        readmit(site, b, now);
-      }
-      break;
     case BreakerState::kOpen:
-      break;  // stragglers bound before the trip; nothing to decide
+    case BreakerState::kHalfOpen:
+      // Stragglers bound before the trip only update the scores; probes
+      // own re-certification.
+      break;
   }
 }
 
@@ -134,7 +127,7 @@ void SiteHealthMonitor::enter_half_open(const std::string& site,
   b.state = BreakerState::kHalfOpen;
   b.probe_successes = 0;
   record(site, "half-open", "", 0.0, sim_.now());
-  if (probe_submitter_) launch_probe(site, b.epoch);
+  launch_probe(site, b.epoch);
 }
 
 void SiteHealthMonitor::launch_probe(const std::string& site,
@@ -204,18 +197,7 @@ bool SiteHealthMonitor::quarantined(const std::string& site) const {
 
 bool SiteHealthMonitor::quarantined(core::SiteId site) const {
   const Breaker* b = find_breaker(site);
-  if (b == nullptr) return false;
-  switch (b->state) {
-    case BreakerState::kOpen:
-      return true;
-    case BreakerState::kHalfOpen:
-      // With a probe submitter the probes re-certify and production
-      // traffic stays out; without one, trial traffic is the probe.
-      return probe_submitter_ != nullptr;
-    case BreakerState::kClosed:
-      return false;
-  }
-  return false;
+  return b != nullptr && b->state != BreakerState::kClosed;
 }
 
 double SiteHealthMonitor::score(const std::string& site,

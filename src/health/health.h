@@ -25,8 +25,7 @@
 //              the site (Grid3's site-verify practice).  Enough
 //              consecutive probe successes re-admit it and close the
 //              ticket; one failure re-opens with a longer quarantine.
-//              Without a probe submitter attached, regular trial
-//              traffic plays the probe role.
+//              Production traffic stays out until re-admission.
 //
 // The module sits below broker/core in the layering: feedback arrives
 // through a neutral report() API and side effects leave through
@@ -105,8 +104,13 @@ class SiteHealthMonitor {
   using TicketCloseFn = std::function<void(std::uint64_t id, Time now)>;
   using SiteObserver = std::function<void(const std::string& site)>;
 
-  explicit SiteHealthMonitor(sim::Simulation& sim, HealthConfig cfg = {})
-      : sim_{sim}, cfg_{cfg} {}
+  /// `probe` submits the probation probes (site-verify jobs) that decide
+  /// re-admission.
+  SiteHealthMonitor(sim::Simulation& sim, ProbeSubmitter probe,
+                    HealthConfig cfg = {})
+      : sim_{sim}, cfg_{cfg}, probe_submitter_{std::move(probe)} {
+    assert(probe_submitter_ != nullptr);
+  }
   SiteHealthMonitor(const SiteHealthMonitor&) = delete;
   SiteHealthMonitor& operator=(const SiteHealthMonitor&) = delete;
 
@@ -118,11 +122,6 @@ class SiteHealthMonitor {
   void set_tickets(TicketOpenFn open, TicketCloseFn close) {
     ticket_open_ = std::move(open);
     ticket_close_ = std::move(close);
-  }
-  /// Probation probes (site-verify jobs).  Without one, half-open admits
-  /// regular trial traffic and its outcomes decide re-admission.
-  void set_probe_submitter(ProbeSubmitter submit) {
-    probe_submitter_ = std::move(submit);
   }
   /// Observers fire on every trip (the broker kicks its held jobs and
   /// returns quarantined gang leases from here).
@@ -155,7 +154,7 @@ class SiteHealthMonitor {
   [[nodiscard]] BreakerState state(const std::string& site) const;
   [[nodiscard]] BreakerState state(core::SiteId site) const;
   /// True when the broker must exclude the site: open, or half-open
-  /// while a probe submitter owns re-certification.
+  /// while probes re-certify it.
   [[nodiscard]] bool quarantined(const std::string& site) const;
   [[nodiscard]] bool quarantined(core::SiteId site) const;
   [[nodiscard]] double score(const std::string& site, Service service) const;
@@ -170,9 +169,6 @@ class SiteHealthMonitor {
   /// lost-quarantine states; the explicit sort preserves the order the
   /// old name-keyed map yielded for free).
   [[nodiscard]] std::vector<std::string> sites() const;
-  [[nodiscard]] bool has_probe_submitter() const {
-    return probe_submitter_ != nullptr;
-  }
 
   [[nodiscard]] const std::vector<BreakerEvent>& events() const {
     return events_;
@@ -216,9 +212,9 @@ class SiteHealthMonitor {
 
   sim::Simulation& sim_;
   HealthConfig cfg_;
+  ProbeSubmitter probe_submitter_;
   TicketOpenFn ticket_open_;
   TicketCloseFn ticket_close_;
-  ProbeSubmitter probe_submitter_;
   std::vector<SiteObserver> trip_observers_;
 
   /// Site interner (shared with core::Grid3 when attached there).

@@ -67,16 +67,12 @@ std::optional<std::string> BreakerInvariant::check(bool quiescent) {
   for (const std::string& site : health_.sites()) {
     const health::BreakerState state = health_.state(site);
     const bool excluded = health_.quarantined(site);
-    if (state == health::BreakerState::kOpen && !excluded) {
-      return "site " + site + " breaker open but matchable";
+    if (state != health::BreakerState::kClosed && !excluded) {
+      return "site " + site + " breaker " + health::to_string(state) +
+             " but matchable";
     }
     if (state == health::BreakerState::kClosed && excluded) {
       return "site " + site + " breaker closed but still excluded";
-    }
-    if (state == health::BreakerState::kHalfOpen &&
-        health_.has_probe_submitter() && !excluded) {
-      return "site " + site +
-             " half-open under probe re-certification but matchable";
     }
     if (quiescent && excluded) {
       return "site " + site +

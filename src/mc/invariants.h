@@ -14,7 +14,8 @@
 //   3. BreakerInvariant      -- the health breaker never loses a
 //      quarantined site: breaker state and the broker-facing
 //      quarantined() predicate stay consistent after every transition
-//      (open => excluded, closed => matchable), and by quiescence every
+//      (open or half-open => excluded, closed => matchable), and by
+//      quiescence every
 //      tripped site has been re-admitted (open => eventually half-open
 //      probe => readmission; nothing stays dark forever).
 //   4. Determinism is checked by the Explorer itself (Foata-class digest

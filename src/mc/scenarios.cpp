@@ -36,8 +36,8 @@ class BreakerRun final : public ExploredRun {
     cfg.quarantine_base = Time::seconds(60);
     cfg.probes_required = 2;
     cfg.probe_interval = Time::seconds(30);
-    monitor_ = std::make_unique<health::SiteHealthMonitor>(sim_, cfg);
-    monitor_->set_probe_submitter(
+    monitor_ = std::make_unique<health::SiteHealthMonitor>(
+        sim_,
         [this](const std::string& site, std::function<void(bool)> done) {
           // SIGMA's first probe fails, escalating its quarantine once;
           // everything else passes.  The verdict arrives 5 s later on
@@ -46,7 +46,8 @@ class BreakerRun final : public ExploredRun {
           ++probe_count_[site];
           sim_.schedule_in(Time::seconds(5),
                           [done = std::move(done), ok] { done(ok); });
-        });
+        },
+        cfg);
     invariant_ = std::make_unique<BreakerInvariant>(*monitor_);
 
     // Two submitter streams per site, all landing at t=10s.  Same-site

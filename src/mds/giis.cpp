@@ -109,13 +109,6 @@ void Giis::register_child(Giis* child) {
   for (const auto& [site, e] : child->directory_) relink(site);
 }
 
-void Giis::deregister_gris(const std::string& site_name) {
-  auto it = directory_.find(site_name);
-  if (it == directory_.end() || !it->second.own) return;
-  it->second.own.reset();
-  relink(site_name);
-}
-
 std::vector<std::string> Giis::sites() const {
   std::vector<std::string> out;
   out.reserve(directory_.size());

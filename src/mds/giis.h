@@ -86,9 +86,6 @@ class Giis {
   /// each child in registration order.
   void register_child(Giis* child);
 
-  /// Drop every GRIS registered here under `site_name`, and its cache.
-  void deregister_gris(const std::string& site_name);
-
   /// All site names reachable through this index (direct + children).
   [[nodiscard]] std::vector<std::string> sites() const;
 

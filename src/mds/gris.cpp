@@ -24,14 +24,6 @@ std::optional<DynamicAttr> dynamic_attr(std::string_view key) {
   return std::nullopt;
 }
 
-bool DynamicAttrs::clear(DynamicAttr attr) {
-  if (find(attr) == nullptr) return false;
-  const auto i = static_cast<std::size_t>(attr);
-  slots_[i] = {};
-  present_ = static_cast<std::uint8_t>(present_ & ~(1U << i));
-  return true;
-}
-
 AttributeMap& Gris::own_static() {
   if (static_.use_count() > 1) {
     static_ = std::make_shared<AttributeMap>(*static_);
@@ -53,14 +45,6 @@ void Gris::publish(std::string_view key, AttrValue value, Time now) {
     return;
   }
   attrs.emplace_hint(it, std::string{key}, Attribute{std::move(value), now});
-}
-
-bool Gris::retract(std::string_view key) {
-  if (const auto slot = dynamic_attr(key)) return dynamic_.clear(*slot);
-  if (!static_->contains(key)) return false;
-  AttributeMap& attrs = own_static();
-  attrs.erase(attrs.find(key));
-  return true;
 }
 
 std::optional<Attribute> Gris::query(std::string_view key) const {

@@ -10,10 +10,10 @@
 // 5-minute monitor sweep refreshes (DynamicAttr) sit in fixed slots, each
 // with a presence bit, which the sweep writes by index and a GIIS pull
 // copies by value.  Every other attribute lives in one shared, sorted map
-// that a GIIS pull shares by pointer; a publish or retract clones the map
-// first while a snapshot still shares it (copy-on-write), so a snapshot
-// never changes once served.  The string-keyed publish, query and retract
-// serve every key, routing the seven slot keys to their slots.
+// that a GIIS pull shares by pointer; a publish clones the map first
+// while a snapshot still shares it (copy-on-write), so a snapshot never
+// changes once served.  The string-keyed publish and query serve every
+// key, routing the seven slot keys to their slots.
 #pragma once
 
 #include <array>
@@ -71,8 +71,6 @@ class DynamicAttrs {
     slots_[i] = {std::move(value), now};
     present_ = static_cast<std::uint8_t>(present_ | 1U << i);
   }
-  /// Empty the slot; false when it was already absent.
-  bool clear(DynamicAttr attr);
   /// Slots present.
   [[nodiscard]] std::size_t size() const {
     return static_cast<std::size_t>(std::popcount(present_));
@@ -98,16 +96,13 @@ class Gris {
     dynamic_.set(attr, std::move(value), now);
   }
 
-  /// Remove an attribute (e.g. an application de-published).
-  bool retract(std::string_view key);
-
   /// Direct query against the live server; nullopt when the attribute is
   /// missing or the server is down.
   [[nodiscard]] std::optional<Attribute> query(std::string_view key) const;
 
   /// The map of every attribute outside the slots, as the server holds
-  /// it, shared with the caller until the next publish or retract of
-  /// such an attribute (the GIIS pull reads both stores regardless of
+  /// it, shared with the caller until the next publish of such an
+  /// attribute (the GIIS pull reads both stores regardless of
   /// availability; it checks available()).
   [[nodiscard]] std::shared_ptr<const AttributeMap> static_attributes() const {
     return static_;

@@ -22,10 +22,6 @@ void SiteStatusCatalog::register_site(const std::string& name,
   entries_.insert_or_assign(name, std::move(reg));
 }
 
-void SiteStatusCatalog::deregister_site(const std::string& name) {
-  entries_.erase(name);
-}
-
 std::vector<std::string> SiteStatusCatalog::run_sweep(Time now) {
   std::vector<std::string> changed;
   for (auto& [name, reg] : entries_) {

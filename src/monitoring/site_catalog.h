@@ -40,7 +40,6 @@ class SiteStatusCatalog {
  public:
   void register_site(const std::string& name, const std::string& location,
                      ProbeBattery battery);
-  void deregister_site(const std::string& name);
 
   /// Run every site's battery; returns sites whose status changed.
   std::vector<std::string> run_sweep(Time now);

@@ -12,7 +12,6 @@ const char* to_string(FlowStatus s) {
     case FlowStatus::kCompleted: return "completed";
     case FlowStatus::kFailedNetworkInterruption: return "network-interruption";
     case FlowStatus::kFailedNoRoute: return "no-route";
-    case FlowStatus::kCancelled: return "cancelled";
   }
   return "?";
 }
@@ -191,12 +190,6 @@ FlowId Network::start_flow(NodeId src, NodeId dst, Bytes size,
   flows_.emplace(id, std::move(f));
   reallocate();
   return id;
-}
-
-void Network::cancel_flow(FlowId id) {
-  if (!flows_.contains(id)) return;
-  finish_flow(id, FlowStatus::kCancelled);
-  reallocate();
 }
 
 void Network::set_node_up(NodeId n, bool up) {

@@ -6,7 +6,7 @@
 // paper section 6.4 requirement 4) was the bottleneck.  Concurrent flows
 // share links max-min fairly via progressive filling.
 //
-// Every flow start/finish/cancel and node outage re-solves the fair
+// Every flow start/finish and node outage re-solves the fair
 // shares of every link with active flows (docs/KERNEL.md describes the
 // solver).  The pinned campaign digests depend on two properties of the
 // solve's side effects: a flow's progress anchor advances only when its
@@ -16,9 +16,9 @@
 //
 // Operation costs (L = links with active flows, F = active flows):
 //
-//   start_flow / cancel_flow / completion   O(L^2) solve, O(F) settle
-//   set_node_up(false)                      O(F) victim scan + O(L^2)
-//   flow_rate                               O(log F)
+//   start_flow / completion   O(L^2) solve, O(F) settle
+//   set_node_up(false)        O(F) victim scan + O(L^2)
+//   flow_rate                 O(log F)
 //
 // The network keeps no per-node byte or rate counters: a transfer's
 // bytes reach the accounting through its FlowResult, and the paper's
@@ -42,7 +42,6 @@ enum class FlowStatus {
   kCompleted,
   kFailedNetworkInterruption,  ///< an endpoint went down mid-transfer
   kFailedNoRoute,              ///< firewall / connectivity policy refused
-  kCancelled,
 };
 
 [[nodiscard]] const char* to_string(FlowStatus s);
@@ -95,8 +94,6 @@ class Network {
   /// exactly once.  Returns 0 and fires the callback synchronously with
   /// kFailedNoRoute if connectivity policy refuses the pair.
   FlowId start_flow(NodeId src, NodeId dst, Bytes size, FlowCallback done);
-
-  void cancel_flow(FlowId id);
 
   [[nodiscard]] std::size_t active_flows() const { return flows_.size(); }
 

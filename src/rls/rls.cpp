@@ -13,13 +13,9 @@ constexpr Time kSoftStateTtl = Time::minutes(30);
 
 }  // namespace
 
-void LocalReplicaCatalog::touch() {
+void LocalReplicaCatalog::add(const std::string& lfn, Replica replica) {
   static std::atomic<std::uint64_t> last_version{0};
   version_ = ++last_version;
-}
-
-void LocalReplicaCatalog::add(const std::string& lfn, Replica replica) {
-  touch();
   auto& replicas = map_[lfn];
   auto it = std::find_if(replicas.begin(), replicas.end(),
                          [&](const Replica& r) { return r.pfn == replica.pfn; });
@@ -28,30 +24,6 @@ void LocalReplicaCatalog::add(const std::string& lfn, Replica replica) {
   } else {
     replicas.push_back(std::move(replica));
   }
-}
-
-bool LocalReplicaCatalog::remove(const std::string& lfn,
-                                 const std::string& pfn) {
-  auto it = map_.find(lfn);
-  if (it == map_.end()) return false;
-  auto& replicas = it->second;
-  const auto before = replicas.size();
-  replicas.erase(std::remove_if(replicas.begin(), replicas.end(),
-                                [&](const Replica& r) { return r.pfn == pfn; }),
-                 replicas.end());
-  const bool removed = replicas.size() != before;
-  if (replicas.empty()) map_.erase(it);
-  if (removed) touch();
-  return removed;
-}
-
-std::size_t LocalReplicaCatalog::remove_lfn(const std::string& lfn) {
-  auto it = map_.find(lfn);
-  if (it == map_.end()) return 0;
-  const std::size_t n = it->second.size();
-  map_.erase(it);
-  touch();
-  return n;
 }
 
 std::vector<Replica> LocalReplicaCatalog::lookup(const std::string& lfn) const {

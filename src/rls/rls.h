@@ -50,10 +50,9 @@ class LocalReplicaCatalog {
 
   [[nodiscard]] const std::string& site() const { return site_; }
 
+  /// Map `lfn` to `replica`, replacing a mapping with the same PFN.
+  /// Catalogs only grow: nothing removes a mapping.
   void add(const std::string& lfn, Replica replica);
-  bool remove(const std::string& lfn, const std::string& pfn);
-  /// Remove every mapping for an LFN; returns replicas removed.
-  std::size_t remove_lfn(const std::string& lfn);
 
   [[nodiscard]] std::vector<Replica> lookup(const std::string& lfn) const;
   [[nodiscard]] bool has(const std::string& lfn) const;
@@ -63,7 +62,7 @@ class LocalReplicaCatalog {
   /// of a full RLI digest).
   [[nodiscard]] const Mappings& mappings() const { return map_; }
 
-  /// Changes on every mutation, to a value drawn from one process-wide
+  /// Changes on every add, to a value drawn from one process-wide
   /// sequence, so two catalogs at the same version hold the same
   /// mappings (0: never changed, empty).  The RLI compares it with the
   /// version it last digested.
@@ -73,8 +72,6 @@ class LocalReplicaCatalog {
   [[nodiscard]] bool available() const { return up_; }
 
  private:
-  void touch();
-
   std::string site_;
   bool up_ = true;
   std::uint64_t version_ = 0;

@@ -48,15 +48,6 @@ std::optional<PinId> StorageResourceManager::put(ReservationId id,
   return pid;
 }
 
-bool StorageResourceManager::extend_pin(PinId id, Time until) {
-  auto it = pins_.find(id);
-  if (it == pins_.end()) return false;
-  it->second.pinned_until = std::max(it->second.pinned_until, until);
-  return true;
-}
-
-bool StorageResourceManager::unpin(PinId id) { return pins_.erase(id) > 0; }
-
 Bytes StorageResourceManager::sweep(Time now) {
   Bytes reclaimed;
   // Expired pins free their bytes back into the reservation.

@@ -57,19 +57,16 @@ class StorageResourceManager {
       const std::string& vo, Bytes size, SpaceType type, Time now,
       Time lifetime = Time::days(7));
 
-  /// Release a reservation and its unpinned contents.
+  /// Release a reservation and drop the pins inside it.
   bool release(ReservationId id);
 
   /// Write a file into a reservation; fails when the reservation would
-  /// overflow.  Returns a pin that protects the file from cleanup.
+  /// overflow.  Returns a pin that protects the file from cleanup until
+  /// `pin_lifetime` passes; only a sweep ends it.
   [[nodiscard]] std::optional<PinId> put(ReservationId id,
                                          const std::string& lfn, Bytes size,
                                          Time now,
                                          Time pin_lifetime = Time::days(2));
-
-  /// Extend a pin (a consumer still reading).
-  bool extend_pin(PinId id, Time until);
-  bool unpin(PinId id);
 
   /// Drop expired volatile reservations and expired pins, reclaiming
   /// space.  Returns bytes reclaimed.  Drive this periodically.

@@ -8,12 +8,8 @@ namespace grid3::util {
 struct Distribution::Impl {
   enum class Kind {
     kConstant,
-    kUniform,
     kExponential,
     kLognormal,
-    kWeibull,
-    kPareto,
-    kTruncNormal,
     kMixture,
     kClamped,
   };
@@ -36,15 +32,6 @@ Distribution Distribution::constant(double v) {
   return Distribution{std::move(impl)};
 }
 
-Distribution Distribution::uniform(double lo, double hi) {
-  assert(lo <= hi);
-  auto impl = std::make_shared<Impl>();
-  impl->kind = Impl::Kind::kUniform;
-  impl->a = lo;
-  impl->b = hi;
-  return Distribution{std::move(impl)};
-}
-
 Distribution Distribution::exponential(double mean) {
   assert(mean > 0.0);
   auto impl = std::make_shared<Impl>();
@@ -63,32 +50,6 @@ Distribution Distribution::lognormal_mean_cv(double mean, double cv) {
   impl->a = std::log(mean) - 0.5 * s2;  // mu
   impl->b = std::sqrt(s2);              // sigma
   impl->c = mean;                       // cached analytic mean
-  return Distribution{std::move(impl)};
-}
-
-Distribution Distribution::weibull(double shape, double scale) {
-  auto impl = std::make_shared<Impl>();
-  impl->kind = Impl::Kind::kWeibull;
-  impl->a = shape;
-  impl->b = scale;
-  return Distribution{std::move(impl)};
-}
-
-Distribution Distribution::pareto(double xm, double alpha) {
-  auto impl = std::make_shared<Impl>();
-  impl->kind = Impl::Kind::kPareto;
-  impl->a = xm;
-  impl->b = alpha;
-  return Distribution{std::move(impl)};
-}
-
-Distribution Distribution::truncated_normal(double mean, double sigma,
-                                            double floor) {
-  auto impl = std::make_shared<Impl>();
-  impl->kind = Impl::Kind::kTruncNormal;
-  impl->a = mean;
-  impl->b = sigma;
-  impl->c = floor;
   return Distribution{std::move(impl)};
 }
 
@@ -117,23 +78,10 @@ double Distribution::sample(Rng& rng) const {
   switch (d.kind) {
     case Impl::Kind::kConstant:
       return d.a;
-    case Impl::Kind::kUniform:
-      return rng.uniform(d.a, d.b);
     case Impl::Kind::kExponential:
       return rng.exponential(d.a);
     case Impl::Kind::kLognormal:
       return rng.lognormal(d.a, d.b);
-    case Impl::Kind::kWeibull:
-      return rng.weibull(d.a, d.b);
-    case Impl::Kind::kPareto:
-      return rng.pareto(d.a, d.b);
-    case Impl::Kind::kTruncNormal: {
-      for (int i = 0; i < 64; ++i) {
-        const double v = rng.normal(d.a, d.b);
-        if (v >= d.c) return v;
-      }
-      return d.c;
-    }
     case Impl::Kind::kMixture:
       return d.components[rng.weighted_index(d.weights)].sample(rng);
     case Impl::Kind::kClamped:
@@ -147,18 +95,10 @@ double Distribution::mean() const {
   switch (d.kind) {
     case Impl::Kind::kConstant:
       return d.a;
-    case Impl::Kind::kUniform:
-      return 0.5 * (d.a + d.b);
     case Impl::Kind::kExponential:
       return d.a;
     case Impl::Kind::kLognormal:
       return d.c;
-    case Impl::Kind::kWeibull:
-      return d.b * std::tgamma(1.0 + 1.0 / d.a);
-    case Impl::Kind::kPareto:
-      return d.b > 1.0 ? d.a * d.b / (d.b - 1.0) : d.a;
-    case Impl::Kind::kTruncNormal:
-      return std::max(d.a, d.c);
     case Impl::Kind::kMixture: {
       double total_w = 0.0;
       double acc = 0.0;

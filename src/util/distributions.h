@@ -18,20 +18,11 @@ class Distribution {
  public:
   /// Constant value.
   [[nodiscard]] static Distribution constant(double v);
-  /// Uniform on [lo, hi).
-  [[nodiscard]] static Distribution uniform(double lo, double hi);
   /// Exponential with the given mean.
   [[nodiscard]] static Distribution exponential(double mean);
   /// Lognormal specified by its *mean* and coefficient of variation
   /// (cv = sigma/mean of the resulting lognormal, not of the log).
   [[nodiscard]] static Distribution lognormal_mean_cv(double mean, double cv);
-  /// Weibull with shape k and scale lambda.
-  [[nodiscard]] static Distribution weibull(double shape, double scale);
-  /// Pareto with minimum xm and tail index alpha.
-  [[nodiscard]] static Distribution pareto(double xm, double alpha);
-  /// Normal truncated below at `floor` (resampled, so use moderate tails).
-  [[nodiscard]] static Distribution truncated_normal(double mean, double sigma,
-                                                     double floor);
   /// Mixture of components with the given non-negative weights.
   [[nodiscard]] static Distribution mixture(std::vector<Distribution> comps,
                                             std::vector<double> weights);

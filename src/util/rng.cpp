@@ -81,20 +81,6 @@ double Rng::lognormal(double mu, double sigma) {
   return std::exp(normal(mu, sigma));
 }
 
-double Rng::weibull(double shape, double scale) {
-  assert(shape > 0.0 && scale > 0.0);
-  double u = uniform();
-  if (u <= 0.0) u = 0x1.0p-53;
-  return scale * std::pow(-std::log(1.0 - u), 1.0 / shape);
-}
-
-double Rng::pareto(double xm, double alpha) {
-  assert(xm > 0.0 && alpha > 0.0);
-  double u = uniform();
-  if (u <= 0.0) u = 0x1.0p-53;
-  return xm / std::pow(1.0 - u, 1.0 / alpha);
-}
-
 std::size_t Rng::index(std::size_t size) {
   assert(size > 0);
   return static_cast<std::size_t>(

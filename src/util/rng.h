@@ -44,10 +44,6 @@ class Rng {
   double normal(double mean, double sigma);
   /// Lognormal parameterized by the underlying normal's mu/sigma.
   double lognormal(double mu, double sigma);
-  /// Weibull with shape k and scale lambda.
-  double weibull(double shape, double scale);
-  /// Pareto (Lomax-style, xm minimum, alpha tail index).
-  double pareto(double xm, double alpha);
 
   /// Uniformly chosen index into a container of the given size (size > 0).
   std::size_t index(std::size_t size);

@@ -1,6 +1,5 @@
 #include "vo/voms.h"
 
-#include <algorithm>
 #include <atomic>
 
 namespace grid3::vo {
@@ -26,16 +25,8 @@ Certificate CertificateAuthority::issue(const std::string& subject_dn,
   return cert;
 }
 
-void CertificateAuthority::revoke(const Certificate& cert) {
-  revoked_.insert(cert.serial);
-}
-
-bool CertificateAuthority::revoked(const Certificate& cert) const {
-  return revoked_.contains(cert.serial);
-}
-
 bool CertificateAuthority::verify(const Certificate& cert, Time now) const {
-  return cert.issuer == name_ && cert.within_validity(now) && !revoked(cert);
+  return cert.issuer == name_ && cert.within_validity(now);
 }
 
 void VomsServer::touch() {
@@ -47,13 +38,6 @@ void VomsServer::add_member(const std::string& dn, Role role) {
   touch();
   if (!members_.contains(dn)) order_.push_back(dn);
   members_[dn] = role;
-}
-
-bool VomsServer::remove_member(const std::string& dn) {
-  if (members_.erase(dn) == 0) return false;
-  touch();
-  order_.erase(std::remove(order_.begin(), order_.end(), dn), order_.end());
-  return true;
 }
 
 void VomsServer::set_available(bool up) {

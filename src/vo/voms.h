@@ -10,7 +10,6 @@
 #include <optional>
 #include <string>
 #include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
 #include "util/units.h"
@@ -18,8 +17,8 @@
 namespace grid3::vo {
 
 /// An X.509-style identity certificate.  No real crypto: validity is a
-/// lifetime window plus a revocation flag, which is all the failure modes
-/// the simulation needs (expired proxies were a classic Grid3 headache).
+/// lifetime window, which is all the failure modes the simulation needs
+/// (expired proxies were a classic Grid3 headache).
 struct Certificate {
   std::string subject_dn;
   std::string issuer;
@@ -41,10 +40,7 @@ class CertificateAuthority {
 
   Certificate issue(const std::string& subject_dn, Time now, Time lifetime);
 
-  void revoke(const Certificate& cert);
-  [[nodiscard]] bool revoked(const Certificate& cert) const;
-
-  /// Full chain check: issuer match, validity window, revocation list.
+  /// Chain check: issuer match and validity window.
   [[nodiscard]] bool verify(const Certificate& cert, Time now) const;
 
   [[nodiscard]] std::size_t issued_count() const { return next_serial_ - 1; }
@@ -52,7 +48,6 @@ class CertificateAuthority {
  private:
   std::string name_;
   std::uint64_t next_serial_ = 1;
-  std::unordered_set<std::uint64_t> revoked_;
 };
 
 /// Roles a VO assigns its members.  The paper notes ~10% of users are
@@ -72,7 +67,6 @@ class VomsServer {
   [[nodiscard]] const std::string& vo() const { return vo_; }
 
   void add_member(const std::string& dn, Role role);
-  bool remove_member(const std::string& dn);
   [[nodiscard]] bool is_member(const std::string& dn) const;
   [[nodiscard]] std::optional<Role> role_of(const std::string& dn) const;
   /// Member DNs in the order they joined.

@@ -1,6 +1,11 @@
 // Unit tests for the application drivers and launch scheduling.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <optional>
+#include <vector>
+
+#include "apps/appbase.h"
 #include "apps/atlas.h"
 #include "apps/btev.h"
 #include "apps/entrada.h"
@@ -159,6 +164,115 @@ TEST_F(AppTest, ExerciserRecordsUnderOwnClassification) {
   EXPECT_GE(stats.jobs, 12u);  // most probes land (flaky jobmanagers eat
                                // some; there is no retry layer here)
   EXPECT_LT(stats.avg_runtime_hours, 2.0);
+}
+
+/// Runs a hand-built concrete DAG through AppBase's accounting, keeping
+/// every node attempt DAGMan reports.
+class FixedDagApp : public AppBase {
+ public:
+  FixedDagApp(core::Grid3& grid, const std::string& vo)
+      : AppBase{grid, vo, "fixed-dag"} {}
+
+  void run(workflow::ConcreteDag dag, const vo::VomsProxy& proxy) {
+    grid().dagman(vo()).run(
+        std::move(dag), proxy,
+        [this](const workflow::DagRunStats& s) { stats = s; },
+        [this](const workflow::NodeResult& r) {
+          attempts.push_back(r);
+          record_node(r, "/CN=tester", app_name());
+        });
+  }
+
+  std::optional<workflow::DagRunStats> stats;
+  std::vector<workflow::NodeResult> attempts;
+};
+
+// The Figure 5 and section 6.1 data volumes sum ACDC transfer entries.
+// A stage-in node and a compute node with jobmanager stage-in each fail
+// once (their source GridFTP server is down) and succeed on DAGMan's
+// retry: ACDC then holds one entry per node, at the bytes it moved, and
+// none for the failed attempts -- though the failed compute attempt's
+// result still carries its requested stage-in volume.
+TEST(AppAccounting, RetriedNodesRecordOneTransferAtTheBytesMoved) {
+  sim::Simulation sim;
+  core::Grid3 grid{sim, 77};
+  grid.add_vo("usatlas");
+  for (const char* name : {"SRC", "EXEC"}) {
+    core::SiteConfig cfg;
+    cfg.name = name;
+    cfg.owner_vo = "usatlas";
+    cfg.cpus = 8;
+    cfg.policy.dedicated = true;
+    grid.add_site(cfg, /*reliability=*/1000.0);
+    grid.site(name)->gatekeeper().set_submission_flake_rate(0.0);
+    grid.site(name)->gatekeeper().set_environment_error_rate(0.0);
+  }
+  const vo::Certificate cert =
+      grid.add_user("usatlas", "tester", vo::Role::kAppAdmin);
+  const auto proxy = grid.make_proxy(cert, "usatlas", Time::hours(200));
+  ASSERT_TRUE(proxy.has_value());
+  grid.site("EXEC")->refresh_gridmap({grid.voms("usatlas")});
+
+  workflow::ConcreteDag dag;
+  workflow::ConcreteNode in;
+  in.type = workflow::NodeType::kStageIn;
+  in.name = "raw";
+  in.site = "EXEC";
+  in.source_site = "SRC";
+  in.bytes = Bytes::gb(3);
+  workflow::ConcreteNode job;
+  job.type = workflow::NodeType::kCompute;
+  job.name = "reco";
+  job.site = "EXEC";
+  job.source_site = "SRC";
+  job.bytes = Bytes::gb(2);
+  job.runtime = Time::hours(1);
+  job.requested_walltime = Time::hours(2);
+  dag.nodes = {in, job};
+
+  // Both nodes fail at once and retry after 10 minutes, by when their
+  // source is back.
+  grid.site("SRC")->ftp().set_available(false);
+  sim.schedule_in(Time::minutes(5),
+                  [&] { grid.site("SRC")->ftp().set_available(true); });
+
+  FixedDagApp app{grid, "usatlas"};
+  app.run(dag, *proxy);
+  sim.run_until(Time::days(1));
+  ASSERT_TRUE(app.stats.has_value());
+  EXPECT_TRUE(app.stats->success);
+  EXPECT_EQ(app.stats->retries, 2);
+
+  // Each node: one failed attempt, then one that succeeded.
+  for (std::size_t idx = 0; idx < dag.nodes.size(); ++idx) {
+    std::vector<const workflow::NodeResult*> tries;
+    for (const auto& r : app.attempts) {
+      if (r.index == idx) tries.push_back(&r);
+    }
+    ASSERT_EQ(tries.size(), 2u) << dag.nodes[idx].name;
+    EXPECT_FALSE(tries[0]->ok) << dag.nodes[idx].name;
+    EXPECT_TRUE(tries[1]->ok) << dag.nodes[idx].name;
+    if (dag.nodes[idx].type == workflow::NodeType::kCompute) {
+      EXPECT_EQ(tries[0]->bytes, Bytes::gb(2));
+    }
+  }
+
+  const auto& db = grid.igoc().job_db();
+  ASSERT_EQ(db.transfers().size(), 2u);
+  std::vector<Bytes> sizes;
+  for (const monitoring::TransferEntry& t : db.transfers()) {
+    EXPECT_EQ(t.src_site, "SRC");
+    EXPECT_EQ(t.dst_site, "EXEC");
+    EXPECT_EQ(t.vo, "usatlas");
+    sizes.push_back(t.size);
+  }
+  // The compute node's 2 GB and the stage-in node's 3 GB, once each.
+  std::sort(sizes.begin(), sizes.end());
+  EXPECT_EQ(sizes, (std::vector<Bytes>{Bytes::gb(2), Bytes::gb(3)}));
+  // Both compute attempts have a job record; only the retry succeeded.
+  ASSERT_EQ(db.records().size(), 2u);
+  EXPECT_FALSE(db.records()[0].success);
+  EXPECT_TRUE(db.records()[1].success);
 }
 
 TEST_F(AppTest, EntradaMovesDataAndRecordsDemoTraffic) {

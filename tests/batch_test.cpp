@@ -1,5 +1,5 @@
 // Unit tests for the batch schedulers: slot engine, policies, walltime
-// enforcement, VO shares, failure hooks.
+// enforcement, per-VO accounting, failure hooks.
 #include <gtest/gtest.h>
 
 #include <map>
@@ -60,22 +60,6 @@ TEST(SlotEngine, CompletionCallbackCarriesTimes) {
   EXPECT_EQ(out2.cpu_used(), Time::hours(3));
 }
 
-TEST(SlotEngine, CancelQueuedAndRunning) {
-  sim::Simulation sim;
-  CondorScheduler sched{sim, config(1)};
-  JobOutcome out_run, out_q;
-  const auto run = sched.submit(job("a", 5.0),
-                                [&](const JobOutcome& o) { out_run = o; });
-  const auto queued = sched.submit(job("a", 5.0),
-                                   [&](const JobOutcome& o) { out_q = o; });
-  EXPECT_TRUE(sched.cancel(queued.id));
-  EXPECT_TRUE(sched.cancel(run.id));
-  EXPECT_FALSE(sched.cancel(run.id));  // already gone
-  sim.run();
-  EXPECT_EQ(out_run.state, JobState::kKilledAdmin);
-  EXPECT_EQ(out_q.state, JobState::kKilledAdmin);
-}
-
 TEST(SlotEngine, KillRunningFractionAndRedispatch) {
   sim::Simulation sim;
   CondorScheduler sched{sim, config(4)};
@@ -108,17 +92,6 @@ TEST(SlotEngine, ResizeDownKillsExcess) {
   EXPECT_EQ(sched.total_slots(), 2);
   EXPECT_EQ(sched.busy_slots(), 2);
   EXPECT_EQ(node_failures, 2);
-}
-
-TEST(SlotEngine, DrainStopsDispatchResumeRestarts) {
-  sim::Simulation sim;
-  CondorScheduler sched{sim, config(1)};
-  sched.drain();
-  sched.submit(job("a", 1.0), {});
-  EXPECT_EQ(sched.busy_slots(), 0);
-  EXPECT_EQ(sched.queued_count(), 1u);
-  sched.resume();
-  EXPECT_EQ(sched.busy_slots(), 1);
 }
 
 TEST(SlotEngine, UsageChargedPerVo) {
@@ -318,20 +291,6 @@ TEST(Pbs, HigherPriorityJumpsQueue) {
                [&](const JobOutcome&) { order.push_back("high"); });
   sim.run();
   EXPECT_EQ(order[0], "high");
-}
-
-TEST(Pbs, ClosedSharesRejectForeignVo) {
-  sim::Simulation sim;
-  auto cfg = config(2);
-  cfg.vo_shares = {{"usatlas", 1.0}};
-  cfg.closed_shares = true;
-  PbsScheduler sched{sim, cfg};
-  JobOutcome out;
-  const auto res =
-      sched.submit(job("uscms", 1.0), [&](const JobOutcome& o) { out = o; });
-  EXPECT_FALSE(res.accepted);
-  EXPECT_EQ(out.state, JobState::kRejected);
-  EXPECT_TRUE(sched.submit(job("usatlas", 1.0), {}).accepted);
 }
 
 TEST(Lsf, LongQueueCappedShortJobsFlow) {

@@ -1,7 +1,6 @@
 // Behavioural tests for policy corners not covered by the per-module
-// suites: fair-share proportionality under saturation, planner
-// eligibility filters, site probe degradation, operations loops, and
-// distribution/archive edge cases.
+// suites: planner eligibility filters, site probe degradation,
+// operations loops, and distribution/archive edge cases.
 #include <gtest/gtest.h>
 
 #include "core/grid3.h"
@@ -16,42 +15,6 @@
 
 namespace grid3 {
 namespace {
-
-// ---------------------------------------------------------------------
-// Condor fair share: under saturation, long-run CPU tracks the
-// configured weights.
-// ---------------------------------------------------------------------
-TEST(FairShare, SaturatedPoolDividesCpuByConfiguredWeights) {
-  sim::Simulation sim;
-  batch::SchedulerConfig cfg;
-  cfg.site_name = "S";
-  cfg.slots = 16;
-  cfg.vo_shares = {{"big", 3.0}, {"small", 1.0}};
-  batch::CondorScheduler sched{sim, cfg};
-
-  // Keep both VOs permanently backlogged with 2-hour jobs for 60 days.
-  util::Rng rng{5};
-  auto feed = [&](const std::string& vo, int n) {
-    for (int i = 0; i < n; ++i) {
-      batch::JobRequest req;
-      req.vo = vo;
-      req.actual_runtime = Time::hours(2);
-      req.requested_walltime = Time::hours(3);
-      sched.submit(req, {});
-    }
-  };
-  feed("big", 800);
-  feed("small", 800);
-  // Measure while the backlog still saturates the pool (the queues hold
-  // ~100 hours of work per slot; at day 3 both are still deep).
-  sim.run_until(Time::hours(72));
-  ASSERT_GT(sched.queued_count(), 0u);
-  const double big = sched.vo_usage("big").to_hours();
-  const double small = sched.vo_usage("small").to_hours();
-  ASSERT_GT(small, 0.0);
-  // 3:1 configured; allow slack for the start-up transient.
-  EXPECT_NEAR(big / small, 3.0, 0.8);
-}
 
 // ---------------------------------------------------------------------
 // Planner eligibility filters beyond app/walltime.
@@ -217,10 +180,17 @@ class DistributionMeans : public ::testing::TestWithParam<int> {};
 
 TEST_P(DistributionMeans, SampleMeanMatchesAnalyticMean) {
   const DistCase cases[] = {
-      {"weibull", util::Distribution::weibull(1.5, 10.0), 0.3},
-      {"pareto", util::Distribution::pareto(2.0, 3.0), 0.2},
+      {"lognormal cv 0.5", util::Distribution::lognormal_mean_cv(10.0, 0.5),
+       0.15},
+      {"lognormal cv 1.5", util::Distribution::lognormal_mean_cv(4.0, 1.5),
+       0.15},
       {"exponential", util::Distribution::exponential(7.0), 0.25},
-      {"uniform", util::Distribution::uniform(2.0, 8.0), 0.1},
+      {"mixture",
+       util::Distribution::mixture(
+           {util::Distribution::exponential(2.0),
+            util::Distribution::lognormal_mean_cv(20.0, 0.8)},
+           {0.7, 0.3}),
+       0.3},
   };
   const auto& c = cases[static_cast<std::size_t>(GetParam())];
   util::Rng rng{static_cast<std::uint64_t>(GetParam()) + 101};

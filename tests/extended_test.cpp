@@ -223,8 +223,7 @@ TEST_F(ExtendedFixture, JobRecordsCarryLinkableIds) {
 }
 
 TEST_F(ExtendedFixture, PolicyAuditRunsCleanOnHealthyFabric) {
-  const auto report =
-      core::PolicyAuditor{grid}.audit(Time::zero(), sim.now());
+  const auto report = core::PolicyAuditor{grid}.audit();
   EXPECT_EQ(report.sites_audited, 27u);
   EXPECT_EQ(report.count(core::AuditSeverity::kViolation), 0u);
 }

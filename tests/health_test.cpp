@@ -36,9 +36,15 @@ using broker::JobSpec;
 
 // --- unit: the breaker state machine --------------------------------------
 
+/// Probes that pass at once, for monitors whose breakers never reach
+/// half-open.
+void passing_probe(const std::string&, std::function<void(bool)> done) {
+  done(true);
+}
+
 TEST(Monitor, TripsAfterEwmaThresholdWithTicket) {
   sim::Simulation sim;
-  SiteHealthMonitor mon{sim};
+  SiteHealthMonitor mon{sim, passing_probe};
   std::vector<std::string> opened;
   mon.set_tickets(
       [&](const std::string& site, const std::string& issue, Time) {
@@ -66,7 +72,7 @@ TEST(Monitor, TripsAfterEwmaThresholdWithTicket) {
 
 TEST(Monitor, MinSamplesGateBlocksEarlyTrip) {
   sim::Simulation sim;
-  SiteHealthMonitor mon{sim};
+  SiteHealthMonitor mon{sim, passing_probe};
   // EWMA crosses the threshold after 4 failures, but the sample gate
   // (6) holds the breaker closed: one unlucky burst must not quarantine.
   for (int i = 0; i < 5; ++i) {
@@ -79,7 +85,7 @@ TEST(Monitor, MinSamplesGateBlocksEarlyTrip) {
 
 TEST(Monitor, ServicesScoreIndependently) {
   sim::Simulation sim;
-  SiteHealthMonitor mon{sim};
+  SiteHealthMonitor mon{sim, passing_probe};
   for (int i = 0; i < 10; ++i) {
     mon.report("s", Service::kStorage, false, sim.now());
     mon.report("s", Service::kSubmit, true, sim.now());
@@ -88,51 +94,24 @@ TEST(Monitor, ServicesScoreIndependently) {
   EXPECT_LT(mon.score("s", Service::kSubmit), 0.01);
 }
 
-TEST(Monitor, TrialTrafficReadmitsWithoutProbeSubmitter) {
+TEST(Monitor, ProbeFailureReopensWithEscalatedQuarantine) {
   sim::Simulation sim;
-  SiteHealthMonitor mon{sim};
+  HealthConfig cfg;
+  int outcome_index = 0;
+  std::vector<bool> outcomes = {false, true, true, true};  // first probe dies
+  SiteHealthMonitor mon{
+      sim,
+      [&](const std::string&, std::function<void(bool)> done) {
+        done(outcomes[static_cast<std::size_t>(outcome_index++) %
+                      outcomes.size()]);
+      },
+      cfg};
   std::vector<std::uint64_t> closed;
   mon.set_tickets(
       [](const std::string&, const std::string&, Time) {
         return std::uint64_t{42};
       },
       [&](std::uint64_t id, Time) { closed.push_back(id); });
-
-  for (int i = 0; i < 6; ++i) {
-    mon.report("s", Service::kBatch, false, sim.now());
-  }
-  ASSERT_EQ(mon.state("s"), BreakerState::kOpen);
-
-  // Past the base quarantine the breaker half-opens; with no probe
-  // submitter it admits trial traffic, so quarantined() is false.
-  sim.run_until(mon.config().quarantine_base + Time::minutes(1));
-  EXPECT_EQ(mon.state("s"), BreakerState::kHalfOpen);
-  EXPECT_FALSE(mon.quarantined("s"));
-
-  for (int i = 0; i < mon.config().probes_required; ++i) {
-    mon.report("s", Service::kBatch, true, sim.now());
-  }
-  EXPECT_EQ(mon.state("s"), BreakerState::kClosed);
-  EXPECT_EQ(mon.readmissions(), 1u);
-  ASSERT_EQ(closed.size(), 1u);
-  EXPECT_EQ(closed[0], 42u);
-  // Re-admission resets the score: pre-repair history is forgotten.
-  EXPECT_EQ(mon.score("s", Service::kBatch), 0.0);
-  ASSERT_FALSE(mon.events().empty());
-  EXPECT_EQ(mon.events().back().event, "readmit");
-}
-
-TEST(Monitor, ProbeFailureReopensWithEscalatedQuarantine) {
-  sim::Simulation sim;
-  HealthConfig cfg;
-  int outcome_index = 0;
-  std::vector<bool> outcomes = {false, true, true, true};  // first probe dies
-  SiteHealthMonitor mon{sim, cfg};
-  mon.set_probe_submitter(
-      [&](const std::string&, std::function<void(bool)> done) {
-        done(outcomes[static_cast<std::size_t>(outcome_index++) %
-                      outcomes.size()]);
-      });
   for (int i = 0; i < 6; ++i) {
     mon.report("s", Service::kSubmit, false, sim.now());
   }
@@ -150,18 +129,25 @@ TEST(Monitor, ProbeFailureReopensWithEscalatedQuarantine) {
   EXPECT_EQ(mon.state("s"), BreakerState::kOpen);
   sim.run_until(Time::hours(8));
   EXPECT_EQ(mon.state("s"), BreakerState::kClosed);
+  EXPECT_FALSE(mon.quarantined("s"));
   EXPECT_EQ(mon.readmissions(), 1u);
   EXPECT_GE(mon.probes(), 3u);
+  // Both trips share the one ticket, which re-admission closes.
+  ASSERT_EQ(closed.size(), 1u);
+  EXPECT_EQ(closed[0], 42u);
+  // Re-admission resets the score: pre-repair history is forgotten.
+  EXPECT_EQ(mon.score("s", Service::kSubmit), 0.0);
+  ASSERT_FALSE(mon.events().empty());
+  EXPECT_EQ(mon.events().back().event, "readmit");
 }
 
 TEST(Monitor, HalfOpenWithProbeSubmitterStillQuarantinesProduction) {
   sim::Simulation sim;
-  SiteHealthMonitor mon{sim};
   bool probe_asked = false;
-  mon.set_probe_submitter(
-      [&](const std::string&, std::function<void(bool)>) {
+  SiteHealthMonitor mon{
+      sim, [&](const std::string&, std::function<void(bool)>) {
         probe_asked = true;  // never completes: probation stays pending
-      });
+      }};
   for (int i = 0; i < 6; ++i) {
     mon.report("s", Service::kTransfer, false, sim.now());
   }
@@ -174,7 +160,7 @@ TEST(Monitor, HalfOpenWithProbeSubmitterStillQuarantinesProduction) {
 
 TEST(Monitor, ReportBatchClassifiesFastFails) {
   sim::Simulation sim;
-  SiteHealthMonitor mon{sim};
+  SiteHealthMonitor mon{sim, passing_probe};
   const Time requested = Time::hours(10);
   // Dies at 2% of its requested walltime: the black-hole signature.
   mon.report_batch("s", false, Time::zero(), Time::minutes(12), requested,
@@ -240,7 +226,7 @@ TEST(GramOutcomeClassifier, ReportsPerStatusTable) {
     SCOPED_TRACE(std::string(gram::to_string(row.status)) + " after " +
                  std::to_string(row.lived.to_minutes()) + " min");
     sim::Simulation sim;
-    SiteHealthMonitor mon{sim};
+    SiteHealthMonitor mon{sim, passing_probe};
     const double a = mon.config().ewma_alpha;
     // One failure on every (site, service) first, so a success report
     // shows as a decay and a failure as a rise.

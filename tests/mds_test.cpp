@@ -22,15 +22,14 @@ TEST(Schema, AppAttributeNaming) {
   EXPECT_EQ(app_attribute("gce-atlas"), "Grid3App-gce-atlas");
 }
 
-TEST(Gris, PublishQueryRetract) {
+TEST(Gris, PublishThenQuery) {
   Gris gris{"BNL"};
+  EXPECT_FALSE(gris.query(glue::kTotalCpus).has_value());
   gris.publish(glue::kTotalCpus, std::int64_t{360}, Time::zero());
   const auto attr = gris.query(glue::kTotalCpus);
   ASSERT_TRUE(attr.has_value());
   EXPECT_EQ(std::get<std::int64_t>(attr->value), 360);
-  EXPECT_TRUE(gris.retract(glue::kTotalCpus));
-  EXPECT_FALSE(gris.query(glue::kTotalCpus).has_value());
-  EXPECT_FALSE(gris.retract(glue::kTotalCpus));
+  EXPECT_FALSE(gris.query(glue::kFreeCpus).has_value());
 }
 
 TEST(Gris, UpdateOverwritesAndStampsTime) {
@@ -91,12 +90,7 @@ TEST(Gris, SlotKeyByNameAndByIndexAgree) {
     EXPECT_EQ(snap->attrs->size(), 1u);
   }
 
-  // A retract clears a slot, whichever way it was published.
-  EXPECT_TRUE(by_index.retract(glue::kFreeCpus));
-  EXPECT_FALSE(by_index.query(glue::kFreeCpus).has_value());
-  EXPECT_FALSE(by_index.retract(glue::kFreeCpus));
-  EXPECT_EQ(by_index.attribute_count(), 3u);
-  // A republish fills it again.
+  // A publish by name overwrites the slot a publish by index filled.
   by_index.publish(glue::kFreeCpus, std::int64_t{2}, Time::seconds(7));
   EXPECT_EQ(std::get<std::int64_t>(by_index.query(glue::kFreeCpus)->value), 2);
   EXPECT_EQ(by_index.attribute_count(), 4u);
@@ -232,14 +226,6 @@ TEST_F(GiisTest, DownChildGiisHidesItsSitesImmediately) {
   EXPECT_EQ(back->get_int(glue::kTotalCpus), 360);
 }
 
-TEST_F(GiisTest, DeregisterRemovesSite) {
-  top.deregister_gris("FNAL");
-  EXPECT_FALSE(top.lookup("FNAL", Time::zero()).has_value());
-  const auto sites = top.sites();
-  ASSERT_EQ(sites.size(), 1u);
-  EXPECT_EQ(sites[0], "BNL");
-}
-
 TEST_F(GiisTest, HeldSnapshotKeepsItsValuesAcrossRefetch) {
   // A snapshot holds its slots by value, so one already handed out keeps
   // the values it was served with when a refetch brings new ones.
@@ -279,15 +265,6 @@ TEST_F(GiisTest, RefetchSharesTheMapUntilANonSlotPublish) {
   EXPECT_EQ(third->get_int(DynamicAttr::kFreeCpus), 3);
   EXPECT_EQ(second->get_int(DynamicAttr::kFreeCpus), 7);
   EXPECT_FALSE(second->has(grid3ext::kAppDir));
-
-  // So does a retract: the third snapshot still reads the directory.
-  EXPECT_TRUE(fnal.retract(grid3ext::kAppDir));
-  EXPECT_TRUE(third->has(grid3ext::kAppDir));
-  EXPECT_FALSE(fnal.query(grid3ext::kAppDir).has_value());
-  // Retracting what is absent copies nothing.
-  const auto unshared = fnal.static_attributes();
-  EXPECT_FALSE(fnal.retract(grid3ext::kTmpDir));
-  EXPECT_EQ(fnal.static_attributes(), unshared);
 }
 
 TEST(GiisLifetime, ParentForgetsADestroyedChild) {
@@ -353,10 +330,7 @@ TEST(SiteSnapshot, TypedGetters) {
   EXPECT_FALSE(snap.has(DynamicAttr::kTotalCpus));
   EXPECT_FALSE(snap.get(glue::kTotalCpus).has_value());
   EXPECT_FALSE(snap.get_int(DynamicAttr::kSeDrainGbPerHour).has_value());
-  EXPECT_TRUE(snap.dynamic.clear(DynamicAttr::kFreeCpus));
-  EXPECT_FALSE(snap.get_int(glue::kFreeCpus).has_value());
-  EXPECT_FALSE(snap.dynamic.clear(DynamicAttr::kFreeCpus));
-  EXPECT_EQ(snap.dynamic.size(), 3u);
+  EXPECT_EQ(snap.dynamic.size(), 4u);
 }
 
 }  // namespace

@@ -360,8 +360,6 @@ TEST(SiteCatalog, AllFailingProbesMeanFail) {
   });
   catalog.run_sweep(Time::zero());
   EXPECT_EQ(catalog.status("Y"), SiteStatus::kFail);
-  catalog.deregister_site("Y");
-  EXPECT_EQ(catalog.status("Y"), SiteStatus::kUnknown);
 }
 
 TEST(MdViewer, IntegratedCpuDaysByVo) {

@@ -123,18 +123,6 @@ TEST_F(NetTest, PrivateNodesCannotOpenOutbound) {
   EXPECT_TRUE(net.route_open(b, a));  // inbound still fine
 }
 
-TEST_F(NetTest, CancelFlowReportsCancelled) {
-  const NodeId a = add(100);
-  const NodeId b = add(100);
-  std::optional<FlowResult> result;
-  const FlowId id = net.start_flow(a, b, Bytes::gb(100),
-                                   [&](const FlowResult& r) { result = r; });
-  sim.schedule_at(Time::seconds(1), [&] { net.cancel_flow(id); });
-  sim.run();
-  ASSERT_TRUE(result.has_value());
-  EXPECT_EQ(result->status, FlowStatus::kCancelled);
-}
-
 TEST_F(NetTest, RateQueriesReflectActiveFlows) {
   const NodeId a = add(100);
   const NodeId b = add(100);

@@ -2,7 +2,6 @@
 #include <gtest/gtest.h>
 
 #include "core/policy_audit.h"
-#include "mds/schema.h"
 
 namespace grid3::core {
 namespace {
@@ -12,34 +11,19 @@ class AuditTest : public ::testing::Test {
   sim::Simulation sim;
   Grid3 grid{sim, 909};
 
-  Site& add(const std::string& name, SitePolicy policy = {}) {
+  Site& add(const std::string& name) {
     grid.add_vo("usatlas");
-    grid.add_vo("uscms");
     SiteConfig cfg;
     cfg.name = name;
     cfg.owner_vo = "usatlas";
     cfg.cpus = 16;
-    cfg.policy = policy;
     return grid.add_site(cfg, /*reliability=*/1000.0);
-  }
-
-  void record_job(const std::string& site, const std::string& vo,
-                  double runtime_h) {
-    monitoring::JobRecord r;
-    r.vo = vo;
-    r.site = site;
-    r.user_dn = "/CN=u";
-    r.submitted = r.started = Time::hours(1);
-    r.finished = Time::hours(1.0 + runtime_h);
-    r.success = true;
-    grid.igoc().job_db().insert(std::move(r));
   }
 };
 
 TEST_F(AuditTest, CleanSitePassesAllChecks) {
   add("GOOD");
-  const auto report =
-      PolicyAuditor{grid}.audit(Time::zero(), Time::days(30));
+  const auto report = PolicyAuditor{grid}.audit();
   EXPECT_EQ(report.sites_audited, 1u);
   EXPECT_TRUE(report.clean());
 }
@@ -57,51 +41,20 @@ TEST_F(AuditTest, WalltimeMismatchIsViolation) {
 }
 
 TEST_F(AuditTest, MissingAttributeIsWarning) {
+  add("GOOD");
   Site& site = add("SPARSE");
-  site.gris().retract(mds::grid3ext::kTmpDir);
+  // A down GRIS answers no query, so every required attribute is
+  // missing there, and nowhere else.
+  site.gris().set_available(false);
   const auto findings = PolicyAuditor{grid}.check_required_attributes();
-  ASSERT_EQ(findings.size(), 1u);
-  EXPECT_EQ(findings[0].severity, AuditSeverity::kWarning);
-  EXPECT_NE(findings[0].detail.find("Grid3TmpDir"), std::string::npos);
-}
-
-TEST_F(AuditTest, ClosedShareViolationDetected) {
-  SitePolicy policy;
-  policy.vo_shares = {{"usatlas", 1.0}};
-  policy.closed_shares = true;
-  add("CLOSED", policy);
-  // A uscms job somehow ran there (e.g. stale grid-map mapping).
-  record_job("CLOSED", "uscms", 2.0);
-  record_job("CLOSED", "usatlas", 2.0);
-  const auto findings =
-      PolicyAuditor{grid}.check_closed_shares(Time::zero(), Time::days(30));
-  ASSERT_EQ(findings.size(), 1u);
-  EXPECT_EQ(findings[0].severity, AuditSeverity::kViolation);
-  EXPECT_NE(findings[0].detail.find("uscms"), std::string::npos);
-}
-
-TEST_F(AuditTest, FairShareSkewFlagged) {
-  SitePolicy policy;
-  policy.vo_shares = {{"usatlas", 1.0}, {"uscms", 1.0}};
-  add("SKEWED", policy);
-  // Equal shares configured, but ATLAS took 10x the CPU.
-  for (int i = 0; i < 10; ++i) record_job("SKEWED", "usatlas", 24.0);
-  record_job("SKEWED", "uscms", 24.0);
-  const auto findings =
-      PolicyAuditor{grid}.check_fair_share(Time::zero(), Time::days(30));
-  ASSERT_EQ(findings.size(), 1u);
-  EXPECT_EQ(findings[0].check, "fair-share");
-}
-
-TEST_F(AuditTest, BalancedUsageWithinTolerancePasses) {
-  SitePolicy policy;
-  policy.vo_shares = {{"usatlas", 2.0}, {"uscms", 1.0}};
-  add("BALANCED", policy);
-  for (int i = 0; i < 4; ++i) record_job("BALANCED", "usatlas", 24.0);
-  for (int i = 0; i < 2; ++i) record_job("BALANCED", "uscms", 24.0);
-  EXPECT_TRUE(PolicyAuditor{grid}
-                  .check_fair_share(Time::zero(), Time::days(30))
-                  .empty());
+  ASSERT_EQ(findings.size(), 6u);
+  bool tmp_dir = false;
+  for (const AuditFinding& f : findings) {
+    EXPECT_EQ(f.severity, AuditSeverity::kWarning);
+    EXPECT_EQ(f.site, "SPARSE");
+    tmp_dir |= f.detail.find("Grid3TmpDir") != std::string::npos;
+  }
+  EXPECT_TRUE(tmp_dir);
 }
 
 TEST(AuditReport, SeverityCounting) {

@@ -7,17 +7,17 @@
 namespace grid3::rls {
 namespace {
 
-TEST(Lrc, AddLookupRemove) {
+TEST(Lrc, AddLookup) {
   LocalReplicaCatalog lrc{"BNL"};
+  EXPECT_EQ(lrc.version(), 0u);
   lrc.add("lfn1", {"gsiftp://BNL/lfn1", Bytes::gb(2), Time::zero()});
   lrc.add("lfn1", {"gsiftp://BNL/copy2", Bytes::gb(2), Time::zero()});
   EXPECT_TRUE(lrc.has("lfn1"));
   EXPECT_EQ(lrc.lookup("lfn1").size(), 2u);
   EXPECT_EQ(lrc.replica_count(), 2u);
-  EXPECT_TRUE(lrc.remove("lfn1", "gsiftp://BNL/copy2"));
-  EXPECT_EQ(lrc.lookup("lfn1").size(), 1u);
-  EXPECT_EQ(lrc.remove_lfn("lfn1"), 1u);
-  EXPECT_FALSE(lrc.has("lfn1"));
+  EXPECT_NE(lrc.version(), 0u);
+  EXPECT_FALSE(lrc.has("lfn2"));
+  EXPECT_TRUE(lrc.lookup("lfn2").empty());
 }
 
 TEST(Lrc, DuplicatePfnUpdatesInPlace) {
@@ -47,18 +47,6 @@ TEST(Rli, SoftStateExpiry) {
   EXPECT_TRUE(rli.sites_with("lfn", Time::hours(1)).empty());
   rli.update_from(lrc, Time::hours(1));
   EXPECT_EQ(rli.sites_with("lfn", Time::hours(1)).size(), 1u);
-}
-
-TEST(Rli, FullStateDigestDropsRemovedEntries) {
-  LocalReplicaCatalog lrc{"BNL"};
-  lrc.add("old", {"pfn", Bytes::gb(1), Time::zero()});
-  ReplicaLocationIndex rli{"rli"};
-  rli.update_from(lrc, Time::zero());
-  lrc.remove_lfn("old");
-  lrc.add("new", {"pfn2", Bytes::gb(1), Time::zero()});
-  rli.update_from(lrc, Time::seconds(10));
-  EXPECT_TRUE(rli.sites_with("old", Time::seconds(10)).empty());
-  EXPECT_EQ(rli.sites_with("new", Time::seconds(10)).size(), 1u);
 }
 
 TEST(Rls, RegisterAndLocateAcrossSites) {

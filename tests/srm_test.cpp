@@ -86,8 +86,10 @@ TEST_F(SrmTest, LivePinBlocksReservationSweep) {
   ASSERT_TRUE(pin.has_value());
   srm.sweep(Time::days(2));
   EXPECT_EQ(srm.live_reservations(), 1u);  // pinned file keeps it alive
-  srm.unpin(*pin);
-  srm.sweep(Time::days(2));
+  EXPECT_EQ(srm.pinned_files(), 1u);
+  // Once the pin expires, the same sweep drops it and the reservation.
+  EXPECT_EQ(srm.sweep(Time::days(30)), Bytes::gb(20));
+  EXPECT_EQ(srm.pinned_files(), 0u);
   EXPECT_EQ(srm.live_reservations(), 0u);
 }
 
@@ -98,18 +100,6 @@ TEST_F(SrmTest, PermanentSpaceSurvivesSweeps) {
   srm.sweep(Time::days(365));
   EXPECT_EQ(srm.live_reservations(), 1u);
   EXPECT_EQ(disk.used(), Bytes::gb(30));
-}
-
-TEST_F(SrmTest, ExtendPinPostponesExpiry) {
-  const auto r = srm.reserve("ligo", Bytes::gb(10), SpaceType::kDurable,
-                             Time::zero());
-  const auto pin =
-      srm.put(*r, "f", Bytes::gb(2), Time::zero(), Time::hours(1));
-  ASSERT_TRUE(pin.has_value());
-  EXPECT_TRUE(srm.extend_pin(*pin, Time::days(3)));
-  srm.sweep(Time::days(1));
-  EXPECT_EQ(srm.pinned_files(), 1u);
-  EXPECT_FALSE(srm.extend_pin(999, Time::days(1)));
 }
 
 TEST_F(SrmTest, UnavailableServiceRefusesOperations) {

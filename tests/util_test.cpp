@@ -131,14 +131,6 @@ TEST(Distributions, MixtureMean) {
   EXPECT_NEAR(stats.mean(), 2.0, 0.1);
 }
 
-TEST(Distributions, TruncatedNormalFloor) {
-  Rng rng{29};
-  const auto d = Distribution::truncated_normal(1.0, 5.0, 0.5);
-  for (int i = 0; i < 2000; ++i) {
-    EXPECT_GE(d.sample(rng), 0.5);
-  }
-}
-
 TEST(OnlineStats, WelfordMatchesDirect) {
   OnlineStats s;
   const std::vector<double> xs = {1, 2, 3, 4, 100};
